@@ -9,9 +9,9 @@ the packet fibers, and the cohomology ranges for U(2,1).
 from __future__ import annotations
 
 from upqgrowth import (
+    bipartitions_with_block_sums,
     block_sums,
     hodge_profile,
-    packet_members,
     reduced_bipartitions,
     reps_in_degree,
     rho,
@@ -30,7 +30,7 @@ for blocks in reduced_bipartitions(P, Q):
 # refining it; its size is the product of the per-block binomials.
 print()
 for sums in ((3,), (2, 1), (1, 1, 1)):
-    members = packet_members(sums, P, Q)
+    members = bipartitions_with_block_sums(sums, P, Q)
     print(f"packet over block sums {sums}: {len(members)} member(s)")
     for m in members:
         print(f"  {m}")

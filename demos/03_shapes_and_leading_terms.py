@@ -38,7 +38,7 @@ value, witness = rep_bound(rep)
 print(f"growth exponent {value} attained at {witness}")
 # Two partitions tie here; the reported witness is the lexicographically
 # smaller one.  The full list of maximizing shapes shows both.
-shapes = delta_max(rep)
+shapes = delta_max(rep).shapes
 print(f"{len(shapes)} dominant shapes, SL(2) types "
       f"{sorted({sl2_partition(s) for s in shapes})}")
 

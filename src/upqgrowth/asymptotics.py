@@ -13,15 +13,15 @@ from fractions import Fraction
 from math import comb, factorial, prod
 
 from .cohomology import GlobalRep
-from .growth import GrowthValue, rep_bound
+from .growth import GrowthValue
 from .infchar import format_rational, weyl_dim
 from .shapes import (
-    Shape,
     delta_max,
     is_gsk,
     is_odd_gsk,
     odd_gsk_parity_test,
     sl2_partition,
+    td_pairs,
 )
 
 Ideal = tuple[tuple[int, int], ...]
@@ -75,10 +75,7 @@ def index_list(shape) -> tuple[int, ...]:
     """Gamma indices (T1, 1^(k-1), -1^(k-1)) of a GSK shape."""
     if not is_gsk(shape):
         raise ValueError("index list only defined for GSK shapes")
-    if isinstance(shape, Shape):
-        pairs = sorted(((b.T, b.d) for b in shape.blocks), key=lambda td: td[1])
-    else:
-        pairs = sorted(((int(t), int(d)) for t, d in shape), key=lambda td: td[1])
+    pairs = sorted(td_pairs(shape), key=lambda td: td[1])
     t1 = pairs[0][0]
     k = len(pairs)
     return (t1,) + (1,) * (k - 1) + (-1,) * (k - 1)
@@ -127,15 +124,15 @@ def leading_term(rep: GlobalRep, convention: str = "binom") -> LeadingTerm:
     contributing its rank-1 block dimension over the packet size at every
     place.
     """
-    shapes = delta_max(rep)
+    result = delta_max(rep)
+    shapes = result.shapes
     if not all(is_odd_gsk(s) for s in shapes):
         raise ValueError("dominant shapes are not all odd GSK")
     types = {sl2_partition(s) for s in shapes}
     if len(types) != 1:
         raise ValueError("dominant SL(2)-type is not unique")
-    value, _ = rep_bound(rep)
     sample = shapes[0]
-    pairs = sorted(((b.T, b.d) for b in sample.blocks), key=lambda td: td[1])
+    pairs = sorted(td_pairs(sample), key=lambda td: td[1])
     t1, k = pairs[0][0], len(pairs)
     coeff = Fraction(0)
     size = packet_size(t1, convention, rep.rank)
@@ -149,7 +146,7 @@ def leading_term(rep: GlobalRep, convention: str = "binom") -> LeadingTerm:
         coeff += term
     symbols = (f"VOL_RATIO(U({t1})xU(1)^{k - 1})",)
     return LeadingTerm(
-        exponent=value,
+        exponent=result.bound,
         indices=index_list(sample),
         coeff=coeff,
         symbols=symbols,

@@ -18,7 +18,7 @@ from itertools import product
 from .cohomology import GlobalRep
 from .infchar import format_rational
 from .partitions import partitions_of, validate_partition
-from .shapes import sl2_candidates
+from .shapes import Shape, shape_to_json, sl2_candidates, td_pairs
 
 
 @dataclass(frozen=True, order=True)
@@ -55,15 +55,9 @@ class GrowthValue:
         return f"{format_rational(self.main)}{sign}{eps}"
 
 
-def _pairs(x) -> tuple[tuple[int, int], ...]:
-    if hasattr(x, "blocks"):
-        return tuple((b.T, b.d) for b in x.blocks)
-    return tuple((int(t), int(d)) for t, d in x)
-
-
 def naive_bound(x) -> GrowthValue:
     """(N^2 + sum T^2 d) / 2 over the blocks."""
-    pairs = _pairs(x)
+    pairs = td_pairs(x)
     n = sum(t * d for t, d in pairs)
     return GrowthValue(Fraction(n * n + sum(t * t * d for t, d in pairs), 2))
 
@@ -74,7 +68,7 @@ def refined_bound(x) -> GrowthValue:
     T = 1 loses (d^2 + d)/2 - 1, T = 2 loses 3d - 3, and T = 3 with d > 1
     loses 5d - 5 while picking up d epsilons.
     """
-    pairs = _pairs(x)
+    pairs = td_pairs(x)
     value = naive_bound(pairs)
     for t, d in pairs:
         if t == 1:
@@ -88,7 +82,7 @@ def refined_bound(x) -> GrowthValue:
 
 def conjectural_bound(x) -> GrowthValue:
     """(N^2 - sum T^2 d^2)/2 + sum (T^2 + T(T-1)(d^2-1)/2)."""
-    pairs = _pairs(x)
+    pairs = td_pairs(x)
     n = sum(t * d for t, d in pairs)
     main = Fraction(n * n - sum(t * t * d * d for t, d in pairs), 2)
     main += sum(
@@ -135,16 +129,40 @@ def brute_force_bound(q_parts, max_rank: int = 12) -> GrowthValue:
     return max(refined_bound(g) for g in all_groupings(q_parts))
 
 
-def rep_bound(rep: GlobalRep) -> tuple[GrowthValue, tuple[int, ...]]:
-    """Dominant growth value over the common SL(2)-types, with its argmax.
+def dominant(cands) -> tuple[GrowthValue, tuple[int, ...], list]:
+    """Top score over candidate partitions, its witness, and every maximizer.
 
-    Ties resolve to the lexicographically smallest partition, which is the
-    ones-padded canonical one whenever that is among the maximizers.
+    Scores each candidate once with `partition_bound`. The witness is the
+    lexicographically smallest maximizer, which is the ones-padded canonical
+    partition whenever that is among them; the maximizers keep cands' order.
     """
-    cands = sl2_candidates(rep)
     if not cands:
         raise ValueError("no common SL(2)-type across the places")
-    scores = {q: partition_bound(q) for q in cands}
-    best = max(scores.values())
-    best_q = min(q for q in cands if scores[q] == best)
+    scores = [partition_bound(q) for q in cands]
+    best = max(scores)
+    tops = [q for q, score in zip(cands, scores) if score == best]
+    return best, min(tops), tops
+
+
+@dataclass(frozen=True)
+class DeltaMax:
+    """The dominance decision for a representation, from `shapes.delta_max`."""
+
+    candidates: tuple[tuple[int, ...], ...]  # common SL(2)-types, descending
+    bound: GrowthValue  # their top refined score
+    q_argmax: tuple[int, ...]  # the lexicographically smallest maximizer
+    shapes: tuple[Shape, ...]  # every shape realizing a maximizer
+
+    def to_json(self) -> dict:
+        return {
+            "bound": self.bound.to_json(),
+            "q_argmax": list(self.q_argmax),
+            "candidates": [list(q) for q in self.candidates],
+            "shapes": [shape_to_json(s) for s in self.shapes],
+        }
+
+
+def rep_bound(rep: GlobalRep) -> tuple[GrowthValue, tuple[int, ...]]:
+    """Dominant growth value over the common SL(2)-types, with its argmax."""
+    best, best_q, _ = dominant(sl2_candidates(rep))
     return best, best_q

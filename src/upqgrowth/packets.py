@@ -1,7 +1,8 @@
 """Packet membership and component-group sign characters.
 
 The packet over an ordered partition P with signature (p, q) is the set of
-reduced bipartitions whose block sums equal P.  Its component group is
+reduced bipartitions whose block sums equal P (enumerated by
+`partitions.bipartitions_with_block_sums`).  Its component group is
 generated by one sign per part, and each member B of the packet determines a
 character on those generators.
 """
@@ -10,7 +11,6 @@ from __future__ import annotations
 
 from .partitions import (
     Bipartition,
-    bipartitions_with_block_sums,
     block_sums,
     validate_bipartition,
     validate_partition,
@@ -20,11 +20,6 @@ from .partitions import (
 def chi4(a: int) -> int:
     """0 when a = 0 or 1 mod 4, else 1.  Parity of a*(a-1)/2."""
     return 0 if a % 4 in (0, 1) else 1
-
-
-def packet_members(parts: tuple[int, ...], p: int, q: int) -> list[Bipartition]:
-    """Members of the packet over `parts` with signature (p, q)."""
-    return bipartitions_with_block_sums(parts, p, q)
 
 
 def component_character(

@@ -212,7 +212,8 @@ class Certificate:
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        """No violations, and at least one case checked."""
+        return self.checked_count > 0 and not self.violations
 
     def to_json(self) -> dict:
         return {

@@ -89,7 +89,8 @@ def sl2_partition(shape: Shape) -> tuple[int, ...]:
     return tuple(sorted(out, reverse=True))
 
 
-def _td_pairs(x) -> tuple[tuple[int, int], ...]:
+def td_pairs(x) -> tuple[tuple[int, int], ...]:
+    """(T, d) per block, from a Shape or from (T, d) pairs."""
     if isinstance(x, Shape):
         return tuple((b.T, b.d) for b in x.blocks)
     return tuple((int(t), int(d)) for t, d in x)
@@ -101,7 +102,7 @@ def is_gsk(x) -> bool:
     Sorted by length, the first block must have d = 1 (any multiplicity); all
     remaining blocks need T = 1 and distinct lengths.
     """
-    pairs = sorted(_td_pairs(x), key=lambda td: td[1])
+    pairs = sorted(td_pairs(x), key=lambda td: td[1])
     ds = [d for _, d in pairs]
     if len(set(ds)) != len(ds):
         return False
@@ -112,7 +113,7 @@ def is_gsk(x) -> bool:
 
 def is_odd_gsk(x) -> bool:
     """GSK with every block length odd."""
-    pairs = _td_pairs(x)
+    pairs = td_pairs(x)
     return is_gsk(pairs) and all(d % 2 == 1 for _, d in pairs)
 
 
@@ -246,8 +247,7 @@ def _merge_choices(run_lengths) -> set[tuple[int, ...]]:
     return out
 
 
-def _local_candidates(rep: LocalRep) -> set[tuple[int, ...]]:
-    data = local_run_data(rep)
+def _local_candidates(data: RunData) -> set[tuple[int, ...]]:
     lengths = [len(r) for r in data.p_runs] + [len(r) for r in data.q_runs]
     out: set[tuple[int, ...]] = set()
     for extra in _merge_choices(lengths):
@@ -255,17 +255,17 @@ def _local_candidates(rep: LocalRep) -> set[tuple[int, ...]]:
     return out
 
 
+def _common_candidates(runs: list[RunData]) -> list[tuple[int, ...]]:
+    common = set.intersection(*(_local_candidates(data) for data in runs))
+    return sorted(common, reverse=True)
+
+
 def sl2_candidates(rep: GlobalRep) -> list[tuple[int, ...]]:
     """Partitions realizable as the SL(2)-type at every place at once.
 
     Descending-lexicographic order, largest first.
     """
-    common: set[tuple[int, ...]] | None = None
-    for local in rep.places:
-        cands = _local_candidates(local)
-        common = cands if common is None else common & cands
-    assert common is not None
-    return sorted(common, reverse=True)
+    return _common_candidates([local_run_data(local) for local in rep.places])
 
 
 def q_can(rep: GlobalRep) -> tuple[int, ...] | None:
@@ -331,10 +331,9 @@ def _chunkings(run_values: tuple[Fraction, ...], sub: tuple[int, ...]):
 
 
 def _local_assignments(
-    rep: LocalRep, q_parts: tuple[int, ...]
+    data: RunData, q_parts: tuple[int, ...]
 ) -> list[tuple[tuple[int, Fraction], ...]]:
     """All placements of q_parts onto this place: lists of (length, center)."""
-    data = local_run_data(rep)
     if not multiset_contains(q_parts, data.beta_plus):
         return []
     leftover = Counter(multiset_minus(q_parts, data.beta_plus))
@@ -378,24 +377,20 @@ def _shape_sort_key(shape: Shape):
     ]
 
 
-def delta_max(rep: GlobalRep) -> list[Shape]:
-    """All shapes realizing the growth-dominant SL(2)-type.
+def delta_max(rep: GlobalRep):
+    """Candidates, bound, witness and dominant shapes as a `growth.DeltaMax`.
 
-    Scores every common SL(2)-type candidate with the refined growth bound,
-    then expands each maximizer into concrete blocks place by place.
+    Splits each place into runs once, scores every common SL(2)-type with the
+    refined growth bound, then expands each maximizer place by place.
     """
-    from .growth import partition_bound  # import here: growth uses this module
+    from .growth import DeltaMax, dominant  # here: growth uses this module
 
-    cands = sl2_candidates(rep)
-    if not cands:
-        raise ValueError("no common SL(2)-type across the places")
-    scores = {q: partition_bound(q) for q in cands}
-    best = max(scores.values())
+    runs = [local_run_data(local) for local in rep.places]
+    cands = _common_candidates(runs)
+    bound, q_argmax, tops = dominant(cands)
     shapes: list[Shape] = []
-    for q_parts in cands:
-        if scores[q_parts] != best:
-            continue
-        pools = [_local_assignments(local, q_parts) for local in rep.places]
+    for q_parts in tops:
+        pools = [_local_assignments(data, q_parts) for data in runs]
         for combo in product(*pools):
             shapes.append(_shape_from_assignment(q_parts, combo, rep.rank))
     unique = list(dict.fromkeys(shapes))
@@ -404,7 +399,7 @@ def delta_max(rep: GlobalRep) -> list[Shape]:
         for v, local in enumerate(rep.places):
             if total_infchar(s, v) != local.lam:
                 raise AssertionError("shape does not rebuild the character")
-    return unique
+    return DeltaMax(tuple(cands), bound, q_argmax, tuple(unique))
 
 
 # --- parity test over the odd GSK family ------------------------------------

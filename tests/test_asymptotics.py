@@ -86,7 +86,7 @@ def test_index_list():
 
 def test_index_list_accepts_shapes():
     rep = LocalRep(p=6, q=1, blocks=((2, 1),) + ((1, 0),) * 4, lam=rho(7))
-    s = delta_max(GlobalRep((rep,)))[0]
+    s = delta_max(GlobalRep((rep,))).shapes[0]
     assert index_list(s) == (4, 1, -1)
 
 

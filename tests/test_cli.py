@@ -5,11 +5,12 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from upqgrowth import cli
+from upqgrowth import cli, growth, shapes
 from upqgrowth.sarnakxue import Certificate
 
 REP_JSON = {
@@ -131,6 +132,36 @@ def test_delta_max(rep_file, capsys):
     ]
 
 
+def test_delta_max_computes_once(tmp_path, monkeypatch, capsys):
+    # two places, two common candidates: (3,2,2) and (3,2,1,1)
+    lam = ["3", "2", "1", "0", "-1", "-2", "-3"]
+    first = {
+        "signature": [6, 1],
+        "bipartition": [[1, 1]] + [[1, 0]] * 5,
+        "infchar": lam,
+    }
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({"places": [first] + REP_JSON["places"]}))
+    calls = Counter()
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(shapes, "local_run_data")
+    counted(shapes, "sl2_candidates")
+    counted(growth, "partition_bound")
+    counted(growth, "rep_bound")
+    assert cli.run(["delta-max", "--rep", str(path)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["candidates"]) == 2
+    assert calls == {"local_run_data": 2, "partition_bound": 2}
+
+
 def test_delta_max_stdin(monkeypatch, capsys):
     import io
 
@@ -248,15 +279,34 @@ def test_verify_json(capsys):
     assert data["certificates"][0]["violations"] == []
 
 
-def test_verify_sweep_cap(monkeypatch, capsys):
-    monkeypatch.setenv(cli.SWEEP_CAP_ENV, "10")
-    assert cli.run(["verify", "--target", "qd", "--nmax", "60"]) == 0
-    assert "N <= 10" in capsys.readouterr().out
+@pytest.mark.parametrize(
+    "argv", [["--nmax", "-5"], ["--target", "qd", "--nmax", "1"]]
+)
+def test_verify_rejects_small_nmax(argv, capsys):
+    assert cli.run(["verify"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--nmax must be at least 2" in captured.err
 
 
-def test_verify_bad_sweep_cap(monkeypatch, capsys):
-    monkeypatch.setenv(cli.SWEEP_CAP_ENV, "soon")
-    assert cli.run(["verify", "--target", "qd"]) == 2
+def test_verify_maxsl2_cap_is_noted(capsys):
+    argv = ["verify", "--target", "maxsl2", "--nmax", "16"]
+    assert cli.run(argv + ["--json"]) == 0
+    (cert,) = json.loads(capsys.readouterr().out)["certificates"]
+    assert cert["range"] == "distinct cores, N <= 14"
+    assert cert["notes"] == ["nmax 16 capped at 14"]
+    assert cli.run(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "ok maxsl2: 272 cases (distinct cores, N <= 14)",
+        "  note: nmax 16 capped at 14",
+    ]
+
+
+def test_verify_maxsl2_uncapped_prints_one_line(capsys):
+    assert cli.run(["verify", "--target", "maxsl2", "--nmax", "14"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "ok maxsl2: 272 cases (distinct cores, N <= 14)"
+    ]
 
 
 def test_verify_reports_violations(monkeypatch, capsys):

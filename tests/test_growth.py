@@ -94,7 +94,7 @@ def test_bounds_accept_shapes():
     from upqgrowth.shapes import delta_max
 
     rep = LocalRep(p=6, q=1, blocks=((2, 1),) + ((1, 0),) * 4, lam=rho(7))
-    s = delta_max(GlobalRep((rep,)))[0]
+    s = delta_max(GlobalRep((rep,))).shapes[0]
     assert refined_bound(s) == GrowthValue(29)
     assert refined_bound(s) == refined_bound(((1, 3), (4, 1)))
 

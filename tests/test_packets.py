@@ -12,11 +12,14 @@ import oracles
 from upqgrowth.packets import (
     chi4,
     component_character,
-    packet_members,
     s_psi,
     sign_character_trivial,
 )
-from upqgrowth.partitions import partitions_of, reduced_bipartitions
+from upqgrowth.partitions import (
+    bipartitions_with_block_sums,
+    partitions_of,
+    reduced_bipartitions,
+)
 
 
 def test_chi4_period_four():
@@ -73,7 +76,7 @@ def test_sign_product_constant_on_packet():
     for n in range(2, 9):
         for parts in partitions_of(n):
             for q in range(n + 1):
-                members = packet_members(parts, n - q, q)
+                members = bipartitions_with_block_sums(parts, n - q, q)
                 prods = {
                     _prod(component_character(b, parts)) for b in members
                 }
@@ -96,17 +99,18 @@ def test_parts_mismatch_rejected():
 
 def test_packet_members_are_the_fiber():
     for parts, p, q in [((2,), 1, 1), ((1, 1), 1, 1), ((3, 2, 2), 4, 3)]:
-        assert packet_members(parts, p, q) == oracles.fibers_by_scan(parts, p, q)
-    assert packet_members((2,), 1, 1) == [((1, 1),)]
-    assert packet_members((3,), 3, 0) == [((3, 0),)]
+        got = bipartitions_with_block_sums(parts, p, q)
+        assert got == oracles.fibers_by_scan(parts, p, q)
+    assert bipartitions_with_block_sums((2,), 1, 1) == [((1, 1),)]
+    assert bipartitions_with_block_sums((3,), 3, 0) == [((3, 0),)]
     # rank mismatch gives the empty packet
-    assert packet_members((3,), 2, 0) == []
+    assert bipartitions_with_block_sums((3,), 2, 0) == []
 
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=6))
 def test_packet_members_reduced_and_summed(p, q):
     for parts in partitions_of(p + q) if p + q else []:
-        for b in packet_members(parts, p, q):
+        for b in bipartitions_with_block_sums(parts, p, q):
             assert tuple(x + y for x, y in b) == parts
             assert sum(x for x, _ in b) == p
             assert sum(y for _, y in b) == q

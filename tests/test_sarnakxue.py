@@ -199,6 +199,12 @@ def test_verify_maxsl2_small():
     assert cert.checked_count > 0
 
 
+def test_certificate_of_no_cases_is_not_ok():
+    cert = Certificate(target="t", sweep="s", checked_count=0, violations=())
+    assert not cert.ok
+    assert not verify_qd_bound(1).ok
+
+
 def test_certificate_json_and_ok():
     cert = Certificate(
         target="t", sweep="s", checked_count=2, violations=("bad",)

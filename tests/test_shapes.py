@@ -9,6 +9,7 @@ import pytest
 
 import oracles
 from upqgrowth.cohomology import GlobalRep, LocalRep
+from upqgrowth.growth import partition_bound, rep_bound
 from upqgrowth.infchar import IrregularCharacterError, rho
 from upqgrowth.partitions import multiset_contains, reduced_bipartitions
 from upqgrowth.shapes import (
@@ -54,8 +55,17 @@ def test_candidates_match_merge_oracle():
         for p in range(n + 1):
             for b in reduced_bipartitions(p, n - p):
                 rep = LocalRep(p=p, q=n - p, blocks=b, lam=lam)
-                got = set(sl2_candidates(GlobalRep((rep,))))
-                assert got == oracles.sl2_by_adjacent_merge(b, lam)
+                g = GlobalRep((rep,))
+                cands = sl2_candidates(g)
+                assert set(cands) == oracles.sl2_by_adjacent_merge(b, lam)
+                # the one-pass record agrees with the separate entry points
+                dm = delta_max(g)
+                assert list(dm.candidates) == cands
+                assert (dm.bound, dm.q_argmax) == rep_bound(g)
+                tops = {q for q in cands if partition_bound(q) == dm.bound}
+                types = {sl2_partition(s) for s in dm.shapes}
+                assert types <= tops
+                assert dm.q_argmax in types
                 count += 1
     assert count > 200
 
@@ -150,7 +160,7 @@ def test_q_can_overflow_is_none():
 
 def test_single_place_dominant_shape():
     g = GlobalRep((_rep72(),))
-    shapes = delta_max(g)
+    shapes = delta_max(g).shapes
     assert len(shapes) == 1
     s = shapes[0]
     assert sl2_partition(s) == (3, 1, 1, 1, 1)
@@ -165,7 +175,7 @@ def test_single_place_dominant_shape():
 def test_two_place_tie_shapes():
     # the two maximizers score equally, so both families of shapes appear
     g = GlobalRep((_rep71(), _rep72()))
-    shapes = delta_max(g)
+    shapes = delta_max(g).shapes
     assert len(shapes) == 11
     counts = Counter(sl2_partition(s) for s in shapes)
     assert counts == {(3, 2, 1, 1): 9, (3, 2, 2): 2}
@@ -191,7 +201,7 @@ def test_two_place_tie_shapes():
 
 def test_shapes_deduplicated_and_sorted():
     g = GlobalRep((_rep71(), _rep72()))
-    shapes = delta_max(g)
+    shapes = delta_max(g).shapes
     assert len(set(shapes)) == len(shapes)
 
 
@@ -233,17 +243,17 @@ def test_attached_group_on_dominant_shapes():
         GlobalRep((_rep72(),)),
         GlobalRep((_rep71(), _rep72())),
     ):
-        for s in delta_max(g):
+        for s in delta_max(g).shapes:
             desc = attached_group(s)
             assert sum(r for r, _ in desc.factors) == 7
             assert str(desc) == "U_{+1}(7)"
 
 
 def test_sato_tate():
-    s = delta_max(GlobalRep((_rep72(),)))[0]
+    s = delta_max(GlobalRep((_rep72(),))).shapes[0]
     assert sato_tate_group(s) == ((1, 1), (4, 1))
     g = GlobalRep((_rep71(), _rep72()))
-    assert sato_tate_group(delta_max(g)[0]) == ((1, 1), (1, 1), (2, 1))
+    assert sato_tate_group(delta_max(g).shapes[0]) == ((1, 1), (1, 1), (2, 1))
 
 
 # --- parity test -------------------------------------------------------------
@@ -251,7 +261,7 @@ def test_sato_tate():
 
 def test_parity_pass():
     g = GlobalRep((_rep72(),))
-    s = delta_max(g)[0]
+    s = delta_max(g).shapes[0]
     assert odd_gsk_parity_test(g, s) is True
 
 
@@ -261,7 +271,7 @@ def test_parity_fail():
         p=6, q=1, blocks=((1, 0), (2, 1)) + ((1, 0),) * 3, lam=RHO7
     )
     g = GlobalRep((rep,))
-    shapes = delta_max(g)
+    shapes = delta_max(g).shapes
     assert len(shapes) == 1
     assert sl2_partition(shapes[0]) == (3, 1, 1, 1, 1)
     assert odd_gsk_parity_test(g, shapes[0]) is False
@@ -269,7 +279,7 @@ def test_parity_fail():
 
 def test_parity_requires_odd_gsk():
     g = GlobalRep((_rep71(), _rep72()))
-    s = delta_max(g)[0]  # contains a length-2 block
+    s = delta_max(g).shapes[0]  # contains a length-2 block
     with pytest.raises(ValueError):
         odd_gsk_parity_test(g, s)
 
@@ -312,19 +322,19 @@ def test_shape_validation():
 
 
 def test_shape_rank_and_places():
-    s = delta_max(GlobalRep((_rep71(), _rep72())))[0]
+    s = delta_max(GlobalRep((_rep71(), _rep72()))).shapes[0]
     assert s.rank == 7
     assert s.places == 2
 
 
 def test_shape_json_round_trip():
     for g in (GlobalRep((_rep72(),)), GlobalRep((_rep71(), _rep72()))):
-        for s in delta_max(g):
+        for s in delta_max(g).shapes:
             assert shape_from_json(shape_to_json(s)) == s
 
 
 def test_shape_json_format():
-    s = delta_max(GlobalRep((_rep72(),)))[0]
+    s = delta_max(GlobalRep((_rep72(),))).shapes[0]
     assert shape_to_json(s) == {
         "blocks": [
             [1, 3, [["2"]], 1],
