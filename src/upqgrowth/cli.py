@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 verification failed or checked nothing, 2 bad input.
+Exit codes: 0 success, 1 verification failed or checked nothing, 2 bad input,
+3 a broken internal invariant (an AssertionError, reported as "internal error").
 All structured output is JSON with sorted keys; tables default to CSV.
 """
 
@@ -15,7 +16,10 @@ from fractions import Fraction
 from . import asymptotics, cohomology, sarnakxue, shapes
 from .infchar import format_rational
 
-MAXSL2_NMAX = 14  # verify runs the maxsl2 sweep at most this far
+MAXSL2_NMAX = 24  # verify runs the maxsl2 sweep at most this far
+# the smallest --nmax per target: the first N at which its sweep has a case
+# (table ignores --nmax; maxsl2, whose first case is N = 1, keeps the qd floor)
+NMAX_MIN = {"table": 2, "qd": 2, "density": 3, "maxsl2": 2}
 
 
 class ParseError(ValueError):
@@ -157,8 +161,10 @@ def cmd_coh_bounds(args) -> int:
 
 def cmd_verify(args) -> int:
     nmax = args.nmax
-    if nmax < 2:  # the qd sweep has no case below 2
-        raise ParseError(f"--nmax must be at least 2, got {nmax}")
+    targets = list(NMAX_MIN) if args.target == "all" else [args.target]
+    least = max(NMAX_MIN[t] for t in targets)
+    if nmax < least:
+        raise ParseError(f"--nmax must be at least {least}, got {nmax}")
     cap_notes = (
         (f"nmax {nmax} capped at {MAXSL2_NMAX}",) if nmax > MAXSL2_NMAX else ()
     )
@@ -173,7 +179,6 @@ def cmd_verify(args) -> int:
         "density": lambda: sarnakxue.verify_density(nmax),
         "maxsl2": maxsl2,
     }
-    targets = list(runners) if args.target == "all" else [args.target]
     certs = [runners[t]() for t in targets]
     if args.json:
         _emit_json({"certificates": [c.to_json() for c in certs]})
@@ -284,6 +289,9 @@ def run(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except AssertionError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

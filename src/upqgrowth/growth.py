@@ -6,6 +6,11 @@ below anything with a larger main term.
 
 The refined bound subtracts a correction from the naive one for blocks of
 multiplicity 1, 2 or 3; multiplicity-3 corrections are where eps enters.
+
+Every bound is N^2/2 plus one term per block, so a maximum over the ways to
+group equal parts into blocks (`split_tables`, `grouping_score`) or to merge
+the size-1 parts (`merge_bounds`) is a small exact dynamic programme instead
+of an enumeration.
 """
 
 from __future__ import annotations
@@ -43,6 +48,11 @@ class GrowthValue:
         return {"main": format_rational(self.main), "eps": self.eps}
 
     @classmethod
+    def from_score(cls, score: "Score") -> "GrowthValue":
+        """The value whose (2*main, eps) is score."""
+        return cls(Fraction(score[0], 2), score[1])
+
+    @classmethod
     def from_json(cls, data: dict) -> "GrowthValue":
         return cls(Fraction(data["main"]), int(data["eps"]))
 
@@ -55,40 +65,62 @@ class GrowthValue:
         return f"{format_rational(self.main)}{sign}{eps}"
 
 
-def naive_bound(x) -> GrowthValue:
-    """(N^2 + sum T^2 d) / 2 over the blocks."""
-    pairs = td_pairs(x)
-    n = sum(t * d for t, d in pairs)
-    return GrowthValue(Fraction(n * n + sum(t * t * d for t, d in pairs), 2))
+# A Score is a GrowthValue held as the ints (2*main, eps): every bound below is
+# N^2/2 plus one term per (T, d) block, each with an integral doubled main
+# part, and tuples of ints order and add like GrowthValues.
+Score = tuple[int, int]
 
 
-def refined_bound(x) -> GrowthValue:
-    """Naive bound minus the low-multiplicity corrections.
+def _naive_term(t: int, d: int) -> Score:
+    return t * t * d, 0
+
+
+def _refined_term(t: int, d: int) -> Score:
+    """The naive T^2 d less the low-multiplicity correction, doubled.
 
     T = 1 loses (d^2 + d)/2 - 1, T = 2 loses 3d - 3, and T = 3 with d > 1
     loses 5d - 5 while picking up d epsilons.
     """
+    naive = t * t * d
+    if t == 1:
+        return naive - d * d - d + 2, 0
+    if t == 2:
+        return naive - 6 * d + 6, 0
+    if t == 3 and d > 1:
+        return naive - 10 * d + 10, d
+    return naive, 0
+
+
+def _conjectural_term(t: int, d: int) -> Score:
+    """-T^2 d^2 / 2 + T^2 + T(T-1)(d^2-1)/2, doubled."""
+    return 2 * t * t - t * t * d * d + t * (t - 1) * (d * d - 1), 0
+
+
+def _bound(term, x) -> GrowthValue:
+    """N^2/2 plus term(T, d) summed over the blocks of x."""
     pairs = td_pairs(x)
-    value = naive_bound(pairs)
+    n = sum(t * d for t, d in pairs)
+    two_main, eps = n * n, 0
     for t, d in pairs:
-        if t == 1:
-            value = value - GrowthValue(Fraction(d * d + d, 2) - 1)
-        elif t == 2:
-            value = value - GrowthValue(Fraction(3 * d - 3))
-        elif t == 3 and d > 1:
-            value = value - GrowthValue(Fraction(5 * d - 5), -d)
-    return value
+        a, e = term(t, d)
+        two_main += a
+        eps += e
+    return GrowthValue.from_score((two_main, eps))
+
+
+def naive_bound(x) -> GrowthValue:
+    """(N^2 + sum T^2 d) / 2 over the blocks."""
+    return _bound(_naive_term, x)
+
+
+def refined_bound(x) -> GrowthValue:
+    """Naive bound minus the low-multiplicity corrections (`_refined_term`)."""
+    return _bound(_refined_term, x)
 
 
 def conjectural_bound(x) -> GrowthValue:
     """(N^2 - sum T^2 d^2)/2 + sum (T^2 + T(T-1)(d^2-1)/2)."""
-    pairs = td_pairs(x)
-    n = sum(t * d for t, d in pairs)
-    main = Fraction(n * n - sum(t * t * d * d for t, d in pairs), 2)
-    main += sum(
-        t * t + Fraction(t * (t - 1) * (d * d - 1), 2) for t, d in pairs
-    )
-    return GrowthValue(main)
+    return _bound(_conjectural_term, x)
 
 
 def grouped_blocks(q_parts) -> tuple[tuple[int, int], ...]:
@@ -121,12 +153,72 @@ def all_groupings(q_parts):
         yield tuple(blocks)
 
 
-def brute_force_bound(q_parts, max_rank: int = 12) -> GrowthValue:
-    """Max refined bound over every grouping; small ranks only."""
-    q_parts = tuple(int(v) for v in q_parts)
-    if sum(q_parts) > max_rank:
-        raise ValueError(f"rank {sum(q_parts)} exceeds max_rank={max_rank}")
-    return max(refined_bound(g) for g in all_groupings(q_parts))
+def _plus(a: Score, b: Score) -> Score:
+    return a[0] + b[0], a[1] + b[1]
+
+
+def split_tables(n_max: int, term=_refined_term) -> dict[int, list[Score]]:
+    """For each part size d <= n_max, the best split of equal parts d.
+
+    tables[d][m], for m <= n_max // d, is the top sum of block terms (refined
+    by default) over every way to split m parts d into blocks (T, d): the
+    maximum over t of term(t, d) + tables[d][m - t].
+    """
+    tables = {}
+    for d in range(1, n_max + 1):
+        best = [(0, 0)]
+        for m in range(1, n_max // d + 1):
+            splits = range(1, m + 1)
+            best.append(max(_plus(term(t, d), best[m - t]) for t in splits))
+        tables[d] = best
+    return tables
+
+
+def grouping_score(q_parts, tables) -> Score:
+    """The refined bound of q_parts maximized over every grouping of its
+    equal parts into blocks, as a Score; tables come from `split_tables`."""
+    n = two_main = eps = 0
+    for d, m in Counter(q_parts).items():
+        a, e = tables[d][m]
+        n += d * m
+        two_main += a
+        eps += e
+    return n * n + two_main, eps
+
+
+def _best_merge(base: Counter, ones: int, term) -> Score:
+    """Top Score of N^2/2 + sum term(T_d, d) over the partitions base +
+    extra, extra any partition of ones, with equal parts fully grouped.
+
+    A knapsack over the sizes d <= ones: best[s] is the top sum of the terms
+    of sizes done so far when their extra parts use s of the ones.
+    """
+    n = ones + sum(d * m for d, m in base.items())
+    fixed = (n * n, 0)
+    for d, m in base.items():
+        if d > ones:
+            fixed = _plus(fixed, term(m, d))
+    best = [term(s, 1) for s in range(ones + 1)]
+    for d in range(2, ones + 1):
+        gain = [term(base[d] + e, d) for e in range(ones // d + 1)]
+        best = [
+            max(_plus(best[s - d * e], gain[e]) for e in range(s // d + 1))
+            for s in range(ones + 1)
+        ]
+    return _plus(fixed, best[ones])
+
+
+def merge_bounds(parts) -> tuple[GrowthValue, GrowthValue]:
+    """Top refined and conjectural bounds over the partitions reachable by
+    merging only the size-1 parts of parts, each with equal parts fully
+    grouped; the same maxima as `partition_bound` and `partition_bound0`
+    over `sarnakxue.one_merge_coarsenings`."""
+    base = Counter(int(v) for v in parts)
+    ones = base.pop(1, 0)
+    return (
+        GrowthValue.from_score(_best_merge(base, ones, _refined_term)),
+        GrowthValue.from_score(_best_merge(base, ones, _conjectural_term)),
+    )
 
 
 def dominant(cands) -> tuple[GrowthValue, tuple[int, ...], list]:

@@ -15,12 +15,13 @@ from fractions import Fraction
 
 from .growth import (
     GrowthValue,
-    all_groupings,
     grouped_blocks,
+    grouping_score,
+    merge_bounds,
     naive_bound,
     partition_bound,
     partition_bound0,
-    refined_bound,
+    split_tables,
 )
 from .infchar import format_rational
 from .partitions import (
@@ -142,16 +143,15 @@ def sx_row(parts) -> DensityRow:
     """Provable and conjectural growth exponents for a partition row.
 
     Both exponents take the max over the one-merge coarsenings: size-1 parts
-    can recombine, so the bound must cover every recombination.
+    can recombine, so the bound must cover every recombination. The maxima
+    come from `growth.merge_bounds` without listing the coarsenings.
     """
     parts = tuple(sorted((int(v) for v in parts), reverse=True))
     validate_partition(parts)
     n = sum(parts)
-    coarse = one_merge_coarsenings(parts)
-    prov = {c: partition_bound(c) - 1 for c in coarse}
-    conj = {c: partition_bound0(c) - 1 for c in coarse}
-    best_prov = max(prov.values())
-    best_conj = max(conj.values())
+    top_prov, top_conj = merge_bounds(parts)
+    best_prov = top_prov - 1
+    best_conj = top_conj - 1
     goal = sx_goal(parts)
     exceeds = best_prov.main > goal or (
         best_prov.main == goal and best_prov.eps > 0
@@ -162,8 +162,8 @@ def sx_row(parts) -> DensityRow:
         conjectural=best_conj,
         sx_goal=goal,
         trivial=n * n - 1,
-        provable_at_coarsening=prov[parts] < best_prov,
-        conjectural_at_coarsening=conj[parts] < best_conj,
+        provable_at_coarsening=partition_bound(parts) < top_prov,
+        conjectural_at_coarsening=partition_bound0(parts) < top_conj,
         exceeds_goal=exceeds,
     )
 
@@ -348,25 +348,29 @@ def verify_maxsl2(n_max: int = 14) -> Certificate:
     For every distinct-part core Q0 and rank N, the max of the refined bound
     over partitions Q0 + (any partition of the slack) and over all block
     groupings is attained at Q0 padded with ones, fully grouped; the argmax
-    partition is unique except for slack 2 with a 2 already present.
+    partition is unique except for slack 2 with a 2 already present. Each
+    partition's best grouping comes from `split_tables`, so the groupings are
+    maximized over, not enumerated.
     """
     violations = []
     checked = 0
+    tables = split_tables(n_max)
     for core in _distinct_part_sets(n_max):
         for n in range(max(sum(core), 1), n_max + 1):
             checked += 1
             slack = n - sum(core)
             padded = core + (1,) * slack
             expected_best = partition_bound(padded)
-            best = None
-            argmax = []
+            top = None
+            tops = []
             for extra in partitions_of(slack):
-                q = tuple(sorted(core + extra, reverse=True))
-                value = max(refined_bound(g) for g in all_groupings(q))
-                if best is None or value > best:
-                    best, argmax = value, [q]
-                elif value == best:
-                    argmax.append(q)
+                score = grouping_score(core + extra, tables)
+                if top is None or score > top:
+                    top, tops = score, [extra]
+                elif score == top:
+                    tops.append(extra)
+            best = GrowthValue.from_score(top)
+            argmax = [tuple(sorted(core + e, reverse=True)) for e in tops]
             if best != expected_best:
                 violations.append(
                     f"core {core}, N={n}: best {best} not at padded partition"

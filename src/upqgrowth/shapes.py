@@ -460,8 +460,13 @@ def odd_gsk_parity_test(rep: GlobalRep, shape: Shape) -> bool:
         for v, local in enumerate(rep.places):
             parts = _shape_parts_at_place(shape, v)
             idx = next(
-                i for i, (_, dd) in enumerate(parts, start=1) if dd == d
+                (i for i, (_, dd) in enumerate(parts, start=1) if dd == d),
+                None,
             )
+            if idx is None:
+                raise AssertionError(
+                    f"shape has no block of size {d} at place {v}"
+                )
             qv = _stretch_q(local, parts[idx - 1][0])
             t += (idx - 1) + qv + chi4(d)
         if t % 2:

@@ -110,6 +110,19 @@ def test_sx_table_bad_parts():
 # --- delta-max and leading-term --------------------------------------------------
 
 
+def test_internal_error_exits_3(rep_file, monkeypatch, capsys):
+    def broken(rep):
+        raise AssertionError("shape does not rebuild the character")
+
+    monkeypatch.setattr(shapes, "delta_max", broken)
+    assert cli.run(["delta-max", "--rep", rep_file]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal error: shape does not rebuild the character\n"
+    )
+
+
 def test_delta_max(rep_file, capsys):
     assert cli.run(["delta-max", "--rep", rep_file]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -280,16 +293,48 @@ def test_verify_json(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["--nmax", "-5"], ["--target", "qd", "--nmax", "1"]]
+    "argv",
+    [
+        ["--nmax", "-5"],
+        ["--target", "qd", "--nmax", "1"],
+        ["--nmax", "2"],
+        ["--target", "density", "--nmax", "2"],
+    ],
 )
 def test_verify_rejects_small_nmax(argv, capsys):
     assert cli.run(["verify"] + argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--nmax must be at least 2" in captured.err
+    assert "--nmax must be at least" in captured.err
 
 
-def test_verify_maxsl2_cap_is_noted(capsys):
+@pytest.mark.parametrize(
+    "target, least",
+    [("all", 3), ("density", 3), ("qd", 2), ("maxsl2", 2), ("table", 2)],
+)
+def test_verify_small_nmax_names_the_minimum(target, least, capsys):
+    argv = ["verify", "--target", target, "--nmax", str(least - 1)]
+    assert cli.run(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: --nmax must be at least {least}, got {least - 1}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "target, line",
+    [
+        ("qd", "ok qd: 1 cases (2 <= d <= N <= 2)"),
+        ("density", "ok density: 1 cases (2 <= d < N <= 3)"),
+    ],
+)
+def test_verify_smallest_nmax_checks_one_case(target, line, capsys):
+    nmax = cli.NMAX_MIN[target]
+    assert cli.run(["verify", "--target", target, "--nmax", str(nmax)]) == 0
+    assert capsys.readouterr().out.splitlines() == [line]
+
+
+def test_verify_maxsl2_cap_is_noted(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAXSL2_NMAX", 14)
     argv = ["verify", "--target", "maxsl2", "--nmax", "16"]
     assert cli.run(argv + ["--json"]) == 0
     (cert,) = json.loads(capsys.readouterr().out)["certificates"]
@@ -299,6 +344,13 @@ def test_verify_maxsl2_cap_is_noted(capsys):
     assert capsys.readouterr().out.splitlines() == [
         "ok maxsl2: 272 cases (distinct cores, N <= 14)",
         "  note: nmax 16 capped at 14",
+    ]
+
+
+def test_verify_maxsl2_runs_to_24(capsys):
+    assert cli.run(["verify", "--target", "maxsl2", "--nmax", "24"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "ok maxsl2: 2363 cases (distinct cores, N <= 24)"
     ]
 
 

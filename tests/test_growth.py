@@ -13,14 +13,16 @@ from upqgrowth.cohomology import GlobalRep, LocalRep
 from upqgrowth.growth import (
     GrowthValue,
     all_groupings,
-    brute_force_bound,
     conjectural_bound,
     grouped_blocks,
+    grouping_score,
+    merge_bounds,
     naive_bound,
     partition_bound,
     partition_bound0,
     refined_bound,
     rep_bound,
+    split_tables,
 )
 from upqgrowth.infchar import rho
 from upqgrowth.partitions import partitions_of
@@ -140,12 +142,54 @@ def test_closed_forms():
 def test_full_grouping_is_optimal():
     for n in range(1, 13):
         for parts in partitions_of(n):
-            assert brute_force_bound(parts) == partition_bound(parts)
+            best = GrowthValue(*oracles.best_grouping(parts))
+            assert best == partition_bound(parts)
 
 
-def test_brute_force_rank_guard():
-    with pytest.raises(ValueError):
-        brute_force_bound((8, 8))
+# --- the exact kernel over groupings and merges -------------------------------
+
+
+def _partitions_up_to(n_max):
+    return st.integers(1, n_max).flatmap(
+        lambda n: st.sampled_from(partitions_of(n))
+    )
+
+
+@given(_partitions_up_to(12))
+def test_grouping_kernel_matches_oracle(parts):
+    score = grouping_score(parts, split_tables(sum(parts)))
+    assert GrowthValue.from_score(score) == GrowthValue(
+        *oracles.best_grouping(parts)
+    )
+
+
+def test_split_tables_frozen():
+    # doubled block terms of parts 2, N^2 aside: one 2 is 2 - 4, a T = 2
+    # block 8 - 12 + 6, a T = 3 block 18 - 20 + 10 plus two epsilons
+    assert split_tables(6)[2] == [(0, 0), (-2, 0), (2, 0), (8, 2)]
+    assert split_tables(6)[6] == [(0, 0), (-34, 0)]
+    assert grouping_score((2, 2, 2), split_tables(6)) == (44, 2)
+    assert GrowthValue.from_score((44, 2)) == partition_bound((2, 2, 2))
+
+
+def test_split_tables_maximize_over_splits():
+    # the refined terms never favour a split (criterion 4), so a term that
+    # pays per block shows that the tables search the splits at all
+    per_block = split_tables(4, term=lambda t, d: (1, 0))
+    assert per_block[1] == [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)]
+    assert per_block[2] == [(0, 0), (1, 0), (2, 0)]
+
+
+def test_merge_bounds_match_coarsenings():
+    from upqgrowth.sarnakxue import one_merge_coarsenings
+
+    for n in range(1, 13):
+        for parts in partitions_of(n):
+            coarse = one_merge_coarsenings(parts)
+            assert merge_bounds(parts) == (
+                max(partition_bound(c) for c in coarse),
+                max(partition_bound0(c) for c in coarse),
+            )
 
 
 def test_all_groupings_counts():

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from upqgrowth.growth import GrowthValue
 from upqgrowth.partitions import balanced_bipartition, partitions_of
 from upqgrowth.sarnakxue import (
     Certificate,
@@ -126,19 +127,45 @@ def test_one_merge_coarsenings():
     ]
 
 
+def _assert_row_matches_oracle(parts):
+    row = sx_row(parts)
+    pm, pe, pi, cm, ci, goal, triv = oracles.table_row(parts)
+    assert row.provable.main == pm
+    assert row.provable.eps == pe
+    assert row.provable_at_coarsening == pi
+    assert row.conjectural.main == cm
+    assert row.conjectural.eps == 0
+    assert row.conjectural_at_coarsening == ci
+    assert row.sx_goal == goal
+    assert row.trivial == triv
+
+
 def test_rows_match_oracle():
     for n in range(2, 11):
         for parts in partitions_of(n):
-            row = sx_row(parts)
-            pm, pe, pi, cm, ci, goal, triv = oracles.table_row(parts)
-            assert row.provable.main == pm
-            assert row.provable.eps == pe
-            assert row.provable_at_coarsening == pi
-            assert row.conjectural.main == cm
-            assert row.conjectural.eps == 0
-            assert row.conjectural_at_coarsening == ci
-            assert row.sx_goal == goal
-            assert row.trivial == triv
+            _assert_row_matches_oracle(parts)
+
+
+@given(
+    st.integers(1, 14).flatmap(lambda n: st.sampled_from(partitions_of(n)))
+)
+def test_random_rows_match_oracle(parts):
+    _assert_row_matches_oracle(parts)
+
+
+@pytest.mark.parametrize(
+    "parts, provable, conjectural",
+    [
+        ((3, 3, 3) + (1,) * 13, GrowthValue(329, 3), GrowthValue(318)),
+        ((2, 2, 2) + (1,) * 13, GrowthValue(268, 2), GrowthValue(264)),
+    ],
+)
+def test_rows_with_eps_frozen(parts, provable, conjectural):
+    # a T = 3 block of d > 1 adds d epsilons: the sign the kernel must keep
+    row = sx_row(parts)
+    assert (row.provable, row.conjectural) == (provable, conjectural)
+    assert not row.provable_at_coarsening
+    assert not row.conjectural_at_coarsening
 
 
 def test_reference_table_is_reproducible():
