@@ -139,7 +139,9 @@ def leading_term(rep: GlobalRep, convention: str = "binom") -> LeadingTerm:
     for s in shapes:
         if not odd_gsk_parity_test(rep, s):
             continue
-        block1 = next(b for b in s.blocks if b.d == 1)
+        block1 = next((b for b in s.blocks if b.d == 1), None)
+        if block1 is None:
+            raise AssertionError("odd GSK shape has no block of size 1")
         term = Fraction(1)
         for v in range(s.places):
             term *= Fraction(weyl_dim(block1.centers[v]), size)

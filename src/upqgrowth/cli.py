@@ -43,7 +43,10 @@ def parse_partition(text: str) -> tuple[int, ...]:
 
 
 def parse_partition_list(text: str) -> list[tuple[int, ...]]:
-    return [parse_partition(tok) for tok in text.split(";") if tok.strip()]
+    out = [parse_partition(tok) for tok in text.split(";") if tok.strip()]
+    if not out:
+        raise ParseError("no partition in --parts")
+    return out
 
 
 def parse_ideal(text: str) -> tuple[tuple[int, int], ...]:
@@ -104,7 +107,7 @@ def _emit_json(obj) -> None:
 
 
 def cmd_sx_table(args) -> int:
-    if args.parts:
+    if args.parts is not None:
         part_list = parse_partition_list(args.parts)
     else:
         part_list = [row.q for row in sarnakxue.REFERENCE_TABLE]

@@ -96,8 +96,8 @@ def _conjectural_term(t: int, d: int) -> Score:
     return 2 * t * t - t * t * d * d + t * (t - 1) * (d * d - 1), 0
 
 
-def _bound(term, x) -> GrowthValue:
-    """N^2/2 plus term(T, d) summed over the blocks of x."""
+def _score(term, x) -> Score:
+    """N^2/2 plus term(T, d) summed over the blocks of x, as a Score."""
     pairs = td_pairs(x)
     n = sum(t * d for t, d in pairs)
     two_main, eps = n * n, 0
@@ -105,12 +105,21 @@ def _bound(term, x) -> GrowthValue:
         a, e = term(t, d)
         two_main += a
         eps += e
-    return GrowthValue.from_score((two_main, eps))
+    return two_main, eps
+
+
+def _bound(term, x) -> GrowthValue:
+    return GrowthValue.from_score(_score(term, x))
+
+
+def naive_score(x) -> Score:
+    """The naive bound of the blocks x as a Score (2*main, 0)."""
+    return _score(_naive_term, x)
 
 
 def naive_bound(x) -> GrowthValue:
     """(N^2 + sum T^2 d) / 2 over the blocks."""
-    return _bound(_naive_term, x)
+    return GrowthValue.from_score(naive_score(x))
 
 
 def refined_bound(x) -> GrowthValue:

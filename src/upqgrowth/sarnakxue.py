@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain
+from operator import gt
 
 from .growth import (
     GrowthValue,
-    grouped_blocks,
     grouping_score,
     merge_bounds,
-    naive_bound,
+    naive_score,
     partition_bound,
     partition_bound0,
     split_tables,
@@ -26,7 +27,6 @@ from .growth import (
 from .infchar import format_rational
 from .partitions import (
     Bipartition,
-    balanced_bipartition,
     partitions_of,
     validate_bipartition,
     validate_partition,
@@ -51,18 +51,39 @@ def profile_sum(profile, i: int) -> int:
     return sum(ordered[:i])
 
 
+def _profile_prefix(parts) -> list[int]:
+    """[sigma_0, ..., sigma_N] for a partition of N: sigma_i is the sum of the
+    i largest entries of its balanced exponent profile, zero-padded like
+    `profile_sum`.
+
+    A part m contributes m - 1, m - 3, ... down m // 2 steps, the profile of
+    its balanced block ((m+1)//2, m//2) in `exponent_profile`.
+    """
+    profile = sorted(
+        chain.from_iterable(range(m - 1, 0, -2) for m in parts), reverse=True
+    )
+    sigma = [0, *accumulate(profile)]
+    sigma += [sigma[-1]] * (sum(parts) + 1 - len(sigma))
+    return sigma
+
+
+def _top_ratio(sigma: list[int], n: int) -> tuple[int, int]:
+    """The top sigma_i / (i*(n-i)) over 1 <= i <= n/2 as an unreduced
+    (num, den); (0, 1) when n = 1."""
+    num, den = 0, 1
+    for i in range(1, n // 2 + 1):
+        s, t = sigma[i], i * (n - i)
+        if s * den > num * t:
+            num, den = s, t
+    return num, den
+
+
 def max_ratio(parts) -> Fraction:
     """max over 1 <= i <= N/2 of sigma_i / (i*(N-i)) at the balanced profile."""
     parts = tuple(sorted((int(v) for v in parts), reverse=True))
     validate_partition(parts)
     n = sum(parts)
-    if n == 1:
-        return Fraction(0)
-    profile = exponent_profile(balanced_bipartition(parts))
-    return max(
-        Fraction(profile_sum(profile, i), i * (n - i))
-        for i in range(1, n // 2 + 1)
-    )
+    return Fraction(*_top_ratio(_profile_prefix(parts), n))
 
 
 def integrability_bound(parts) -> Fraction:
@@ -243,32 +264,36 @@ def verify_table1() -> Certificate:
 
 
 def verify_qd_bound(n_max: int = 60) -> Certificate:
-    """Closed forms for the extremal-partition ratios, plus domination."""
+    """Closed forms for the extremal-partition ratios, plus domination.
+
+    Each profile is summed once into a prefix array; the ratios are compared
+    with their closed forms by cross-multiplying, and qd_prime stays under qd
+    when its prefix sums do, index by index up to N.
+    """
     violations = []
     checked = 0
     for d in range(2, n_max + 1):
         for n in range(d, n_max + 1):
             k = n // d
             checked += 1
-            got = max_ratio(qd(n, d))
-            want = Fraction(d - 1, n - k)
-            if got != want:
-                violations.append(f"ratio(qd({n},{d})) = {got} != {want}")
-            if n >= 2 * d:
-                got2 = max_ratio(qd_prime(n, d))
-                want2 = Fraction(d - 1, n - k + 1)
-                if got2 != want2:
-                    violations.append(
-                        f"ratio(qd_prime({n},{d})) = {got2} != {want2}"
-                    )
-                prof = exponent_profile(balanced_bipartition(qd(n, d)))
-                prof2 = exponent_profile(
-                    balanced_bipartition(qd_prime(n, d))
+            q = qd(n, d)
+            sigma = _profile_prefix(q)
+            got = _top_ratio(sigma, sum(q))
+            if got[0] * (n - k) != (d - 1) * got[1]:
+                violations.append(
+                    f"ratio(qd({n},{d})) = {Fraction(*got)} != "
+                    f"{Fraction(d - 1, n - k)}"
                 )
-                if any(
-                    profile_sum(prof2, i) > profile_sum(prof, i)
-                    for i in range(1, n + 1)
-                ):
+            if n >= 2 * d:
+                q2 = qd_prime(n, d)
+                sigma2 = _profile_prefix(q2)
+                got2 = _top_ratio(sigma2, sum(q2))
+                if got2[0] * (n - k + 1) != (d - 1) * got2[1]:
+                    violations.append(
+                        f"ratio(qd_prime({n},{d})) = {Fraction(*got2)} != "
+                        f"{Fraction(d - 1, n - k + 1)}"
+                    )
+                if any(map(gt, sigma2, sigma)):
                     violations.append(
                         f"qd_prime({n},{d}) escapes the qd({n},{d}) profile"
                     )
@@ -280,31 +305,41 @@ def verify_qd_bound(n_max: int = 60) -> Certificate:
     )
 
 
+def _above(a: int, b: int, c: int, e: int) -> bool:
+    """a/b > c/e, for positive denominators b and e."""
+    return a * e > c * b
+
+
 def verify_density(n_max: int = 60) -> Certificate:
     """Sweep the three density comparisons and recheck the exceptional pairs.
 
     The naive-bound comparison is expected to fail exactly at N = 2d,
     N = 2d+1 and (N,d) = (6,2); on those pairs the refined bound must
     still beat the goal except at (4,2).
+
+    The comparisons are of int ratios, by cross-multiplying: with trivial =
+    N^2 - 1 and k = N // d, the target is N(N-d)/trivial, 1 - (d-1)/m is
+    (m-d+1)/m, and the naive bound comes as the Score 2*rbar.
     """
     violations = []
     checked = 0
     for d in range(2, n_max + 1):
         for n in range(d + 1, n_max + 1):
             checked += 1
-            k = n // d
-            trivial = Fraction(n * n - 1)
-            target = Fraction(n * (n - d), n * n - 1)
+            k, rem = divmod(n, d)
+            trivial = n * n - 1
+            target = n * (n - d)
             if n < 2 * d:
-                if not 1 - Fraction(d - 1, n - 1) > target:
+                if not _above(n - d, n - 1, target, trivial):
                     violations.append(f"short-range case fails at ({n},{d})")
                 continue
-            if not 1 - Fraction(d - 1, n - k + 1) > target:
+            if not _above(n - k - d + 2, n - k + 1, target, trivial):
                 violations.append(f"secondary case fails at ({n},{d})")
-            lhs = 1 - Fraction(d - 1, n - k)
-            rbar = naive_bound(grouped_blocks(qd(n, d))).main
+            # the blocks of qd(n, d): k parts d, and the remainder below d
+            rbar2, _ = naive_score(((k, d), (1, rem)) if rem else ((k, d),))
             exceptional = n == 2 * d or n == 2 * d + 1 or (n, d) == (6, 2)
-            strict = lhs > (rbar - 1) / trivial
+            # 1 - (d-1)/(n-k) > (rbar - 1) / trivial
+            strict = _above(n - k - d + 1, n - k, rbar2 - 2, 2 * trivial)
             if strict == exceptional:
                 violations.append(
                     f"naive case at ({n},{d}): strict={strict}, "
@@ -312,7 +347,7 @@ def verify_density(n_max: int = 60) -> Certificate:
                 )
             if exceptional:
                 r = partition_bound(qd(n, d)) - 1
-                goal = trivial * lhs
+                goal = trivial * Fraction(n - k - d + 1, n - k)
                 passes = r.main < goal or (r.main == goal and r.eps < 0)
                 if passes != ((n, d) != (4, 2)):
                     violations.append(

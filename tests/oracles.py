@@ -280,6 +280,114 @@ def one_coarsenings(q_parts):
     return out
 
 
+# ---------------------------------------------------------------------------
+# Sarnak-Xue profiles and the qd / density sweeps, in Fractions
+
+
+def balanced_profile(q_parts) -> list[int]:
+    """Exponents part-1, part-3, ... (part // 2 of them), largest first."""
+    profile = []
+    for part in q_parts:
+        profile.extend(part - 1 - 2 * i for i in range(part // 2))
+    return sorted(profile, reverse=True)
+
+
+def max_ratio(q_parts) -> Fraction:
+    """max over 1 <= i <= N/2 of sigma_i / (i(N-i)), one Fraction per i."""
+    n = sum(q_parts)
+    profile = balanced_profile(q_parts)
+    ratio = Fraction(0)
+    for i in range(1, n // 2 + 1):
+        ratio = max(ratio, Fraction(sum(profile[:i]), i * (n - i)))
+    return ratio
+
+
+def qd(n: int, d: int) -> tuple[int, ...]:
+    k, r = divmod(n, d)
+    return (d,) * k + ((r,) if r else ())
+
+
+def qd_prime(n: int, d: int) -> tuple[int, ...]:
+    k, r = divmod(n, d)
+    if r == d - 1:
+        parts = (d,) * (k - 1) + (d - 1, d - 1, 1)
+    else:
+        parts = (d,) * (k - 1) + (d - 1, r + 1)
+    return tuple(sorted(parts, reverse=True))
+
+
+def grouped(q_parts):
+    counts = Counter(q_parts)
+    return tuple((counts[d], d) for d in sorted(counts, reverse=True))
+
+
+def qd_sweep(n_max: int) -> tuple[int, list[str]]:
+    """(cases, violations) of the qd certificate, every sum recomputed."""
+    violations = []
+    checked = 0
+    for d in range(2, n_max + 1):
+        for n in range(d, n_max + 1):
+            k = n // d
+            checked += 1
+            got = max_ratio(qd(n, d))
+            want = Fraction(d - 1, n - k)
+            if got != want:
+                violations.append(f"ratio(qd({n},{d})) = {got} != {want}")
+            if n >= 2 * d:
+                got2 = max_ratio(qd_prime(n, d))
+                want2 = Fraction(d - 1, n - k + 1)
+                if got2 != want2:
+                    violations.append(
+                        f"ratio(qd_prime({n},{d})) = {got2} != {want2}"
+                    )
+                prof = balanced_profile(qd(n, d))
+                prof2 = balanced_profile(qd_prime(n, d))
+                if any(
+                    sum(prof2[:i]) > sum(prof[:i])
+                    for i in range(1, n + 1)
+                ):
+                    violations.append(
+                        f"qd_prime({n},{d}) escapes the qd({n},{d}) profile"
+                    )
+    return checked, violations
+
+
+def density_sweep(n_max: int) -> tuple[int, list[str]]:
+    """(cases, violations) of the density certificate, in Fractions."""
+    violations = []
+    checked = 0
+    for d in range(2, n_max + 1):
+        for n in range(d + 1, n_max + 1):
+            checked += 1
+            k = n // d
+            trivial = Fraction(n * n - 1)
+            target = Fraction(n * (n - d), n * n - 1)
+            if n < 2 * d:
+                if not 1 - Fraction(d - 1, n - 1) > target:
+                    violations.append(f"short-range case fails at ({n},{d})")
+                continue
+            if not 1 - Fraction(d - 1, n - k + 1) > target:
+                violations.append(f"secondary case fails at ({n},{d})")
+            lhs = 1 - Fraction(d - 1, n - k)
+            rbar = naive_value(grouped(qd(n, d)))
+            exceptional = n == 2 * d or n == 2 * d + 1 or (n, d) == (6, 2)
+            strict = lhs > (rbar - 1) / trivial
+            if strict == exceptional:
+                violations.append(
+                    f"naive case at ({n},{d}): strict={strict}, "
+                    f"expected exceptional={exceptional}"
+                )
+            if exceptional:
+                main, eps = refined_value(grouped(qd(n, d)))
+                goal = trivial * lhs
+                passes = main - 1 < goal or (main - 1 == goal and eps < 0)
+                if passes != ((n, d) != (4, 2)):
+                    violations.append(
+                        f"refined recheck at ({n},{d}): passes={passes}"
+                    )
+    return checked, violations
+
+
 def table_row(q_parts):
     """(provable main, eps, italic, conjectural main, italic, goal, trivial)."""
     n = sum(q_parts)
@@ -291,16 +399,7 @@ def table_row(q_parts):
     italic_r = best_r[q_parts] < top_r
     italic_r0 = best_r0[q_parts] < top_r0
 
-    # Sarnak-Xue goal from the balanced bipartition profile
-    profile = []
-    for part in q_parts:
-        m = part // 2
-        profile.extend(part - 1 - 2 * i for i in range(m))
-    profile.sort(reverse=True)
-    ratio = Fraction(0)
-    for i in range(1, n // 2 + 1):
-        ratio = max(ratio, Fraction(sum(profile[:i]), i * (n - i)))
-    goal = (n * n - 1) * (1 - ratio)
+    goal = (n * n - 1) * (1 - max_ratio(q_parts))
     return (
         top_r[0] - 1,
         top_r[1],

@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+from upqgrowth import asymptotics
 from upqgrowth.asymptotics import (
     LeadingTerm,
     gamma_factor,
@@ -18,9 +19,9 @@ from upqgrowth.asymptotics import (
     tamagawa_elementary,
 )
 from upqgrowth.cohomology import GlobalRep, LocalRep
-from upqgrowth.growth import refined_bound
+from upqgrowth.growth import DeltaMax, GrowthValue, refined_bound
 from upqgrowth.infchar import rho
-from upqgrowth.shapes import delta_max
+from upqgrowth.shapes import Shape, ShapeBlock, delta_max
 
 
 # --- ideals and gamma factors --------------------------------------------------
@@ -184,6 +185,23 @@ def test_leading_term_needs_odd_gsk():
         leading_term(GlobalRep((r1, r2)))  # length-2 blocks appear
     with pytest.raises(ValueError):
         leading_term(GlobalRep((r1,)))
+
+
+def test_leading_term_without_unit_block_is_internal_error(monkeypatch):
+    # an odd-GSK shape always has a d = 1 block; forge one that lacks it and
+    # let it past the odd-GSK and parity checks
+    forged = Shape(blocks=(ShapeBlock(T=1, d=7, centers=((0,),), eta=1),))
+    result = DeltaMax(
+        candidates=((7,),),
+        bound=GrowthValue(0),
+        q_argmax=(7,),
+        shapes=(forged,),
+    )
+    monkeypatch.setattr(asymptotics, "delta_max", lambda rep: result)
+    monkeypatch.setattr(asymptotics, "is_odd_gsk", lambda s: True)
+    monkeypatch.setattr(asymptotics, "odd_gsk_parity_test", lambda r, s: True)
+    with pytest.raises(AssertionError, match="no block of size 1"):
+        leading_term(_rep_passing())
 
 
 def test_leading_term_example1_convention():

@@ -107,6 +107,18 @@ def test_sx_table_bad_parts():
     assert cli.run(["sx-table", "--parts", "nope"]) == 2
 
 
+@pytest.mark.parametrize("parts", [";", " ; ;", ""])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_sx_table_needs_a_partition(parts, as_json, capsys):
+    argv = ["sx-table", "--parts", parts] + ["--json"] * as_json
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no partition in --parts\n"
+    with pytest.raises(cli.ParseError):
+        cli.parse_partition_list(parts)
+
+
 # --- delta-max and leading-term --------------------------------------------------
 
 

@@ -5,10 +5,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
+from upqgrowth import sarnakxue
 from upqgrowth.growth import GrowthValue
 from upqgrowth.partitions import balanced_bipartition, partitions_of
 from upqgrowth.sarnakxue import (
@@ -56,6 +57,35 @@ def test_max_ratio_values():
     assert max_ratio((1, 1)) == 0
     assert max_ratio((1,)) == 0
     assert max_ratio((2, 1)) == Fraction(1, 2)
+
+
+@st.composite
+def ones_heavy_partitions(draw, n_max=40):
+    """Partitions of N <= n_max with a drawn number of 1s. A 1 adds nothing
+    to the balanced profile, so the profile is often shorter than N/2."""
+    n = draw(st.integers(1, n_max))
+    rest = n - draw(st.integers(0, n))
+    parts = [1] * (n - rest)
+    while rest:
+        v = draw(st.integers(1, rest))
+        parts.append(v)
+        rest -= v
+    return tuple(sorted(parts, reverse=True))
+
+
+@given(ones_heavy_partitions())
+@example((1,) * 40)
+@example((1,) * 39)
+@example((2,) + (1,) * 38)
+@example((40,))
+@example((3, 3, 3, 3))
+def test_max_ratio_matches_oracle(parts):
+    n = sum(parts)
+    want = oracles.max_ratio(parts)
+    assert max_ratio(parts) == want
+    assert max_ratio(parts[::-1]) == want
+    assert integrability_bound(parts) == 1 - want
+    assert sx_goal(parts) == (n * n - 1) * (1 - want)
 
 
 def test_goal_values():
@@ -218,6 +248,77 @@ def test_verify_density_small():
     cert = verify_density(20)
     assert cert.ok
     assert cert.notes
+
+
+@pytest.mark.parametrize("n_max", range(2, 21))
+def test_sweeps_match_fraction_oracle(n_max):
+    cert = verify_qd_bound(n_max)
+    assert (cert.checked_count, list(cert.violations)) == oracles.qd_sweep(n_max)
+    if n_max >= 3:
+        cert = verify_density(n_max)
+        want = oracles.density_sweep(n_max)
+        assert (cert.checked_count, list(cert.violations)) == want
+
+
+def _wrong_at(table, right):
+    return lambda n, d: table.get((n, d)) or right(n, d)
+
+
+def test_qd_violation_text_frozen(monkeypatch):
+    # (5,2): an empty profile, escaped within N/2; (6,2): a wrong ratio;
+    # (8,2): a qd_prime of 16 whose profile escapes only past N/2 = 4
+    monkeypatch.setattr(
+        sarnakxue, "qd", _wrong_at({(5, 2): (1,) * 5, (6, 2): (3, 3)}, qd)
+    )
+    monkeypatch.setattr(
+        sarnakxue, "qd_prime", _wrong_at({(8, 2): (2,) * 8}, qd_prime)
+    )
+    cert = verify_qd_bound(8)
+    assert cert.violations == (
+        "ratio(qd(5,2)) = 0 != 1/3",
+        "qd_prime(5,2) escapes the qd(5,2) profile",
+        "ratio(qd(6,2)) = 1/2 != 1/3",
+        "ratio(qd_prime(8,2)) = 1/8 != 1/5",
+        "qd_prime(8,2) escapes the qd(8,2) profile",
+    )
+    assert not cert.ok
+
+
+def test_density_violation_text_frozen(monkeypatch):
+    # the refined recheck reads qd; (1,)^5 scores above the goal at (5,2)
+    monkeypatch.setattr(sarnakxue, "qd", _wrong_at({(5, 2): (1,) * 5}, qd))
+    assert verify_density(8).violations == (
+        "refined recheck at (5,2): passes=False",
+    )
+    monkeypatch.undo()
+    # a naive score of 0 is strictly below every goal
+    monkeypatch.setattr(sarnakxue, "naive_score", lambda blocks: (0, 0))
+    assert verify_density(7).violations == tuple(
+        f"naive case at {nd}: strict=True, expected exceptional=True"
+        for nd in ("(4,2)", "(5,2)", "(6,2)", "(6,3)", "(7,3)")
+    )
+    monkeypatch.undo()
+    # with no comparison holding, every short-range and secondary case fails,
+    # and so does the naive case wherever it is not exceptional
+    monkeypatch.setattr(sarnakxue, "_above", lambda *args: False)
+    assert verify_density(7).violations == (
+        "short-range case fails at (3,2)",
+        "secondary case fails at (4,2)",
+        "secondary case fails at (5,2)",
+        "secondary case fails at (6,2)",
+        "secondary case fails at (7,2)",
+        "naive case at (7,2): strict=False, expected exceptional=False",
+        "short-range case fails at (4,3)",
+        "short-range case fails at (5,3)",
+        "secondary case fails at (6,3)",
+        "secondary case fails at (7,3)",
+        "short-range case fails at (5,4)",
+        "short-range case fails at (6,4)",
+        "short-range case fails at (7,4)",
+        "short-range case fails at (6,5)",
+        "short-range case fails at (7,5)",
+        "short-range case fails at (7,6)",
+    )
 
 
 def test_verify_maxsl2_small():
