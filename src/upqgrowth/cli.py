@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -16,10 +17,20 @@ from fractions import Fraction
 from . import asymptotics, cohomology, sarnakxue, shapes
 from .infchar import format_rational
 
-MAXSL2_NMAX = 24  # verify runs the maxsl2 sweep at most this far
+MAXSL2_NMAX = 48  # verify runs the maxsl2 sweep at most this far
 # the smallest --nmax per target: the first N at which its sweep has a case
 # (table ignores --nmax; maxsl2, whose first case is N = 1, keeps the qd floor)
 NMAX_MIN = {"table": 2, "qd": 2, "density": 3, "maxsl2": 2}
+# the largest --nmax of the qd and density sweeps, each about 1 s of work;
+# maxsl2 is capped at MAXSL2_NMAX instead
+NMAX_MAX = {"qd": 200, "density": 800}
+
+
+def sweep_cases(target: str, nmax: int) -> int:
+    """The number of cases the qd or density sweep checks up to nmax."""
+    if target == "qd":
+        return nmax * (nmax - 1) // 2
+    return (nmax - 1) * (nmax - 2) // 2
 
 
 class ParseError(ValueError):
@@ -80,11 +91,13 @@ def load_rep(path: str) -> cohomology.GlobalRep:
         else:
             with open(path) as fh:
                 data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, RecursionError, json.JSONDecodeError) as e:
+        # RecursionError: arrays or objects nested too deep for the decoder
         raise ParseError(f"cannot read representation: {e}") from None
     try:
         return cohomology.global_rep_from_json(data)
-    except (KeyError, TypeError, ValueError) as e:
+    except (ArithmeticError, KeyError, TypeError, ValueError) as e:
+        # ArithmeticError: "1/0" or an overflowing 1e400 among the numbers
         raise ParseError(f"bad representation data: {e}") from None
 
 
@@ -168,6 +181,12 @@ def cmd_verify(args) -> int:
     least = max(NMAX_MIN[t] for t in targets)
     if nmax < least:
         raise ParseError(f"--nmax must be at least {least}, got {nmax}")
+    for t in targets:
+        if t in NMAX_MAX and nmax > NMAX_MAX[t]:
+            raise ParseError(
+                f"--nmax must be at most {NMAX_MAX[t]} for {t}, got {nmax}: "
+                f"the {t} sweep would check {sweep_cases(t, nmax)} cases"
+            )
     cap_notes = (
         (f"nmax {nmax} capped at {MAXSL2_NMAX}",) if nmax > MAXSL2_NMAX else ()
     )
@@ -224,7 +243,9 @@ def cmd_euler(args) -> int:
 # --- wiring ------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every `run` call."""
     parser = argparse.ArgumentParser(
         prog="upqgrowth",
         description="Exact growth and density combinatorics for "

@@ -122,6 +122,11 @@ def naive_bound(x) -> GrowthValue:
     return GrowthValue.from_score(naive_score(x))
 
 
+def refined_score(x) -> Score:
+    """The refined bound of the blocks x as a Score."""
+    return _score(_refined_term, x)
+
+
 def refined_bound(x) -> GrowthValue:
     """Naive bound minus the low-multiplicity corrections (`_refined_term`)."""
     return _bound(_refined_term, x)
@@ -195,26 +200,53 @@ def grouping_score(q_parts, tables) -> Score:
     return n * n + two_main, eps
 
 
+def pack(score: Score, k: int) -> int:
+    """The Score (2*main, eps) as the one int 2*main*k + eps.
+
+    Packed scores order and add like Scores as long as every eps involved,
+    partial sums included, lies in [0, k): then a larger main term always
+    outweighs any eps, and divmod(packed, k) gives the Score back.
+    """
+    return score[0] * k + score[1]
+
+
+def add_part_size(best: list[int], d: int, gain: list[int]) -> list[int]:
+    """One part size of a bounded knapsack over packed scores.
+
+    new[s] is the top of best[s - d*e] + gain[e] over the e with d*e <= s;
+    gain covers every e with d*e < len(best). Each e is one slice-wise
+    max-plus update.
+    """
+    g = gain[0]
+    new = [x + g for x in best]
+    for e in range(1, (len(best) - 1) // d + 1):
+        off, g = d * e, gain[e]
+        new[off:] = [
+            a if a > (b := x + g) else b for a, x in zip(new[off:], best)
+        ]
+    return new
+
+
 def _best_merge(base: Counter, ones: int, term) -> Score:
     """Top Score of N^2/2 + sum term(T_d, d) over the partitions base +
     extra, extra any partition of ones, with equal parts fully grouped.
 
     A knapsack over the sizes d <= ones: best[s] is the top sum of the terms
-    of sizes done so far when their extra parts use s of the ones.
+    of sizes done so far when their extra parts use s of the ones. Scores are
+    packed with k = N + 1: only T = 3, d > 1 blocks carry eps, d of it each,
+    so every partial sum has 0 <= eps <= N.
     """
     n = ones + sum(d * m for d, m in base.items())
-    fixed = (n * n, 0)
+    k = n + 1
+    fixed = n * n * k
     for d, m in base.items():
         if d > ones:
-            fixed = _plus(fixed, term(m, d))
-    best = [term(s, 1) for s in range(ones + 1)]
+            fixed += pack(term(m, d), k)
+    best = [pack(term(s, 1), k) for s in range(ones + 1)]
     for d in range(2, ones + 1):
-        gain = [term(base[d] + e, d) for e in range(ones // d + 1)]
-        best = [
-            max(_plus(best[s - d * e], gain[e]) for e in range(s // d + 1))
-            for s in range(ones + 1)
-        ]
-    return _plus(fixed, best[ones])
+        gain = [pack(term(base[d] + e, d), k) for e in range(ones // d + 1)]
+        best = add_part_size(best, d, gain)
+    return divmod(fixed + best[ones], k)
 
 
 def merge_bounds(parts) -> tuple[GrowthValue, GrowthValue]:

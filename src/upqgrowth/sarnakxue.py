@@ -13,15 +13,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
-from operator import gt
+from operator import add, gt
 
 from .growth import (
     GrowthValue,
+    add_part_size,
     grouping_score,
     merge_bounds,
     naive_score,
+    pack,
     partition_bound,
     partition_bound0,
+    refined_score,
     split_tables,
 )
 from .infchar import format_rational
@@ -377,6 +380,36 @@ def _distinct_part_sets(n_max: int):
     return out
 
 
+def _maxsl2_violations(core, n: int, tables) -> list[str]:
+    """The messages for one failing (core, N) of `verify_maxsl2`.
+
+    Scores every extra partition of the slack, to name the best value and
+    list the partitions that reach it.
+    """
+    slack = n - sum(core)
+    padded = core + (1,) * slack
+    expected_best = partition_bound(padded)
+    top = None
+    tops = []
+    for extra in partitions_of(slack):
+        score = grouping_score(core + extra, tables)
+        if top is None or score > top:
+            top, tops = score, [extra]
+        elif score == top:
+            tops.append(extra)
+    best = GrowthValue.from_score(top)
+    argmax = [tuple(sorted(core + e, reverse=True)) for e in tops]
+    out = []
+    if best != expected_best:
+        out.append(f"core {core}, N={n}: best {best} not at padded partition")
+    expected_args = {padded}
+    if slack == 2 and 2 in core:
+        expected_args.add(tuple(sorted(core + (2,), reverse=True)))
+    if set(argmax) != expected_args:
+        out.append(f"core {core}, N={n}: argmax {sorted(argmax)}")
+    return out
+
+
 def verify_maxsl2(n_max: int = 14) -> Certificate:
     """The padded partition maximizes growth over all merges and groupings.
 
@@ -386,38 +419,52 @@ def verify_maxsl2(n_max: int = 14) -> Certificate:
     partition is unique except for slack 2 with a 2 already present. Each
     partition's best grouping comes from `split_tables`, so the groupings are
     maximized over, not enumerated.
+
+    Nor are the partitions of the slack: one knapsack per core over the
+    sizes d >= 2 gives best[s], the top sum of the table entries of those
+    sizes, core parts included, over the extras of parts >= 2 that sum to s.
+    Each N then adds the table entry of the remaining ones. The padded
+    partition must reach the top and every extra with a part >= 2 stay
+    below it, except (2,) where the tie is allowed, which must reach it.
+    Scores are packed ints (`growth.pack`), and a case that fails is scored
+    again by `_maxsl2_violations` to write its messages.
     """
     violations = []
     checked = 0
     tables = split_tables(n_max)
+    # table entries, and sums of one entry per size, have 0 <= eps <= n_max
+    k = n_max + 1
+    packed = {d: [pack(v, k) for v in row] for d, row in tables.items()}
+    ones = packed[1]
+    # below any sum of table entries, one per size: best[s] of no extra
+    floor = -1 - 2 * sum(max(map(abs, row)) for row in packed.values())
+
+    def block_terms(blocks, n):
+        """The refined score of blocks of total n, less its n^2/2, packed."""
+        return pack(refined_score(blocks), k) - n * n * k
+
+    ones_block = [block_terms(((s, 1),), s) for s in range(n_max + 1)]
     for core in _distinct_part_sets(n_max):
-        for n in range(max(sum(core), 1), n_max + 1):
+        size = sum(core)
+        room = n_max - size
+        best = [sum(packed[d][1] for d in core if d > room)] + [floor] * room
+        for d in range(2, room + 1):
+            gain = packed[d][1:] if d in core else packed[d]
+            best = add_part_size(best, d, gain)
+        core_blocks = block_terms(tuple((1, d) for d in core), size)
+        for n in range(max(size, 1), n_max + 1):
             checked += 1
-            slack = n - sum(core)
-            padded = core + (1,) * slack
-            expected_best = partition_bound(padded)
-            top = None
-            tops = []
-            for extra in partitions_of(slack):
-                score = grouping_score(core + extra, tables)
-                if top is None or score > top:
-                    top, tops = score, [extra]
-                elif score == top:
-                    tops.append(extra)
-            best = GrowthValue.from_score(top)
-            argmax = [tuple(sorted(core + e, reverse=True)) for e in tops]
-            if best != expected_best:
-                violations.append(
-                    f"core {core}, N={n}: best {best} not at padded partition"
-                )
+            slack = n - size
+            padded = best[0] + ones[slack]
+            merged = max(map(add, best[slack:1:-1], ones), default=None)
+            top = padded if merged is None else max(padded, merged)
             tie_allowed = slack == 2 and 2 in core
-            expected_args = {padded}
-            if tie_allowed:
-                expected_args.add(tuple(sorted(core + (2,), reverse=True)))
-            if set(argmax) != expected_args:
-                violations.append(
-                    f"core {core}, N={n}: argmax {sorted(argmax)}"
-                )
+            if (
+                top != core_blocks + ones_block[slack]
+                or padded != top
+                or (merged == top) != tie_allowed
+            ):
+                violations.extend(_maxsl2_violations(core, n, tables))
     return Certificate(
         target="maxsl2",
         sweep=f"distinct cores, N <= {n_max}",

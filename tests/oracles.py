@@ -388,6 +388,71 @@ def density_sweep(n_max: int) -> tuple[int, list[str]]:
     return checked, violations
 
 
+def merge_bounds(q_parts) -> tuple[tuple[Fraction, int], tuple[Fraction, int]]:
+    """Top refined and conjectural values over the one-merge coarsenings of
+    q_parts, each with equal parts fully grouped."""
+    coarse = one_coarsenings(q_parts)
+    return (
+        max(refined_value(grouped(qq)) for qq in coarse),
+        max(conjectural_value(grouped(qq)) for qq in coarse),
+    )
+
+
+def value_text(value) -> str:
+    """A (main, eps) pair as the library prints it: 7, 7/2+eps, 7-3*eps."""
+    main, eps = value
+    if eps == 0:
+        return str(main)
+    count = "" if abs(eps) == 1 else f"{abs(eps)}*"
+    return f"{main}{'+' if eps > 0 else '-'}{count}eps"
+
+
+def maxsl2_cases(n_max: int, value=refined_value) -> list[tuple[int, list[str]]]:
+    """(N, violations) for each case of the maxsl2 certificate, by enumeration.
+
+    For every core of distinct parts >= 2 and every N, each partition core +
+    extra, extra any partition of the slack, is scored by its best grouping
+    under value; the top must be the refined value of the padded partition
+    fully grouped, and reached by the padded partition alone, or also by
+    core + (2,) when the slack is 2 and the core holds a 2. The cases of a
+    smaller n_max are those with a smaller N.
+    """
+    cores = [
+        p
+        for total in range(n_max + 1)
+        for p in partitions_of(total)
+        if 1 not in p and len(set(p)) == len(p)
+    ]
+    best = {}
+    cases = []
+    for core in cores:
+        size = sum(core)
+        for n in range(max(size, 1), n_max + 1):
+            slack = n - size
+            padded = core + (1,) * slack
+            scored = {}
+            for extra in partitions_of(slack):
+                q = tuple(sorted(core + extra, reverse=True))
+                if q not in best:
+                    best[q] = best_grouping(q, value)
+                scored[q] = best[q]
+            top = max(scored.values())
+            violations = []
+            if top != refined_value(grouped(padded)):
+                violations.append(
+                    f"core {core}, N={n}: best {value_text(top)} "
+                    "not at padded partition"
+                )
+            argmax = sorted(q for q, v in scored.items() if v == top)
+            expected = {padded}
+            if slack == 2 and 2 in core:
+                expected.add(tuple(sorted(core + (2,), reverse=True)))
+            if set(argmax) != expected:
+                violations.append(f"core {core}, N={n}: argmax {argmax}")
+            cases.append((n, violations))
+    return cases
+
+
 def table_row(q_parts):
     """(provable main, eps, italic, conjectural main, italic, goal, trivial)."""
     n = sum(q_parts)

@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from upqgrowth import cli, growth, shapes
+from upqgrowth import cli, growth, sarnakxue, shapes
 from upqgrowth.sarnakxue import Certificate
 
 REP_JSON = {
@@ -21,6 +27,13 @@ REP_JSON = {
             "infchar": ["3", "2", "1", "0", "-1", "-2", "-3"],
         }
     ]
+}
+
+
+# a child `python -m upqgrowth.cli` imports the package under test
+SRC_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__))),
 }
 
 
@@ -345,6 +358,47 @@ def test_verify_smallest_nmax_checks_one_case(target, line, capsys):
     assert capsys.readouterr().out.splitlines() == [line]
 
 
+@pytest.mark.parametrize(
+    "target, nmax, line",
+    [
+        (
+            "qd",
+            201,
+            "--nmax must be at most 200 for qd, got 201: "
+            "the qd sweep would check 20100 cases",
+        ),
+        (
+            "density",
+            801,
+            "--nmax must be at most 800 for density, got 801: "
+            "the density sweep would check 319600 cases",
+        ),
+        (
+            "all",
+            2000,
+            "--nmax must be at most 200 for qd, got 2000: "
+            "the qd sweep would check 1999000 cases",
+        ),
+    ],
+)
+def test_verify_refuses_large_nmax(target, nmax, line, capsys):
+    argv = ["verify", "--target", target, "--nmax", str(nmax)]
+    assert cli.run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {line}\n")
+
+
+@pytest.mark.parametrize("target", ["qd", "density"])
+def test_sweep_cases_count_the_certificate(target):
+    sweep = {
+        "qd": sarnakxue.verify_qd_bound,
+        "density": sarnakxue.verify_density,
+    }
+    assert cli.NMAX_MAX[target] >= {"qd": 60, "density": 110}[target]
+    for nmax in range(cli.NMAX_MIN[target], 16):
+        cases = sweep[target](nmax).checked_count
+        assert cli.sweep_cases(target, nmax) == cases
+
+
 def test_verify_maxsl2_cap_is_noted(monkeypatch, capsys):
     monkeypatch.setattr(cli, "MAXSL2_NMAX", 14)
     argv = ["verify", "--target", "maxsl2", "--nmax", "16"]
@@ -433,6 +487,113 @@ def test_module_entry_point():
          "--congruence", "2"],
         capture_output=True,
         text=True,
+        env=SRC_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "48"
+
+
+# --- one parser per process ----------------------------------------------------
+
+
+def test_parser_is_built_once():
+    cli.build_parser.cache_clear()
+    for argv in (
+        ["euler", "--ideal", "3", "--congruence", "2"],
+        ["sx-table", "--parts", "x"],
+        ["frobnicate"],
+        ["verify", "--target", "table"],
+    ):
+        cli.run(argv)
+    assert cli.build_parser.cache_info().misses == 1
+    assert cli.build_parser.cache_info().hits == 3
+
+
+def _run(argv, stdin=""):
+    """(exit code, stdout, stderr) of one in-process cli.run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with mock.patch.object(sys, "stdin", io.StringIO(stdin)):
+            code = cli.run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+GOOD = ["sx-table", "--parts", "(3,3,1);(2,2,1,1)", "--json"]
+
+
+@pytest.fixture(scope="module")
+def good_in_fresh_process():
+    proc = subprocess.run(
+        [sys.executable, "-m", "upqgrowth.cli", *GOOD],
+        capture_output=True,
+        text=True,
+        env=SRC_ENV,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+_LETTER = st.characters(min_codepoint=ord("a"), max_codepoint=ord("z"))
+_CHARS = st.characters(blacklist_categories=("Cs",))  # no lone surrogates
+# text with a letter in it, which no int() accepts
+_BAD_TEXT = st.tuples(
+    st.text(_CHARS, max_size=6), _LETTER, st.text(_CHARS, max_size=6)
+).map("".join)
+# no option of any subcommand starts with --x, so no abbreviation matches
+_UNKNOWN_FLAG = st.text(_LETTER)
+_COMMANDS = [
+    "sx-table", "delta-max", "coh-bounds", "verify", "leading-term", "euler"
+]
+
+_BAD_ARGV = st.one_of(
+    _BAD_TEXT.map(lambda t: ["sx-table", "--parts", t]),
+    _BAD_TEXT.map(lambda t: ["euler", "--ideal", t, "--congruence", "2"]),
+    _BAD_TEXT.map(lambda t: ["euler", "--ideal", "2,3", "--indices", t]),
+    _BAD_TEXT.map(lambda t: ["verify", "--nmax", t]),
+    st.tuples(st.sampled_from(_COMMANDS), _UNKNOWN_FLAG).map(
+        lambda c: [c[0], "--x" + c[1]]
+    ),
+)
+
+_REP_TEXT = json.dumps(REP_JSON["places"][0])
+# values that no field of a rep accepts
+_BAD_FIELD = st.sampled_from(
+    [None, "x", [], {"a": 1}, [1e400, 1], ["1/0", "0"], [[1e400, 0]], [-1, 8]]
+)
+
+
+def _replaced(field, value):
+    return json.dumps({**REP_JSON["places"][0], field: value})
+
+
+_BAD_REP = st.one_of(
+    st.integers(0, len(_REP_TEXT) - 1).map(lambda k: _REP_TEXT[:k]),
+    st.tuples(
+        st.sampled_from(["signature", "bipartition", "infchar"]), _BAD_FIELD
+    ).map(lambda fv: _replaced(*fv)),
+    _BAD_FIELD.map(lambda v: json.dumps({"places": v})),
+    _BAD_FIELD.map(lambda v: json.dumps({"places": [v]})),
+)
+
+
+def _check_bad_then_good(argv, stdin, good):
+    code, out, err = _run(argv, stdin)
+    assert code == 2, (argv, out, err)
+    assert out == ""
+    assert err.startswith(("error: ", "usage: ")), err
+    assert "Traceback" not in err
+    assert _run(GOOD) == good
+
+
+@given(_BAD_ARGV)
+@example(["verify", "--nmax", "-h"])
+@example(["sx-table", "--parts", "(2,x)"])
+def test_malformed_arguments_exit_2(good_in_fresh_process, argv):
+    _check_bad_then_good(argv, "", good_in_fresh_process)
+
+
+@given(st.sampled_from(["delta-max", "leading-term"]), _BAD_REP)
+@example("delta-max", "[" * 100000)
+@example("delta-max", _replaced("infchar", ["1/0", "0"]))
+@example("leading-term", _replaced("signature", [1e400, 1]))
+def test_malformed_rep_exits_2(good_in_fresh_process, command, text):
+    _check_bad_then_good([command, "--rep", "-"], text, good_in_fresh_process)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import oracles
@@ -190,6 +190,41 @@ def test_merge_bounds_match_coarsenings():
                 max(partition_bound(c) for c in coarse),
                 max(partition_bound0(c) for c in coarse),
             )
+
+
+@given(
+    st.one_of(
+        st.sampled_from([(3, 3, 3), (3, 3, 3, 2, 2, 2), (2, 2, 2, 2)]),
+        st.lists(st.integers(2, 6), max_size=4).map(tuple),
+    ),
+    st.integers(0, 24),
+)
+@example((3, 3, 3), 24)
+@example((), 24)
+def test_merge_bounds_match_oracle(core, ones):
+    # T = 3 blocks of d > 1 carry d epsilons each, so the packed knapsack
+    # scores must keep eps apart from the main term
+    parts = tuple(sorted(core, reverse=True)) + (1,) * ones
+    assume(parts)
+    refined, conjectural = oracles.merge_bounds(parts)
+    assert merge_bounds(parts) == (
+        GrowthValue(*refined),
+        GrowthValue(*conjectural),
+    )
+
+
+@pytest.mark.parametrize(
+    "core, refined, conjectural",
+    [
+        ((), GrowthValue(1600), GrowthValue(1600)),
+        ((3, 3, 3), GrowthValue(2004, 3), GrowthValue(1993)),
+        ((2, 2, 2), GrowthValue(1862, 2), GrowthValue(1858)),
+        ((7, 5, 2), GrowthValue(2222), GrowthValue(2222)),
+        ((4, 4, 3, 3, 3), GrowthValue(2427, 3), GrowthValue(2404)),
+    ],
+)
+def test_merge_bounds_of_forty_ones_frozen(core, refined, conjectural):
+    assert merge_bounds(core + (1,) * 40) == (refined, conjectural)
 
 
 def test_all_groupings_counts():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from upqgrowth import sarnakxue
-from upqgrowth.growth import GrowthValue
+from upqgrowth.growth import GrowthValue, split_tables
 from upqgrowth.partitions import balanced_bipartition, partitions_of
 from upqgrowth.sarnakxue import (
     Certificate,
@@ -325,6 +325,93 @@ def test_verify_maxsl2_small():
     cert = verify_maxsl2(8)
     assert cert.ok
     assert cert.checked_count > 0
+
+
+def test_maxsl2_enumerates_no_partition(monkeypatch):
+    def refuse(n):
+        raise AssertionError("partitions_of called")
+
+    monkeypatch.setattr(sarnakxue, "partitions_of", refuse)
+    assert verify_maxsl2(14).ok
+
+
+@pytest.fixture(scope="module")
+def maxsl2_oracle_cases():
+    return oracles.maxsl2_cases(20)
+
+
+@pytest.mark.parametrize("n_max", range(1, 21))
+def test_maxsl2_matches_enumeration(n_max, maxsl2_oracle_cases):
+    cases = [v for n, v in maxsl2_oracle_cases if n <= n_max]
+    cert = verify_maxsl2(n_max)
+    assert cert.checked_count == len(cases)
+    assert sorted(cert.violations) == sorted(m for v in cases for m in v)
+    assert cert.ok
+
+
+def _flat_value(groups):
+    n = sum(t * d for t, d in groups)
+    return Fraction(n * n, 2), 0
+
+
+def _eps_value(groups):
+    return oracles.naive_value(groups), sum(t - 1 for t, _ in groups)
+
+
+@pytest.mark.parametrize(
+    "term, value, lines",
+    [
+        # every extra ties: argmax lists of several partitions
+        (
+            lambda t, d: (0, 0),
+            _flat_value,
+            (
+                "core (), N=1: best 1/2 not at padded partition",
+                "core (), N=2: best 2 not at padded partition",
+                "core (), N=2: argmax [(1, 1), (2,)]",
+                "core (), N=3: best 9/2 not at padded partition",
+                "core (), N=3: argmax [(1, 1, 1), (2, 1), (3,)]",
+                "core (), N=4: best 8 not at padded partition",
+                "core (), N=4: argmax "
+                "[(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)]",
+                "core (2,), N=2: best 2 not at padded partition",
+                "core (2,), N=3: best 9/2 not at padded partition",
+                "core (2,), N=4: best 8 not at padded partition",
+                "core (3,), N=3: best 9/2 not at padded partition",
+                "core (3,), N=4: best 8 not at padded partition",
+                "core (4,), N=4: best 8 not at padded partition",
+            ),
+        ),
+        # naive terms plus T - 1 epsilons: (2, 2) beats (2, 1, 1) alone
+        (
+            lambda t, d: (t * t * d, t - 1),
+            _eps_value,
+            (
+                "core (), N=2: best 4+eps not at padded partition",
+                "core (), N=3: best 9+2*eps not at padded partition",
+                "core (), N=4: best 16+3*eps not at padded partition",
+                "core (2,), N=2: best 3 not at padded partition",
+                "core (2,), N=3: best 6 not at padded partition",
+                "core (2,), N=4: best 12+eps not at padded partition",
+                "core (2,), N=4: argmax [(2, 2)]",
+                "core (3,), N=3: best 6 not at padded partition",
+                "core (3,), N=4: best 10 not at padded partition",
+                "core (4,), N=4: best 10 not at padded partition",
+            ),
+        ),
+    ],
+)
+def test_maxsl2_violation_text(monkeypatch, term, value, lines):
+    # tables from another block term make the sweep fail; the lines are
+    # those the enumerating sweep printed under the same tables
+    monkeypatch.setattr(
+        sarnakxue, "split_tables", lambda n: split_tables(n, term=term)
+    )
+    cert = verify_maxsl2(4)
+    assert cert.violations == lines
+    assert not cert.ok
+    want = [m for _, v in oracles.maxsl2_cases(9, value) for m in v]
+    assert sorted(verify_maxsl2(9).violations) == sorted(want)
 
 
 def test_certificate_of_no_cases_is_not_ok():
