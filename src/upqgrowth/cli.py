@@ -24,6 +24,9 @@ NMAX_MIN = {"table": 2, "qd": 2, "density": 3, "maxsl2": 2}
 # the largest --nmax of the qd and density sweeps, each about 1 s of work;
 # maxsl2 is capped at MAXSL2_NMAX instead
 NMAX_MAX = {"qd": 200, "density": 800}
+# the largest --rank of a coh-bounds table (rank/2 + 1 rows, about 0.05 s as
+# CSV and 0.2 s as JSON); one --half-signature row has no limit
+COH_RANK_MAX = 100_000
 
 
 def sweep_cases(target: str, nmax: int) -> int:
@@ -160,6 +163,11 @@ def cmd_coh_bounds(args) -> int:
     n, d = args.rank, args.length
     if args.half_signature is not None:
         rs = [args.half_signature]
+    elif n > COH_RANK_MAX:
+        raise ParseError(
+            f"--rank must be at most {COH_RANK_MAX} without --half-signature, "
+            f"got {n}: the table would print {n // 2 + 1} rows"
+        )
     else:
         rs = list(range(0, n // 2 + 1))
     try:

@@ -9,7 +9,7 @@ an arithmetic progression with step -1.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 from .partitions import validate_partition
 
@@ -77,18 +77,28 @@ def block_expansion(xi: Fraction, d: int) -> Character:
 def total_character(blocks) -> Character:
     """Merge block expansions (xi, d) into one strictly decreasing character.
 
+    The values are sorted and compared as ints, scaled by twice the lcm of
+    the centres' denominators, so every expansion xi + (d+1)/2 - l is exact.
     Raises IrregularCharacterError when two expansions collide.
     """
-    values: list[Fraction] = []
+    pairs: list[tuple[Fraction, int]] = []
     for xi, d in blocks:
-        values.extend(block_expansion(Fraction(xi), d))
+        xi = Fraction(xi)
+        if d < 1:
+            raise ValueError("block length must be positive")
+        pairs.append((xi, d))
+    scale = 2 * lcm(*(xi.denominator for xi, _ in pairs))
+    values: list[int] = []
+    for xi, d in pairs:
+        top = xi.numerator * (scale // xi.denominator) + (d - 1) * (scale // 2)
+        values.extend(range(top, top - d * scale, -scale))
     values.sort(reverse=True)
     for a, b in zip(values, values[1:]):
         if a == b:
             raise IrregularCharacterError(
-                f"total character has a repeated entry {a}"
+                f"total character has a repeated entry {Fraction(a, scale)}"
             )
-    return tuple(values)
+    return tuple(Fraction(v, scale) for v in values)
 
 
 def weyl_dim(lam: Character) -> Fraction:

@@ -117,56 +117,6 @@ def is_odd_gsk(x) -> bool:
     return is_gsk(pairs) and all(d % 2 == 1 for _, d in pairs)
 
 
-def kappa(delta: int, T: int, d: int) -> int:
-    """Sign attached to a block: delta * (-1) ** ((T-1)*(d-1))."""
-    if delta not in (1, -1):
-        raise ValueError("delta must be +1 or -1")
-    return delta * (-1 if ((T - 1) * (d - 1)) % 2 else 1)
-
-
-@dataclass(frozen=True)
-class GroupDescriptor:
-    """Product of quasi-split unitary factors (rank, sign).
-
-    sign +1/-1 records the discriminant twist; sign 0 means a plain compact
-    unitary factor (used for Sato-Tate descriptions).
-    """
-
-    factors: tuple[tuple[int, int], ...]
-
-    def __str__(self) -> str:
-        parts = []
-        for rank, sign in self.factors:
-            if sign == 0:
-                parts.append(f"U({rank})")
-            else:
-                parts.append(f"U_{{{'+' if sign > 0 else '-'}1}}({rank})")
-        return " x ".join(parts) if parts else "U(0)"
-
-
-def _block_is_orthogonal(eta: int, T: int, d: int) -> bool:
-    # delta = eta * (-1)^(T-1); orthogonal iff delta * (-1)^(T+d) == 1,
-    # which collapses to eta * (-1)^(d-1) == 1
-    return eta * (-1 if (d - 1) % 2 else 1) == 1
-
-
-def attached_group(shape: Shape) -> GroupDescriptor:
-    """The endoscopic-type unitary group the shape transfers to."""
-    n_orth = 0
-    n_symp = 0
-    for b in shape.blocks:
-        if _block_is_orthogonal(b.eta, b.T, b.d):
-            n_orth += b.T * b.d
-        else:
-            n_symp += b.T * b.d
-    factors: list[tuple[int, int]] = []
-    if n_orth:
-        factors.append((n_orth, -1 if (n_orth - 1) % 2 else 1))
-    if n_symp:
-        factors.append((n_symp, -1 if n_symp % 2 else 1))
-    return GroupDescriptor(factors=tuple(factors))
-
-
 def sato_tate_group(shape: Shape) -> tuple[tuple[int, int], ...]:
     """One (T_i, 1) factor per block, read as U(T_i) x U(1)."""
     return tuple((b.T, 1) for b in shape.blocks)
@@ -177,22 +127,26 @@ def sato_tate_group(shape: Shape) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class RunData:
-    """Degenerate-block runs and nondegenerate strings of a local rep."""
+    """Degenerate-block runs and nondegenerate strings of a local rep.
+
+    Character values are doubled, so every entry is an int: a run steps by
+    -2, and a doubled centre is half the sum of the doubled end values.
+    """
 
     beta_plus: tuple[int, ...]  # block sums > 1, descending
-    p_runs: tuple[tuple[Fraction, ...], ...]  # character values, step -1
-    q_runs: tuple[tuple[Fraction, ...], ...]
-    big: tuple[tuple[int, Fraction], ...]  # (length, center) per mixed block
+    p_runs: tuple[tuple[int, ...], ...]  # doubled character values, step -2
+    q_runs: tuple[tuple[int, ...], ...]
+    big: tuple[tuple[int, int], ...]  # (length, doubled centre) per mixed block
+    lam2: tuple[int, ...]  # the doubled character
 
 
 def local_run_data(rep: LocalRep) -> RunData:
-    sums = partitions.block_sums(rep.blocks)
-    segs = infchar.segments(rep.lam, sums)
+    lam2 = tuple(int(2 * x) for x in rep.lam)
     beta_plus: list[int] = []
-    big: list[tuple[int, Fraction]] = []
-    p_runs: list[tuple[Fraction, ...]] = []
-    q_runs: list[tuple[Fraction, ...]] = []
-    current: list[Fraction] = []
+    big: list[tuple[int, int]] = []
+    p_runs: list[tuple[int, ...]] = []
+    q_runs: list[tuple[int, ...]] = []
+    current: list[int] = []
     current_kind: str | None = None
 
     def close():
@@ -202,15 +156,19 @@ def local_run_data(rep: LocalRep) -> RunData:
         current = []
         current_kind = None
 
-    for (x, y), n, seg in zip(rep.blocks, sums, segs):
+    i = 0
+    for x, y in rep.blocks:
+        n = x + y
         if n > 1:
             close()
             beta_plus.append(n)
-            big.append((n, (seg[0] + seg[-1]) / 2))
+            big.append((n, (lam2[i] + lam2[i + n - 1]) // 2))
+            i += n
             continue
         kind = "p" if x == 1 else "q"
-        value = seg[0]
-        if current_kind == kind and current and current[-1] - value == 1:
+        value = lam2[i]
+        i += 1
+        if current_kind == kind and current and current[-1] - value == 2:
             current.append(value)
         else:
             close()
@@ -222,17 +180,8 @@ def local_run_data(rep: LocalRep) -> RunData:
         p_runs=tuple(p_runs),
         q_runs=tuple(q_runs),
         big=tuple(big),
+        lam2=lam2,
     )
-
-
-def q_pq_local(
-    rep: LocalRep,
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Run-length partitions (p side, q side) and the nondegenerate sums."""
-    data = local_run_data(rep)
-    qp = tuple(sorted((len(r) for r in data.p_runs), reverse=True))
-    qq = tuple(sorted((len(r) for r in data.q_runs), reverse=True))
-    return qp, qq, data.beta_plus
 
 
 def _merge_choices(run_lengths) -> set[tuple[int, ...]]:
@@ -319,87 +268,101 @@ def _distributions(leftover: Counter, run_lengths: list[int]):
             yield [sub] + tail
 
 
-def _chunkings(run_values: tuple[Fraction, ...], sub: tuple[int, ...]):
-    """All orderings of sub chunk the run; yields ((length, center), ...)."""
+def _chunkings(run2: tuple[int, ...], sub: tuple[int, ...]):
+    """All orderings of sub chunk the run; yields ((length, doubled centre), ...)."""
     for arr in sorted(set(permutations(sub))):
         s = 0
         chunks = []
         for c in arr:
-            chunks.append((c, (run_values[s] + run_values[s + c - 1]) / 2))
+            chunks.append((c, (run2[s] + run2[s + c - 1]) // 2))
             s += c
         yield tuple(chunks)
 
 
 def _local_assignments(
     data: RunData, q_parts: tuple[int, ...]
-) -> list[tuple[tuple[int, Fraction], ...]]:
-    """All placements of q_parts onto this place: lists of (length, center)."""
+) -> list[tuple[tuple[int, int], ...]]:
+    """All placements of q_parts onto this place: (length, doubled centre) pairs."""
     if not multiset_contains(q_parts, data.beta_plus):
         return []
     leftover = Counter(multiset_minus(q_parts, data.beta_plus))
     runs = data.p_runs + data.q_runs
-    out: list[tuple[tuple[int, Fraction], ...]] = []
+    out: list[tuple[tuple[int, int], ...]] = []
     for alloc in _distributions(leftover, [len(r) for r in runs]):
-        pools = [
-            list(_chunkings(run_vals, sub))
-            for run_vals, sub in zip(runs, alloc)
-        ]
+        pools = [list(_chunkings(run2, sub)) for run2, sub in zip(runs, alloc)]
         for combo in product(*pools):
-            pairs = tuple(data.big) + tuple(
-                ch for chunk_list in combo for ch in chunk_list
-            )
-            out.append(pairs)
+            out.append(data.big + tuple(ch for chunks in combo for ch in chunks))
     return out
 
 
-def _shape_from_assignment(
-    q_parts: tuple[int, ...],
-    per_place: tuple[tuple[tuple[int, Fraction], ...], ...],
-    rank: int,
-) -> Shape:
-    mult = Counter(q_parts)
-    blocks = []
-    for d in sorted(mult, reverse=True):
-        centers = tuple(
-            tuple(
-                sorted((c for dd, c in assign if dd == d), reverse=True)
-            )
-            for assign in per_place
+def _place_centres(data: RunData, q_parts: tuple[int, ...], ds: list[int]):
+    """The distinct doubled centres per length d in ds, over the assignments.
+
+    Each assignment must expand to the place's character: its doubled
+    values c2 + d - 1 - 2l, l = 0..d-1, sorted, are the doubled character.
+    A shape's blocks at this place are exactly one assignment's pairs
+    grouped by d, so this is the rebuild check of every shape here.
+    """
+    out: dict[tuple[tuple[int, ...], ...], None] = {}
+    for assign in _local_assignments(data, q_parts):
+        values = [v for d, c2 in assign for v in range(c2 + d - 1, c2 - d, -2)]
+        values.sort(reverse=True)
+        if tuple(values) != data.lam2:
+            raise AssertionError("shape does not rebuild the character")
+        grouped = tuple(
+            tuple(sorted((c2 for dd, c2 in assign if dd == d), reverse=True))
+            for d in ds
         )
-        eta = -1 if (rank - d) % 2 else 1
-        blocks.append(ShapeBlock(T=mult[d], d=d, centers=centers, eta=eta))
-    return Shape(blocks=tuple(blocks))
+        out[grouped] = None
+    return list(out)
 
 
-def _shape_sort_key(shape: Shape):
-    return [
-        (b.d, b.T, b.eta, b.centers) for b in shape.blocks
-    ]
+def _shape_from_key(key) -> Shape:
+    return Shape(
+        blocks=tuple(
+            ShapeBlock(
+                T=t,
+                d=d,
+                centers=tuple(
+                    tuple(Fraction(c2, 2) for c2 in place) for place in centres
+                ),
+                eta=eta,
+            )
+            for d, t, eta, centres in key
+        )
+    )
 
 
 def delta_max(rep: GlobalRep):
     """Candidates, bound, witness and dominant shapes as a `growth.DeltaMax`.
 
     Splits each place into runs once, scores every common SL(2)-type with the
-    refined growth bound, then expands each maximizer place by place.
+    refined growth bound, then expands each maximizer place by place. Shapes
+    are keyed by (d, T, eta, doubled centres per place) per block, d
+    descending; distinct keys are sorted and each is built once.
     """
     from .growth import DeltaMax, dominant  # here: growth uses this module
 
     runs = [local_run_data(local) for local in rep.places]
     cands = _common_candidates(runs)
     bound, q_argmax, tops = dominant(cands)
-    shapes: list[Shape] = []
+    keys = []
     for q_parts in tops:
-        pools = [_local_assignments(data, q_parts) for data in runs]
+        mult = Counter(q_parts)
+        ds = sorted(mult, reverse=True)
+        head = [(d, mult[d], -1 if (rep.rank - d) % 2 else 1) for d in ds]
+        pools = [_place_centres(data, q_parts, ds) for data in runs]
         for combo in product(*pools):
-            shapes.append(_shape_from_assignment(q_parts, combo, rep.rank))
-    unique = list(dict.fromkeys(shapes))
-    unique.sort(key=_shape_sort_key)
-    for s in unique:
-        for v, local in enumerate(rep.places):
-            if total_infchar(s, v) != local.lam:
-                raise AssertionError("shape does not rebuild the character")
-    return DeltaMax(tuple(cands), bound, q_argmax, tuple(unique))
+            keys.append(
+                tuple(
+                    (d, t, eta, tuple(place[j] for place in combo))
+                    for j, (d, t, eta) in enumerate(head)
+                )
+            )
+    keys.sort()
+    return DeltaMax(
+        tuple(cands), bound, q_argmax, tuple(_shape_from_key(k) for k in keys)
+    )
 
 
 # --- parity test over the odd GSK family ------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +474,164 @@ def table_row(q_parts):
         goal,
         n * n - 1,
     )
+
+
+# ---------------------------------------------------------------------------
+# dominant shapes in Fractions: the run decomposition, the placement of parts
+# on runs and the shape assembly, as the library did them before it moved to
+# doubled ints
+
+
+def block_expansion(xi: Fraction, d: int) -> tuple[Fraction, ...]:
+    if d < 1:
+        raise ValueError("block length must be positive")
+    return tuple(xi + Fraction(d + 1, 2) - l for l in range(1, d + 1))
+
+
+def total_character(blocks) -> tuple[Fraction, ...]:
+    """Sorted block expansions; a collision raises ValueError with the
+    library's IrregularCharacterError text."""
+    values: list[Fraction] = []
+    for xi, d in blocks:
+        values.extend(block_expansion(Fraction(xi), d))
+    values.sort(reverse=True)
+    for a, b in zip(values, values[1:]):
+        if a == b:
+            raise ValueError(f"total character has a repeated entry {a}")
+    return tuple(values)
+
+
+def run_data(blocks, lam):
+    """(beta_plus, runs, big) of one place: the block sums > 1 descending,
+    the maximal step-one runs of same-side degenerate blocks (p runs, then q
+    runs) and (length, centre) per mixed block."""
+    beta_plus, big = [], []
+    runs = {"p": [], "q": []}
+    current, kind = [], None
+    pos = 0
+    for x, y in blocks:
+        n = x + y
+        seg = lam[pos : pos + n]
+        pos += n
+        if n > 1:
+            if current:
+                runs[kind].append(tuple(current))
+            current, kind = [], None
+            beta_plus.append(n)
+            big.append((n, (seg[0] + seg[-1]) / 2))
+            continue
+        side = "p" if x == 1 else "q"
+        if side == kind and current[-1] - seg[0] == 1:
+            current.append(seg[0])
+        else:
+            if current:
+                runs[kind].append(tuple(current))
+            current, kind = [seg[0]], side
+    if current:
+        runs[kind].append(tuple(current))
+    return (
+        tuple(sorted(beta_plus, reverse=True)),
+        tuple(runs["p"] + runs["q"]),
+        tuple(big),
+    )
+
+
+def _submultisets_with_sum(counter: Counter, target: int):
+    vals = sorted(counter, reverse=True)
+
+    def rec(i, remaining, acc):
+        if remaining == 0:
+            yield tuple(acc)
+            return
+        if i == len(vals):
+            return
+        v = vals[i]
+        for k in range(min(counter[v], remaining // v), -1, -1):
+            yield from rec(i + 1, remaining - v * k, acc + [v] * k)
+
+    yield from rec(0, target, [])
+
+
+def _distributions(leftover: Counter, run_lengths):
+    if not run_lengths:
+        if sum(leftover.values()) == 0:
+            yield []
+        return
+    for sub in _submultisets_with_sum(leftover, run_lengths[0]):
+        for tail in _distributions(leftover - Counter(sub), run_lengths[1:]):
+            yield [sub] + tail
+
+
+def _chunkings(run_values, sub):
+    for arr in sorted(set(permutations(sub))):
+        s = 0
+        chunks = []
+        for c in arr:
+            chunks.append((c, (run_values[s] + run_values[s + c - 1]) / 2))
+            s += c
+        yield tuple(chunks)
+
+
+def local_assignments(place, q_parts):
+    """Every placement of q_parts on the place: (length, centre) pairs."""
+    beta_plus, runs, big = place
+    leftover = Counter(q_parts)
+    leftover.subtract(beta_plus)
+    if min(leftover.values(), default=0) < 0:
+        return []
+    out = []
+    for alloc in _distributions(+leftover, [len(r) for r in runs]):
+        pools = [list(_chunkings(r, sub)) for r, sub in zip(runs, alloc)]
+        for combo in product(*pools):
+            out.append(big + tuple(ch for chunks in combo for ch in chunks))
+    return out
+
+
+def dominant_shapes(places, tops, rank: int) -> list[dict]:
+    """Every shape realizing a partition in tops, in `delta-max` JSON form.
+
+    places holds (blocks, lam) per place. A shape is a tuple of blocks
+    (T, d, centres per place, eta), d descending; the shapes are
+    deduplicated and sorted by (d, T, eta, centres) per block, and each
+    must expand to lam at every place.
+    """
+    data = [run_data(blocks, lam) for blocks, lam in places]
+    shapes = []
+    for q_parts in tops:
+        mult = Counter(q_parts)
+        pools = [local_assignments(place, q_parts) for place in data]
+        for combo in product(*pools):
+            shape = tuple(
+                (
+                    mult[d],
+                    d,
+                    tuple(
+                        tuple(sorted((c for dd, c in a if dd == d), reverse=True))
+                        for a in combo
+                    ),
+                    -1 if (rank - d) % 2 else 1,
+                )
+                for d in sorted(mult, reverse=True)
+            )
+            for v in range(len(places)):
+                total_character((c, d) for t, d, cs, eta in shape for c in cs[v])
+            shapes.append(shape)
+    unique = list(dict.fromkeys(shapes))
+    unique.sort(key=lambda shape: [(d, t, eta, cs) for t, d, cs, eta in shape])
+    for shape in unique:
+        for v, (_, lam) in enumerate(places):
+            pairs = [(c, d) for t, d, cs, eta in shape for c in cs[v]]
+            if total_character(pairs) != tuple(lam):
+                raise AssertionError("shape does not rebuild the character")
+    return [
+        {
+            "blocks": [
+                [t, d, [[str(c) for c in place] for place in cs], eta]
+                for t, d, cs, eta in shape
+            ]
+        }
+        for shape in unique
+    ]
 
 
 # ---------------------------------------------------------------------------

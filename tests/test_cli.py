@@ -291,6 +291,27 @@ def test_coh_bounds_even_length(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_coh_bounds_rank_limit(capsys):
+    # the full table stops at COH_RANK_MAX; one --half-signature row has no limit
+    limit = cli.COH_RANK_MAX
+    assert cli.run(["coh-bounds", "--length", "3", "--rank", str(limit)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == limit // 2 + 2
+    for rank, rows in ((limit + 1, limit // 2 + 1), (10**9, 5 * 10**8 + 1)):
+        for fmt in ([], ["--json"]):
+            argv = ["coh-bounds", "--length", "3", "--rank", str(rank)] + fmt
+            assert cli.run(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == (
+                f"error: --rank must be at most {limit} without "
+                f"--half-signature, got {rank}: the table would print "
+                f"{rows} rows\n"
+            )
+    argv = ["coh-bounds", "--length", "3", "--rank", str(10**9)]
+    assert cli.run(argv + ["--half-signature", "2"]) == 0
+    assert capsys.readouterr().out == "r,lowest_degree\n2,1999999994\n"
+
+
 # --- verify ----------------------------------------------------------------------
 
 

@@ -1,16 +1,20 @@
-"""Each demo script runs to completion and prints something."""
+"""Each demo script runs to completion and prints something, and the README's
+Python tour gives the values its comments state."""
 
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README = ROOT / "README.md"
 
 
 def test_demos_exist():
@@ -33,3 +37,31 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_readme_tour_runs():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 2
+    ns: dict = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), ns)
+    from upqgrowth import GrowthValue
+
+    tour, density = blocks
+    # each value is checked next to the comment that states it
+    assert "# (GrowthValue(22), (3, 2, 1, 1))" in tour
+    assert (ns["value"], ns["witness"]) == (GrowthValue(22), (3, 2, 1, 1))
+    result = ns["result"]
+    assert "# ((3, 2, 2), (3, 2, 1, 1))" in tour
+    assert result.candidates == ((3, 2, 2), (3, 2, 1, 1))
+    assert "# the same as rep_bound(rep)" in tour
+    assert (result.bound, result.q_argmax) == (ns["value"], ns["witness"])
+    assert "# the 11 score-maximizing shapes" in tour
+    assert len(result.shapes) == 11
+
+    row = ns["row"]
+    assert "# provable 8, conjectural 6, goal 15/2, trivial 15" in density
+    assert (row.provable, row.conjectural) == (GrowthValue(8), GrowthValue(6))
+    assert (row.sx_goal, row.trivial) == (Fraction(15, 2), 15)
+    assert "partition_bound((2, 2))    # 9," in density
+    assert ns["partition_bound"]((2, 2)) == GrowthValue(9)

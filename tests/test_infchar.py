@@ -3,7 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
@@ -68,6 +68,35 @@ def test_total_character():
 def test_total_character_collision():
     with pytest.raises(ic.IrregularCharacterError):
         ic.total_character([(0, 3), (1, 1)])
+
+
+centres = st.builds(
+    Fraction, st.integers(-12, 12), st.sampled_from((1, 2, 3))
+)
+
+
+@given(st.lists(st.tuples(centres, st.integers(1, 5)), max_size=6))
+@example([])
+@example([(Fraction(1, 3), 1), (Fraction(4, 3), 3)])  # collide at 1/3
+@example([(Fraction(1, 2), 2), (Fraction(0), 1)])  # collide at 0
+@example([(Fraction(1, 2), 4), (Fraction(1, 3), 3)])  # no collision
+def test_total_character_matches_oracle(blocks):
+    # denominators 1, 2 and 3 scale by 2, 4, 6 or 12; collisions are common
+    try:
+        want = oracles.total_character(blocks)
+    except ValueError as e:
+        with pytest.raises(ic.IrregularCharacterError) as got:
+            ic.total_character(blocks)
+        assert str(got.value) == str(e)
+    else:
+        got = ic.total_character(blocks)
+        assert got == want
+        assert all(type(v) is Fraction for v in got)
+
+
+def test_total_character_rejects_empty_block():
+    with pytest.raises(ValueError, match="block length must be positive"):
+        ic.total_character([(0, 1), (1, 0)])
 
 
 def test_weyl_dim_frozen():

@@ -2,27 +2,30 @@
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings, target
+from hypothesis import strategies as st
 
 import oracles
-from upqgrowth.cohomology import GlobalRep, LocalRep
-from upqgrowth.growth import partition_bound, rep_bound
+from upqgrowth import cli, shapes as shapes_module
+from upqgrowth.cohomology import GlobalRep, LocalRep, global_rep_from_json
+from upqgrowth.growth import dominant, partition_bound, rep_bound
 from upqgrowth.infchar import IrregularCharacterError, rho
 from upqgrowth.partitions import multiset_contains, reduced_bipartitions
 from upqgrowth.shapes import (
     Shape,
     ShapeBlock,
-    attached_group,
     delta_max,
     is_gsk,
     is_odd_gsk,
-    kappa,
+    local_run_data,
     odd_gsk_parity_test,
     q_can,
-    q_pq_local,
     sato_tate_group,
     shape_from_json,
     shape_to_json,
@@ -33,6 +36,7 @@ from upqgrowth.shapes import (
 )
 
 RHO7 = rho(7)
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def _rep71():
@@ -72,7 +76,9 @@ def test_candidates_match_merge_oracle():
 
 def test_orientation_change_breaks_runs():
     rep = LocalRep(p=2, q=1, blocks=((1, 0), (0, 1), (1, 0)), lam=(1, 0, -1))
-    assert q_pq_local(rep) == ((1, 1), (1,), ())
+    data = local_run_data(rep)
+    # doubled values: two p runs of one and a q run of one between them
+    assert (data.p_runs, data.q_runs, data.beta_plus) == (((2,), (-2,)), ((0,),), ())
     assert sl2_candidates(GlobalRep((rep,))) == [(1, 1, 1)]
 
 
@@ -116,7 +122,7 @@ def test_candidates_contain_nondegenerate_sums():
         for p in range(n + 1):
             for b in reduced_bipartitions(p, n - p):
                 rep = LocalRep(p=p, q=n - p, blocks=b, lam=lam)
-                beta = q_pq_local(rep)[2]
+                beta = local_run_data(rep).beta_plus
                 for cand in sl2_candidates(GlobalRep((rep,))):
                     assert multiset_contains(cand, beta)
 
@@ -205,7 +211,92 @@ def test_shapes_deduplicated_and_sorted():
     assert len(set(shapes)) == len(shapes)
 
 
-# --- block predicates and attached groups ------------------------------------
+@st.composite
+def global_reps(draw, n_max=8):
+    """Reps of rank <= n_max with 1-3 places. A place is a row of segments,
+    each a run of same-side degenerate blocks or one mixed block, with a
+    regular integral character adapted to it; the gap between segments is
+    mostly 1, so runs often join and chunk in many ways."""
+    n = draw(st.integers(1, n_max))
+    places = []
+    for _ in range(draw(st.integers(1, 3))):
+        blocks, lam = [], []
+        top = Fraction(n - 1, 2) + draw(st.integers(-2, 2))
+        while len(lam) < n:
+            room = n - len(lam)
+            if room > 1 and draw(st.booleans()):
+                s = draw(st.integers(2, room))
+                x = draw(st.integers(1, s - 1))
+                segment = [(x, s - x)]
+            else:
+                side = draw(st.sampled_from(((1, 0), (0, 1))))
+                s = draw(st.integers(1, room))
+                segment = [side] * s
+            if lam:
+                top = lam[-1] - draw(st.sampled_from((1, 1, 2)))
+            blocks += segment
+            lam.extend(top - i for i in range(s))
+        p = sum(x for x, _ in blocks)
+        places.append(LocalRep(p=p, q=n - p, blocks=tuple(blocks), lam=tuple(lam)))
+    return GlobalRep(tuple(places))
+
+
+@settings(max_examples=200)
+@given(global_reps())
+@example(GlobalRep((_rep71(), _rep72())))
+@example(GlobalRep((_rep71(), _rep71(), _rep72())))
+@example(global_rep_from_json(json.loads((DATA / "wide12_rep.json").read_text())))
+def test_dominant_shapes_match_oracle(rep):
+    # the doubled-int assembly against the Fraction one, order included
+    cands = sl2_candidates(rep)
+    assume(cands)
+    tops = dominant(cands)[2]
+    places = [(local.blocks, local.lam) for local in rep.places]
+    want = oracles.dominant_shapes(places, tops, rep.rank)
+    target(float(len(want)))  # steer towards reps with many shapes
+    assert delta_max(rep).to_json()["shapes"] == want
+
+
+def test_broken_centre_is_internal_error(monkeypatch, capsys, tmp_path):
+    # one chunk's doubled centre off by 2 must trip the rebuild check
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps({"places": [
+        {"signature": [6, 1], "bipartition": [[1, 1]] + [[1, 0]] * 5,
+         "infchar": [str(v) for v in RHO7]},
+        {"signature": [6, 1], "bipartition": [[2, 1]] + [[1, 0]] * 4,
+         "infchar": [str(v) for v in RHO7]},
+    ]}))
+    assert cli.run(["delta-max", "--rep", str(path)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["shapes"]) == 11
+
+    chunkings = shapes_module._chunkings
+    shifted = []
+
+    def shift_first_chunk(run2, sub):
+        for chunks in chunkings(run2, sub):
+            if not shifted:
+                (c, c2), *rest = chunks
+                chunks = ((c, c2 + 2), *rest)
+                shifted.append(c)
+            yield chunks
+
+    monkeypatch.setattr(shapes_module, "_chunkings", shift_first_chunk)
+    assert cli.run(["delta-max", "--rep", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert shifted
+    assert out == ""
+    assert err == "internal error: shape does not rebuild the character\n"
+
+
+def test_wide_rep_output_frozen(capsys):
+    # rank 9, 3 places, 12 shapes; the bytes the Fraction assembly printed
+    assert cli.run(["delta-max", "--rep", str(DATA / "wide12_rep.json")]) == 0
+    out = capsys.readouterr().out
+    assert len(json.loads(out)["shapes"]) == 12
+    assert out == (DATA / "wide12_delta_max.json").read_text()
+
+
+# --- block predicates and Sato-Tate factors ----------------------------------
 
 
 def test_gsk_predicates():
@@ -217,36 +308,6 @@ def test_gsk_predicates():
     assert not is_gsk(((1, 1), (1, 2), (1, 2)))  # duplicate lengths
     assert is_gsk(((1, 1), (1, 2), (1, 4)))
     assert not is_odd_gsk(((1, 1), (1, 2), (1, 4)))
-
-
-def test_kappa():
-    assert kappa(1, 2, 3) == 1
-    assert kappa(1, 2, 2) == -1
-    assert kappa(-1, 1, 5) == -1
-    with pytest.raises(ValueError):
-        kappa(0, 1, 1)
-
-
-def test_attached_group_full_block():
-    # single full-rank simple block: the sign twist tracks eta and the parity
-    for eta, expect in ((1, "U_{+1}(7)"), (-1, "U_{-1}(7)")):
-        s = Shape(
-            blocks=(
-                ShapeBlock(T=1, d=7, centers=((Fraction(0),),), eta=eta),
-            )
-        )
-        assert str(attached_group(s)) == expect
-
-
-def test_attached_group_on_dominant_shapes():
-    for g in (
-        GlobalRep((_rep72(),)),
-        GlobalRep((_rep71(), _rep72())),
-    ):
-        for s in delta_max(g).shapes:
-            desc = attached_group(s)
-            assert sum(r for r, _ in desc.factors) == 7
-            assert str(desc) == "U_{+1}(7)"
 
 
 def test_sato_tate():
