@@ -23,7 +23,7 @@ MAXSL2_NMAX = 48  # verify runs the maxsl2 sweep at most this far
 NMAX_MIN = {"table": 2, "qd": 2, "density": 3, "maxsl2": 2}
 # the largest --nmax of the qd and density sweeps, each about 1 s of work;
 # maxsl2 is capped at MAXSL2_NMAX instead
-NMAX_MAX = {"qd": 200, "density": 800}
+NMAX_MAX = {"qd": 200, "density": 1600}
 # the largest --rank of a coh-bounds table (rank/2 + 1 rows, about 0.05 s as
 # CSV and 0.2 s as JSON); one --half-signature row has no limit
 COH_RANK_MAX = 100_000

@@ -128,34 +128,29 @@ def lowest_degree(d: int, n: int, r: int) -> int:
     return r * (n - d)
 
 
+def _adapted_reps(p: int, q: int, lam: Character, keep) -> list[Bipartition]:
+    """Reduced bipartitions adapted to lam whose Hodge profile passes keep."""
+    lam = as_character(lam)
+    if len(lam) != p + q:
+        raise ValueError("character rank does not match signature")
+    return [
+        blocks
+        for blocks in partitions.reduced_bipartitions(p, q)
+        if infchar.is_adapted(lam, partitions.block_sums(blocks))
+        and keep(hodge_profile(blocks))
+    ]
+
+
 def reps_with_hodge_weight(
     p: int, q: int, lam: Character, a: int, b: int
 ) -> list[Bipartition]:
     """Reduced bipartitions adapted to lam whose profile contains weight (a, b)."""
-    lam = as_character(lam)
-    if len(lam) != p + q:
-        raise ValueError("character rank does not match signature")
-    out = []
-    for blocks in partitions.reduced_bipartitions(p, q):
-        if not infchar.is_adapted(lam, partitions.block_sums(blocks)):
-            continue
-        if hodge_profile(blocks).contains_weight(a, b):
-            out.append(blocks)
-    return out
+    return _adapted_reps(p, q, lam, lambda h: h.contains_weight(a, b))
 
 
 def reps_in_degree(p: int, q: int, lam: Character, degree: int) -> list[Bipartition]:
     """Reduced bipartitions adapted to lam with cohomology in the given degree."""
-    lam = as_character(lam)
-    if len(lam) != p + q:
-        raise ValueError("character rank does not match signature")
-    out = []
-    for blocks in partitions.reduced_bipartitions(p, q):
-        if not infchar.is_adapted(lam, partitions.block_sums(blocks)):
-            continue
-        if hodge_profile(blocks).contains_degree(degree):
-            out.append(blocks)
-    return out
+    return _adapted_reps(p, q, lam, lambda h: h.contains_degree(degree))
 
 
 # --- JSON converters -------------------------------------------------------

@@ -17,10 +17,11 @@ from operator import add, gt
 
 from .growth import (
     GrowthValue,
+    _naive_term,
+    _refined_term,
     add_part_size,
     grouping_score,
     merge_bounds,
-    naive_score,
     pack,
     partition_bound,
     partition_bound0,
@@ -308,11 +309,6 @@ def verify_qd_bound(n_max: int = 60) -> Certificate:
     )
 
 
-def _above(a: int, b: int, c: int, e: int) -> bool:
-    """a/b > c/e, for positive denominators b and e."""
-    return a * e > c * b
-
-
 def verify_density(n_max: int = 60) -> Certificate:
     """Sweep the three density comparisons and recheck the exceptional pairs.
 
@@ -321,37 +317,53 @@ def verify_density(n_max: int = 60) -> Certificate:
     still beat the goal except at (4,2).
 
     The comparisons are of int ratios, by cross-multiplying: with trivial =
-    N^2 - 1 and k = N // d, the target is N(N-d)/trivial, 1 - (d-1)/m is
-    (m-d+1)/m, and the naive bound comes as the Score 2*rbar.
+    N^2 - 1 and k = N // d, the target is N(N-d)/trivial and 1 - (d-1)/m is
+    (m-d+1)/m. The bounds are scored on the blocks ((k, d), (1, N mod d)) of
+    qd(N, d) as N^2 plus one `growth` block term per block (doubled main
+    parts), read from tables built once per d.
     """
     violations = []
     checked = 0
+    # the term of the remainder block (1, r), r < d; no block when r = 0
+    rem_naive = [0] + [_naive_term(1, r)[0] for r in range(1, n_max)]
+    rem_refined = [(0, 0)] + [_refined_term(1, r) for r in range(1, n_max)]
     for d in range(2, n_max + 1):
-        for n in range(d + 1, n_max + 1):
-            checked += 1
+        # short range, d < N < 2d: only 1 - (d-1)/(N-1) against the target
+        short = range(d + 1, min(2 * d, n_max + 1))
+        checked += len(short)
+        for n in short:
+            trivial = n * n - 1
+            if not (n - d) * trivial > n * (n - d) * (n - 1):
+                violations.append(f"short-range case fails at ({n},{d})")
+        ks = range(n_max // d + 1)
+        naive = [_naive_term(t, d)[0] for t in ks]
+        refined = [_refined_term(t, d) for t in ks]
+        last_exceptional = 2 * d + 1 + (d == 2)
+        wide = range(2 * d, n_max + 1)
+        checked += len(wide)
+        for n in wide:
             k, rem = divmod(n, d)
+            m = n - k
             trivial = n * n - 1
             target = n * (n - d)
-            if n < 2 * d:
-                if not _above(n - d, n - 1, target, trivial):
-                    violations.append(f"short-range case fails at ({n},{d})")
-                continue
-            if not _above(n - k - d + 2, n - k + 1, target, trivial):
+            if not (m - d + 2) * trivial > target * (m + 1):
                 violations.append(f"secondary case fails at ({n},{d})")
-            # the blocks of qd(n, d): k parts d, and the remainder below d
-            rbar2, _ = naive_score(((k, d), (1, rem)) if rem else ((k, d),))
-            exceptional = n == 2 * d or n == 2 * d + 1 or (n, d) == (6, 2)
-            # 1 - (d-1)/(n-k) > (rbar - 1) / trivial
-            strict = _above(n - k - d + 1, n - k, rbar2 - 2, 2 * trivial)
+            exceptional = n <= last_exceptional
+            # 1 - (d-1)/m > (rbar - 1) / trivial, rbar2 = 2*rbar
+            rbar2 = n * n + naive[k] + rem_naive[rem]
+            strict = (m - d + 1) * 2 * trivial > (rbar2 - 2) * m
             if strict == exceptional:
                 violations.append(
                     f"naive case at ({n},{d}): strict={strict}, "
                     f"expected exceptional={exceptional}"
                 )
             if exceptional:
-                r = partition_bound(qd(n, d)) - 1
-                goal = trivial * Fraction(n - k - d + 1, n - k)
-                passes = r.main < goal or (r.main == goal and r.eps < 0)
+                # the refined bound less 1 against trivial * (m-d+1)/m
+                a, e = refined[k]
+                b, f = rem_refined[rem]
+                lhs = (n * n + a + b - 2) * m
+                rhs = 2 * trivial * (m - d + 1)
+                passes = lhs < rhs or (lhs == rhs and e + f < 0)
                 if passes != ((n, d) != (4, 2)):
                     violations.append(
                         f"refined recheck at ({n},{d}): passes={passes}"
@@ -361,7 +373,12 @@ def verify_density(n_max: int = 60) -> Certificate:
         sweep=f"2 <= d < N <= {n_max}",
         checked_count=checked,
         violations=tuple(violations),
-        notes=("refined recheck fails only at (N,d) = (4,2)",),
+        # the refined recheck first meets (4,2) at N = 4
+        notes=(
+            ("refined recheck fails only at (N,d) = (4,2)",)
+            if n_max >= 4
+            else ()
+        ),
     )
 
 

@@ -390,9 +390,9 @@ def test_verify_smallest_nmax_checks_one_case(target, line, capsys):
         ),
         (
             "density",
-            801,
-            "--nmax must be at most 800 for density, got 801: "
-            "the density sweep would check 319600 cases",
+            1601,
+            "--nmax must be at most 1600 for density, got 1601: "
+            "the density sweep would check 1279200 cases",
         ),
         (
             "all",
@@ -418,6 +418,17 @@ def test_sweep_cases_count_the_certificate(target):
     for nmax in range(cli.NMAX_MIN[target], 16):
         cases = sweep[target](nmax).checked_count
         assert cli.sweep_cases(target, nmax) == cases
+
+
+@pytest.mark.parametrize(
+    "nmax, notes",
+    [(3, []), (4, ["refined recheck fails only at (N,d) = (4,2)"])],
+)
+def test_density_note_needs_the_case_it_names(nmax, notes, capsys):
+    argv = ["verify", "--target", "density", "--nmax", str(nmax), "--json"]
+    assert cli.run(argv) == 0
+    (cert,) = json.loads(capsys.readouterr().out)["certificates"]
+    assert cert["notes"] == notes
 
 
 def test_verify_maxsl2_cap_is_noted(monkeypatch, capsys):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
-from upqgrowth import sarnakxue
+from upqgrowth import growth, sarnakxue
 from upqgrowth.growth import GrowthValue, split_tables
 from upqgrowth.partitions import balanced_bipartition, partitions_of
 from upqgrowth.sarnakxue import (
@@ -260,6 +262,13 @@ def test_sweeps_match_fraction_oracle(n_max):
         assert (cert.checked_count, list(cert.violations)) == want
 
 
+@pytest.mark.parametrize("n_max", [30, 60, 110])
+def test_density_sweep_matches_fraction_oracle_large(n_max):
+    cert = verify_density(n_max)
+    want = oracles.density_sweep(n_max)
+    assert (cert.checked_count, list(cert.violations)) == want
+
+
 def _wrong_at(table, right):
     return lambda n, d: table.get((n, d)) or right(n, d)
 
@@ -284,15 +293,43 @@ def test_qd_violation_text_frozen(monkeypatch):
     assert not cert.ok
 
 
+def _gt_reads_false(func):
+    """func recompiled from its source with every `a > b` reading False."""
+
+    class Falsify(ast.NodeTransformer):
+        def visit_Compare(self, node):
+            self.generic_visit(node)
+            if any(isinstance(op, ast.Gt) for op in node.ops):
+                return ast.copy_location(ast.Constant(False), node)
+            return node
+
+    tree = Falsify().visit(ast.parse(inspect.getsource(func)))
+    tree = ast.fix_missing_locations(tree)
+    code = compile(tree, inspect.getsourcefile(func), "exec")
+    namespace = dict(func.__globals__)
+    exec(code, namespace)
+    return namespace[func.__name__]
+
+
+def _term_at(td, value, right):
+    return lambda t, d: value if (t, d) == td else right(t, d)
+
+
 def test_density_violation_text_frozen(monkeypatch):
-    # the refined recheck reads qd; (1,)^5 scores above the goal at (5,2)
-    monkeypatch.setattr(sarnakxue, "qd", _wrong_at({(5, 2): (1,) * 5}, qd))
-    assert verify_density(8).violations == (
-        "refined recheck at (5,2): passes=False",
-    )
+    # the refined recheck reads _refined_term: a (2, 2) block worth 8 puts
+    # qd(5,2) = (2,2,1) exactly on the goal, so its eps decides; (4,2) with
+    # the same block stays above the goal as expected
+    right = sarnakxue._refined_term
+    for block, want in (
+        ((8, 0), ("refined recheck at (5,2): passes=False",)),
+        ((8, -1), ()),
+    ):
+        term = _term_at((2, 2), block, right)
+        monkeypatch.setattr(sarnakxue, "_refined_term", term)
+        assert verify_density(8).violations == want
     monkeypatch.undo()
-    # a naive score of 0 is strictly below every goal
-    monkeypatch.setattr(sarnakxue, "naive_score", lambda blocks: (0, 0))
+    # a naive score far below zero is strictly below every goal
+    monkeypatch.setattr(sarnakxue, "_naive_term", lambda t, d: (-(10**6), 0))
     assert verify_density(7).violations == tuple(
         f"naive case at {nd}: strict=True, expected exceptional=True"
         for nd in ("(4,2)", "(5,2)", "(6,2)", "(6,3)", "(7,3)")
@@ -300,8 +337,7 @@ def test_density_violation_text_frozen(monkeypatch):
     monkeypatch.undo()
     # with no comparison holding, every short-range and secondary case fails,
     # and so does the naive case wherever it is not exceptional
-    monkeypatch.setattr(sarnakxue, "_above", lambda *args: False)
-    assert verify_density(7).violations == (
+    assert _gt_reads_false(verify_density)(7).violations == (
         "short-range case fails at (3,2)",
         "secondary case fails at (4,2)",
         "secondary case fails at (5,2)",
@@ -319,6 +355,24 @@ def test_density_violation_text_frozen(monkeypatch):
         "short-range case fails at (7,5)",
         "short-range case fails at (7,6)",
     )
+
+
+def test_density_sweep_scores_no_case(monkeypatch):
+    def refuse(name):
+        def refused(*args):
+            raise AssertionError(f"{name} called")
+
+        return refused
+
+    # every growth bound sums its blocks in growth._score
+    for module, name in (
+        (sarnakxue, "qd"),
+        (sarnakxue, "partition_bound"),
+        (growth, "naive_score"),
+        (growth, "_score"),
+    ):
+        monkeypatch.setattr(module, name, refuse(name))
+    assert verify_density(60).ok
 
 
 def test_verify_maxsl2_small():
