@@ -1,127 +1,53 @@
 """Exact combinatorics of cohomological representations of real unitary
-groups: packets, SL(2) shapes, growth exponents, and density bounds."""
+groups: packets, SL(2) shapes, growth exponents, and density bounds.
 
-from .cohomology import (
-    GlobalRep,
-    HodgeProfile,
-    LocalRep,
-    hodge_profile,
-    lowest_degree,
-    reps_in_degree,
-    reps_with_hodge_weight,
-)
-from .growth import (
-    GrowthValue,
-    conjectural_bound,
-    naive_bound,
-    partition_bound,
-    partition_bound0,
-    refined_bound,
-    rep_bound,
-)
-from .infchar import IrregularCharacterError, rho, weyl_dim
-from .packets import component_character, s_psi
+The names below are the ones the README tour and demos/ use; everything
+else is imported from its own module (upqgrowth.growth, upqgrowth.shapes,
+...)."""
+
+from .cohomology import GlobalRep, LocalRep, hodge_profile, reps_in_degree
+from .growth import GrowthValue, partition_bound, rep_bound
+from .infchar import rho
 from .partitions import (
-    balanced_bipartition,
     bipartitions_with_block_sums,
     block_sums,
-    partitions_of,
     reduced_bipartitions,
-    refines,
-    split_degenerate,
 )
 from .sarnakxue import (
     REFERENCE_TABLE,
-    Certificate,
-    DensityRow,
     integrability_bound,
     max_ratio,
     qd,
-    qd_prime,
     sx_row,
-    verify_density,
-    verify_maxsl2,
-    verify_qd_bound,
     verify_table1,
 )
-from .shapes import (
-    Shape,
-    ShapeBlock,
-    delta_max,
-    is_gsk,
-    is_odd_gsk,
-    odd_gsk_parity_test,
-    q_can,
-    sato_tate_group,
-    sl2_candidates,
-    sl2_partition,
-)
-from .asymptotics import (
-    LeadingTerm,
-    gamma_factor,
-    index_congruence,
-    index_list,
-    leading_term,
-    packet_size,
-    tamagawa_elementary,
-)
+from .shapes import delta_max, q_can, sl2_candidates, sl2_partition
+from .asymptotics import index_congruence, leading_term
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Certificate",
-    "DensityRow",
     "GlobalRep",
     "GrowthValue",
-    "HodgeProfile",
-    "IrregularCharacterError",
-    "LeadingTerm",
     "LocalRep",
     "REFERENCE_TABLE",
-    "Shape",
-    "ShapeBlock",
-    "balanced_bipartition",
     "bipartitions_with_block_sums",
     "block_sums",
-    "component_character",
-    "conjectural_bound",
     "delta_max",
-    "gamma_factor",
     "hodge_profile",
     "index_congruence",
-    "index_list",
     "integrability_bound",
-    "is_gsk",
-    "is_odd_gsk",
     "leading_term",
-    "lowest_degree",
     "max_ratio",
-    "naive_bound",
-    "odd_gsk_parity_test",
-    "packet_size",
     "partition_bound",
-    "partition_bound0",
-    "partitions_of",
     "q_can",
     "qd",
-    "qd_prime",
     "reduced_bipartitions",
-    "refined_bound",
-    "refines",
     "rep_bound",
     "reps_in_degree",
-    "reps_with_hodge_weight",
     "rho",
-    "s_psi",
-    "sato_tate_group",
     "sl2_candidates",
     "sl2_partition",
-    "split_degenerate",
     "sx_row",
-    "tamagawa_elementary",
-    "verify_density",
-    "verify_maxsl2",
-    "verify_qd_bound",
     "verify_table1",
-    "weyl_dim",
 ]

@@ -2,15 +2,15 @@
 
 An ideal is a tuple of (q, e) pairs: residue size and exponent, one pair per
 prime.  Gamma factors only see the residue sizes; norms see both.  Constants
-that are not rational numbers (volume ratios, motivic L-values) stay as
-symbol strings next to the exact rational part.
+that are not rational numbers (volume ratios) stay as symbol strings next to
+the exact rational part.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, prod
 
 from .cohomology import GlobalRep
 from .growth import GrowthValue
@@ -154,25 +154,3 @@ def leading_term(rep: GlobalRep, convention: str = "binom") -> LeadingTerm:
         symbols=symbols,
         zero=coeff == 0,
     )
-
-
-def tamagawa_elementary(
-    n: int, deg_f: int, signatures
-) -> tuple[Fraction, tuple[str, ...]]:
-    """Elementary part of the volume constant for a rank-n form.
-
-    signatures lists one (p, q) per archimedean place; exactly deg_f of
-    them.  The transcendental factors stay symbolic.
-    """
-    sigs = tuple((int(p), int(q)) for p, q in signatures)
-    if len(sigs) != deg_f:
-        raise ValueError(
-            f"need exactly {deg_f} signatures, got {len(sigs)}"
-        )
-    for p, q in sigs:
-        if p < 0 or q < 0 or p + q != n:
-            raise ValueError(f"signature ({p},{q}) does not have rank {n}")
-    value = Fraction(factorial(n) ** deg_f, 2 ** ((n - 1) * deg_f))
-    for p, q in sigs:
-        value /= factorial(p) * factorial(q)
-    return value, ("TAU", "L_MOT")

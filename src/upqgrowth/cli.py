@@ -169,7 +169,8 @@ def cmd_coh_bounds(args) -> int:
             f"got {n}: the table would print {n // 2 + 1} rows"
         )
     else:
-        rs = list(range(0, n // 2 + 1))
+        # the r = 0 row is always built, so (length, rank) is always checked
+        rs = list(range(0, max(n, 0) // 2 + 1))
     try:
         rows = [(r, cohomology.lowest_degree(d, n, r)) for r in rs]
     except ValueError as e:
@@ -291,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rep", required=True, help="JSON file, or - for stdin")
     p.add_argument(
         "--convention",
-        "--packet-convention",
         choices=["binom", "example1"],
         default="binom",
     )

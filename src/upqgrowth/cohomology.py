@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import infchar, partitions
-from .infchar import Character, as_character, format_rational
+from .infchar import Character, as_character
 from .partitions import Bipartition
 
 
@@ -88,10 +88,6 @@ class HodgeProfile:
         t = (degree - self.lowest) // 2
         return (self.plus + t, self.minus + t)
 
-    def contains_weight(self, a: int, b: int) -> bool:
-        t = a - self.plus
-        return t >= 0 and t <= self.maxshift and b - self.minus == t
-
 
 def hodge_profile(blocks: Bipartition) -> HodgeProfile:
     partitions.validate_bipartition(blocks)
@@ -128,8 +124,8 @@ def lowest_degree(d: int, n: int, r: int) -> int:
     return r * (n - d)
 
 
-def _adapted_reps(p: int, q: int, lam: Character, keep) -> list[Bipartition]:
-    """Reduced bipartitions adapted to lam whose Hodge profile passes keep."""
+def reps_in_degree(p: int, q: int, lam: Character, degree: int) -> list[Bipartition]:
+    """Reduced bipartitions adapted to lam with cohomology in the given degree."""
     lam = as_character(lam)
     if len(lam) != p + q:
         raise ValueError("character rank does not match signature")
@@ -137,31 +133,11 @@ def _adapted_reps(p: int, q: int, lam: Character, keep) -> list[Bipartition]:
         blocks
         for blocks in partitions.reduced_bipartitions(p, q)
         if infchar.is_adapted(lam, partitions.block_sums(blocks))
-        and keep(hodge_profile(blocks))
+        and hodge_profile(blocks).contains_degree(degree)
     ]
 
 
-def reps_with_hodge_weight(
-    p: int, q: int, lam: Character, a: int, b: int
-) -> list[Bipartition]:
-    """Reduced bipartitions adapted to lam whose profile contains weight (a, b)."""
-    return _adapted_reps(p, q, lam, lambda h: h.contains_weight(a, b))
-
-
-def reps_in_degree(p: int, q: int, lam: Character, degree: int) -> list[Bipartition]:
-    """Reduced bipartitions adapted to lam with cohomology in the given degree."""
-    return _adapted_reps(p, q, lam, lambda h: h.contains_degree(degree))
-
-
 # --- JSON converters -------------------------------------------------------
-
-
-def local_rep_to_json(rep: LocalRep) -> dict:
-    return {
-        "signature": [rep.p, rep.q],
-        "bipartition": [[x, y] for x, y in rep.blocks],
-        "infchar": [format_rational(v) for v in rep.lam],
-    }
 
 
 def local_rep_from_json(data: dict) -> LocalRep:
@@ -169,10 +145,6 @@ def local_rep_from_json(data: dict) -> LocalRep:
     blocks = tuple((int(x), int(y)) for x, y in data["bipartition"])
     lam = tuple(Fraction(s) for s in data["infchar"])
     return LocalRep(p=p, q=q, blocks=blocks, lam=lam)
-
-
-def global_rep_to_json(rep: GlobalRep) -> dict:
-    return {"places": [local_rep_to_json(r) for r in rep.places]}
 
 
 def global_rep_from_json(data: dict) -> GlobalRep:

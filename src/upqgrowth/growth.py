@@ -52,10 +52,6 @@ class GrowthValue:
         """The value whose (2*main, eps) is score."""
         return cls(Fraction(score[0], 2), score[1])
 
-    @classmethod
-    def from_json(cls, data: dict) -> "GrowthValue":
-        return cls(Fraction(data["main"]), int(data["eps"]))
-
     def __str__(self):
         if self.eps == 0:
             return format_rational(self.main)
@@ -110,16 +106,6 @@ def _score(term, x) -> Score:
 
 def _bound(term, x) -> GrowthValue:
     return GrowthValue.from_score(_score(term, x))
-
-
-def naive_score(x) -> Score:
-    """The naive bound of the blocks x as a Score (2*main, 0)."""
-    return _score(_naive_term, x)
-
-
-def naive_bound(x) -> GrowthValue:
-    """(N^2 + sum T^2 d) / 2 over the blocks."""
-    return GrowthValue.from_score(naive_score(x))
 
 
 def refined_score(x) -> Score:

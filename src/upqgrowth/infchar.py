@@ -118,7 +118,3 @@ def weyl_dim(lam: Character) -> Fraction:
 def format_rational(x: Fraction) -> str:
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s.strip())

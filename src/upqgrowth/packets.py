@@ -45,25 +45,3 @@ def component_character(
         out.append(-1 if e % 2 else 1)
         before += a
     return tuple(out)
-
-
-def s_psi(ds) -> tuple[int, ...]:
-    """Indices (0-based) of the even parts: where the distinguished element
-    of the component group has a nontrivial coordinate."""
-    ds = tuple(int(d) for d in ds)
-    if any(d < 1 for d in ds):
-        raise ValueError("parts must be positive")
-    return tuple(i for i, d in enumerate(ds) if d % 2 == 0)
-
-
-def sign_character_trivial(ds) -> bool | str:
-    """Whether the canonical sign character of the component group is trivial.
-
-    True when all parts share one parity; otherwise the answer depends on
-    data not visible here, so the string "unknown" comes back.
-    """
-    ds = tuple(int(d) for d in ds)
-    if any(d < 1 for d in ds):
-        raise ValueError("parts must be positive")
-    parities = {d % 2 for d in ds}
-    return True if len(parities) == 1 else "unknown"

@@ -39,24 +39,6 @@ def block_sums(blocks: Bipartition) -> tuple[int, ...]:
     return tuple(x + y for x, y in blocks)
 
 
-def split_degenerate(blocks: Bipartition) -> Bipartition:
-    """Break one-sided blocks into unit blocks; mixed blocks pass through.
-
-    (n,0) becomes n copies of (1,0) and (0,m) becomes m copies of (0,1),
-    which lands the result in the reduced family.
-    """
-    validate_bipartition(blocks)
-    out: list[Pair] = []
-    for x, y in blocks:
-        if x and y:
-            out.append((x, y))
-        elif x:
-            out.extend([(1, 0)] * x)
-        else:
-            out.extend([(0, 1)] * y)
-    return tuple(out)
-
-
 def is_reduced(blocks: Bipartition) -> bool:
     """True when every one-sided block is exactly (1,0) or (0,1)."""
     validate_bipartition(blocks)
@@ -94,37 +76,6 @@ def bipartitions_with_block_sums(
     rec(0, q, [])
     out.sort(key=lambda b: tuple(v for pair in b for v in pair))
     return out
-
-
-def refines(finer: tuple[int, ...], coarser: tuple[int, ...]) -> bool:
-    """True when the finer parts group into fibers summing to the coarser parts.
-
-    Multiset semantics: each part of `coarser` must be matched by a disjoint
-    group of parts of `finer` with equal sum, using up everything.
-    """
-    validate_partition(finer)
-    validate_partition(coarser)
-    if sum(finer) != sum(coarser):
-        return False
-    pool = sorted(finer, reverse=True)
-    slots = sorted(coarser, reverse=True)
-
-    def place(i: int, remaining: tuple[int, ...]) -> bool:
-        # assign pool[i] (largest first) into some slot with room
-        if i == len(pool):
-            return all(r == 0 for r in remaining)
-        v = pool[i]
-        tried: set[int] = set()
-        for j, room in enumerate(remaining):
-            if room < v or room in tried:
-                continue
-            tried.add(room)
-            nxt = remaining[:j] + (room - v,) + remaining[j + 1 :]
-            if place(i + 1, nxt):
-                return True
-        return False
-
-    return place(0, tuple(slots))
 
 
 def balanced_bipartition(parts: tuple[int, ...]) -> Bipartition:

@@ -452,19 +452,3 @@ def shape_to_json(shape: Shape) -> dict:
             for b in shape.blocks
         ]
     }
-
-
-def shape_from_json(data: dict) -> Shape:
-    blocks = []
-    for t, d, centers, eta in data["blocks"]:
-        blocks.append(
-            ShapeBlock(
-                T=int(t),
-                d=int(d),
-                centers=tuple(
-                    tuple(Fraction(c) for c in place) for place in centers
-                ),
-                eta=int(eta),
-            )
-        )
-    return Shape(blocks=tuple(blocks))

@@ -16,7 +16,6 @@ from upqgrowth.asymptotics import (
     index_list,
     leading_term,
     packet_size,
-    tamagawa_elementary,
 )
 from upqgrowth.cohomology import GlobalRep, LocalRep
 from upqgrowth.growth import DeltaMax, GrowthValue, refined_bound
@@ -217,21 +216,3 @@ def test_leading_term_structure():
 # --- elementary volume constants -------------------------------------------------
 
 
-def test_tamagawa_elementary():
-    value, symbols = tamagawa_elementary(2, 1, [(1, 1)])
-    assert value == 1
-    assert symbols == ("TAU", "L_MOT")
-    value, _ = tamagawa_elementary(3, 1, [(2, 1)])
-    assert value == Fraction(3, 4)
-    # 6^2 / 2^4 / (2! 1!) / (3! 0!)
-    value, _ = tamagawa_elementary(3, 2, [(2, 1), (3, 0)])
-    assert value == Fraction(3, 16)
-
-
-def test_tamagawa_validation():
-    with pytest.raises(ValueError):
-        tamagawa_elementary(3, 2, [(2, 1)])
-    with pytest.raises(ValueError):
-        tamagawa_elementary(3, 1, [(2, 2)])
-    with pytest.raises(ValueError):
-        tamagawa_elementary(3, 1, [(-1, 4)])

@@ -250,6 +250,14 @@ def test_leading_term_example1(rep_file, capsys):
     assert data["coeff"] == "1/7"
 
 
+def test_leading_term_convention_has_one_spelling(rep_file, capsys):
+    argv = ["leading-term", "--rep", rep_file, "--packet-convention", "example1"]
+    assert cli.run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: --packet-convention" in err
+
+
 # --- coh-bounds ------------------------------------------------------------------
 
 
@@ -289,6 +297,21 @@ def test_coh_bounds_json(capsys):
 def test_coh_bounds_even_length(capsys):
     assert cli.run(["coh-bounds", "--length", "4", "--rank", "7"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--length", "3", "--rank", "-5"], "block length exceeds rank"),
+        (["--length", "3", "--rank", "-5", "--json"], "block length exceeds rank"),
+        (["--length", "2", "--rank", "-5"], "block length must be odd and > 1"),
+    ],
+)
+def test_coh_bounds_negative_rank(argv, message, capsys):
+    assert cli.run(["coh-bounds"] + argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_coh_bounds_rank_limit(capsys):

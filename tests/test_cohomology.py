@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from upqgrowth import cohomology as ch
-from upqgrowth.infchar import rho
+from upqgrowth.infchar import format_rational, rho
 
 
 def test_local_rep_validation():
@@ -99,51 +99,40 @@ def test_lowest_degree_validation():
         ch.lowest_degree(3, 7, 4)
 
 
-def test_reps_with_hodge_weight_frozen():
-    assert ch.reps_with_hodge_weight(2, 1, rho(3), 0, 1) == [((1, 1), (1, 0))]
-    assert ch.reps_with_hodge_weight(1, 1, rho(2), 1, 1) == [((1, 1),)]
-
-
-def test_reps_with_hodge_weight_oracle():
-    for (p, q) in [(2, 1), (2, 2), (3, 1)]:
-        lam = rho(p + q)
-        n = p + q
-        for a in range(0, p * q + 1):
-            for b in range(0, p * q + 1):
-                got = ch.reps_with_hodge_weight(p, q, lam, a, b)
-                want = oracles.reps_with_weight_by_scan(p, q, lam, a, b)
-                assert sorted(got) == sorted(want), (p, q, a, b)
-
-
 def test_reps_in_degree_consistent_with_weights():
-    p, q = 2, 2
-    lam = rho(4)
-    for deg in range(0, 2 * p * q + 1):
-        by_degree = set(ch.reps_in_degree(p, q, lam, deg))
-        by_profile = {
-            b
-            for b in ch.reps_in_degree(p, q, lam, deg)
-            if ch.hodge_profile(b).contains_degree(deg)
-        }
-        assert by_degree == by_profile
+    # R+ + R- = R, so the weight (a, b) of a class lies in degree a + b
+    for n in range(1, 7):
+        for p in range(n + 1):
+            q = n - p
+            lam = rho(n)
+            for deg in range(2 * p * q + 1):
+                by_weight = {
+                    b
+                    for a in range(deg + 1)
+                    for b in oracles.reps_with_weight_by_scan(p, q, lam, a, deg - a)
+                }
+                got = set(ch.reps_in_degree(p, q, lam, deg))
+                assert got == by_weight, (p, q, deg)
 
 
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=5))
 def test_json_round_trip(p, q):
     if p + q == 0:
         return
-    blocks = tuple(((1, 0),) * p + ((0, 1),) * q)
-    # descending integral-or-half character adapted to all-ones
     n = p + q
-    rep = ch.LocalRep(p=p, q=q, blocks=blocks, lam=rho(n))
-    again = ch.local_rep_from_json(ch.local_rep_to_json(rep))
-    assert again == rep
+    rep = ch.LocalRep(p=p, q=q, blocks=((1, 0),) * p + ((0, 1),) * q, lam=rho(n))
+    data = {
+        "signature": [p, q],
+        "bipartition": [[1, 0]] * p + [[0, 1]] * q,
+        "infchar": [format_rational(v) for v in rho(n)],
+    }
+    assert ch.local_rep_from_json(data) == rep
     g = ch.GlobalRep((rep, rep))
-    assert ch.global_rep_from_json(ch.global_rep_to_json(g)) == g
+    assert ch.global_rep_from_json({"places": [data, data]}) == g
 
 
 def test_bare_local_json_accepted_as_global():
     rep = ch.LocalRep(p=1, q=1, blocks=((1, 1),), lam=rho(2))
-    data = ch.local_rep_to_json(rep)
+    data = {"signature": [1, 1], "bipartition": [[1, 1]], "infchar": ["1/2", "-1/2"]}
     g = ch.global_rep_from_json(data)
     assert g.places == (rep,)

@@ -124,4 +124,3 @@ def test_weyl_dim_matches_tableau_count():
 def test_rational_formatting():
     assert ic.format_rational(Fraction(3)) == "3"
     assert ic.format_rational(Fraction(-7, 2)) == "-7/2"
-    assert ic.parse_rational("-7/2") == Fraction(-7, 2)

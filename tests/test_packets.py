@@ -12,8 +12,6 @@ import oracles
 from upqgrowth.packets import (
     chi4,
     component_character,
-    s_psi,
-    sign_character_trivial,
 )
 from upqgrowth.partitions import (
     bipartitions_with_block_sums,
@@ -114,22 +112,6 @@ def test_packet_members_reduced_and_summed(p, q):
             assert tuple(x + y for x, y in b) == parts
             assert sum(x for x, _ in b) == p
             assert sum(y for _, y in b) == q
-
-
-def test_s_psi():
-    assert s_psi((3, 2, 2, 1)) == (1, 2)
-    assert s_psi((5, 3, 1)) == ()
-    assert s_psi((4,)) == (0,)
-    with pytest.raises(ValueError):
-        s_psi((2, 0))
-
-
-def test_sign_character_trivial():
-    assert sign_character_trivial((5, 3, 1)) is True
-    assert sign_character_trivial((4, 2)) is True
-    assert sign_character_trivial((3, 2)) == "unknown"
-    with pytest.raises(ValueError):
-        sign_character_trivial((1, -1))
 
 
 def test_character_length_matches_blocks():

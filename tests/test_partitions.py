@@ -19,22 +19,6 @@ def test_block_sums_rejects_zero_block():
         pt.block_sums(((0, 0),))
 
 
-def test_split_degenerate():
-    assert pt.split_degenerate(((3, 0),)) == ((1, 0), (1, 0), (1, 0))
-    assert pt.split_degenerate(((0, 2), (2, 1))) == ((0, 1), (0, 1), (2, 1))
-    # mixed blocks untouched
-    assert pt.split_degenerate(((2, 2),)) == ((2, 2),)
-
-
-def test_split_degenerate_lands_reduced():
-    for p in range(0, 4):
-        for q in range(0, 4):
-            if p == q == 0:
-                continue
-            for b in oracles.all_bipartitions(p, q):
-                assert pt.is_reduced(pt.split_degenerate(b))
-
-
 def test_is_reduced():
     assert pt.is_reduced(((1, 0), (2, 2)))
     assert not pt.is_reduced(((2, 0),))
@@ -89,27 +73,6 @@ def test_fibers_have_correct_sums(parts, q):
     for b in pt.bipartitions_with_block_sums(parts, n - q, q):
         assert pt.block_sums(b) == parts
         assert sum(y for _, y in b) == q
-
-
-def test_refines_basic():
-    assert pt.refines((1, 1, 1), (3,))
-    assert pt.refines((2, 1), (2, 1))
-    assert pt.refines((2, 2, 1), (4, 1))
-    assert pt.refines((2, 2, 1), (3, 2))
-    assert not pt.refines((3,), (2, 1))
-    assert not pt.refines((2, 2), (3, 1))
-
-
-def test_refines_needs_matching_total():
-    assert not pt.refines((2,), (3,))
-
-
-@given(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=5))
-def test_ones_refine_everything(parts):
-    parts = tuple(sorted(parts, reverse=True))
-    assert pt.refines((1,) * sum(parts), parts)
-    assert pt.refines(parts, parts)
-    assert pt.refines(parts, (sum(parts),))
 
 
 def test_balanced_bipartition():

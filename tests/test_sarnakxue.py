@@ -368,7 +368,6 @@ def test_density_sweep_scores_no_case(monkeypatch):
     for module, name in (
         (sarnakxue, "qd"),
         (sarnakxue, "partition_bound"),
-        (growth, "naive_score"),
         (growth, "_score"),
     ):
         monkeypatch.setattr(module, name, refuse(name))
