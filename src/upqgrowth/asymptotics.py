@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, prod
+from math import comb, log10, prod
 
 from .cohomology import GlobalRep
 from .growth import GrowthValue
@@ -57,6 +57,28 @@ def gamma_factor(ns, ideal) -> Fraction:
             for i in range(1, abs(n) + 1):
                 value *= 1 + sign * Fraction(1, q**i)
     return value
+
+
+def euler_digits(ns, ideal, n: int = 0) -> int:
+    """An upper bound on the digits of gamma_factor(ns, ideal) * norm^(n^2).
+
+    Read from the exponents alone, before any product: each prime q and
+    index m put at most |m|(|m|+1)/2 log10 q + |m| log10(1 + 1/q) digits
+    into a numerator or denominator (the factors (q^i +- 1)/q^i), and the
+    norm^(n^2) of a congruence index adds n^2 e log10 q per prime power
+    q^e. So index_congruence(n, ideal) has at most euler_digits((n,), ideal,
+    n). Each logarithm is rounded up to a multiple of 2^-32 and the sum is
+    taken in ints, so no exponent is too large for it.
+    """
+    ideal = _check_ideal(ideal)
+    ms = [abs(int(m)) for m in ns]
+    total = 0
+    for q, e in ideal:
+        log_q = int(log10(q) * 2**32) + 1
+        log_step = int(log10(1 + 1 / q) * 2**32) + 1
+        total += (sum(m * (m + 1) // 2 for m in ms) + n * n * e) * log_q
+        total += sum(ms) * log_step
+    return (total >> 32) + 1
 
 
 def index_congruence(n: int, ideal) -> Fraction:

@@ -24,6 +24,10 @@ NMAX_MIN = {"table": 2, "qd": 2, "density": 3, "maxsl2": 2}
 # the largest --nmax of the qd and density sweeps, each about 1 s of work;
 # maxsl2 is capped at MAXSL2_NMAX instead
 NMAX_MAX = {"qd": 200, "density": 1600}
+# the most digits an euler value may have, by asymptotics.euler_digits: Python
+# prints no int of more than 4300 digits, and any value under the cap takes
+# at most about 0.1 s (thousands of indices of 1) and mostly a few ms
+EULER_DIGITS_MAX = 4000
 # the largest --rank of a coh-bounds table (rank/2 + 1 rows, about 0.05 s as
 # CSV and 0.2 s as JSON); one --half-signature row has no limit
 COH_RANK_MAX = 100_000
@@ -242,9 +246,23 @@ def cmd_euler(args) -> int:
     if (args.indices is None) == (args.congruence is None):
         raise ParseError("need exactly one of --indices / --congruence")
     if args.indices is not None:
-        value = asymptotics.gamma_factor(parse_indices(args.indices), ideal)
+        option, given = "--indices", args.indices
+        ns, n = parse_indices(args.indices), 0
     else:
-        value = asymptotics.index_congruence(args.congruence, ideal)
+        option, given = "--congruence", args.congruence
+        # a rank below 1 is left to index_congruence, which names the error
+        ns, n = ((given,), given) if given >= 1 else ((), 0)
+    digits = asymptotics.euler_digits(ns, ideal, n)
+    if digits > EULER_DIGITS_MAX:
+        raise ParseError(
+            f"{option} must give at most {EULER_DIGITS_MAX} digits for "
+            f"--ideal {args.ideal}, got {given}: the value would have up to "
+            f"{digits} digits"
+        )
+    if args.indices is not None:
+        value = asymptotics.gamma_factor(ns, ideal)
+    else:
+        value = asymptotics.index_congruence(given, ideal)
     print(format_rational(value))
     return 0
 

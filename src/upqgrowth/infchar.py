@@ -21,7 +21,7 @@ class IrregularCharacterError(ValueError):
 
 
 def as_character(values) -> Character:
-    out = tuple(Fraction(v) for v in values)
+    out = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
     if any(a <= b for a, b in zip(out, out[1:])):
         raise ValueError(f"character must be strictly decreasing: {out}")
     return out
@@ -116,5 +116,6 @@ def weyl_dim(lam: Character) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import chain, permutations, product
 
 from . import infchar, partitions
 from .cohomology import GlobalRep, LocalRep
@@ -141,7 +141,8 @@ class RunData:
 
 
 def local_run_data(rep: LocalRep) -> RunData:
-    lam2 = tuple(int(2 * x) for x in rep.lam)
+    # the character is regular integral, so 2x is an int: no Fraction product
+    lam2 = tuple(2 * x.numerator // x.denominator for x in rep.lam)
     beta_plus: list[int] = []
     big: list[tuple[int, int]] = []
     p_runs: list[tuple[int, ...]] = []
@@ -296,41 +297,58 @@ def _local_assignments(
 
 
 def _place_centres(data: RunData, q_parts: tuple[int, ...], ds: list[int]):
-    """The distinct doubled centres per length d in ds, over the assignments.
+    """The doubled centres per length d in ds, one grouping per assignment.
 
     Each assignment must expand to the place's character: its doubled
     values c2 + d - 1 - 2l, l = 0..d-1, sorted, are the doubled character.
     A shape's blocks at this place are exactly one assignment's pairs
-    grouped by d, so this is the rebuild check of every shape here.
+    grouped by d, so this is the rebuild check of every shape here. Distinct
+    assignments give distinct groupings, since a chunk's (d, centre) fixes
+    its values, so no grouping repeats.
     """
-    out: dict[tuple[tuple[int, ...], ...], None] = {}
+    out = []
     for assign in _local_assignments(data, q_parts):
         values = [v for d, c2 in assign for v in range(c2 + d - 1, c2 - d, -2)]
         values.sort(reverse=True)
         if tuple(values) != data.lam2:
             raise AssertionError("shape does not rebuild the character")
-        grouped = tuple(
-            tuple(sorted((c2 for dd, c2 in assign if dd == d), reverse=True))
-            for d in ds
-        )
-        out[grouped] = None
-    return list(out)
-
-
-def _shape_from_key(key) -> Shape:
-    return Shape(
-        blocks=tuple(
-            ShapeBlock(
-                T=t,
-                d=d,
-                centers=tuple(
-                    tuple(Fraction(c2, 2) for c2 in place) for place in centres
-                ),
-                eta=eta,
+        out.append(
+            tuple(
+                tuple(sorted((c2 for dd, c2 in assign if dd == d), reverse=True))
+                for d in ds
             )
-            for d, t, eta, centres in key
         )
+    return out
+
+
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass cls, built without __post_init__."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)  # what the frozen __setattr__ would refuse
+    return obj
+
+
+def _shape_from_key(key, halves: dict[int, Fraction]) -> Shape:
+    """The shape of a key that `_place_centres` has proved, built unchecked.
+
+    The rebuild check proved in ints that each place's blocks expand to its
+    regular character, which is all `Shape.__post_init__` checks. As the
+    doubled character strictly decreases, it also proves what
+    `ShapeBlock.__post_init__` checks: T distinct centres per place, here
+    sorted descending. halves maps each doubled centre to its value, one
+    shared `Fraction` per distinct centre.
+    """
+    blocks = tuple(
+        _unchecked(
+            ShapeBlock,
+            T=t,
+            d=d,
+            centers=tuple(tuple(map(halves.__getitem__, p)) for p in centres),
+            eta=eta,
+        )
+        for d, t, eta, centres in key
     )
+    return _unchecked(Shape, blocks=blocks)
 
 
 def delta_max(rep: GlobalRep):
@@ -347,11 +365,14 @@ def delta_max(rep: GlobalRep):
     cands = _common_candidates(runs)
     bound, q_argmax, tops = dominant(cands)
     keys = []
+    centres = set()
     for q_parts in tops:
         mult = Counter(q_parts)
         ds = sorted(mult, reverse=True)
         head = [(d, mult[d], -1 if (rep.rank - d) % 2 else 1) for d in ds]
         pools = [_place_centres(data, q_parts, ds) for data in runs]
+        for pool in pools:  # pool: groupings, each a tuple of centres per d
+            centres.update(chain.from_iterable(chain.from_iterable(pool)))
         for combo in product(*pools):
             keys.append(
                 tuple(
@@ -360,8 +381,12 @@ def delta_max(rep: GlobalRep):
                 )
             )
     keys.sort()
+    halves = {c2: Fraction(c2, 2) for c2 in centres}
     return DeltaMax(
-        tuple(cands), bound, q_argmax, tuple(_shape_from_key(k) for k in keys)
+        tuple(cands),
+        bound,
+        q_argmax,
+        tuple(_shape_from_key(k, halves) for k in keys),
     )
 
 

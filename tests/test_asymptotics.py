@@ -6,10 +6,13 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from upqgrowth import asymptotics
 from upqgrowth.asymptotics import (
     LeadingTerm,
+    euler_digits,
     gamma_factor,
     ideal_norm,
     index_congruence,
@@ -74,6 +77,38 @@ def test_index_congruence_prime_power():
     assert index_congruence(1, [(3, 2)]) == 6
     with pytest.raises(ValueError):
         index_congruence(0, [(2, 1)])
+
+
+def _digits(x: Fraction) -> int:
+    return max(len(str(abs(x.numerator))), len(str(x.denominator)))
+
+
+_IDEALS = st.lists(
+    st.tuples(st.sampled_from([2, 3, 4, 9, 13]), st.integers(1, 3)),
+    min_size=1,
+    max_size=3,
+)
+
+
+@given(st.lists(st.integers(-20, 20), min_size=1, max_size=3), _IDEALS)
+@example([-1] * 8000, [(2, 1)])  # each factor 3/2: the bound is met exactly
+@example([20, 20, 20], [(13, 3), (9, 3), (4, 3)])
+def test_euler_digits_bound_gamma_factor(ns, ideal):
+    assert _digits(gamma_factor(ns, ideal)) <= euler_digits(ns, ideal)
+
+
+@given(st.integers(1, 12), _IDEALS)
+@example(12, [(13, 3), (9, 3), (4, 3)])
+def test_euler_digits_bound_index_congruence(n, ideal):
+    assert _digits(index_congruence(n, ideal)) <= euler_digits((n,), ideal, n)
+
+
+def test_euler_digits_reads_only_exponents():
+    # 2^(10^12) would not fit in memory; it has 301029995664 digits
+    assert 301029995664 <= euler_digits((), [(2, 10**12)], 1) < 301030000000
+    assert euler_digits((10**6,), [(3, 1)]) > 10**11
+    with pytest.raises(ValueError):
+        euler_digits((1,), [(1, 1)])
 
 
 def test_index_list():

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from upqgrowth import cli, growth, sarnakxue, shapes
+from upqgrowth import asymptotics, cli, growth, sarnakxue, shapes
 from upqgrowth.sarnakxue import Certificate
 
 REP_JSON = {
@@ -525,6 +525,57 @@ def test_euler_argument_errors(capsys):
     assert cli.run(["euler", "--ideal", "junk", "--congruence", "1"]) == 2
     err = capsys.readouterr().err
     assert "bad prime power 'junk'" in err
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (
+            ["--indices", "200", "--ideal", "2,3"],
+            "--indices must give at most 4000 digits for --ideal 2,3, got 200: "
+            "the value would have up to 15702 digits",
+        ),
+        (
+            ["--congruence", "60", "--ideal", "13^3,11^3"],
+            "--congruence must give at most 4000 digits for --ideal 13^3,11^3, "
+            "got 60: the value would have up to 27227 digits",
+        ),
+    ],
+)
+def test_euler_refuses_long_values(argv, line, capsys):
+    assert cli.run(["euler", *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {line}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, ns, n",
+    [
+        (["--indices", "100", "--ideal", "2,3"], (100,), 0),
+        (["--congruence", "22", "--ideal", "13^3,11^3"], (22,), 22),
+    ],
+)
+def test_euler_prints_up_to_the_cap(argv, ns, n, capsys):
+    digits = asymptotics.euler_digits(ns, cli.parse_ideal(argv[-1]), n)
+    assert 3600 < digits <= cli.EULER_DIGITS_MAX
+    assert cli.run(["euler", *argv]) == 0
+    value = capsys.readouterr().out.strip()
+    assert max(len(part.lstrip("-")) for part in value.split("/")) <= digits
+
+
+@pytest.mark.parametrize("option", ["--indices", "--congruence"])
+def test_euler_refuses_huge_exponents(option, capsys):
+    # the estimate stays in ints, so a 400-digit exponent is no float overflow
+    huge = "1" + "0" * 400
+    assert cli.run(["euler", option, huge, "--ideal", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {option} must give at most 4000 digits")
+
+
+def test_euler_small_congruence_keeps_its_error(capsys):
+    for n in ("0", "-100"):
+        assert cli.run(["euler", "--congruence", n, "--ideal", "3"]) == 2
+        assert capsys.readouterr().err == "error: need n >= 1\n"
 
 
 # --- wiring ----------------------------------------------------------------------

@@ -36,6 +36,8 @@ from upqgrowth.shapes import (
 
 RHO7 = rho(7)
 DATA = Path(__file__).resolve().parent / "data"
+# rank 9, 3 places, 12 dominant shapes
+WIDE12 = global_rep_from_json(json.loads((DATA / "wide12_rep.json").read_text()))
 
 
 def _rep71():
@@ -244,7 +246,7 @@ def global_reps(draw, n_max=8):
 @given(global_reps())
 @example(GlobalRep((_rep71(), _rep72())))
 @example(GlobalRep((_rep71(), _rep71(), _rep72())))
-@example(global_rep_from_json(json.loads((DATA / "wide12_rep.json").read_text())))
+@example(WIDE12)
 def test_dominant_shapes_match_oracle(rep):
     # the doubled-int assembly against the Fraction one, order included
     cands = sl2_candidates(rep)
@@ -254,6 +256,56 @@ def test_dominant_shapes_match_oracle(rep):
     want = oracles.dominant_shapes(places, tops, rep.rank)
     target(float(len(want)))  # steer towards reps with many shapes
     assert delta_max(rep).to_json()["shapes"] == want
+
+
+@settings(max_examples=200)
+@given(global_reps())
+@example(GlobalRep((_rep71(), _rep72())))
+@example(WIDE12)
+def test_place_groupings_are_distinct(rep):
+    # a chunk's (d, centre) fixes its values, so distinct assignments of a
+    # place never share a grouping and _place_centres needs no dedup
+    for q_parts in sl2_candidates(rep):
+        ds = sorted(set(q_parts), reverse=True)
+        for local in rep.places:
+            data = local_run_data(local)
+            groups = shapes_module._place_centres(data, q_parts, ds)
+            assert len(set(groups)) == len(groups)
+
+
+@settings(max_examples=200)
+@given(global_reps())
+@example(GlobalRep((_rep71(), _rep72())))
+@example(GlobalRep((_rep71(), _rep71(), _rep72())))
+@example(WIDE12)
+def test_unchecked_shapes_match_checked(rep):
+    # delta_max builds its proved shapes without __post_init__; rebuilding
+    # them through every check gives equal shapes that hash alike
+    assume(sl2_candidates(rep))
+    for s in delta_max(rep).shapes:
+        checked = Shape(
+            tuple(
+                ShapeBlock(T=b.T, d=b.d, centers=b.centers, eta=b.eta)
+                for b in s.blocks
+            )
+        )
+        assert checked == s
+        assert hash(checked) == hash(s)
+        for b in s.blocks:
+            assert all(type(c) is Fraction for place in b.centers for c in place)
+
+
+def test_delta_max_checks_no_fraction_character(monkeypatch, capsys):
+    # the int rebuild check is the only character check of a dominant shape
+    def refuse(*args):
+        raise AssertionError("Fraction character check called")
+
+    monkeypatch.setattr(shapes_module.infchar, "total_character", refuse)
+    monkeypatch.setattr(shapes_module, "total_infchar", refuse)
+    assert cli.run(["delta-max", "--rep", str(DATA / "wide12_rep.json")]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == (DATA / "wide12_delta_max.json").read_text()
 
 
 def test_broken_centre_is_internal_error(monkeypatch, capsys, tmp_path):
