@@ -39,12 +39,34 @@ class LocalRep:
                 f"bipartition totals ({ps},{qs}) do not match signature "
                 f"({self.p},{self.q})"
             )
-        lam = as_character(self.lam)
+        lam = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in self.lam)
         object.__setattr__(self, "lam", lam)
-        if not infchar.is_regular_integral(lam):
+        # The checks run on the doubled values, exact ints when every
+        # denominator is 1 or 2. Any other denominator is not regular
+        # integral, so then only the decreasing check runs, in Fractions.
+        if all(x.denominator <= 2 for x in lam):
+            twice = [x.numerator * 2 // x.denominator for x in lam]
+        else:
+            twice = None
+        keys = lam if twice is None else twice
+        if any(a <= b for a, b in zip(keys, keys[1:])):
+            raise ValueError(f"character must be strictly decreasing: {lam}")
+        n = self.p + self.q
+        if len(lam) != n:
+            raise ValueError("character rank does not match signature")
+        # regular integral: in Z for odd n and in Z + 1/2 for even n, so
+        # every doubled value has the parity of n - 1
+        if twice is None or any((v - n + 1) % 2 for v in twice):
             raise ValueError("infinitesimal character must be regular integral")
-        if not infchar.is_adapted(lam, partitions.block_sums(self.blocks)):
-            raise ValueError("character is not adapted to the bipartition")
+        # adapted: each block's values step by 1. The doubled values now
+        # fall by an even amount of at least 2 at each step, so a block of
+        # k values spans 2(k - 1) exactly when every step is 2.
+        i = 0
+        for x, y in self.blocks:
+            k = x + y
+            if twice[i] - twice[i + k - 1] != 2 * (k - 1):
+                raise ValueError("character is not adapted to the bipartition")
+            i += k
 
     @property
     def rank(self) -> int:

@@ -273,11 +273,12 @@ class DeltaMax:
     shapes: tuple[Shape, ...]  # every shape realizing a maximizer
 
     def to_json(self) -> dict:
+        texts: dict[int, str] = {}  # shapes share one object per centre
         return {
             "bound": self.bound.to_json(),
             "q_argmax": list(self.q_argmax),
             "candidates": [list(q) for q in self.candidates],
-            "shapes": [shape_to_json(s) for s in self.shapes],
+            "shapes": [shape_to_json(s, texts) for s in self.shapes],
         }
 
 

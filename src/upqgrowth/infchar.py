@@ -34,13 +34,6 @@ def rho(n: int) -> Character:
     return tuple(Fraction(n - 1 - 2 * i, 2) for i in range(n))
 
 
-def is_regular_integral(lam: Character) -> bool:
-    lam = as_character(lam)
-    n = len(lam)
-    offset = Fraction(0) if n % 2 else Fraction(1, 2)
-    return all((x - offset).denominator == 1 for x in lam)
-
-
 def segments(lam: Character, parts: tuple[int, ...]) -> tuple[Character, ...]:
     """Split lam into consecutive segments of the given lengths."""
     validate_partition(parts)

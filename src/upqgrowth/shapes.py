@@ -465,15 +465,25 @@ def odd_gsk_parity_test(rep: GlobalRep, shape: Shape) -> bool:
 # --- JSON converters ---------------------------------------------------------
 
 
-def shape_to_json(shape: Shape) -> dict:
-    return {
-        "blocks": [
-            [
-                b.T,
-                b.d,
-                [[format_rational(c) for c in place] for place in b.centers],
-                b.eta,
-            ]
-            for b in shape.blocks
-        ]
-    }
+def shape_to_json(shape: Shape, texts: dict[int, str] | None = None) -> dict:
+    """The shape as JSON, centres as text.
+
+    texts maps id(centre) to the centre's text, so a centre object shared
+    between shapes is formatted once; a caller that passes it keeps every
+    shape alive while the dict is in use, so no id is reused.
+    """
+    if texts is None:
+        texts = {}
+    blocks = []
+    for b in shape.blocks:
+        places = []
+        for place in b.centers:
+            row = []
+            for c in place:
+                text = texts.get(id(c))
+                if text is None:
+                    text = texts[id(c)] = format_rational(c)
+                row.append(text)
+            places.append(row)
+        blocks.append([b.T, b.d, places, b.eta])
+    return {"blocks": blocks}

@@ -152,6 +152,27 @@ def adapted(lam: tuple[Fraction, ...], parts: tuple[int, ...]) -> bool:
     return True
 
 
+def character_error(p: int, q: int, b, values) -> str | None:
+    """The first complaint about a rep's character, checked in Fractions.
+
+    For a reduced bipartition b with totals (p, q). The order: strictly
+    decreasing, length p + q, regular integral (Z for odd rank, Z + 1/2 for
+    even), adapted to b. None when the character passes every check.
+    """
+    lam = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
+    if any(lam[i] <= lam[i + 1] for i in range(len(lam) - 1)):
+        return f"character must be strictly decreasing: {lam}"
+    n = p + q
+    if len(lam) != n:
+        return "character rank does not match signature"
+    offset = Fraction(0) if n % 2 else Fraction(1, 2)
+    if any((x - offset).denominator != 1 for x in lam):
+        return "infinitesimal character must be regular integral"
+    if not adapted(lam, tuple(x + y for x, y in b)):
+        return "character is not adapted to the bipartition"
+    return None
+
+
 def reps_with_weight_by_scan(p, q, lam, a, b):
     hits = []
     for bp in reduced_bipartitions(p, q):

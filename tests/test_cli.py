@@ -10,6 +10,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -225,6 +226,23 @@ def test_delta_max_bad_json(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert cli.run(["delta-max", "--rep", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "signature, bipartition, infchar",
+    [
+        ([2, 1], [[1, 1], [1, 0]], ["1", "0"]),  # rank 3, 2 values
+        ([1, 1], [[1, 1]], ["1", "0", "-1"]),  # rank 2, 3 values
+    ],
+)
+def test_character_of_wrong_rank(signature, bipartition, infchar):
+    rep = {"signature": signature, "bipartition": bipartition, "infchar": infchar}
+    code, out, err = _run(["delta-max", "--rep", "-"], json.dumps(rep))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: bad representation data: "
+        "character rank does not match signature\n"
+    )
 
 
 def test_leading_term(rep_file, capsys):
@@ -576,6 +594,87 @@ def test_euler_small_congruence_keeps_its_error(capsys):
     for n in ("0", "-100"):
         assert cli.run(["euler", "--congruence", n, "--ideal", "3"]) == 2
         assert capsys.readouterr().err == "error: need n >= 1\n"
+
+
+# --- JSON output -----------------------------------------------------------------
+
+DATA = Path(__file__).parent / "data"
+
+# text with quotes, backslashes, control and non-ASCII characters
+_JSON_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+_JSON_LEAF = st.one_of(
+    _JSON_TEXT,
+    st.integers(),
+    st.integers(-(10**40), 10**40),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+)
+_JSON_VALUE = st.recursive(
+    _JSON_LEAF,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@given(_JSON_VALUE)
+@example({"a": [[], {}, ()], "": {"b": [{}, [[]]]}, "\u00e9\"\\\n": ["\x00\u2028"]})
+@example([True, False, None, -(10**30), 0])
+@example({})
+def test_emit_json_prints_what_json_dumps_prints(obj):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit_json(obj)
+    assert out.getvalue() == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, frozen",
+    [
+        (["sx-table", "--json"], "sx_table.json"),
+        (["verify", "--json", "--nmax", "12"], "verify12.json"),
+        (
+            ["coh-bounds", "--length", "3", "--rank", "12", "--json"],
+            "coh_bounds_3_12.json",
+        ),
+        (
+            ["leading-term", "--rep", str(DATA / "odd_block_rep.json")],
+            "odd_block_leading_term.json",
+        ),
+    ],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_json_output_frozen(argv, frozen, capsys):
+    # the bytes that json.dumps(obj, sort_keys=True, indent=2) printed
+    assert cli.run(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == (DATA / frozen).read_text()
+
+
+def test_cli_imports_only_the_standard_library():
+    # -S: no site hooks, so only what importing the CLI loads is loaded
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, upqgrowth.cli; print(*sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=SRC_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "upqgrowth.cli" in loaded
+    foreign = [
+        name for name in loaded
+        if name != "__main__"  # the -c script itself
+        and name.partition(".")[0] not in sys.stdlib_module_names
+        and name.partition(".")[0] != "upqgrowth"
+    ]
+    assert foreign == []
 
 
 # --- wiring ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
@@ -24,6 +24,75 @@ def test_local_rep_validation():
     with pytest.raises(ValueError):
         # character with a gap inside the mixed block
         ch.LocalRep(p=2, q=1, blocks=((2, 1),), lam=(3, 1, 0))
+
+
+@st.composite
+def _rep_and_character(draw):
+    """(p, q, reduced bipartition, character values), the character often
+    adapted and regular integral, then often broken in one place."""
+    n = draw(st.integers(1, 6))
+    p = draw(st.integers(0, n))
+    every = oracles.reduced_bipartitions(p, n - p)
+    # half the time one with a mixed block, whose values must step by 1
+    mixed = [b for b in every if any(x and y for x, y in b)]
+    blocks = draw(st.sampled_from(mixed if mixed and draw(st.booleans()) else every))
+    top = n - 1 + 2 * draw(st.integers(-3, 3))  # doubled, parity of n - 1
+    twice: list[int] = []
+    for x, y in blocks:
+        if twice:
+            top = twice[-1] - 2 * draw(st.integers(1, 3))
+        twice += [top - 2 * i for i in range(x + y)]
+    lam = [Fraction(v, 2) for v in twice]
+    i = draw(st.integers(0, n - 1))
+    flaw = draw(
+        st.sampled_from(
+            ["none", "equal", "parity", "third", "step", "gap", "drop", "extra"]
+        )
+    )
+    if flaw == "equal" and n > 1:
+        lam[i] = lam[i - 1] if i else lam[1]
+    elif flaw == "parity":
+        lam[i] += Fraction(1, 2)
+    elif flaw == "third":
+        lam[i] += Fraction(draw(st.sampled_from([1, 2, -1])), 3)
+    elif flaw == "step":
+        lam[i] += 1
+    elif flaw == "gap":  # a step of 2 inside a block of two or more values
+        starts = {sum(x + y for x, y in blocks[:j]) for j in range(len(blocks))}
+        inside = [j for j in range(n) if j not in starts]
+        j = draw(st.sampled_from(inside)) if inside else 0
+        lam[j:] = [v - 1 for v in lam[j:]]
+    elif flaw == "drop":
+        del lam[i]
+    elif flaw == "extra":
+        lam.insert(i + 1, lam[i] - draw(st.sampled_from([Fraction(1, 2), 1, 2])))
+    # the same value as a Fraction, its text, or an int when it is one
+    values = [
+        draw(
+            st.sampled_from(
+                [v, format_rational(v)] + ([int(v)] if v.denominator == 1 else [])
+            )
+        )
+        for v in lam
+    ]
+    return p, n - p, blocks, values
+
+
+@given(_rep_and_character())
+@example((2, 1, ((2, 1),), ["3", "1", "0"]))  # a gap inside the block
+@example((2, 2, ((1, 1), (1, 1)), ["7/2", "5/2", "1/2", "-1/2"]))
+@example((2, 2, ((1, 1), (1, 1)), ["7/2", "3/2", "1/2", "-1/2"]))
+def test_local_rep_character_checks_match_fraction_oracle(case):
+    p, q, blocks, values = case
+    want = oracles.character_error(p, q, blocks, values)
+    try:
+        rep = ch.LocalRep(p=p, q=q, blocks=blocks, lam=values)
+    except ValueError as e:
+        assert str(e) == want
+    else:
+        assert want is None
+        assert rep.lam == tuple(Fraction(v) for v in values)
+        assert all(type(x) is Fraction for x in rep.lam)
 
 
 def test_global_rep_rank_check():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from upqgrowth import infchar as ic
+from upqgrowth.cohomology import LocalRep
 
 
 def test_rho():
@@ -23,11 +24,21 @@ def test_as_character_rejects_nondecreasing():
         ic.as_character((0, 1))
 
 
+def _singletons(lam):
+    """A rep of one (1,0) block per value of lam."""
+    return LocalRep(p=len(lam), q=0, blocks=((1, 0),) * len(lam), lam=lam)
+
+
 def test_regular_integral():
-    assert ic.is_regular_integral(ic.rho(5))
-    assert ic.is_regular_integral(ic.rho(4))
-    assert not ic.is_regular_integral((Fraction(1, 2), Fraction(-1, 2), Fraction(-3, 2)))
-    assert not ic.is_regular_integral((1, 0, -1, -2))  # even rank wants half-integers
+    # LocalRep is where the check lives, on the doubled values
+    _singletons(ic.rho(5))
+    _singletons(ic.rho(4))
+    for lam in (
+        (Fraction(1, 2), Fraction(-1, 2), Fraction(-3, 2)),
+        (1, 0, -1, -2),  # even rank wants half-integers
+    ):
+        with pytest.raises(ValueError, match="must be regular integral"):
+            _singletons(lam)
 
 
 def test_adapted():
