@@ -8,7 +8,7 @@ the exact rational part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, log10, prod
 
@@ -120,8 +120,10 @@ def packet_size(t: int, convention: str = "binom", ambient: int | None = None) -
     raise ValueError(f"unknown packet-size convention {convention!r}")
 
 
-@dataclass(frozen=True)
-class LeadingTerm:
+class LeadingTerm(
+    namedtuple("LeadingTerm", "exponent indices coeff symbols zero")
+):
+    __slots__ = ()
     exponent: GrowthValue
     indices: tuple[int, ...]
     coeff: Fraction

@@ -8,7 +8,6 @@ All structured output is JSON with sorted keys; tables default to CSV.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -24,6 +23,9 @@ NMAX_MIN = {"table": 2, "qd": 2, "density": 3, "maxsl2": 2}
 # the largest --nmax of the qd and density sweeps, each about 1 s of work;
 # maxsl2 is capped at MAXSL2_NMAX instead
 NMAX_MAX = {"qd": 200, "density": 1600}
+# the largest N of an sx-table row: the merge knapsack grows like N^2 log N,
+# and the slowest row of an N, all ones, takes about 0.8 s at the limit
+SX_N_MAX = 1200
 # the most digits an euler value may have, by asymptotics.euler_digits: Python
 # prints no int of more than 4300 digits, and any value under the cap takes
 # at most about 0.1 s (thousands of indices of 1) and mostly a few ms
@@ -167,6 +169,12 @@ def _emit_json(obj) -> None:
 def cmd_sx_table(args) -> int:
     if args.parts is not None:
         part_list = parse_partition_list(args.parts)
+        n = max(map(sum, part_list))
+        if n > SX_N_MAX:
+            raise ParseError(
+                f"--parts rows must have N at most {SX_N_MAX}, got a row "
+                f"with N = {n}"
+            )
     else:
         part_list = [row.q for row in sarnakxue.REFERENCE_TABLE]
     rows = [sarnakxue.sx_row(p) for p in part_list]
@@ -244,7 +252,7 @@ def cmd_verify(args) -> int:
 
     def maxsl2():
         cert = sarnakxue.verify_maxsl2(min(MAXSL2_NMAX, nmax))
-        return dataclasses.replace(cert, notes=cert.notes + cap_notes)
+        return cert._replace(notes=cert.notes + cap_notes)
 
     runners = {
         "table": sarnakxue.verify_table1,

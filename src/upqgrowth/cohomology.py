@@ -13,7 +13,7 @@ a rep is determined by the bipartition alone:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import infchar, partitions
@@ -21,26 +21,25 @@ from .infchar import Character, as_character
 from .partitions import Bipartition
 
 
-@dataclass(frozen=True)
-class LocalRep:
+class LocalRep(namedtuple("LocalRep", "p q blocks lam")):
+    __slots__ = ()
     p: int
     q: int
     blocks: Bipartition
     lam: Character
 
-    def __post_init__(self):
-        partitions.validate_bipartition(self.blocks)
-        if not partitions.is_reduced(self.blocks):
-            raise ValueError(f"bipartition {self.blocks} is not reduced")
-        ps = sum(x for x, _ in self.blocks)
-        qs = sum(y for _, y in self.blocks)
-        if (ps, qs) != (self.p, self.q):
+    def __new__(cls, p, q, blocks, lam):
+        partitions.validate_bipartition(blocks)
+        if not partitions.is_reduced(blocks):
+            raise ValueError(f"bipartition {blocks} is not reduced")
+        ps = sum(x for x, _ in blocks)
+        qs = sum(y for _, y in blocks)
+        if (ps, qs) != (p, q):
             raise ValueError(
                 f"bipartition totals ({ps},{qs}) do not match signature "
-                f"({self.p},{self.q})"
+                f"({p},{q})"
             )
-        lam = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in self.lam)
-        object.__setattr__(self, "lam", lam)
+        lam = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in lam)
         # The checks run on the doubled values, exact ints when every
         # denominator is 1 or 2. Any other denominator is not regular
         # integral, so then only the decreasing check runs, in Fractions.
@@ -51,7 +50,7 @@ class LocalRep:
         keys = lam if twice is None else twice
         if any(a <= b for a, b in zip(keys, keys[1:])):
             raise ValueError(f"character must be strictly decreasing: {lam}")
-        n = self.p + self.q
+        n = p + q
         if len(lam) != n:
             raise ValueError("character rank does not match signature")
         # regular integral: in Z for odd n and in Z + 1/2 for even n, so
@@ -62,35 +61,37 @@ class LocalRep:
         # fall by an even amount of at least 2 at each step, so a block of
         # k values spans 2(k - 1) exactly when every step is 2.
         i = 0
-        for x, y in self.blocks:
+        for x, y in blocks:
             k = x + y
             if twice[i] - twice[i + k - 1] != 2 * (k - 1):
                 raise ValueError("character is not adapted to the bipartition")
             i += k
+        return tuple.__new__(cls, (p, q, blocks, lam))
 
     @property
     def rank(self) -> int:
         return self.p + self.q
 
 
-@dataclass(frozen=True)
-class GlobalRep:
+class GlobalRep(namedtuple("GlobalRep", "places")):
+    __slots__ = ()
     places: tuple[LocalRep, ...]
 
-    def __post_init__(self):
-        if not self.places:
+    def __new__(cls, places):
+        if not places:
             raise ValueError("need at least one place")
-        ranks = {r.rank for r in self.places}
+        ranks = {r.rank for r in places}
         if len(ranks) != 1:
             raise ValueError(f"places have mixed ranks {sorted(ranks)}")
+        return tuple.__new__(cls, (places,))
 
     @property
     def rank(self) -> int:
         return self.places[0].rank
 
 
-@dataclass(frozen=True)
-class HodgeProfile:
+class HodgeProfile(namedtuple("HodgeProfile", "lowest plus minus maxshift")):
+    __slots__ = ()
     lowest: int
     plus: int
     minus: int
@@ -162,10 +163,27 @@ def reps_in_degree(p: int, q: int, lam: Character, degree: int) -> list[Bipartit
 # --- JSON converters -------------------------------------------------------
 
 
+def _fraction_from_json(value) -> Fraction:
+    r"""Fraction(value), with the ASCII texts -?\d+ and -?\d+/2 read by int.
+
+    Those forms cover every value of a regular integral character, and on
+    them int reads what Fraction would. Every other value, text or not,
+    goes to Fraction.
+    """
+    if type(value) is str and value.isascii():
+        num, slash, den = value.partition("/")
+        negative = num[:1] == "-"
+        digits = num[negative:]
+        if digits.isdigit() and (not slash or den == "2"):
+            n = -int(digits) if negative else int(digits)
+            return Fraction(n, 2) if slash else Fraction(n)
+    return Fraction(value)
+
+
 def local_rep_from_json(data: dict) -> LocalRep:
     p, q = (int(v) for v in data["signature"])
     blocks = tuple((int(x), int(y)) for x, y in data["bipartition"])
-    lam = tuple(Fraction(s) for s in data["infchar"])
+    lam = tuple(_fraction_from_json(s) for s in data["infchar"])
     return LocalRep(p=p, q=q, blocks=blocks, lam=lam)
 
 

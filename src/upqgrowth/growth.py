@@ -15,8 +15,7 @@ of an enumeration.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import product
 
@@ -26,13 +25,13 @@ from .partitions import partitions_of, validate_partition
 from .shapes import Shape, shape_to_json, sl2_candidates, td_pairs
 
 
-@dataclass(frozen=True, order=True)
-class GrowthValue:
+class GrowthValue(namedtuple("GrowthValue", "main eps")):
+    __slots__ = ()
     main: Fraction
-    eps: int = 0
+    eps: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "main", Fraction(self.main))
+    def __new__(cls, main, eps=0):
+        return tuple.__new__(cls, (Fraction(main), eps))
 
     def __add__(self, other):
         if isinstance(other, GrowthValue):
@@ -263,10 +262,10 @@ def dominant(cands) -> tuple[GrowthValue, tuple[int, ...], list]:
     return best, min(tops), tops
 
 
-@dataclass(frozen=True)
-class DeltaMax:
+class DeltaMax(namedtuple("DeltaMax", "candidates bound q_argmax shapes")):
     """The dominance decision for a representation, from `shapes.delta_max`."""
 
+    __slots__ = ()
     candidates: tuple[tuple[int, ...], ...]  # common SL(2)-types, descending
     bound: GrowthValue  # their top refined score
     q_argmax: tuple[int, ...]  # the lexicographically smallest maximizer

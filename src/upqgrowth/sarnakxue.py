@@ -10,7 +10,7 @@ certificates listing every violation instead of raising.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, chain
 from operator import add, gt
@@ -140,8 +140,14 @@ def one_merge_coarsenings(parts) -> list[tuple[int, ...]]:
     return sorted(out, reverse=True)
 
 
-@dataclass(frozen=True)
-class DensityRow:
+class DensityRow(
+    namedtuple(
+        "DensityRow",
+        "q provable conjectural sx_goal trivial provable_at_coarsening "
+        "conjectural_at_coarsening exceeds_goal",
+    )
+):
+    __slots__ = ()
     q: tuple[int, ...]
     provable: GrowthValue
     conjectural: GrowthValue
@@ -227,13 +233,19 @@ REFERENCE_TABLE: tuple[DensityRow, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(
+    namedtuple(
+        "Certificate",
+        "target sweep checked_count violations notes",
+        defaults=((),),
+    )
+):
+    __slots__ = ()
     target: str
     sweep: str
     checked_count: int
     violations: tuple[str, ...]
-    notes: tuple[str, ...] = ()
+    notes: tuple[str, ...]
 
     @property
     def ok(self) -> bool:

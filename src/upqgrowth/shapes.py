@@ -11,8 +11,7 @@ archimedean data, and builds the shapes realizing the dominant partition.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import chain, permutations, product
 
@@ -23,47 +22,47 @@ from .partitions import multiset_contains, multiset_minus, partitions_of
 from .packets import chi4
 
 
-@dataclass(frozen=True)
-class ShapeBlock:
+class ShapeBlock(namedtuple("ShapeBlock", "T d centers eta")):
+    __slots__ = ()
     T: int
     d: int
     centers: tuple[tuple[Fraction, ...], ...]  # one tuple of T values per place
     eta: int
 
-    def __post_init__(self):
-        if self.T < 1 or self.d < 1:
+    def __new__(cls, T, d, centers, eta):
+        if T < 1 or d < 1:
             raise ValueError("block multiplicities and lengths must be positive")
-        if self.eta not in (1, -1):
+        if eta not in (1, -1):
             raise ValueError("eta must be +1 or -1")
-        cs = tuple(
-            tuple(Fraction(c) for c in place) for place in self.centers
-        )
-        object.__setattr__(self, "centers", cs)
+        cs = tuple(tuple(Fraction(c) for c in place) for place in centers)
         if not cs:
             raise ValueError("need at least one place")
         for place in cs:
-            if len(place) != self.T:
+            if len(place) != T:
                 raise ValueError(
-                    f"block of multiplicity {self.T} needs {self.T} centers "
+                    f"block of multiplicity {T} needs {T} centers "
                     f"per place, got {len(place)}"
                 )
             if any(a <= b for a, b in zip(place, place[1:])):
                 raise ValueError("centers must be strictly decreasing")
+        return tuple.__new__(cls, (T, d, cs, eta))
 
 
-@dataclass(frozen=True)
-class Shape:
+class Shape(namedtuple("Shape", "blocks")):
+    __slots__ = ()
     blocks: tuple[ShapeBlock, ...]
 
-    def __post_init__(self):
-        if not self.blocks:
+    def __new__(cls, blocks):
+        if not blocks:
             raise ValueError("shape needs at least one block")
-        counts = {len(b.centers) for b in self.blocks}
+        counts = {len(b.centers) for b in blocks}
         if len(counts) != 1:
             raise ValueError("blocks disagree on the number of places")
+        self = tuple.__new__(cls, (blocks,))
         for v in range(self.places):
             # raises IrregularCharacterError when two strings collide
             total_infchar(self, v)
+        return self
 
     @property
     def places(self) -> int:
@@ -125,14 +124,14 @@ def sato_tate_group(shape: Shape) -> tuple[tuple[int, int], ...]:
 # --- run decomposition of a local representation ---------------------------
 
 
-@dataclass(frozen=True)
-class RunData:
+class RunData(namedtuple("RunData", "beta_plus p_runs q_runs big lam2")):
     """Degenerate-block runs and nondegenerate strings of a local rep.
 
     Character values are doubled, so every entry is an int: a run steps by
     -2, and a doubled centre is half the sum of the doubled end values.
     """
 
+    __slots__ = ()
     beta_plus: tuple[int, ...]  # block sums > 1, descending
     p_runs: tuple[tuple[int, ...], ...]  # doubled character values, step -2
     q_runs: tuple[tuple[int, ...], ...]
@@ -321,34 +320,30 @@ def _place_centres(data: RunData, q_parts: tuple[int, ...], ds: list[int]):
     return out
 
 
-def _unchecked(cls, **fields):
-    """An instance of the frozen dataclass cls, built without __post_init__."""
-    obj = object.__new__(cls)
-    vars(obj).update(fields)  # what the frozen __setattr__ would refuse
-    return obj
+def _unchecked(cls, values):
+    """An instance of the record cls holding values, its fields in order,
+    built without the checks and conversions of cls.__new__."""
+    return tuple.__new__(cls, values)
 
 
 def _shape_from_key(key, halves: dict[int, Fraction]) -> Shape:
     """The shape of a key that `_place_centres` has proved, built unchecked.
 
     The rebuild check proved in ints that each place's blocks expand to its
-    regular character, which is all `Shape.__post_init__` checks. As the
+    regular character, which is all `Shape.__new__` checks. As the
     doubled character strictly decreases, it also proves what
-    `ShapeBlock.__post_init__` checks: T distinct centres per place, here
+    `ShapeBlock.__new__` checks: T distinct centres per place, here
     sorted descending. halves maps each doubled centre to its value, one
     shared `Fraction` per distinct centre.
     """
     blocks = tuple(
         _unchecked(
             ShapeBlock,
-            T=t,
-            d=d,
-            centers=tuple(tuple(map(halves.__getitem__, p)) for p in centres),
-            eta=eta,
+            (t, d, tuple(tuple(map(halves.__getitem__, p)) for p in centres), eta),
         )
         for d, t, eta, centres in key
     )
-    return _unchecked(Shape, blocks=blocks)
+    return _unchecked(Shape, (blocks,))
 
 
 def delta_max(rep: GlobalRep):

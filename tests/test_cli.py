@@ -133,6 +133,29 @@ def test_sx_table_needs_a_partition(parts, as_json, capsys):
         cli.parse_partition_list(parts)
 
 
+@pytest.mark.parametrize("parts, n", [("4000000", 4000000), ("(2,2);(1201)", 1201)])
+def test_sx_table_row_size_limit(parts, n, capsys):
+    # a row's time grows like N^2 log N, and a part of 10^9 would need tens
+    # of GB, so a row above SX_N_MAX is refused before any row is computed
+    assert n > cli.SX_N_MAX == 1200
+    assert cli.run(["sx-table", "--parts", parts]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --parts rows must have N at most {cli.SX_N_MAX}, "
+        f"got a row with N = {n}\n"
+    )
+
+
+def test_sx_table_row_at_the_limit(capsys):
+    # all ones is the slowest row of its N
+    ones = ",".join(["1"] * cli.SX_N_MAX)
+    assert cli.run(["sx-table", "--parts", f"({cli.SX_N_MAX});({ones})"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    trivial = cli.SX_N_MAX**2 - 1
+    assert [row.split(",")[4] for row in rows] == [str(trivial)] * 2
+
+
 # --- delta-max and leading-term --------------------------------------------------
 
 
@@ -675,6 +698,9 @@ def test_cli_imports_only_the_standard_library():
         and name.partition(".")[0] != "upqgrowth"
     ]
     assert foreign == []
+    # records are named tuples: no dataclasses, nor the inspect it loads
+    assert "dataclasses" not in loaded
+    assert "inspect" not in loaded
 
 
 # --- wiring ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -205,3 +205,40 @@ def test_bare_local_json_accepted_as_global():
     data = {"signature": [1, 1], "bipartition": [[1, 1]], "infchar": ["1/2", "-1/2"]}
     g = ch.global_rep_from_json(data)
     assert g.places == (rep,)
+
+
+def _outcome(parse, value):
+    try:
+        out = parse(value)
+    except Exception as e:  # noqa: BLE001 - the error itself is compared
+        return type(e), str(e)
+    return type(out), out
+
+
+@settings(max_examples=500)
+@given(
+    st.one_of(
+        st.from_regex(r"\A-?[0-9]{1,8}(/[0-9]{1,2})?\Z"),
+        st.from_regex(r"\A-?[0-9]{1,3}/[0-9]\Z"),
+        st.text(alphabet="-+0123456789/ _.eE\t", max_size=8),
+        st.text(max_size=6),
+        st.integers(),
+        st.floats(),
+        st.booleans(),
+        st.none(),
+    )
+)
+@example("-0/2")
+@example("7/3")
+@example("1/0")
+@example("007/2")
+@example("1/02")
+@example(" 1/2")
+@example("1_0/2")
+@example("+1/2")
+@example("١/2")  # an Arabic-Indic digit, which Fraction reads
+@example("²/2")  # a digit to str.isdigit, to neither int nor Fraction
+@example("-" + "9" * 5000 + "/2")  # over int's digit limit
+@example("9" * 4300)
+def test_fraction_from_json_matches_fraction(value):
+    assert _outcome(ch._fraction_from_json, value) == _outcome(Fraction, value)

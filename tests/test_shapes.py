@@ -279,7 +279,7 @@ def test_place_groupings_are_distinct(rep):
 @example(GlobalRep((_rep71(), _rep71(), _rep72())))
 @example(WIDE12)
 def test_unchecked_shapes_match_checked(rep):
-    # delta_max builds its proved shapes without __post_init__; rebuilding
+    # delta_max builds its proved shapes without the checks; rebuilding
     # them through every check gives equal shapes that hash alike
     assume(sl2_candidates(rep))
     for s in delta_max(rep).shapes:
