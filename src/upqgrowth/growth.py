@@ -33,23 +33,24 @@ class GrowthValue(namedtuple("GrowthValue", "main eps")):
     def __new__(cls, main, eps=0):
         return tuple.__new__(cls, (Fraction(main), eps))
 
+    # other is a GrowthValue, an int or a Fraction, so each sum is already
+    # one Fraction and needs no second conversion
     def __add__(self, other):
-        if isinstance(other, GrowthValue):
-            return GrowthValue(self.main + other.main, self.eps + other.eps)
-        return GrowthValue(self.main + other, self.eps)
+        main, eps = other if isinstance(other, GrowthValue) else (other, 0)
+        return tuple.__new__(GrowthValue, (self.main + main, self.eps + eps))
 
     def __sub__(self, other):
-        if isinstance(other, GrowthValue):
-            return GrowthValue(self.main - other.main, self.eps - other.eps)
-        return GrowthValue(self.main - other, self.eps)
+        main, eps = other if isinstance(other, GrowthValue) else (other, 0)
+        return tuple.__new__(GrowthValue, (self.main - main, self.eps - eps))
 
     def to_json(self) -> dict:
         return {"main": format_rational(self.main), "eps": self.eps}
 
     @classmethod
-    def from_score(cls, score: "Score") -> "GrowthValue":
-        """The value whose (2*main, eps) is score."""
-        return cls(Fraction(score[0], 2), score[1])
+    def unpack(cls, x: int, k: int) -> "GrowthValue":
+        """The value whose `pack`ed form, with 0 <= eps < k, is x."""
+        two_main, eps = divmod(x, k)
+        return tuple.__new__(cls, (Fraction(two_main, 2), eps))
 
     def __str__(self):
         if self.eps == 0:
@@ -60,17 +61,15 @@ class GrowthValue(namedtuple("GrowthValue", "main eps")):
         return f"{format_rational(self.main)}{sign}{eps}"
 
 
-# A Score is a GrowthValue held as the ints (2*main, eps): every bound below is
-# N^2/2 plus one term per (T, d) block, each with an integral doubled main
-# part, and tuples of ints order and add like GrowthValues.
-Score = tuple[int, int]
+# Every bound below is N^2/2 plus one term per (T, d) block. A term is the
+# pair of ints (2*main, eps), with an integral doubled main part.
 
 
-def _naive_term(t: int, d: int) -> Score:
+def _naive_term(t: int, d: int) -> tuple[int, int]:
     return t * t * d, 0
 
 
-def _refined_term(t: int, d: int) -> Score:
+def _refined_term(t: int, d: int) -> tuple[int, int]:
     """The naive T^2 d less the low-multiplicity correction, doubled.
 
     T = 1 loses (d^2 + d)/2 - 1, T = 2 loses 3d - 3, and T = 3 with d > 1
@@ -86,13 +85,24 @@ def _refined_term(t: int, d: int) -> Score:
     return naive, 0
 
 
-def _conjectural_term(t: int, d: int) -> Score:
+def _conjectural_term(t: int, d: int) -> tuple[int, int]:
     """-T^2 d^2 / 2 + T^2 + T(T-1)(d^2-1)/2, doubled."""
     return 2 * t * t - t * t * d * d + t * (t - 1) * (d * d - 1), 0
 
 
-def _score(term, x) -> Score:
-    """N^2/2 plus term(T, d) summed over the blocks of x, as a Score."""
+def pack(term, t: int, d: int, k: int) -> int:
+    """The term (2*main, eps) of the block (t, d) as one int 2*main*k + eps.
+
+    Packed terms order and add like (2*main, eps) pairs as long as every eps
+    involved, partial sums included, lies in [0, k): then a larger main term
+    always outweighs any eps, and `GrowthValue.unpack` reads a sum back.
+    """
+    a, e = term(t, d)
+    return a * k + e
+
+
+def _bound(term, x) -> GrowthValue:
+    """N^2/2 plus term(T, d) summed over the blocks of x."""
     pairs = td_pairs(x)
     n = sum(t * d for t, d in pairs)
     two_main, eps = n * n, 0
@@ -100,16 +110,7 @@ def _score(term, x) -> Score:
         a, e = term(t, d)
         two_main += a
         eps += e
-    return two_main, eps
-
-
-def _bound(term, x) -> GrowthValue:
-    return GrowthValue.from_score(_score(term, x))
-
-
-def refined_score(x) -> Score:
-    """The refined bound of the blocks x as a Score."""
-    return _score(_refined_term, x)
+    return tuple.__new__(GrowthValue, (Fraction(two_main, 2), eps))
 
 
 def refined_bound(x) -> GrowthValue:
@@ -152,86 +153,88 @@ def all_groupings(q_parts):
         yield tuple(blocks)
 
 
-def _plus(a: Score, b: Score) -> Score:
-    return a[0] + b[0], a[1] + b[1]
-
-
-def split_tables(n_max: int, term=_refined_term) -> dict[int, list[Score]]:
+def split_tables(n_max: int, term=_refined_term) -> dict[int, list[int]]:
     """For each part size d <= n_max, the best split of equal parts d.
 
-    tables[d][m], for m <= n_max // d, is the top sum of block terms (refined
-    by default) over every way to split m parts d into blocks (T, d): the
-    maximum over t of term(t, d) + tables[d][m - t].
+    tables[d][m], for m <= n_max // d, is the top sum of packed block terms
+    (refined by default), k = n_max + 1, over every way to split m parts d
+    into blocks (T, d): the maximum over t of term(t, d) + tables[d][m - t].
     """
+    k = n_max + 1
     tables = {}
     for d in range(1, n_max + 1):
-        best = [(0, 0)]
+        best = [0]
         for m in range(1, n_max // d + 1):
-            splits = range(1, m + 1)
-            best.append(max(_plus(term(t, d), best[m - t]) for t in splits))
+            best.append(
+                max(pack(term, t, d, k) + best[m - t] for t in range(1, m + 1))
+            )
         tables[d] = best
     return tables
 
 
-def grouping_score(q_parts, tables) -> Score:
+def grouping_score(q_parts, tables) -> int:
     """The refined bound of q_parts maximized over every grouping of its
-    equal parts into blocks, as a Score; tables come from `split_tables`."""
-    n = two_main = eps = 0
+    equal parts into blocks, packed like the rows of tables, which come
+    from `split_tables` and hold one row per d <= n_max."""
+    k = len(tables) + 1
+    n = packed = 0
     for d, m in Counter(q_parts).items():
-        a, e = tables[d][m]
         n += d * m
-        two_main += a
-        eps += e
-    return n * n + two_main, eps
+        packed += tables[d][m]
+    return n * n * k + packed
 
 
-def pack(score: Score, k: int) -> int:
-    """The Score (2*main, eps) as the one int 2*main*k + eps.
+def extra_tops(start: list[int], gains) -> list[int]:
+    """A bounded knapsack of packed scores over the part sizes 2..room,
+    room = len(start) - 1.
 
-    Packed scores order and add like Scores as long as every eps involved,
-    partial sums included, lies in [0, k): then a larger main term always
-    outweighs any eps, and divmod(packed, k) gives the Score back.
+    Entry s of the result is the top of start[s - x] plus gains(d)[e] per
+    size d, over every extra of parts >= 2 summing to x <= s with e parts d;
+    gains(d) covers each e with d*e <= room. Each e is one slice-wise
+    max-plus update. A start entry that no sum may use needs a floor below
+    every reachable score, as it keeps its value plus one gains(d)[0] per d.
     """
-    return score[0] * k + score[1]
+    best = start
+    room = len(start) - 1
+    for d in range(2, room + 1):
+        gain = gains(d)
+        g = gain[0]
+        new = [x + g for x in best]
+        for e in range(1, room // d + 1):
+            off, g = d * e, gain[e]
+            new[off:] = [
+                a if a > (b := x + g) else b for a, x in zip(new[off:], best)
+            ]
+        best = new
+    return best
 
 
-def add_part_size(best: list[int], d: int, gain: list[int]) -> list[int]:
-    """One part size of a bounded knapsack over packed scores.
-
-    new[s] is the top of best[s - d*e] + gain[e] over the e with d*e <= s;
-    gain covers every e with d*e < len(best). Each e is one slice-wise
-    max-plus update.
-    """
-    g = gain[0]
-    new = [x + g for x in best]
-    for e in range(1, (len(best) - 1) // d + 1):
-        off, g = d * e, gain[e]
-        new[off:] = [
-            a if a > (b := x + g) else b for a, x in zip(new[off:], best)
-        ]
-    return new
+def floor_below(tables) -> int:
+    """An int that stays below any sum of entries of tables, one per row at
+    most, when any other such sum is added to it: the `extra_tops` start of
+    a sum that no extra may use."""
+    return -1 - 2 * sum(max(map(abs, row)) for row in tables.values())
 
 
-def _best_merge(base: Counter, ones: int, term) -> Score:
-    """Top Score of N^2/2 + sum term(T_d, d) over the partitions base +
-    extra, extra any partition of ones, with equal parts fully grouped.
+def _best_merge(base: Counter, ones: int, term) -> GrowthValue:
+    """Top of N^2/2 + sum term(T_d, d) over the partitions base + extra,
+    extra any partition of ones, with equal parts fully grouped.
 
-    A knapsack over the sizes d <= ones: best[s] is the top sum of the terms
-    of sizes done so far when their extra parts use s of the ones. Scores are
-    packed with k = N + 1: only T = 3, d > 1 blocks carry eps, d of it each,
-    so every partial sum has 0 <= eps <= N.
+    `extra_tops` starts from the terms of the 1-blocks left by an extra of
+    s ones, so every sum is reachable. Terms are packed with k = N + 1: only
+    T = 3, d > 1 blocks carry eps, d of it each, so every partial sum has
+    0 <= eps <= N.
     """
     n = ones + sum(d * m for d, m in base.items())
     k = n + 1
-    fixed = n * n * k
-    for d, m in base.items():
-        if d > ones:
-            fixed += pack(term(m, d), k)
-    best = [pack(term(s, 1), k) for s in range(ones + 1)]
-    for d in range(2, ones + 1):
-        gain = [pack(term(base[d] + e, d), k) for e in range(ones // d + 1)]
-        best = add_part_size(best, d, gain)
-    return divmod(fixed + best[ones], k)
+    fixed = sum(pack(term, m, d, k) for d, m in base.items() if d > ones)
+    best = extra_tops(
+        [pack(term, s, 1, k) for s in range(ones + 1)],
+        lambda d: [
+            pack(term, base[d] + e, d, k) for e in range(ones // d + 1)
+        ],
+    )
+    return GrowthValue.unpack(n * n * k + fixed + best[ones], k)
 
 
 def merge_bounds(parts) -> tuple[GrowthValue, GrowthValue]:
@@ -242,8 +245,8 @@ def merge_bounds(parts) -> tuple[GrowthValue, GrowthValue]:
     base = Counter(int(v) for v in parts)
     ones = base.pop(1, 0)
     return (
-        GrowthValue.from_score(_best_merge(base, ones, _refined_term)),
-        GrowthValue.from_score(_best_merge(base, ones, _conjectural_term)),
+        _best_merge(base, ones, _refined_term),
+        _best_merge(base, ones, _conjectural_term),
     )
 
 

@@ -19,13 +19,13 @@ from .growth import (
     GrowthValue,
     _naive_term,
     _refined_term,
-    add_part_size,
+    extra_tops,
+    floor_below,
     grouping_score,
     merge_bounds,
     pack,
     partition_bound,
     partition_bound0,
-    refined_score,
     split_tables,
 )
 from .infchar import format_rational
@@ -426,7 +426,7 @@ def _maxsl2_violations(core, n: int, tables) -> list[str]:
             top, tops = score, [extra]
         elif score == top:
             tops.append(extra)
-    best = GrowthValue.from_score(top)
+    best = GrowthValue.unpack(top, len(tables) + 1)
     argmax = [tuple(sorted(core + e, reverse=True)) for e in tops]
     out = []
     if best != expected_best:
@@ -449,38 +449,30 @@ def verify_maxsl2(n_max: int = 14) -> Certificate:
     partition's best grouping comes from `split_tables`, so the groupings are
     maximized over, not enumerated.
 
-    Nor are the partitions of the slack: one knapsack per core over the
-    sizes d >= 2 gives best[s], the top sum of the table entries of those
-    sizes, core parts included, over the extras of parts >= 2 that sum to s.
+    Nor are the partitions of the slack: per core, `growth.extra_tops`
+    gives best[s], the top sum of the table entries of the sizes d >= 2,
+    core parts included, over the extras of parts >= 2 that sum to s.
     Each N then adds the table entry of the remaining ones. The padded
     partition must reach the top and every extra with a part >= 2 stay
     below it, except (2,) where the tie is allowed, which must reach it.
-    Scores are packed ints (`growth.pack`), and a case that fails is scored
+    Scores are the tables' packed ints, and a case that fails is scored
     again by `_maxsl2_violations` to write its messages.
     """
     violations = []
     checked = 0
     tables = split_tables(n_max)
-    # table entries, and sums of one entry per size, have 0 <= eps <= n_max
     k = n_max + 1
-    packed = {d: [pack(v, k) for v in row] for d, row in tables.items()}
-    ones = packed[1]
-    # below any sum of table entries, one per size: best[s] of no extra
-    floor = -1 - 2 * sum(max(map(abs, row)) for row in packed.values())
-
-    def block_terms(blocks, n):
-        """The refined score of blocks of total n, less its n^2/2, packed."""
-        return pack(refined_score(blocks), k) - n * n * k
-
-    ones_block = [block_terms(((s, 1),), s) for s in range(n_max + 1)]
+    ones = tables[1]
+    ones_block = [pack(_refined_term, s, 1, k) for s in range(n_max + 1)]
+    floor = floor_below(tables)  # below the core parts' entries too
     for core in _distinct_part_sets(n_max):
         size = sum(core)
         room = n_max - size
-        best = [sum(packed[d][1] for d in core if d > room)] + [floor] * room
-        for d in range(2, room + 1):
-            gain = packed[d][1:] if d in core else packed[d]
-            best = add_part_size(best, d, gain)
-        core_blocks = block_terms(tuple((1, d) for d in core), size)
+        best = extra_tops(
+            [sum(tables[d][1] for d in core if d > room)] + [floor] * room,
+            lambda d: tables[d][1:] if d in core else tables[d],
+        )
+        core_blocks = sum(pack(_refined_term, 1, d, k) for d in core)
         for n in range(max(size, 1), n_max + 1):
             checked += 1
             slack = n - size

@@ -184,23 +184,15 @@ def local_run_data(rep: LocalRep) -> RunData:
     )
 
 
-def _merge_choices(run_lengths) -> set[tuple[int, ...]]:
-    """Every multiset union of one partition per run length."""
-    out: set[tuple[int, ...]] = set()
-    pools = [partitions_of(n) for n in run_lengths]
-    for combo in product(*pools) if pools else [()]:
-        merged: list[int] = []
-        for part in combo:
-            merged.extend(part)
-        out.add(tuple(sorted(merged, reverse=True)))
-    return out
-
-
 def _local_candidates(data: RunData) -> set[tuple[int, ...]]:
-    lengths = [len(r) for r in data.p_runs] + [len(r) for r in data.q_runs]
-    out: set[tuple[int, ...]] = set()
-    for extra in _merge_choices(lengths):
-        out.add(tuple(sorted(data.beta_plus + extra, reverse=True)))
+    """beta_plus merged with one partition of each run's length, as descending
+    tuples: folded one run at a time, with the repeats dropped after each."""
+    out = {data.beta_plus}
+    for run in data.p_runs + data.q_runs:
+        pool = partitions_of(len(run))
+        out = {
+            tuple(sorted(q + part, reverse=True)) for q in out for part in pool
+        }
     return out
 
 

@@ -419,6 +419,41 @@ def merge_bounds(q_parts) -> tuple[tuple[Fraction, int], tuple[Fraction, int]]:
     )
 
 
+def extra_tops(start, gains) -> list:
+    """Entry s: the top of start[s - x] plus gains(d)[e] for each size
+    2 <= d <= room, over every extra of parts >= 2 summing to x <= s with e
+    parts d, each extra listed and scored on its own; room = len(start) - 1.
+    A start entry None is never used, and an entry no extra reaches is None.
+    """
+    room = len(start) - 1
+    out = []
+    for s in range(room + 1):
+        scores = []
+        for x in range(s + 1):
+            if start[s - x] is None:
+                continue
+            for extra in partitions_of(x):
+                if 1 in extra:
+                    continue
+                count = Counter(extra)
+                gain = sum(gains(d)[count[d]] for d in range(2, room + 1))
+                scores.append(start[s - x] + gain)
+        out.append(max(scores, default=None))
+    return out
+
+
+def merged_partitions(beta_plus, run_lengths) -> set[tuple[int, ...]]:
+    """beta_plus merged with one partition of each run length, over the full
+    product of the runs' partitions."""
+    out = set()
+    for combo in product(*[list(partitions_of(n)) for n in run_lengths]):
+        parts = list(beta_plus)
+        for pt in combo:
+            parts.extend(pt)
+        out.add(tuple(sorted(parts, reverse=True)))
+    return out
+
+
 def value_text(value) -> str:
     """A (main, eps) pair as the library prints it: 7, 7/2+eps, 7-3*eps."""
     main, eps = value

@@ -1,10 +1,12 @@
-"""Each demo script runs to completion and prints something, and the README's
-Python tour gives the values its comments state."""
+"""Each demo script runs to completion and prints something, the README's
+Python tour gives the values its comments state, and each of its shell
+examples prints the output shown under it."""
 
 from __future__ import annotations
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -65,3 +67,41 @@ def test_readme_tour_runs():
     assert (row.sx_goal, row.trivial) == (Fraction(15, 2), 15)
     assert "partition_bound((2, 2))    # 9," in density
     assert ns["partition_bound"]((2, 2)) == GrowthValue(9)
+
+
+def _readme_shell_examples():
+    """(argv, shown stdout) of each `$ upqgrowth` line of the README with
+    output lines under it, up to a blank line, a fence or the next `$`."""
+    examples = []
+    for line in README.read_text().splitlines():
+        if line.startswith("$ upqgrowth "):
+            examples.append((shlex.split(line)[2:], []))
+        elif not line or line.startswith(("$", "```")):
+            examples.append(None)
+        elif examples and examples[-1] is not None:
+            examples[-1][1].append(line)
+    return [ex for ex in examples if ex is not None and ex[1]]
+
+
+README_EXAMPLES = _readme_shell_examples()
+
+
+def test_readme_shell_examples_found():
+    assert [argv[0] for argv, _ in README_EXAMPLES] == [
+        "sx-table",
+        "verify",
+        "coh-bounds",
+        "euler",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, shown",
+    README_EXAMPLES,
+    ids=[" ".join(argv) for argv, _ in README_EXAMPLES],
+)
+def test_readme_shell_example_output(argv, shown, capsys):
+    from upqgrowth import cli
+
+    assert cli.run(argv) == 0
+    assert capsys.readouterr().out == "".join(line + "\n" for line in shown)

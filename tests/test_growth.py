@@ -14,6 +14,8 @@ from upqgrowth.growth import (
     GrowthValue,
     all_groupings,
     conjectural_bound,
+    extra_tops,
+    floor_below,
     grouped_blocks,
     grouping_score,
     merge_bounds,
@@ -157,27 +159,40 @@ def _partitions_up_to(n_max):
 
 @given(_partitions_up_to(12))
 def test_grouping_kernel_matches_oracle(parts):
-    score = grouping_score(parts, split_tables(sum(parts)))
-    assert GrowthValue.from_score(score) == GrowthValue(
+    n = sum(parts)
+    score = grouping_score(parts, split_tables(n))
+    assert GrowthValue.unpack(score, n + 1) == GrowthValue(
         *oracles.best_grouping(parts)
     )
+
+
+def _doubled(packed, k):
+    """The (2*main, eps) of a value packed with k."""
+    value = GrowthValue.unpack(packed, k)
+    return 2 * value.main, value.eps
 
 
 def test_split_tables_frozen():
     # doubled block terms of parts 2, N^2 aside: one 2 is 2 - 4, a T = 2
     # block 8 - 12 + 6, a T = 3 block 18 - 20 + 10 plus two epsilons
-    assert split_tables(6)[2] == [(0, 0), (-2, 0), (2, 0), (8, 2)]
-    assert split_tables(6)[6] == [(0, 0), (-34, 0)]
-    assert grouping_score((2, 2, 2), split_tables(6)) == (44, 2)
-    assert GrowthValue.from_score((44, 2)) == partition_bound((2, 2, 2))
+    tables = split_tables(6)
+    assert [_doubled(x, 7) for x in tables[2]] == [
+        (0, 0), (-2, 0), (2, 0), (8, 2)
+    ]
+    assert [_doubled(x, 7) for x in tables[6]] == [(0, 0), (-34, 0)]
+    score = grouping_score((2, 2, 2), tables)
+    assert _doubled(score, 7) == (44, 2)
+    assert GrowthValue.unpack(score, 7) == partition_bound((2, 2, 2))
 
 
 def test_split_tables_maximize_over_splits():
     # the refined terms never favour a split (criterion 4), so a term that
     # pays per block shows that the tables search the splits at all
     per_block = split_tables(4, term=lambda t, d: (1, 0))
-    assert per_block[1] == [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)]
-    assert per_block[2] == [(0, 0), (1, 0), (2, 0)]
+    assert [_doubled(x, 5) for x in per_block[1]] == [
+        (0, 0), (1, 0), (2, 0), (3, 0), (4, 0)
+    ]
+    assert [_doubled(x, 5) for x in per_block[2]] == [(0, 0), (1, 0), (2, 0)]
 
 
 def test_merge_bounds_match_coarsenings():
@@ -225,6 +240,78 @@ def test_merge_bounds_match_oracle(core, ones):
 )
 def test_merge_bounds_of_forty_ones_frozen(core, refined, conjectural):
     assert merge_bounds(core + (1,) * 40) == (refined, conjectural)
+
+
+_gains = st.integers(-(10**6), 10**6)
+
+
+def _row(data, size):
+    return data.draw(st.lists(_gains, min_size=size, max_size=size))
+
+
+@given(st.data())
+def test_extra_tops_matches_listed_extras(data):
+    # the best merge's use: every start entry is a score
+    room = data.draw(st.integers(0, 10))
+    start = _row(data, room + 1)
+    rows = {d: _row(data, room // d + 1) for d in range(2, room + 1)}
+    gains = rows.__getitem__
+    assert extra_tops(start, gains) == oracles.extra_tops(start, gains)
+
+
+def _cores(n_max):
+    """Sets of distinct parts >= 2 with total <= n_max, as the maxsl2 sweep
+    takes them."""
+    return [
+        p
+        for total in range(n_max + 1)
+        for p in partitions_of(total)
+        if 1 not in p and len(set(p)) == len(p)
+    ]
+
+
+@st.composite
+def _tables_and_cores(draw):
+    n_max = draw(st.integers(1, 10))
+    tables = {
+        d: [0] + draw(st.lists(_gains, min_size=n_max // d, max_size=n_max // d))
+        for d in range(1, n_max + 1)
+    }
+    return tables, draw(st.sampled_from(_cores(n_max)))
+
+
+@given(_tables_and_cores())
+# a far negative fixed part: a floor below the gains alone is too high
+@example(
+    (
+        {1: [0] * 8, 2: [0] * 4, 3: [0] * 3, 4: [0, -(10**6)]}
+        | {d: [0, 0] for d in range(5, 8)},
+        (4,),
+    )
+)
+# gains of both signs that outweigh a floor below one row or one sum
+@example(({1: [0, -1, 1, 0, 0], 2: [0, 9, -9], 3: [0, 0], 4: [0, 0]}, (2,)))
+@example(
+    (
+        {1: [0, 1, 1, 0, 0, 9], 2: [0, -9, 9], 3: [0, -9], 4: [0, 0], 5: [0, 1]},
+        (2,),
+    )
+)
+def test_extra_tops_from_a_floor_matches_listed_extras(case):
+    # the maxsl2 sweep's use: the core parts above the room are fixed, the
+    # rest are in the gains, and the sums below 2 start from the floor
+    tables, core = case
+    room = len(tables) - sum(core)
+    fixed = sum(tables[d][1] for d in core if d > room)
+
+    def gains(d):
+        return tables[d][1:] if d in core else tables[d]
+
+    got = extra_tops([fixed] + [floor_below(tables)] * room, gains)
+    want = oracles.extra_tops([fixed] + [None] * room, gains)
+    assert [g for g, w in zip(got, want) if w is not None] == [
+        w for w in want if w is not None
+    ]
 
 
 def test_all_groupings_counts():

@@ -364,11 +364,11 @@ def test_density_sweep_scores_no_case(monkeypatch):
 
         return refused
 
-    # every growth bound sums its blocks in growth._score
+    # every growth bound sums its blocks in growth._bound
     for module, name in (
         (sarnakxue, "qd"),
         (sarnakxue, "partition_bound"),
-        (growth, "_score"),
+        (growth, "_bound"),
     ):
         monkeypatch.setattr(module, name, refuse(name))
     assert verify_density(60).ok

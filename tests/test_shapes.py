@@ -98,6 +98,21 @@ def test_intervening_block_breaks_runs():
     assert got == {(2, 1, 1)}
 
 
+@pytest.mark.parametrize("runs, length", [(4, 6), (6, 5)])
+def test_candidate_fold_matches_product_of_runs(runs, length):
+    # a mixed block, then runs of degenerate blocks on alternating sides
+    blocks = ((1, 1),)
+    for i in range(runs):
+        blocks += ((1, 0) if i % 2 == 0 else (0, 1),) * length
+    p = sum(x for x, _ in blocks)
+    n = 2 + runs * length
+    rep = LocalRep(p=p, q=n - p, blocks=blocks, lam=rho(n))
+    data = local_run_data(rep)
+    assert [len(r) for r in data.p_runs + data.q_runs] == [length] * runs
+    want = oracles.merged_partitions((2,), [length] * runs)
+    assert sl2_candidates(GlobalRep((rep,))) == sorted(want, reverse=True)
+
+
 def test_frozen_candidates_rank_seven():
     assert sl2_candidates(GlobalRep((_rep71(),))) == [
         (5, 2),
