@@ -379,10 +379,7 @@ def run(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except ValueError as e:  # ParseError included
         print(f"error: {e}", file=sys.stderr)
         return 2
     except AssertionError as e:

@@ -180,9 +180,24 @@ def _fraction_from_json(value) -> Fraction:
     return Fraction(value)
 
 
+def _int_from_json(value, field: str) -> int:
+    """value when it is a JSON integer: a float, bool or text is refused,
+    where int would truncate 6.7 to 6 and read true as 1."""
+    if type(value) is not int:
+        kind = type(value).__name__
+        raise ValueError(f"{field} entries must be integers, got {kind}")
+    return value
+
+
 def local_rep_from_json(data: dict) -> LocalRep:
-    p, q = (int(v) for v in data["signature"])
-    blocks = tuple((int(x), int(y)) for x, y in data["bipartition"])
+    p, q = (_int_from_json(v, "signature") for v in data["signature"])
+    blocks = tuple(
+        (_int_from_json(x, "bipartition"), _int_from_json(y, "bipartition"))
+        for x, y in data["bipartition"]
+    )
+    if any(type(s) is bool for s in data["infchar"]):
+        # Fraction would read true as 1
+        raise ValueError("infchar entries must be numbers, got bool")
     lam = tuple(_fraction_from_json(s) for s in data["infchar"])
     return LocalRep(p=p, q=q, blocks=blocks, lam=lam)
 

@@ -134,23 +134,3 @@ def reduced_bipartitions(p: int, q: int) -> tuple[Bipartition, ...]:
     out.sort(key=lambda b: tuple(v for pair in b for v in pair))
     return tuple(out)
 
-
-def multiset_contains(outer: tuple[int, ...], inner: tuple[int, ...]) -> bool:
-    """True when `inner` is a sub-multiset of `outer`."""
-    from collections import Counter
-
-    missing = Counter(inner) - Counter(outer)
-    return not missing
-
-
-def multiset_minus(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, ...]:
-    """Multiset difference, descending; raises if inner is not contained."""
-    from collections import Counter
-
-    co, ci = Counter(outer), Counter(inner)
-    if ci - co:
-        raise ValueError("not a sub-multiset")
-    out: list[int] = []
-    for v in sorted(co, reverse=True):
-        out.extend([v] * (co[v] - ci.get(v, 0)))
-    return tuple(out)

@@ -18,7 +18,7 @@ from itertools import chain, permutations, product
 from . import infchar, partitions
 from .cohomology import GlobalRep, LocalRep
 from .infchar import format_rational
-from .partitions import multiset_contains, multiset_minus, partitions_of
+from .partitions import partitions_of
 from .packets import chi4
 
 
@@ -144,41 +144,31 @@ def local_run_data(rep: LocalRep) -> RunData:
     lam2 = tuple(2 * x.numerator // x.denominator for x in rep.lam)
     beta_plus: list[int] = []
     big: list[tuple[int, int]] = []
-    p_runs: list[tuple[int, ...]] = []
-    q_runs: list[tuple[int, ...]] = []
-    current: list[int] = []
-    current_kind: str | None = None
-
-    def close():
-        nonlocal current, current_kind
-        if current:
-            (p_runs if current_kind == "p" else q_runs).append(tuple(current))
-        current = []
-        current_kind = None
-
+    p_runs: list[list[int]] = []
+    q_runs: list[list[int]] = []
+    side = run = None  # the list of the open run's side, and the open run
     i = 0
     for x, y in rep.blocks:
         n = x + y
         if n > 1:
-            close()
             beta_plus.append(n)
             big.append((n, (lam2[i] + lam2[i + n - 1]) // 2))
             i += n
             continue
-        kind = "p" if x == 1 else "q"
+        runs = p_runs if x == 1 else q_runs
         value = lam2[i]
         i += 1
-        if current_kind == kind and current and current[-1] - value == 2:
-            current.append(value)
+        # a run steps by -2; the values of a mixed block in between would
+        # leave a wider gap, so a mixed block ends the open run
+        if runs is side and run[-1] - value == 2:
+            run.append(value)
         else:
-            close()
-            current_kind = kind
-            current = [value]
-    close()
+            side, run = runs, [value]
+            runs.append(run)
     return RunData(
         beta_plus=tuple(sorted(beta_plus, reverse=True)),
-        p_runs=tuple(p_runs),
-        q_runs=tuple(q_runs),
+        p_runs=tuple(map(tuple, p_runs)),
+        q_runs=tuple(map(tuple, q_runs)),
         big=tuple(big),
         lam2=lam2,
     )
@@ -271,51 +261,39 @@ def _chunkings(run2: tuple[int, ...], sub: tuple[int, ...]):
         yield tuple(chunks)
 
 
-def _local_assignments(
-    data: RunData, q_parts: tuple[int, ...]
-) -> list[tuple[tuple[int, int], ...]]:
-    """All placements of q_parts onto this place: (length, doubled centre) pairs."""
-    if not multiset_contains(q_parts, data.beta_plus):
+def _place_centres(data: RunData, q_parts: tuple[int, ...], ds: list[int]):
+    """The doubled centres per length d in ds, one grouping per placement of
+    q_parts onto this place: the mixed blocks take their sums, and each run
+    is cut into an ordering of the parts the distribution gives it.
+
+    Each placement, as (length, doubled centre) pairs, must expand to the
+    place's character: its doubled values c2 + d - 1 - 2l, l = 0..d-1,
+    sorted, are the doubled character. A shape's blocks at this place are
+    exactly one placement's pairs grouped by d, so this is the rebuild check
+    of every shape here. Distinct placements give distinct groupings, since
+    a chunk's (d, centre) fixes its values, so no grouping repeats.
+    """
+    leftover = Counter(q_parts)
+    leftover.subtract(data.beta_plus)
+    if any(k < 0 for k in leftover.values()):
         return []
-    leftover = Counter(multiset_minus(q_parts, data.beta_plus))
     runs = data.p_runs + data.q_runs
-    out: list[tuple[tuple[int, int], ...]] = []
-    for alloc in _distributions(leftover, [len(r) for r in runs]):
+    out = []
+    for alloc in _distributions(+leftover, [len(r) for r in runs]):
         pools = [list(_chunkings(run2, sub)) for run2, sub in zip(runs, alloc)]
         for combo in product(*pools):
-            out.append(data.big + tuple(ch for chunks in combo for ch in chunks))
-    return out
-
-
-def _place_centres(data: RunData, q_parts: tuple[int, ...], ds: list[int]):
-    """The doubled centres per length d in ds, one grouping per assignment.
-
-    Each assignment must expand to the place's character: its doubled
-    values c2 + d - 1 - 2l, l = 0..d-1, sorted, are the doubled character.
-    A shape's blocks at this place are exactly one assignment's pairs
-    grouped by d, so this is the rebuild check of every shape here. Distinct
-    assignments give distinct groupings, since a chunk's (d, centre) fixes
-    its values, so no grouping repeats.
-    """
-    out = []
-    for assign in _local_assignments(data, q_parts):
-        values = [v for d, c2 in assign for v in range(c2 + d - 1, c2 - d, -2)]
-        values.sort(reverse=True)
-        if tuple(values) != data.lam2:
-            raise AssertionError("shape does not rebuild the character")
-        out.append(
-            tuple(
-                tuple(sorted((c2 for dd, c2 in assign if dd == d), reverse=True))
-                for d in ds
+            assign = data.big + tuple(chain.from_iterable(combo))
+            values = [v for d, c2 in assign for v in range(c2 + d - 1, c2 - d, -2)]
+            values.sort(reverse=True)
+            if tuple(values) != data.lam2:
+                raise AssertionError("shape does not rebuild the character")
+            out.append(
+                tuple(
+                    tuple(sorted((c2 for dd, c2 in assign if dd == d), reverse=True))
+                    for d in ds
+                )
             )
-        )
     return out
-
-
-def _unchecked(cls, values):
-    """An instance of the record cls holding values, its fields in order,
-    built without the checks and conversions of cls.__new__."""
-    return tuple.__new__(cls, values)
 
 
 def _shape_from_key(key, halves: dict[int, Fraction]) -> Shape:
@@ -325,17 +303,18 @@ def _shape_from_key(key, halves: dict[int, Fraction]) -> Shape:
     regular character, which is all `Shape.__new__` checks. As the
     doubled character strictly decreases, it also proves what
     `ShapeBlock.__new__` checks: T distinct centres per place, here
-    sorted descending. halves maps each doubled centre to its value, one
-    shared `Fraction` per distinct centre.
+    sorted descending. So both records are made by `tuple.__new__`, which
+    skips those checks and conversions. halves maps each doubled centre to
+    its value, one shared `Fraction` per distinct centre.
     """
     blocks = tuple(
-        _unchecked(
+        tuple.__new__(
             ShapeBlock,
             (t, d, tuple(tuple(map(halves.__getitem__, p)) for p in centres), eta),
         )
         for d, t, eta, centres in key
     )
-    return _unchecked(Shape, (blocks,))
+    return tuple.__new__(Shape, (blocks,))
 
 
 def delta_max(rep: GlobalRep):

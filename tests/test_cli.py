@@ -788,7 +788,10 @@ _BAD_ARGV = st.one_of(
 _REP_TEXT = json.dumps(REP_JSON["places"][0])
 # values that no field of a rep accepts
 _BAD_FIELD = st.sampled_from(
-    [None, "x", [], {"a": 1}, [1e400, 1], ["1/0", "0"], [[1e400, 0]], [-1, 8]]
+    [
+        None, "x", [], {"a": 1}, [1e400, 1], ["1/0", "0"], [[1e400, 0]], [-1, 8],
+        [6.7, 1.2], [[2.9, 1], [1.5, 0]], [True, 1], [[True, 0]],
+    ]
 )
 
 
@@ -826,5 +829,24 @@ def test_malformed_arguments_exit_2(good_in_fresh_process, argv):
 @example("delta-max", "[" * 100000)
 @example("delta-max", _replaced("infchar", ["1/0", "0"]))
 @example("leading-term", _replaced("signature", [1e400, 1]))
+# int() would read each of these as the good rep, truncating 6.7 and reading
+# true and "6" as numbers: a rep field takes only JSON integers
+@example(
+    "leading-term",
+    json.dumps(
+        {
+            **REP_JSON["places"][0],
+            "signature": [6.7, 1.2],
+            "bipartition": [[2.9, 1], [1.5, 0], [1, 0], [1, 0], [1, 0]],
+        }
+    ),
+)
+@example("delta-max", _replaced("signature", [6, True]))
+@example("delta-max", _replaced("signature", ["6", "1"]))
+@example(
+    "delta-max",
+    _replaced("bipartition", [[2, 1], [True, 0], [1, 0], [1, 0], [1, 0]]),
+)
+@example("delta-max", _replaced("infchar", ["3", "2", True, "0", "-1", "-2", "-3"]))
 def test_malformed_rep_exits_2(good_in_fresh_process, command, text):
     _check_bad_then_good([command, "--rep", "-"], text, good_in_fresh_process)

@@ -90,9 +90,17 @@ def test_readme_shell_examples_found():
     assert [argv[0] for argv, _ in README_EXAMPLES] == [
         "sx-table",
         "verify",
+        "leading-term",
+        "delta-max",
         "coh-bounds",
         "euler",
     ]
+
+
+def test_readme_rep_is_saved():
+    # the examples read the file that the README's JSON block shows
+    (block,) = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    assert (ROOT / "tests" / "data" / "readme_rep.json").read_text() == block
 
 
 @pytest.mark.parametrize(
@@ -103,5 +111,9 @@ def test_readme_shell_examples_found():
 def test_readme_shell_example_output(argv, shown, capsys):
     from upqgrowth import cli
 
+    # a --rep path is relative to the repository root
+    argv = [
+        str(ROOT / a) if prev == "--rep" else a for prev, a in zip([""] + argv, argv)
+    ]
     assert cli.run(argv) == 0
     assert capsys.readouterr().out == "".join(line + "\n" for line in shown)

@@ -100,10 +100,3 @@ def test_reduced_bipartitions_counts():
             want = oracles.reduced_bipartitions(p, q)
             assert sorted(got) == sorted(want)
 
-
-def test_multiset_helpers():
-    assert pt.multiset_contains((3, 2, 2, 1), (2, 1))
-    assert not pt.multiset_contains((3, 2), (2, 2))
-    assert pt.multiset_minus((3, 2, 2, 1), (2, 1)) == (3, 2)
-    with pytest.raises(ValueError):
-        pt.multiset_minus((3,), (2,))
