@@ -330,15 +330,22 @@ def verify_density(n_max: int = 60) -> Certificate:
 
     The comparisons are of int ratios, by cross-multiplying: with trivial =
     N^2 - 1 and k = N // d, the target is N(N-d)/trivial and 1 - (d-1)/m is
-    (m-d+1)/m. The bounds are scored on the blocks ((k, d), (1, N mod d)) of
-    qd(N, d) as N^2 plus one `growth` block term per block (doubled main
-    parts), read from tables built once per d.
+    (m-d+1)/m. The bounds are scored on the blocks ((k, d), (1, r)) of
+    qd(N, d), r = N mod d, as N^2 plus one `growth` block term per block
+    (doubled main parts).
+
+    The wide range N >= 2d is walked by blocks N = k*d + r, r = 0..d-1, the
+    last block cut at n_max, so k and r need no division. The naive term of
+    (k, d) is read once per block and those of the remainder blocks once per
+    sweep. The refined term of (k, d) is read only on an exceptional pair,
+    whose remainder is 0 or 1.
     """
     violations = []
     checked = 0
-    # the term of the remainder block (1, r), r < d; no block when r = 0
-    rem_naive = [0] + [_naive_term(1, r)[0] for r in range(1, n_max)]
-    rem_refined = [(0, 0)] + [_refined_term(1, r) for r in range(1, n_max)]
+    # the terms of the remainder block (1, r), r < d <= n_max/2; no block
+    # when r = 0
+    rem_naive = [0] + [_naive_term(1, r)[0] for r in range(1, n_max // 2)]
+    rem_refined = ((0, 0), _refined_term(1, 1))
     for d in range(2, n_max + 1):
         # short range, d < N < 2d: only 1 - (d-1)/(N-1) against the target
         short = range(d + 1, min(2 * d, n_max + 1))
@@ -347,38 +354,41 @@ def verify_density(n_max: int = 60) -> Certificate:
             trivial = n * n - 1
             if not (n - d) * trivial > n * (n - d) * (n - 1):
                 violations.append(f"short-range case fails at ({n},{d})")
-        ks = range(n_max // d + 1)
-        naive = [_naive_term(t, d)[0] for t in ks]
-        refined = [_refined_term(t, d) for t in ks]
+        checked += len(range(2 * d, n_max + 1))
         last_exceptional = 2 * d + 1 + (d == 2)
-        wide = range(2 * d, n_max + 1)
-        checked += len(wide)
-        for n in wide:
-            k, rem = divmod(n, d)
-            m = n - k
-            trivial = n * n - 1
-            target = n * (n - d)
-            if not (m - d + 2) * trivial > target * (m + 1):
-                violations.append(f"secondary case fails at ({n},{d})")
-            exceptional = n <= last_exceptional
-            # 1 - (d-1)/m > (rbar - 1) / trivial, rbar2 = 2*rbar
-            rbar2 = n * n + naive[k] + rem_naive[rem]
-            strict = (m - d + 1) * 2 * trivial > (rbar2 - 2) * m
-            if strict == exceptional:
-                violations.append(
-                    f"naive case at ({n},{d}): strict={strict}, "
-                    f"expected exceptional={exceptional}"
-                )
-            if exceptional:
-                # the refined bound less 1 against trivial * (m-d+1)/m
-                a, e = refined[k]
-                b, f = rem_refined[rem]
-                lhs = (n * n + a + b - 2) * m
-                rhs = 2 * trivial * (m - d + 1)
-                passes = lhs < rhs or (lhs == rhs and e + f < 0)
-                if passes != ((n, d) != (4, 2)):
+        for k in range(2, n_max // d + 1):
+            naive = _naive_term(k, d)[0] - 2
+            first = k * d
+            stop = min(first + d, n_max + 1)
+            for rem, n in zip(rem_naive, range(first, stop)):
+                m = n - k
+                nn = n * n
+                trivial = nn - 1
+                if not (m - d + 2) * trivial > n * (n - d) * (m + 1):
+                    violations.append(f"secondary case fails at ({n},{d})")
+                # 1 - (d-1)/m > (rbar - 1) / trivial, with 2*rbar - 2 =
+                # N^2 + naive + rem
+                strict = (m - d + 1) * 2 * trivial > (nn + naive + rem) * m
+                if n <= last_exceptional:
+                    if strict:
+                        violations.append(
+                            f"naive case at ({n},{d}): strict=True, "
+                            "expected exceptional=True"
+                        )
+                    # the refined bound less 1 against trivial * (m-d+1)/m
+                    a, e = _refined_term(k, d)
+                    b, f = rem_refined[n - first]
+                    lhs = (nn + a + b - 2) * m
+                    rhs = 2 * trivial * (m - d + 1)
+                    passes = lhs < rhs or (lhs == rhs and e + f < 0)
+                    if passes != ((n, d) != (4, 2)):
+                        violations.append(
+                            f"refined recheck at ({n},{d}): passes={passes}"
+                        )
+                elif not strict:
                     violations.append(
-                        f"refined recheck at ({n},{d}): passes={passes}"
+                        f"naive case at ({n},{d}): strict=False, "
+                        "expected exceptional=False"
                     )
     return Certificate(
         target="density",

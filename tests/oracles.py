@@ -669,8 +669,6 @@ def dominant_shapes(places, tops, rank: int) -> list[dict]:
                 )
                 for d in sorted(mult, reverse=True)
             )
-            for v in range(len(places)):
-                total_character((c, d) for t, d, cs, eta in shape for c in cs[v])
             shapes.append(shape)
     unique = list(dict.fromkeys(shapes))
     unique.sort(key=lambda shape: [(d, t, eta, cs) for t, d, cs, eta in shape])

@@ -479,9 +479,11 @@ def test_sweep_cases_count_the_certificate(target):
         "density": sarnakxue.verify_density,
     }
     assert cli.NMAX_MAX[target] >= {"qd": 60, "density": 110}[target]
-    for nmax in range(cli.NMAX_MIN[target], 16):
+    for nmax in [*range(cli.NMAX_MIN[target], 16), cli.NMAX_MAX[target]]:
         cases = sweep[target](nmax).checked_count
         assert cli.sweep_cases(target, nmax) == cases
+    # the counts quoted at the refusal boundary
+    assert cases == {"qd": 19_900, "density": 1_277_601}[target]
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import inspect
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -262,7 +263,8 @@ def test_sweeps_match_fraction_oracle(n_max):
         assert (cert.checked_count, list(cert.violations)) == want
 
 
-@pytest.mark.parametrize("n_max", [30, 60, 110])
+# at a prime n_max the last block N = k*d + r is cut partway for most d
+@pytest.mark.parametrize("n_max", [30, 60, 97, 110])
 def test_density_sweep_matches_fraction_oracle_large(n_max):
     cert = verify_density(n_max)
     want = oracles.density_sweep(n_max)
@@ -372,6 +374,33 @@ def test_density_sweep_scores_no_case(monkeypatch):
     ):
         monkeypatch.setattr(module, name, refuse(name))
     assert verify_density(60).ok
+
+
+def _counted(term, seen: Counter):
+    def counted(t, d):
+        seen[t, d] += 1
+        return term(t, d)
+
+    return counted
+
+
+def test_density_reads_each_term_once_where_needed(monkeypatch):
+    reads = {"_naive_term": Counter(), "_refined_term": Counter()}
+    for name, seen in reads.items():
+        monkeypatch.setattr(sarnakxue, name, _counted(getattr(sarnakxue, name), seen))
+    assert verify_density(60).ok
+    # naive: each block (k, d) with k >= 2 once, and each remainder block
+    # (1, r) with r < d <= 30 once
+    blocks = [(k, d) for d in range(2, 31) for k in range(2, 60 // d + 1)]
+    remainders = [(1, r) for r in range(1, 30)]
+    assert reads["_naive_term"] == Counter(blocks + remainders)
+    assert reads["_naive_term"].total() == 171
+    # refined: once per exceptional pair, N = 2d and N = 2d + 1 (both in the
+    # block k = 2) and (6, 2), and once for the remainder block (1, 1)
+    at_2d = [(2, d) for d in range(2, 31)]
+    at_2d_plus_1 = [(2, d) for d in range(2, 30)]
+    assert reads["_refined_term"] == Counter(at_2d + at_2d_plus_1 + [(3, 2), (1, 1)])
+    assert reads["_refined_term"].total() == 59
 
 
 def test_verify_maxsl2_small():
