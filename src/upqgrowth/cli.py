@@ -21,7 +21,7 @@ MAXSL2_NMAX = 48  # verify runs the maxsl2 sweep at most this far
 # (table ignores --nmax; maxsl2, whose first case is N = 1, keeps the qd floor)
 NMAX_MIN = {"table": 2, "qd": 2, "density": 3, "maxsl2": 2}
 # the largest --nmax of the qd and density sweeps, each under 1 s of work
-# (about 0.7 and 0.5 s); maxsl2 is capped at MAXSL2_NMAX instead
+# (about 0.5 s each); maxsl2 is capped at MAXSL2_NMAX instead
 NMAX_MAX = {"qd": 200, "density": 1600}
 # the largest N of an sx-table row: the merge knapsack grows like N^2 log N,
 # and the slowest row of an N, all ones, takes about 0.8 s at the limit

@@ -55,28 +55,49 @@ def profile_sum(profile, i: int) -> int:
     return sum(ordered[:i])
 
 
-def _profile_prefix(parts) -> list[int]:
+def _part_profile(m: int) -> range:
+    """m - 1, m - 3, ... down m // 2 steps: the profile of the balanced block
+    ((m+1)//2, m//2) of a part m in `exponent_profile`."""
+    return range(m - 1, 0, -2)
+
+
+def _pair_weights(n: int):
+    """An iterator of i*(n-i) for 0 <= i <= n/2, the denominators of
+    `_top_ratio`: the sums of the i largest entries of `_part_profile(n)`."""
+    return accumulate(_part_profile(n), initial=0)
+
+
+class _Table(dict):
+    """key -> make(key), each entry built on its first read."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _profile_prefix(parts, profiles) -> list[int]:
     """[sigma_0, ..., sigma_N] for a partition of N: sigma_i is the sum of the
     i largest entries of its balanced exponent profile, zero-padded like
-    `profile_sum`.
-
-    A part m contributes m - 1, m - 3, ... down m // 2 steps, the profile of
-    its balanced block ((m+1)//2, m//2) in `exponent_profile`.
-    """
+    `profile_sum`. `profiles` maps each part m to `_part_profile(m)`."""
     profile = sorted(
-        chain.from_iterable(range(m - 1, 0, -2) for m in parts), reverse=True
+        chain.from_iterable(map(profiles.__getitem__, parts)), reverse=True
     )
     sigma = [0, *accumulate(profile)]
     sigma += [sigma[-1]] * (sum(parts) + 1 - len(sigma))
     return sigma
 
 
-def _top_ratio(sigma: list[int], n: int) -> tuple[int, int]:
+def _top_ratio(sigma: list[int], weights) -> tuple[int, int]:
     """The top sigma_i / (i*(n-i)) over 1 <= i <= n/2 as an unreduced
-    (num, den); (0, 1) when n = 1."""
+    (num, den), given `weights` = `_pair_weights(n)`; (0, 1) when n = 1.
+    The weight 0 at i = 0 never wins."""
     num, den = 0, 1
-    for i in range(1, n // 2 + 1):
-        s, t = sigma[i], i * (n - i)
+    for s, t in zip(sigma, weights):
         if s * den > num * t:
             num, den = s, t
     return num, den
@@ -84,10 +105,11 @@ def _top_ratio(sigma: list[int], n: int) -> tuple[int, int]:
 
 def max_ratio(parts) -> Fraction:
     """max over 1 <= i <= N/2 of sigma_i / (i*(N-i)) at the balanced profile."""
-    parts = tuple(sorted((int(v) for v in parts), reverse=True))
+    parts = tuple(sorted(map(int, parts), reverse=True))
     validate_partition(parts)
-    n = sum(parts)
-    return Fraction(*_top_ratio(_profile_prefix(parts), n))
+    profiles = {m: _part_profile(m) for m in set(parts)}
+    sigma = _profile_prefix(parts, profiles)
+    return Fraction(*_top_ratio(sigma, _pair_weights(sum(parts))))
 
 
 def integrability_bound(parts) -> Fraction:
@@ -282,19 +304,25 @@ def verify_table1() -> Certificate:
 def verify_qd_bound(n_max: int = 60) -> Certificate:
     """Closed forms for the extremal-partition ratios, plus domination.
 
-    Each profile is summed once into a prefix array; the ratios are compared
-    with their closed forms by cross-multiplying, and qd_prime stays under qd
-    when its prefix sums do, index by index up to N.
+    Each case calls `qd` and `qd_prime` and sums the profile of what they
+    return once into a prefix array. Two tables are built once per sweep and
+    filled on first read, so they serve any part or total those return: the
+    balanced profile m - 1, m - 3, ... of each part m, and the weights
+    i*(N-i), 0 <= i <= N/2, of each total N. The ratios are compared with
+    their closed forms by cross-multiplying, and qd_prime stays under qd when
+    its prefix sums do, index by index up to N.
     """
     violations = []
     checked = 0
+    profiles = _Table(_part_profile)
+    weights = _Table(lambda n: list(_pair_weights(n)))
     for d in range(2, n_max + 1):
         for n in range(d, n_max + 1):
             k = n // d
             checked += 1
             q = qd(n, d)
-            sigma = _profile_prefix(q)
-            got = _top_ratio(sigma, sum(q))
+            sigma = _profile_prefix(q, profiles)
+            got = _top_ratio(sigma, weights[sum(q)])
             if got[0] * (n - k) != (d - 1) * got[1]:
                 violations.append(
                     f"ratio(qd({n},{d})) = {Fraction(*got)} != "
@@ -302,8 +330,8 @@ def verify_qd_bound(n_max: int = 60) -> Certificate:
                 )
             if n >= 2 * d:
                 q2 = qd_prime(n, d)
-                sigma2 = _profile_prefix(q2)
-                got2 = _top_ratio(sigma2, sum(q2))
+                sigma2 = _profile_prefix(q2, profiles)
+                got2 = _top_ratio(sigma2, weights[sum(q2)])
                 if got2[0] * (n - k + 1) != (d - 1) * got2[1]:
                     violations.append(
                         f"ratio(qd_prime({n},{d})) = {Fraction(*got2)} != "

@@ -295,6 +295,49 @@ def test_qd_violation_text_frozen(monkeypatch):
     assert not cert.ok
 
 
+def test_qd_sweep_serves_parts_and_totals_above_nmax(monkeypatch):
+    # parts 10 and 11 and totals 11, 15 and 18, all above n_max = 8; the texts
+    # are frozen from the sweep that built each profile per case
+    monkeypatch.setattr(
+        sarnakxue, "qd", _wrong_at({(7, 3): (11,), (8, 4): (10, 1)}, qd)
+    )
+    monkeypatch.setattr(
+        sarnakxue,
+        "qd_prime",
+        _wrong_at({(6, 2): (2,) * 9, (8, 3): (4, 4, 4, 3)}, qd_prime),
+    )
+    cert = verify_qd_bound(8)
+    assert cert.checked_count == 28
+    assert cert.violations == (
+        "ratio(qd_prime(6,2)) = 1/9 != 1/4",
+        "qd_prime(6,2) escapes the qd(6,2) profile",
+        "ratio(qd(7,3)) = 1 != 2/5",
+        "ratio(qd_prime(8,3)) = 1/4 != 2/7",
+        "qd_prime(8,3) escapes the qd(8,3) profile",
+        "ratio(qd(8,4)) = 9/10 != 1/2",
+    )
+
+
+def test_qd_sweep_reads_qd_and_qd_prime_once_per_case(monkeypatch):
+    # the sweep certifies the library's partitions, not ones it rebuilds
+    reads = {"qd": Counter(), "qd_prime": Counter()}
+    for name, seen in reads.items():
+        monkeypatch.setattr(sarnakxue, name, _counted(getattr(sarnakxue, name), seen))
+    assert verify_qd_bound(60).ok
+    cases = [(n, d) for d in range(2, 61) for n in range(d, 61)]
+    assert reads["qd"] == Counter(cases)
+    assert reads["qd"].total() == 1770
+    assert reads["qd_prime"] == Counter((n, d) for n, d in cases if n >= 2 * d)
+    assert reads["qd_prime"].total() == 841
+
+
+# at a prime n_max, qd(n_max, d) has a remainder part for every d < n_max
+@pytest.mark.parametrize("n_max", [30, 61])
+def test_qd_sweep_matches_fraction_oracle_large(n_max):
+    cert = verify_qd_bound(n_max)
+    assert (cert.checked_count, list(cert.violations)) == oracles.qd_sweep(n_max)
+
+
 def _gt_reads_false(func):
     """func recompiled from its source with every `a > b` reading False."""
 
