@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from . import asymptotics, cohomology, sarnakxue, shapes
@@ -94,19 +95,20 @@ def parse_indices(text: str) -> tuple[int, ...]:
 
 
 def load_rep(path: str) -> cohomology.GlobalRep:
+    # a float would round 0.50000000000000001 to 1/2 before any check
     try:
         if path == "-":
-            data = json.load(sys.stdin)
+            data = json.load(sys.stdin, parse_float=Decimal)
         else:
             with open(path) as fh:
-                data = json.load(fh)
+                data = json.load(fh, parse_float=Decimal)
     except (OSError, RecursionError, json.JSONDecodeError) as e:
         # RecursionError: arrays or objects nested too deep for the decoder
         raise ParseError(f"cannot read representation: {e}") from None
     try:
         return cohomology.global_rep_from_json(data)
     except (ArithmeticError, KeyError, TypeError, ValueError) as e:
-        # ArithmeticError: "1/0" or an overflowing 1e400 among the numbers
+        # ArithmeticError: "1/0" or Infinity among the numbers
         raise ParseError(f"bad representation data: {e}") from None
 
 

@@ -14,6 +14,7 @@ a rep is determined by the bipartition alone:
 from __future__ import annotations
 
 from collections import namedtuple
+from decimal import Decimal
 from fractions import Fraction
 
 from . import infchar, partitions
@@ -167,8 +168,12 @@ def _fraction_from_json(value) -> Fraction:
     r"""Fraction(value), with the ASCII texts -?\d+ and -?\d+/2 read by int.
 
     Those forms cover every value of a regular integral character, and on
-    them int reads what Fraction would. Every other value, text or not,
-    goes to Fraction.
+    them int reads what Fraction would. A Decimal goes to Fraction as its
+    text, whose digits int's limit of 4300 bounds. A text whose exponent,
+    what follows its last e or E read by int, is 4300 or more in size is
+    refused: Fraction would build 10**exponent in full, for minutes at an
+    exponent of 10**8, and no output could print the value. Every other
+    value goes to Fraction.
     """
     if type(value) is str and value.isascii():
         num, slash, den = value.partition("/")
@@ -177,6 +182,15 @@ def _fraction_from_json(value) -> Fraction:
         if digits.isdigit() and (not slash or den == "2"):
             n = -int(digits) if negative else int(digits)
             return Fraction(n, 2) if slash else Fraction(n)
+    if isinstance(value, (str, Decimal)):
+        value = str(value)
+        _, e, exponent = value.lower().rpartition("e")
+        try:
+            size = abs(int(exponent)) if e else 0
+        except ValueError:  # no exponent Fraction reads: it names the text
+            size = 0
+        if size >= 4300:  # CPython's default limit on an int's text
+            raise ValueError("infchar entries take exponents below 4300")
     return Fraction(value)
 
 
@@ -184,7 +198,8 @@ def _int_from_json(value, field: str) -> int:
     """value when it is a JSON integer: a float, bool or text is refused,
     where int would truncate 6.7 to 6 and read true as 1."""
     if type(value) is not int:
-        kind = type(value).__name__
+        # the CLI reads JSON floats exactly, as Decimals
+        kind = "float" if type(value) is Decimal else type(value).__name__
         raise ValueError(f"{field} entries must be integers, got {kind}")
     return value
 

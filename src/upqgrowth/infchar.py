@@ -34,37 +34,23 @@ def rho(n: int) -> Character:
     return tuple(Fraction(n - 1 - 2 * i, 2) for i in range(n))
 
 
-def segments(lam: Character, parts: tuple[int, ...]) -> tuple[Character, ...]:
-    """Split lam into consecutive segments of the given lengths."""
-    validate_partition(parts)
-    lam = as_character(lam)
-    if sum(parts) != len(lam):
-        raise ValueError("partition rank does not match character rank")
-    out: list[Character] = []
-    i = 0
-    for n in parts:
-        out.append(lam[i : i + n])
-        i += n
-    return tuple(out)
-
-
 def is_adapted(lam: Character, parts: tuple[int, ...]) -> bool:
-    """True when every segment of lam under parts is a step -1 progression."""
+    """True when lam, cut into consecutive segments of the lengths in parts,
+    steps by -1 within every segment."""
     try:
-        segs = segments(lam, parts)
+        validate_partition(parts)
+        lam = as_character(lam)
     except ValueError:
         return False
-    return all(
-        all(a - b == 1 for a, b in zip(seg, seg[1:])) for seg in segs
-    )
-
-
-def block_expansion(xi: Fraction, d: int) -> Character:
-    """The d consecutive values centered at xi: xi + (d+1)/2 - l, l = 1..d."""
-    if d < 1:
-        raise ValueError("block length must be positive")
-    xi = Fraction(xi)
-    return tuple(xi + Fraction(d + 1, 2) - l for l in range(1, d + 1))
+    if sum(parts) != len(lam):
+        return False
+    i = 0
+    for n in parts:
+        seg = lam[i : i + n]
+        i += n
+        if any(a - b != 1 for a, b in zip(seg, seg[1:])):
+            return False
+    return True
 
 
 def total_character(blocks) -> Character:

@@ -15,7 +15,7 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import chain, permutations, product
 
-from . import infchar, partitions
+from . import infchar
 from .cohomology import GlobalRep, LocalRep
 from .infchar import format_rational
 from .partitions import partitions_of
@@ -103,11 +103,7 @@ def is_gsk(x) -> bool:
     """
     pairs = sorted(td_pairs(x), key=lambda td: td[1])
     ds = [d for _, d in pairs]
-    if len(set(ds)) != len(ds):
-        return False
-    if ds[0] != 1:
-        return False
-    return all(t == 1 for t, d in pairs if d > 1)
+    return ds[0] == 1 and len(set(ds)) == len(ds) and all(t == 1 for t, _ in pairs[1:])
 
 
 def is_odd_gsk(x) -> bool:
@@ -359,47 +355,43 @@ def delta_max(rep: GlobalRep):
 # --- parity test over the odd GSK family ------------------------------------
 
 
-def _shape_parts_at_place(shape: Shape, place: int):
-    """Singleton parts from the d=1 block, one stretch per longer block,
-    ordered by top value descending.  Returns (values, d) pairs."""
-    parts: list[tuple[tuple[Fraction, ...], int]] = []
-    for b in shape.blocks:
-        for c in b.centers[place]:
-            parts.append((infchar.block_expansion(c, b.d), b.d))
-    parts.sort(key=lambda vd: vd[0][0], reverse=True)
-    return parts
-
-
-def _stretch_q(rep: LocalRep, values: tuple[Fraction, ...]) -> int:
-    """Second-coordinate weight of a value stretch inside the local rep.
+def _stretch_q(rep: LocalRep, c: Fraction, d: int) -> int:
+    """Second-coordinate weight of the length-d stretch centred at c.
 
     A stretch matching one mixed block exactly takes that block's q; a
     stretch made of degenerate-block values counts its (0,1) members;
     anything else is rejected.
     """
-    sums = partitions.block_sums(rep.blocks)
-    segs = infchar.segments(rep.lam, sums)
-    vset = set(values)
-    deg_lookup: dict[Fraction, int] = {}
-    for (x, y), n, seg in zip(rep.blocks, sums, segs):
-        if n > 1:
-            if set(seg) == vset:
-                return y
-            if set(seg) & vset:
-                raise ValueError(
-                    "stretch straddles a nondegenerate block boundary"
-                )
+    top = c + Fraction(d - 1, 2)
+    bottom = top - d + 1
+    q = found = i = 0
+    for x, y in rep.blocks:
+        n = x + y
+        first, last = rep.lam[i], rep.lam[i + n - 1]
+        i += n
+        # values stepping by 1 meet the stretch's top, top - 1, ..., bottom
+        # when the ranges overlap and differ by an integer
+        if last > top or first < bottom or (top - first).denominator > 1:
+            continue
+        if n == 1:
+            q, found = q + y, found + 1
+        elif first == top and n == d:
+            return y
         else:
-            deg_lookup[seg[0]] = y
-    if not vset <= set(deg_lookup):
+            raise ValueError("stretch straddles a nondegenerate block boundary")
+    if found != d:
         raise ValueError("stretch values missing from the local character")
-    return sum(deg_lookup[v] for v in values)
+    return q
 
 
 def odd_gsk_parity_test(rep: GlobalRep, shape: Shape) -> bool:
     """Vanishing test for odd-GSK shapes: every long block must accumulate an
     even sign exponent across the places, and the everywhere-unramified part
-    must carry an even exponent too."""
+    must carry an even exponent too.
+
+    At each place a long block adds its position among the shape's stretches
+    by top value, its stretch's q and chi4(d).
+    """
     if not is_odd_gsk(shape):
         raise ValueError("parity test only applies to odd GSK shapes")
     if shape.places != len(rep.places):
@@ -408,21 +400,14 @@ def odd_gsk_parity_test(rep: GlobalRep, shape: Shape) -> bool:
     unram = (n * (n - 1) // 2) * len(rep.places) + sum(r.q for r in rep.places)
     if unram % 2:
         return False
-    long_ds = [b.d for b in shape.blocks if b.d > 1]
-    for d in long_ds:
+    for b in (b for b in shape.blocks if b.d > 1):
         t = 0
         for v, local in enumerate(rep.places):
-            parts = _shape_parts_at_place(shape, v)
-            idx = next(
-                (i for i, (_, dd) in enumerate(parts, start=1) if dd == d),
-                None,
-            )
-            if idx is None:
-                raise AssertionError(
-                    f"shape has no block of size {d} at place {v}"
-                )
-            qv = _stretch_q(local, parts[idx - 1][0])
-            t += (idx - 1) + qv + chi4(d)
+            (c,) = b.centers[v]  # a long block of a GSK shape has T = 1
+            # its position: the stretches whose top x + (d' - 1)/2 is above its own
+            top2 = 2 * c + b.d
+            above = sum(2 * x + o.d > top2 for o in shape.blocks for x in o.centers[v])
+            t += above + _stretch_q(local, c, b.d) + chi4(b.d)
         if t % 2:
             return False
     return True

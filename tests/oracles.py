@@ -689,6 +689,75 @@ def dominant_shapes(places, tops, rank: int) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
+# the odd-GSK parity test in Fractions, as the library did it before it read
+# each long block's own centre: every stretch of the shape is rebuilt and
+# sorted at each place, and each stretch is matched against the segments
+
+
+def chi4(a: int) -> int:
+    return 0 if a % 4 in (0, 1) else 1
+
+
+def stretch_q(place, values) -> int:
+    """q-weight of a value stretch in a place (p, q, bipartition, lam)."""
+    _, _, blocks, lam = place
+    vset = set(values)
+    deg_lookup = {}
+    i = 0
+    for x, y in blocks:
+        n = x + y
+        seg = lam[i : i + n]
+        i += n
+        if n > 1:
+            if set(seg) == vset:
+                return y
+            if set(seg) & vset:
+                raise ValueError("stretch straddles a nondegenerate block boundary")
+        else:
+            deg_lookup[seg[0]] = y
+    if not vset <= set(deg_lookup):
+        raise ValueError("stretch values missing from the local character")
+    return sum(deg_lookup[v] for v in values)
+
+
+def parity_test(places, blocks) -> bool:
+    """The odd-GSK parity test of places (p, q, bipartition, lam) and shape
+    blocks (T, d, centres per place, eta), with the library's messages."""
+    pairs = sorted(((t, d) for t, d, _, _ in blocks), key=lambda td: td[1])
+    ds = [d for _, d in pairs]
+    gsk = (
+        len(set(ds)) == len(ds)
+        and ds[0] == 1
+        and all(t == 1 for t, d in pairs if d > 1)
+    )
+    if not (gsk and all(d % 2 == 1 for d in ds)):
+        raise ValueError("parity test only applies to odd GSK shapes")
+    if len(blocks[0][2]) != len(places):
+        raise ValueError("shape and representation disagree on places")
+    n = places[0][0] + places[0][1]
+    unram = (n * (n - 1) // 2) * len(places) + sum(q for _, q, _, _ in places)
+    if unram % 2:
+        return False
+    for d in [d for _, d, _, _ in blocks if d > 1]:
+        t = 0
+        for v, place in enumerate(places):
+            parts = sorted(
+                (
+                    (block_expansion(c, bd), bd)
+                    for _, bd, centres, _ in blocks
+                    for c in centres[v]
+                ),
+                key=lambda vd: vd[0][0],
+                reverse=True,
+            )
+            idx = next(i for i, (_, dd) in enumerate(parts) if dd == d)
+            t += idx + stretch_q(place, parts[idx][0]) + chi4(d)
+        if t % 2:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 
 
 def main() -> None:

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -850,5 +851,51 @@ def test_malformed_arguments_exit_2(good_in_fresh_process, argv):
     _replaced("bipartition", [[2, 1], [True, 0], [1, 0], [1, 0], [1, 0]]),
 )
 @example("delta-max", _replaced("infchar", ["3", "2", True, "0", "-1", "-2", "-3"]))
+# a float would read the first value as 1/2, and so the rep as a good one
+@example(
+    "delta-max",
+    '{"signature": [2, 0], "bipartition": [[1, 0], [1, 0]],'
+    ' "infchar": [0.50000000000000001, -0.5]}',
+)
 def test_malformed_rep_exits_2(good_in_fresh_process, command, text):
     _check_bad_then_good([command, "--rep", "-"], text, good_in_fresh_process)
+
+
+def test_json_float_in_signature_refused_as_float():
+    # the CLI reads JSON floats as exact Decimals; the message names the
+    # JSON type
+    code, out, err = _run(["delta-max", "--rep", "-"], _replaced("signature", [6.0, 1]))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: bad representation data: signature entries must be integers, "
+        "got float\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "value, error",
+    [
+        ('"1e10000000"', "infchar entries take exponents below 4300"),
+        ("1e10000000", "infchar entries take exponents below 4300"),
+        ('"-1.5E-10000000"', "infchar entries take exponents below 4300"),
+        # Fraction would take about 40 s on the exact Decimal of this one
+        ("1" + "0" * 10**6 + ".5", "Exceeds the limit (4300 digits) for integer"),
+    ],
+    ids=["text", "number", "negative-exponent", "long-number"],
+)
+def test_long_number_refused_at_once(value, error):
+    # Fraction alone takes about 12 s to build 10**10000000
+    text = f'{{"signature":[1,0],"bipartition":[[1,0]],"infchar":[{value}]}}'
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "upqgrowth.cli", "delta-max", "--rep", "-"],
+        input=text,
+        capture_output=True,
+        text=True,
+        env=SRC_ENV,
+        timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(f"error: bad representation data: {error}")
+    assert elapsed < 2, elapsed

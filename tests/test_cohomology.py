@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -226,6 +228,7 @@ def _outcome(parse, value):
         st.floats(),
         st.booleans(),
         st.none(),
+        st.decimals(allow_nan=False, allow_infinity=False),
     )
 )
 @example("-0/2")
@@ -240,5 +243,27 @@ def _outcome(parse, value):
 @example("²/2")  # a digit to str.isdigit, to neither int nor Fraction
 @example("-" + "9" * 5000 + "/2")  # over int's digit limit
 @example("9" * 4300)
+@example("1e10000000")
+@example("-2.5E-4300")
+@example("1e4299")
+@example("e+4_300")  # refused, though Fraction reads no number in it
+@example("1e" + "9" * 5000)  # over int's digit limit
+@example(Decimal("1E+10000000"))
+@example(Decimal("0.50000000000000001"))
+@example(Decimal("1" * 5000 + ".5"))  # its text is over int's digit limit
 def test_fraction_from_json_matches_fraction(value):
-    assert _outcome(ch._fraction_from_json, value) == _outcome(Fraction, value)
+    # Fraction's outcome, on a Decimal's text, except for a text whose part
+    # after its last e or E reads by int as 4300 or more in size: that one
+    # is refused before Fraction builds 10**exponent in full
+    if isinstance(value, Decimal):
+        value = str(value)
+    exponent = re.fullmatch(r"(?s).*[eE](.*)", value) if type(value) is str else None
+    try:
+        refused = exponent is not None and abs(int(exponent[1])) >= 4300
+    except ValueError:
+        refused = False
+    if refused:
+        want = (ValueError, "infchar entries take exponents below 4300")
+    else:
+        want = _outcome(Fraction, value)
+    assert _outcome(ch._fraction_from_json, value) == want

@@ -51,13 +51,16 @@ def test_adapted():
     assert not ic.is_adapted(lam, (3, 3))
     gap = (Fraction(3), Fraction(2), Fraction(0))
     assert not ic.is_adapted(gap, (3,))
+    assert not ic.is_adapted((3, 1, 0), (3,))
     assert ic.is_adapted(gap, (2, 1))
 
 
 def test_block_expansion():
-    assert ic.block_expansion(Fraction(0), 3) == (1, 0, -1)
-    assert ic.block_expansion(Fraction(1, 2), 2) == (1, 0)
-    assert ic.block_expansion(Fraction(5), 1) == (5,)
+    # the oracles' expansion, which their character and parity test rebuild
+    # each block with
+    assert oracles.block_expansion(Fraction(0), 3) == (1, 0, -1)
+    assert oracles.block_expansion(Fraction(1, 2), 2) == (1, 0)
+    assert oracles.block_expansion(Fraction(5), 1) == (5,)
 
 
 @given(
@@ -66,7 +69,7 @@ def test_block_expansion():
 )
 def test_block_expansion_centered(two_xi, d):
     xi = Fraction(two_xi, 2)
-    vals = ic.block_expansion(xi, d)
+    vals = oracles.block_expansion(xi, d)
     assert len(vals) == d
     assert sum(vals) / d == xi
     assert oracles.is_step_one(vals)

@@ -437,12 +437,81 @@ def test_parity_requires_odd_gsk():
 
 
 def test_stretch_straddle_rejected():
+    # values 3/2, 1/2, -1/2 in the mixed block, then -3/2 in a (1,0) block
     rep = LocalRep(p=3, q=1, blocks=((2, 1), (1, 0)), lam=rho(4))
-    top = rho(4)[:3]
-    with pytest.raises(ValueError):
-        _stretch_q(rep, top[1:])  # overlaps the mixed block partially
-    assert _stretch_q(rep, top) == 1
-    assert _stretch_q(rep, (Fraction(-3, 2),)) == 0
+    with pytest.raises(ValueError, match="straddles"):
+        _stretch_q(rep, Fraction(0), 2)  # 1/2, -1/2: part of the mixed block
+    with pytest.raises(ValueError, match="straddles"):
+        _stretch_q(rep, Fraction(-1), 2)  # -1/2, -3/2: across its boundary
+    assert _stretch_q(rep, Fraction(1, 2), 3) == 1  # the mixed block exactly
+    assert _stretch_q(rep, Fraction(-3, 2), 1) == 0
+    with pytest.raises(ValueError, match="missing from the local character"):
+        _stretch_q(rep, Fraction(0), 3)  # 1, 0, -1: between the block's values
+
+
+def test_stretch_missing_values_rejected():
+    rep = LocalRep(p=2, q=2, blocks=((1, 0), (0, 1)) * 2, lam=rho(4))
+    assert _stretch_q(rep, Fraction(0), 4) == 2  # the (0,1) values 1/2, -3/2
+    assert _stretch_q(rep, Fraction(1, 2), 3) == 1  # 3/2, 1/2, -1/2
+    for c, d in [
+        (Fraction(-3, 2), 3),  # -1/2, -3/2 and -5/2, which lam lacks
+        (Fraction(5, 2), 1),  # above the character
+        (Fraction(0), 1),  # between two values
+        (Fraction(0), 3),  # 1, 0 and -1: no value of lam
+    ]:
+        with pytest.raises(ValueError, match="missing from the local character"):
+            _stretch_q(rep, c, d)
+
+
+def _with_character_shifted(places, k):
+    return GlobalRep(
+        tuple(LocalRep(r.p, r.q, r.blocks, [x + k for x in r.lam]) for r in places)
+    )
+
+
+def _outcome(parity_test, *args):
+    try:
+        return parity_test(*args)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def test_parity_test_matches_fraction_oracle():
+    # every dominant shape of the one-place reps of rank <= 7 with character
+    # rho(n), and of the two-place reps of neighbours in that list; each is
+    # tested on its own rep, on its rep with every character shifted by 1
+    # (stretches straddle or miss) and by n (no value in common), and on the
+    # next rep in the list (after the last one-place rep, a two-place one)
+    outcomes = Counter()
+    for n in range(1, 8):
+        locs = [
+            LocalRep(p, n - p, b, rho(n))
+            for p in range(n + 1)
+            for b in reduced_bipartitions(p, n - p)
+        ]
+        reps = [GlobalRep((r,)) for r in locs]
+        reps += [GlobalRep(pair) for pair in zip(locs, locs[1:])]
+        for i, g in enumerate(reps):
+            try:
+                shapes = delta_max(g).shapes
+            except ValueError:  # no common SL(2)-type across the places
+                continue
+            others = [
+                g,
+                _with_character_shifted(g.places, 1),
+                _with_character_shifted(g.places, n),
+                *reps[i + 1 : i + 2],
+            ]
+            for shape in shapes:
+                for h in others:
+                    got = _outcome(odd_gsk_parity_test, h, shape)
+                    want = _outcome(oracles.parity_test, h.places, shape.blocks)
+                    assert got == want, (h, shape)
+                    outcomes[got if type(got) is bool else got[1]] += 1
+    assert sum(outcomes.values()) == 10369
+    assert outcomes[True] == 1237 and outcomes[False] == 1341
+    # every refusal of the parity test occurs
+    assert len(outcomes) == 6
 
 
 # --- validation and serialization --------------------------------------------
