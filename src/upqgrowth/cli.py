@@ -24,8 +24,10 @@ NMAX_MIN = {"table": 2, "qd": 2, "density": 3, "maxsl2": 2}
 # the largest --nmax of the qd and density sweeps, each under 1 s of work
 # (about 0.5 s each); maxsl2 is capped at MAXSL2_NMAX instead
 NMAX_MAX = {"qd": 200, "density": 1600}
-# the largest N of an sx-table row: the merge knapsack grows like N^2 log N,
-# and the slowest row of an N, all ones, takes about 0.8 s at the limit
+# the largest N of an sx-table row: the merge knapsack runs each part size
+# the row holds up to its number of ones, so the slowest rows of an N are a
+# core of distinct small parts padded with ones; they grow like N^2 log N and
+# take about 0.3 s at the limit, (15, 14, ..., 2) padded to N = 1200
 SX_N_MAX = 1200
 # the most digits an euler value may have, by asymptotics.euler_digits: Python
 # prints no int of more than 4300 digits, and any value under the cap takes

@@ -169,11 +169,13 @@ def _fraction_from_json(value) -> Fraction:
 
     Those forms cover every value of a regular integral character, and on
     them int reads what Fraction would. A Decimal goes to Fraction as its
-    text, whose digits int's limit of 4300 bounds. A text whose exponent,
-    what follows its last e or E read by int, is 4300 or more in size is
-    refused: Fraction would build 10**exponent in full, for minutes at an
-    exponent of 10**8, and no output could print the value. Every other
-    value goes to Fraction.
+    text, whose digits int's limit of 4300 bounds. A text is refused when
+    its exponent in scientific notation is 4300 or more in size: the
+    adjusted exponent of the Decimal before its last e or E, plus what
+    follows that e read by int. Fraction would build 10**exponent in full,
+    for minutes at an exponent of 10**8, and no output could print a value
+    of more than 4300 digits, such as 1 and 4298 zeros times 10**4299.
+    Every other value goes to Fraction.
     """
     if type(value) is str and value.isascii():
         num, slash, den = value.partition("/")
@@ -184,13 +186,18 @@ def _fraction_from_json(value) -> Fraction:
             return Fraction(n, 2) if slash else Fraction(n)
     if isinstance(value, (str, Decimal)):
         value = str(value)
-        _, e, exponent = value.lower().rpartition("e")
+        head, e, tail = value.lower().rpartition("e")
+        if not e:
+            head, tail = tail, "0"
         try:
-            size = abs(int(exponent)) if e else 0
-        except ValueError:  # no exponent Fraction reads: it names the text
+            size = abs(Decimal(head).adjusted() + int(tail))
+        except (ArithmeticError, ValueError):  # no number: Fraction names it
             size = 0
         if size >= 4300:  # CPython's default limit on an int's text
-            raise ValueError("infchar entries take exponents below 4300")
+            raise ValueError(
+                "infchar entries take exponents below 4300 in scientific "
+                "notation"
+            )
     return Fraction(value)
 
 

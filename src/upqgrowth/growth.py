@@ -10,7 +10,8 @@ multiplicity 1, 2 or 3; multiplicity-3 corrections are where eps enters.
 Every bound is N^2/2 plus one term per block, so a maximum over the ways to
 group equal parts into blocks (`split_tables`, `grouping_score`) or to merge
 the size-1 parts (`merge_bounds`) is a small exact dynamic programme instead
-of an enumeration.
+of an enumeration. The merge of the 1s runs only over the part sizes the
+partition already holds: merging 1s into a new size never pays.
 """
 
 from __future__ import annotations
@@ -184,19 +185,20 @@ def grouping_score(q_parts, tables) -> int:
     return n * n * k + packed
 
 
-def extra_tops(start: list[int], gains) -> list[int]:
-    """A bounded knapsack of packed scores over the part sizes 2..room,
-    room = len(start) - 1.
+def extra_tops(start: list[int], sizes, gains) -> list[int]:
+    """A bounded knapsack of packed scores over the given part sizes, each
+    2 <= d <= room, room = len(start) - 1.
 
     Entry s of the result is the top of start[s - x] plus gains(d)[e] per
-    size d, over every extra of parts >= 2 summing to x <= s with e parts d;
-    gains(d) covers each e with d*e <= room. Each e is one slice-wise
-    max-plus update. A start entry that no sum may use needs a floor below
-    every reachable score, as it keeps its value plus one gains(d)[0] per d.
+    size d in sizes, over every extra of parts in sizes summing to x <= s
+    with e parts d; gains(d) covers each e with d*e <= room. Each e is one
+    slice-wise max-plus update. A start entry that no sum may use needs a
+    floor below every reachable score, as it keeps its value plus one
+    gains(d)[0] per d.
     """
     best = start
     room = len(start) - 1
-    for d in range(2, room + 1):
+    for d in sizes:
         gain = gains(d)
         g = gain[0]
         new = [x + g for x in best]
@@ -220,6 +222,16 @@ def _best_merge(base: Counter, ones: int, term) -> GrowthValue:
     """Top of N^2/2 + sum term(T_d, d) over the partitions base + extra,
     extra any partition of ones, with equal parts fully grouped.
 
+    Only the sizes 2 <= d <= ones that base holds go to `extra_tops`, by
+    this lemma: no maximizer has a part of a size d >= 2 that base lacks.
+    Both terms score the 1-block (t, 1) t^2, doubled. If an extra puts
+    e >= 1 parts d in a block of their own and leaves y ones, turning those
+    parts back into e*d ones raises the 1-block by (y + e*d)^2 - y^2 >=
+    (e*d)^2, while the block (e, d) scored less: at most e^2 d in the
+    refined main term, whose corrections are >= 0 for d >= 2 (so its d
+    epsilons at T = 3 cannot outweigh a larger main term), and
+    e(e + 1 - d^2) in the conjectural one.
+
     `extra_tops` starts from the terms of the 1-blocks left by an extra of
     s ones, so every sum is reachable. Terms are packed with k = N + 1: only
     T = 3, d > 1 blocks carry eps, d of it each, so every partial sum has
@@ -230,6 +242,7 @@ def _best_merge(base: Counter, ones: int, term) -> GrowthValue:
     fixed = sum(pack(term, m, d, k) for d, m in base.items() if d > ones)
     best = extra_tops(
         [pack(term, s, 1, k) for s in range(ones + 1)],
+        sorted(d for d in base if d <= ones),
         lambda d: [
             pack(term, base[d] + e, d, k) for e in range(ones // d + 1)
         ],

@@ -489,7 +489,9 @@ def verify_maxsl2(n_max: int = 14) -> Certificate:
 
     Nor are the partitions of the slack: per core, `growth.extra_tops`
     gives best[s], the top sum of the table entries of the sizes d >= 2,
-    core parts included, over the extras of parts >= 2 that sum to s.
+    core parts included, over the extras of parts >= 2 that sum to s. It
+    runs every size 2..room, not only the core's: this sweep certifies that
+    padding beats every merge, so it leans on no lemma of `growth`.
     Each N then adds the table entry of the remaining ones. The padded
     partition must reach the top and every extra with a part >= 2 stay
     below it, except (2,) where the tie is allowed, which must reach it.
@@ -508,6 +510,7 @@ def verify_maxsl2(n_max: int = 14) -> Certificate:
         room = n_max - size
         best = extra_tops(
             [sum(tables[d][1] for d in core if d > room)] + [floor] * room,
+            range(2, room + 1),
             lambda d: tables[d][1:] if d in core else tables[d],
         )
         core_blocks = sum(pack(_refined_term, 1, d, k) for d in core)

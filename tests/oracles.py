@@ -419,11 +419,12 @@ def merge_bounds(q_parts) -> tuple[tuple[Fraction, int], tuple[Fraction, int]]:
     )
 
 
-def extra_tops(start, gains) -> list:
-    """Entry s: the top of start[s - x] plus gains(d)[e] for each size
-    2 <= d <= room, over every extra of parts >= 2 summing to x <= s with e
-    parts d, each extra listed and scored on its own; room = len(start) - 1.
-    A start entry None is never used, and an entry no extra reaches is None.
+def extra_tops(start, sizes, gains) -> list:
+    """Entry s: the top of start[s - x] plus gains(d)[e] for each size d in
+    sizes, over every extra of parts in sizes summing to x <= s with e parts
+    d, each extra listed and scored on its own; room = len(start) - 1 and
+    every size lies in 2..room. A start entry None is never used, and an
+    entry no extra reaches is None.
     """
     room = len(start) - 1
     out = []
@@ -433,10 +434,10 @@ def extra_tops(start, gains) -> list:
             if start[s - x] is None:
                 continue
             for extra in partitions_of(x):
-                if 1 in extra:
+                if not set(extra) <= set(sizes):
                     continue
                 count = Counter(extra)
-                gain = sum(gains(d)[count[d]] for d in range(2, room + 1))
+                gain = sum(gains(d)[count[d]] for d in sizes)
                 scores.append(start[s - x] + gain)
         out.append(max(scores, default=None))
     return out

@@ -136,8 +136,9 @@ def test_sx_table_needs_a_partition(parts, as_json, capsys):
 
 @pytest.mark.parametrize("parts, n", [("4000000", 4000000), ("(2,2);(1201)", 1201)])
 def test_sx_table_row_size_limit(parts, n, capsys):
-    # a row's time grows like N^2 log N, and a part of 10^9 would need tens
-    # of GB, so a row above SX_N_MAX is refused before any row is computed
+    # the slowest rows of an N, a core of distinct small parts padded with
+    # ones, take time like N^2 log N, and a part of 10^9 would need tens of
+    # GB, so a row above SX_N_MAX is refused before any row is computed
     assert n > cli.SX_N_MAX == 1200
     assert cli.run(["sx-table", "--parts", parts]) == 2
     captured = capsys.readouterr()
@@ -149,12 +150,16 @@ def test_sx_table_row_size_limit(parts, n, capsys):
 
 
 def test_sx_table_row_at_the_limit(capsys):
-    # all ones is the slowest row of its N
+    # a core of distinct small parts padded with ones is the slowest row of
+    # its N: the merge knapsack runs each size the row holds up to its ones
     ones = ",".join(["1"] * cli.SX_N_MAX)
-    assert cli.run(["sx-table", "--parts", f"({cli.SX_N_MAX});({ones})"]) == 0
+    core = list(range(15, 1, -1))
+    padded = ",".join(map(str, core + [1] * (cli.SX_N_MAX - sum(core))))
+    argv = ["sx-table", "--parts", f"({cli.SX_N_MAX});({ones});({padded})"]
+    assert cli.run(argv) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     trivial = cli.SX_N_MAX**2 - 1
-    assert [row.split(",")[4] for row in rows] == [str(trivial)] * 2
+    assert [row.split(",")[4] for row in rows] == [str(trivial)] * 3
 
 
 # --- delta-max and leading-term --------------------------------------------------
@@ -879,7 +884,7 @@ def test_json_float_in_signature_refused_as_float():
         ("1e10000000", "infchar entries take exponents below 4300"),
         ('"-1.5E-10000000"', "infchar entries take exponents below 4300"),
         # Fraction would take about 40 s on the exact Decimal of this one
-        ("1" + "0" * 10**6 + ".5", "Exceeds the limit (4300 digits) for integer"),
+        ("1" + "0" * 10**6 + ".5", "infchar entries take exponents below 4300"),
     ],
     ids=["text", "number", "negative-exponent", "long-number"],
 )
@@ -899,3 +904,34 @@ def test_long_number_refused_at_once(value, error):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith(f"error: bad representation data: {error}")
     assert elapsed < 2, elapsed
+
+
+def _one_value_rep(value):
+    return f'{{"signature":[1,0],"bipartition":[[1,0]],"infchar":[{value}]}}'
+
+
+@pytest.mark.parametrize(
+    "value",
+    ['"1' + "0" * 4298 + 'e4299"', "1" + "0" * 4298 + "e4299"],
+    ids=["text", "number"],
+)
+@pytest.mark.parametrize("command", ["delta-max", "leading-term"])
+def test_long_value_refused_at_reading(command, value, monkeypatch, capsys):
+    # 10**8597 has 8598 digits, though its mantissa and its exponent are
+    # each under 4300 digits: load_rep refuses it, before any work
+    monkeypatch.setattr(sys, "stdin", io.StringIO(_one_value_rep(value)))
+    assert cli.run([command, "--rep", "-"]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: bad representation data: infchar entries take exponents "
+        "below 4300 in scientific notation\n",
+    )
+
+
+@pytest.mark.parametrize("command", ["delta-max", "leading-term"])
+def test_long_value_under_the_limit_prints(command, monkeypatch, capsys):
+    # 10**4000 has 4001 digits, which print
+    value = '"1' + "0" * 2000 + 'e2000"'
+    monkeypatch.setattr(sys, "stdin", io.StringIO(_one_value_rep(value)))
+    assert cli.run([command, "--rep", "-"]) == 0
+    assert capsys.readouterr().err == ""

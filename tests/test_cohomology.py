@@ -246,24 +246,36 @@ def _outcome(parse, value):
 @example("1e10000000")
 @example("-2.5E-4300")
 @example("1e4299")
-@example("e+4_300")  # refused, though Fraction reads no number in it
+@example("e+4_300")  # no mantissa: Fraction names the text
 @example("1e" + "9" * 5000)  # over int's digit limit
 @example(Decimal("1E+10000000"))
 @example(Decimal("0.50000000000000001"))
-@example(Decimal("1" * 5000 + ".5"))  # its text is over int's digit limit
+@example(Decimal("1" * 5000 + ".5"))  # a value of 5000 digits
+@example("1" + "0" * 4298 + "e4299")  # 10**8597, from two parts under 4300
+@example(Decimal("1" + "0" * 4298 + "e4299"))
+@example("1" + "0" * 2000 + "e2000")  # 10**4000, which prints
+@example("0.00012e4303")  # 1.2 times 10**4299
+@example("-0.00012e4304")
 def test_fraction_from_json_matches_fraction(value):
-    # Fraction's outcome, on a Decimal's text, except for a text whose part
-    # after its last e or E reads by int as 4300 or more in size: that one
-    # is refused before Fraction builds 10**exponent in full
+    # Fraction's outcome, on a Decimal's text, except for a text whose
+    # exponent in scientific notation is 4300 or more in size: the Decimal
+    # before its last e or E, scaled by the int after it. That one is
+    # refused before Fraction builds 10**exponent in full
     if isinstance(value, Decimal):
         value = str(value)
-    exponent = re.fullmatch(r"(?s).*[eE](.*)", value) if type(value) is str else None
-    try:
-        refused = exponent is not None and abs(int(exponent[1])) >= 4300
-    except ValueError:
-        refused = False
+    refused = False
+    if type(value) is str:
+        parts = re.fullmatch(r"(?s)(.*)[eE](.*)", value) or (value, value, "0")
+        try:
+            size = Decimal(parts[1]).adjusted() + int(parts[2])
+            refused = abs(size) >= 4300
+        except (ArithmeticError, ValueError):
+            pass
     if refused:
-        want = (ValueError, "infchar entries take exponents below 4300")
+        want = (
+            ValueError,
+            "infchar entries take exponents below 4300 in scientific notation",
+        )
     else:
         want = _outcome(Fraction, value)
     assert _outcome(ch._fraction_from_json, value) == want

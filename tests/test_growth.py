@@ -9,6 +9,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import oracles
+from upqgrowth import growth
 from upqgrowth.cohomology import GlobalRep, LocalRep
 from upqgrowth.growth import (
     GrowthValue,
@@ -19,13 +20,16 @@ from upqgrowth.growth import (
     grouped_blocks,
     grouping_score,
     merge_bounds,
+    pack,
     partition_bound,
     partition_bound0,
     refined_bound,
     rep_bound,
     split_tables,
     _bound,
+    _conjectural_term,
     _naive_term,
+    _refined_term,
 )
 from upqgrowth.infchar import rho
 from upqgrowth.partitions import partitions_of
@@ -196,15 +200,15 @@ def test_split_tables_maximize_over_splits():
 
 
 def test_merge_bounds_match_coarsenings():
-    from upqgrowth.sarnakxue import one_merge_coarsenings
-
-    for n in range(1, 13):
+    # every partition with N <= 18 (1,596 rows), against the listed
+    # one-merge coarsenings
+    for n in range(1, 19):
         for parts in partitions_of(n):
-            coarse = one_merge_coarsenings(parts)
+            refined, conjectural = oracles.merge_bounds(parts)
             assert merge_bounds(parts) == (
-                max(partition_bound(c) for c in coarse),
-                max(partition_bound0(c) for c in coarse),
-            )
+                GrowthValue(*refined),
+                GrowthValue(*conjectural),
+            ), parts
 
 
 @given(
@@ -242,6 +246,64 @@ def test_merge_bounds_of_forty_ones_frozen(core, refined, conjectural):
     assert merge_bounds(core + (1,) * 40) == (refined, conjectural)
 
 
+@pytest.mark.parametrize(
+    "parts, refined, conjectural",
+    [
+        ((1,) * 1200, GrowthValue(1440000), GrowthValue(1440000)),
+        (
+            tuple(range(15, 1, -1)) + (1,) * 1081,
+            GrowthValue(1303675),
+            GrowthValue(1303675),
+        ),
+        ((2,) * 300 + (1,) * 600, GrowthValue(1080000), GrowthValue(944550)),
+    ],
+    ids=["ones", "distinct-core", "twos"],
+)
+def test_merge_bounds_at_the_row_limit_frozen(parts, refined, conjectural):
+    # rows of N = 1200, the sx-table limit, with values written by the
+    # knapsack that ran every size 2..ones
+    assert sum(parts) == 1200
+    assert merge_bounds(parts) == (refined, conjectural)
+
+
+@pytest.mark.parametrize(
+    "term", [_refined_term, _conjectural_term], ids=["refined", "conjectural"]
+)
+def test_a_new_size_never_pays(term):
+    # the lemma behind the held sizes of _best_merge: turning e parts of a
+    # size d the partition lacks back into ones raises the 1-block by more
+    # than the block (e, d) scored
+    for d in range(2, 41):
+        for e in range(1, 60 // d + 1):
+            for y in range(61):
+                k = y + e * d + 1
+                assert pack(term, y + e * d, 1, k) - pack(term, y, 1, k) > pack(
+                    term, e, d, k
+                ), (d, e, y)
+
+
+@pytest.mark.parametrize(
+    "parts, sizes",
+    [
+        ((5, 3, 3, 2) + (1,) * 12, [2, 3, 5]),
+        ((5, 3, 3, 2) + (1,) * 4, [2, 3]),
+        ((1,) * 1200, []),
+    ],
+)
+def test_best_merge_runs_only_held_sizes(parts, sizes, monkeypatch):
+    # a merge knapsack that scans every size 2..ones again fails here
+    seen = []
+
+    def recording(start, sizes, gains):
+        sizes = list(sizes)
+        seen.append(sizes)
+        return extra_tops(start, sizes, gains)
+
+    monkeypatch.setattr(growth, "extra_tops", recording)
+    merge_bounds(parts)
+    assert seen == [sizes, sizes]
+
+
 _gains = st.integers(-(10**6), 10**6)
 
 
@@ -251,12 +313,17 @@ def _row(data, size):
 
 @given(st.data())
 def test_extra_tops_matches_listed_extras(data):
-    # the best merge's use: every start entry is a score
+    # the best merge's use: every start entry is a score, and the sizes are
+    # some of 2..room
     room = data.draw(st.integers(0, 10))
     start = _row(data, room + 1)
-    rows = {d: _row(data, room // d + 1) for d in range(2, room + 1)}
+    keep = data.draw(st.lists(st.booleans(), min_size=room, max_size=room))
+    sizes = [d for d, kept in zip(range(2, room + 1), keep) if kept]
+    rows = {d: _row(data, room // d + 1) for d in sizes}
     gains = rows.__getitem__
-    assert extra_tops(start, gains) == oracles.extra_tops(start, gains)
+    assert extra_tops(start, sizes, gains) == oracles.extra_tops(
+        start, sizes, gains
+    )
 
 
 def _cores(n_max):
@@ -307,8 +374,9 @@ def test_extra_tops_from_a_floor_matches_listed_extras(case):
     def gains(d):
         return tables[d][1:] if d in core else tables[d]
 
-    got = extra_tops([fixed] + [floor_below(tables)] * room, gains)
-    want = oracles.extra_tops([fixed] + [None] * room, gains)
+    sizes = range(2, room + 1)
+    got = extra_tops([fixed] + [floor_below(tables)] * room, sizes, gains)
+    want = oracles.extra_tops([fixed] + [None] * room, sizes, gains)
     assert [g for g, w in zip(got, want) if w is not None] == [
         w for w in want if w is not None
     ]

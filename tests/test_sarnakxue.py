@@ -460,6 +460,22 @@ def test_maxsl2_enumerates_no_partition(monkeypatch):
     assert verify_maxsl2(14).ok
 
 
+def test_maxsl2_scans_every_size(monkeypatch):
+    # the sweep certifies that padding beats every merge, so it may not skip
+    # the sizes a core lacks, as the best merge of an sx-table row does
+    rooms = []
+
+    def recording(start, sizes, gains):
+        room = len(start) - 1
+        assert list(sizes) == list(range(2, room + 1))
+        rooms.append(room)
+        return growth.extra_tops(start, sizes, gains)
+
+    monkeypatch.setattr(sarnakxue, "extra_tops", recording)
+    assert verify_maxsl2(14).ok
+    assert max(rooms) == 14 and len(rooms) > 1
+
+
 @pytest.fixture(scope="module")
 def maxsl2_oracle_cases():
     return oracles.maxsl2_cases(20)
