@@ -222,7 +222,16 @@ def _array_from_json(value, field: str) -> list:
     return value
 
 
+def _object_from_json(value, field: str) -> dict:
+    """value when it is a JSON object: a text or an array is refused, where
+    reading a field would fail with a message that names none."""
+    if type(value) is not dict:
+        raise ValueError(f"{field} must be an object, got {_kind(value)}")
+    return value
+
+
 def local_rep_from_json(data: dict) -> LocalRep:
+    data = _object_from_json(data, "each place")
     signature = _array_from_json(data["signature"], "signature")
     p, q = (_int_from_json(v, "signature") for v in signature)
     blocks = []
@@ -240,6 +249,7 @@ def local_rep_from_json(data: dict) -> LocalRep:
 
 
 def global_rep_from_json(data: dict) -> GlobalRep:
+    data = _object_from_json(data, "the representation")
     if "places" in data:
         places = _array_from_json(data["places"], "places")
         places = tuple(local_rep_from_json(d) for d in places)

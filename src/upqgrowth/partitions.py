@@ -14,7 +14,6 @@ tests are reproducible.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 
 Pair = tuple[int, int]
 Bipartition = tuple[Pair, ...]

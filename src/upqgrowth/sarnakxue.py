@@ -349,6 +349,33 @@ def verify_qd_bound(n_max: int) -> Certificate:
     )
 
 
+def _block_taylor(k: int, d: int, r0: int, naive: int, slope: int):
+    """(secondary, strict): the Taylor coefficients, lowest first, at
+    y = r - r0 of lhs - rhs of the secondary and the strict naive comparison
+    of `verify_density` over the block N = k*d + r, given the (k, d) term
+    less 2 and the remainder term slope * r; the formulas are in
+    `verify_density`. Each factor is expanded at r0: m = m0 + y,
+    N^2 - 1 = t0 + 2*n0*y + y^2 and N(N-d) = n0*(n0-d) + (2*n0-d)*y + y^2.
+    """
+    n0 = k * d + r0
+    m0 = n0 - k
+    t0 = n0 * n0 - 1
+    a = m0 - d + 1
+    p0 = t0 + 1 + naive + slope * r0
+    secondary = (
+        (a + 1) * t0 - (m0 + 1) * n0 * (n0 - d),
+        n0 + r0 + d - 1,
+        1,
+    )
+    strict = (
+        2 * a * t0 - m0 * p0,
+        2 * t0 + 4 * a * n0 - p0 - m0 * (2 * n0 + slope),
+        2 * n0 + 2 * a - m0 - slope,
+        1,
+    )
+    return secondary, strict
+
+
 def verify_density(n_max: int) -> Certificate:
     """Sweep the three density comparisons and recheck the exceptional pairs.
 
@@ -362,33 +389,78 @@ def verify_density(n_max: int) -> Certificate:
     qd(N, d), r = N mod d, as N^2 plus one `growth` block term per block
     (doubled main parts).
 
-    The wide range N >= 2d is walked by blocks N = k*d + r, r = 0..d-1, the
-    last block cut at n_max, so k and r need no division. The naive term of
-    (k, d) is read once per block and those of the remainder blocks once per
-    sweep. The refined term of (k, d) is read only on an exceptional pair,
-    whose remainder is 0 or 1.
+    The wide range N >= 2d is taken by blocks N = k*d + r, r = 0..d-1, the
+    last block cut at n_max. The naive term of (k, d) is read once per
+    block and those of the remainder blocks once per sweep; the refined
+    term of (k, d) only on an exceptional pair, whose remainder is 0 or 1.
+
+    Most blocks are decided without walking a case, by this lemma: an
+    integer polynomial whose constant term is > 0 and whose other
+    coefficients are >= 0 is > 0 at every integer y >= 0. Past its
+    exceptional pairs, from r = r0 on, each difference lhs - rhs of a block
+    is a polynomial in y = r - r0. With n0 = k*d + r0, m0 = n0 - k,
+    t0 = n0^2 - 1 and a = m0 - d + 1, its Taylor coefficients at r0 are:
+    - secondary, (m-d+2)(N^2-1) - N(N-d)(m+1): y^2 + s1*y + s0, the cubic
+      terms cancelling, with s0 = (a+1)*t0 - (m0+1)*n0*(n0-d) and
+      s1 = n0 + r0 + d - 1;
+    - strict naive, 2(m-d+1)(N^2-1) - (N^2 + naive + rem)*m, where naive is
+      the (k, d) term less 2 and rem = slope * r is the remainder term:
+      y^3 + c2*y^2 + c1*y + c0, with p0 = n0^2 + naive + slope*r0,
+      c0 = 2*a*t0 - m0*p0, c1 = 2*t0 + 4*a*n0 - p0 - m0*(2*n0 + slope)
+      and c2 = 2*n0 + 2*a - m0 - slope. The remainder terms are checked
+      to be affine once per sweep; if they are not, every block is walked.
+    The short range d < N < 2d is one block per d, with the difference
+    (N-d)(N^2-1) - N(N-d)(N-1) = (N-d)(N-1) = x^2 + (d+1)x + d at
+    x = N-d-1. A block whose coefficients pass the lemma holds at every
+    case. The cases of one that fails it are walked one by one, in the
+    loop that walks the exceptional pairs. With the `growth` terms every
+    block passes, so a sweep decides O(N log N) blocks and walks O(N)
+    exceptional pairs instead of O(N^2) cases.
     """
     violations = []
-    checked = 0
+    # one case per pair 2 <= d < N <= n_max: N - 2 of them for each N
+    checked = sum(range(n_max - 1))
     # the terms of the remainder block (1, r), r < d <= n_max/2; no block
     # when r = 0
     rem_naive = [0] + [_naive_term(1, r)[0] for r in range(1, n_max // 2)]
     rem_refined = ((0, 0), _refined_term(1, 1))
+    slope = rem_naive[1] if len(rem_naive) >= 2 else 0
+    affine = rem_naive == [slope * r for r in range(len(rem_naive))]
     for d in range(2, n_max + 1):
-        # short range, d < N < 2d: only 1 - (d-1)/(N-1) against the target
-        short = range(d + 1, min(2 * d, n_max + 1))
-        checked += len(short)
-        for n in short:
-            trivial = n * n - 1
-            if not (n - d) * trivial > n * (n - d) * (n - 1):
-                violations.append(f"short-range case fails at ({n},{d})")
-        checked += len(range(2 * d, n_max + 1))
+        # short range, d < N < 2d: only 1 - (d-1)/(N-1) against the target,
+        # walked only when x^2 + (d+1)x + d fails the lemma
+        if not (d > 0 and d + 1 >= 0):
+            for n in range(d + 1, min(2 * d, n_max + 1)):
+                trivial = n * n - 1
+                if not (n - d) * trivial > n * (n - d) * (n - 1):
+                    violations.append(f"short-range case fails at ({n},{d})")
         last_exceptional = 2 * d + 1 + (d == 2)
         for k in range(2, n_max // d + 1):
             naive = _naive_term(k, d)[0] - 2
             first = k * d
             stop = min(first + d, n_max + 1)
-            for rem, n in zip(rem_naive, range(first, stop)):
+            # walk the exceptional pairs, and the rest of the block when its
+            # polynomials fail the lemma
+            end = (
+                min(last_exceptional + 1, stop)
+                if first <= last_exceptional
+                else first
+            )
+            if end < stop:
+                (s0, s1, _), (c0, c1, c2, _) = _block_taylor(
+                    k, d, end - first, naive, slope
+                )
+                if not (
+                    affine
+                    and s0 > 0
+                    and c0 > 0
+                    and s1 >= 0
+                    and c1 >= 0
+                    and c2 >= 0
+                ):
+                    end = stop
+            for n in range(first, end):
+                r = n - first
                 m = n - k
                 nn = n * n
                 trivial = nn - 1
@@ -396,6 +468,7 @@ def verify_density(n_max: int) -> Certificate:
                     violations.append(f"secondary case fails at ({n},{d})")
                 # 1 - (d-1)/m > (rbar - 1) / trivial, with 2*rbar - 2 =
                 # N^2 + naive + rem
+                rem = rem_naive[r]
                 strict = (m - d + 1) * 2 * trivial > (nn + naive + rem) * m
                 if n <= last_exceptional:
                     if strict:
@@ -405,7 +478,7 @@ def verify_density(n_max: int) -> Certificate:
                         )
                     # the refined bound less 1 against trivial * (m-d+1)/m
                     a, e = _refined_term(k, d)
-                    b, f = rem_refined[n - first]
+                    b, f = rem_refined[r]
                     lhs = (nn + a + b - 2) * m
                     rhs = 2 * trivial * (m - d + 1)
                     passes = lhs < rhs or (lhs == rhs and e + f < 0)

@@ -1,9 +1,12 @@
 """Naive reference implementations used to freeze expected test values.
 
 Everything here is deliberately brute-force and independent of the package
-internals: no imports from upqgrowth. Each function recomputes its target
-from first principles so the fast library versions can be checked against
-it. Run as a script to print the values that the unit tests freeze.
+internals. Each function recomputes its target from first principles so the
+fast library versions can be checked against it; the one exception,
+`density_walk`, is the case-by-case walk that the density certificate's
+block test replaced, and reads its block terms through `sarnakxue` so that
+a patched term reaches both. Run as a script to print the values that the
+unit tests freeze.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
+
+from upqgrowth import sarnakxue
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +412,68 @@ def density_sweep(n_max: int) -> tuple[int, list[str]]:
                         f"refined recheck at ({n},{d}): passes={passes}"
                     )
     return checked, violations
+
+
+def density_walk(n_max: int) -> sarnakxue.Certificate:
+    """`sarnakxue.verify_density` walked case by case, every block term read
+    through `sarnakxue` at the same places and as often."""
+    violations = []
+    checked = 0
+    rem_naive = [0] + [
+        sarnakxue._naive_term(1, r)[0] for r in range(1, n_max // 2)
+    ]
+    rem_refined = ((0, 0), sarnakxue._refined_term(1, 1))
+    for d in range(2, n_max + 1):
+        short = range(d + 1, min(2 * d, n_max + 1))
+        checked += len(short)
+        for n in short:
+            trivial = n * n - 1
+            if not (n - d) * trivial > n * (n - d) * (n - 1):
+                violations.append(f"short-range case fails at ({n},{d})")
+        checked += len(range(2 * d, n_max + 1))
+        last_exceptional = 2 * d + 1 + (d == 2)
+        for k in range(2, n_max // d + 1):
+            naive = sarnakxue._naive_term(k, d)[0] - 2
+            first = k * d
+            stop = min(first + d, n_max + 1)
+            for rem, n in zip(rem_naive, range(first, stop)):
+                m = n - k
+                nn = n * n
+                trivial = nn - 1
+                if not (m - d + 2) * trivial > n * (n - d) * (m + 1):
+                    violations.append(f"secondary case fails at ({n},{d})")
+                strict = (m - d + 1) * 2 * trivial > (nn + naive + rem) * m
+                if n <= last_exceptional:
+                    if strict:
+                        violations.append(
+                            f"naive case at ({n},{d}): strict=True, "
+                            "expected exceptional=True"
+                        )
+                    a, e = sarnakxue._refined_term(k, d)
+                    b, f = rem_refined[n - first]
+                    lhs = (nn + a + b - 2) * m
+                    rhs = 2 * trivial * (m - d + 1)
+                    passes = lhs < rhs or (lhs == rhs and e + f < 0)
+                    if passes != ((n, d) != (4, 2)):
+                        violations.append(
+                            f"refined recheck at ({n},{d}): passes={passes}"
+                        )
+                elif not strict:
+                    violations.append(
+                        f"naive case at ({n},{d}): strict=False, "
+                        "expected exceptional=False"
+                    )
+    return sarnakxue.Certificate(
+        target="density",
+        sweep=f"2 <= d < N <= {n_max}",
+        checked_count=checked,
+        violations=tuple(violations),
+        notes=(
+            ("refined recheck fails only at (N,d) = (4,2)",)
+            if n_max >= 4
+            else ()
+        ),
+    )
 
 
 def merge_bounds(q_parts) -> tuple[tuple[Fraction, int], tuple[Fraction, int]]:

@@ -1,7 +1,8 @@
 """The top-level API is what the README tour and the demos import, every
 function the benchmark's tracer wraps still exists under its module, every
 definition of the package has a caller, the tracer alone keeps a fixed few,
-and the package's modules import each other at their top, with no cycle."""
+every import is read, and the package's modules import each other at their
+top, with no cycle."""
 
 from __future__ import annotations
 
@@ -160,6 +161,36 @@ def test_no_import_inside_a_function():
         and any(isinstance(n, (ast.Import, ast.ImportFrom)) for n in ast.walk(func))
     ]
     assert found == []
+
+
+# imported at module level and read nowhere in the module
+UNREAD_IMPORTS = {
+    # the benchmark's tracer wraps shapes.sl2_candidates by that name
+    "shapes.sl2_candidates",
+}
+
+
+def test_every_import_is_read():
+    # a name counts as read when the module loads it, bare or as an
+    # attribute, or lists it in its __all__; __future__ imports bind nothing
+    unread = set()
+    for module, tree in _package().items():
+        read = {name for name, _ in _uses(tree)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets
+            ):
+                read |= set(ast.literal_eval(node.value))
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in read:
+                    unread.add(f"{module}.{name}")
+    assert unread == UNREAD_IMPORTS
 
 
 def _imported(node: ast.AST) -> list[str]:

@@ -932,6 +932,21 @@ def test_rep_field_that_is_no_array_refused_by_name(command, rep, error):
 
 
 @pytest.mark.parametrize(
+    "text, error",
+    [
+        ('{"places": ["x"]}', "each place must be an object, got str"),
+        ('"places"', "the representation must be an object, got str"),
+        ("[1, 2]", "the representation must be an object, got list"),
+    ],
+    ids=["place", "text", "array"],
+)
+def test_rep_or_place_that_is_no_object_refused_by_name(text, error):
+    code, out, err = _run(["delta-max", "--rep", "-"], text)
+    assert (code, out) == (2, "")
+    assert err == f"error: bad representation data: {error}\n"
+
+
+@pytest.mark.parametrize(
     "value, error",
     [
         ('"1e10000000"', "infchar entries take exponents below 4300"),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import inspect
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -444,6 +445,131 @@ def test_density_reads_each_term_once_where_needed(monkeypatch):
     at_2d_plus_1 = [(2, d) for d in range(2, 30)]
     assert reads["_refined_term"] == Counter(at_2d + at_2d_plus_1 + [(3, 2), (1, 1)])
     assert reads["_refined_term"].total() == 59
+
+
+def test_density_sweep_matches_walk():
+    for n_max in range(3, 301):
+        assert verify_density(n_max) == oracles.density_walk(n_max), n_max
+
+
+def _perturbed(offsets, slope, bumps):
+    """A `_naive_term` off t*t*d by offsets[(t, d)] on the blocks t >= 2,
+    whose remainder blocks (1, r) score slope * r + bumps[r]: not affine
+    when a bump is not 0."""
+
+    def term(t, d):
+        if t == 1:
+            return slope * d + bumps.get(d, 0), 0
+        return t * t * d + offsets.get((t, d), 0), 0
+
+    return term
+
+
+def naive_terms(n_max=80):
+    blocks = st.integers(2, n_max // 2).flatmap(
+        lambda d: st.tuples(st.integers(2, n_max // d), st.just(d))
+    )
+    return st.builds(
+        _perturbed,
+        st.dictionaries(blocks, st.integers(-300, 300), max_size=6),
+        st.integers(-5, 300),
+        st.dictionaries(
+            st.integers(1, n_max // 2), st.integers(-2000, 2000), max_size=2
+        ),
+    )
+
+
+# (6, 2), walked as an exceptional pair, holds the strict comparison once
+# the (3, 2) term is lowered; one bump on the true remainder terms
+@example(_perturbed({(3, 2): -300}, 1, {}), 7)
+@example(_perturbed({}, 1, {5: 2000}), 40)
+@given(naive_terms(), st.integers(3, 80))
+def test_density_sweep_matches_walk_under_perturbed_terms(term, n_max):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sarnakxue, "_naive_term", term)
+        assert verify_density(n_max) == oracles.density_walk(n_max)
+
+
+def _tail_fault(d, slope):
+    """A `_naive_term` whose remainder blocks score slope * r and whose
+    (2, d) term is raised just enough that the last case of its block,
+    N = 3d - 1, fails the strict naive comparison; and that N."""
+    n = 3 * d - 1
+    m = n - 2
+    lhs = 2 * (m - d + 1) * (n * n - 1)
+    raised = -(-lhs // m) - n * n - slope * (d - 1) + 2
+
+    def term(t, d_):
+        if t == 1:
+            return slope * d_, 0
+        return (raised if (t, d_) == (2, d) else t * t * d_), 0
+
+    return term, n
+
+
+def test_density_block_faulted_only_at_its_tail():
+    # the steep remainder term keeps the block's earlier cases true, so the
+    # block's constant terms pass and a higher coefficient sends it to the walk
+    term, n = _tail_fault(20, 100)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sarnakxue, "_naive_term", term)
+        cert = verify_density(60)
+        assert cert == oracles.density_walk(60)
+    # the block (2, 20) past its exceptional pairs: 42 <= N <= 59
+    in_block = [v for v in cert.violations if re.search(r"\((4[2-9]|5\d),20\)", v)]
+    assert in_block == [
+        "naive case at (59,20): strict=False, expected exceptional=False"
+    ]
+
+
+@given(st.integers(3, 26), st.integers(-5, 300), st.integers(0, 20))
+def test_density_sweep_finds_a_block_tail_fault(d, slope, extra):
+    term, n = _tail_fault(d, slope)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sarnakxue, "_naive_term", term)
+        cert = verify_density(n + extra)
+        assert cert == oracles.density_walk(n + extra)
+    fault = f"naive case at ({n},{d}): strict=False, expected exceptional=False"
+    assert fault in cert.violations
+
+
+def test_density_block_test_skips_no_failing_case():
+    # every block of N <= 200 past its exceptional pairs: the Taylor
+    # coefficients give each case's differences lhs - rhs, and where they
+    # pass the lemma (constant term > 0, the others >= 0) every case holds
+    n_max = 200
+    slope = sarnakxue._naive_term(1, 1)[0]
+    blocks = passed = 0
+    for d in range(2, n_max + 1):
+        for n in range(d + 1, min(2 * d, n_max + 1)):
+            x = n - d - 1
+            short = (n - d) * (n * n - 1) - n * (n - d) * (n - 1)
+            assert short == x * x + (d + 1) * x + d > 0
+        for k in range(2, n_max // d + 1):
+            naive = sarnakxue._naive_term(k, d)[0] - 2
+            first = k * d
+            r0 = max(0, 2 * d + 2 + (d == 2) - first)
+            cases = range(first + r0, min(first + d, n_max + 1))
+            if not cases:
+                continue
+            polys = sarnakxue._block_taylor(k, d, r0, naive, slope)
+            lemma = all(p[0] > 0 and min(p[1:]) >= 0 for p in polys)
+            for n in cases:
+                y = n - first - r0
+                m = n - k
+                trivial = n * n - 1
+                rem = slope * (n - first)
+                diffs = (
+                    (m - d + 2) * trivial - n * (n - d) * (m + 1),
+                    2 * (m - d + 1) * trivial - (n * n + naive + rem) * m,
+                )
+                values = tuple(sum(c * y**i for i, c in enumerate(p)) for p in polys)
+                assert values == diffs, (n, d)
+                assert not lemma or min(diffs) > 0, (n, d)
+            blocks += 1
+            passed += lemma
+    # with the growth terms the sweep walks no case past the exceptional pairs
+    assert passed == blocks == 697
 
 
 def test_verify_maxsl2_small():
