@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ NMAX_MAX = {"qd": 200, "density": 1600}
 # the largest N of an sx-table row: the merge knapsack runs each part size
 # the row holds up to its number of ones, so the slowest rows of an N are a
 # core of distinct small parts padded with ones; they grow like N^2 log N and
-# take about 0.3 s at the limit, (15, 14, ..., 2) padded to N = 1200
+# take about 0.15 s at the limit, (15, 14, ..., 2) padded to N = 1200
 SX_N_MAX = 1200
 # the most digits an euler value may have, by asymptotics.euler_digits: Python
 # prints no int of more than 4300 digits, and any value under the cap takes
@@ -323,67 +324,151 @@ def cmd_euler(args) -> int:
 # --- wiring ------------------------------------------------------------------
 
 
+class Option(namedtuple("Option", "name dest kind default required help")):
+    """One option of a subcommand: kind is str, int, bool (a flag) or a
+    tuple of choices; a required option has no default."""
+
+    __slots__ = ()
+
+
+def _option(name, kind=str, default=None, required=False, help=None) -> Option:
+    # dest as argparse derives it from the option name
+    return Option(name, name[2:].replace("-", "_"), kind, default, required, help)
+
+
+_REP = _option("--rep", required=True, help="JSON file, or - for stdin")
+
+# subcommand -> (help, function, options): the one place options are
+# declared, read by build_parser and by the plain reader of run
+COMMANDS = {
+    "sx-table": (
+        "density table rows for partitions",
+        cmd_sx_table,
+        (
+            _option("--parts", help='partition list like "(2,2);(2,2,1)"'),
+            _option("--json", bool, False),
+        ),
+    ),
+    "delta-max": ("dominant shapes of a representation", cmd_delta_max, (_REP,)),
+    "coh-bounds": (
+        "lowest cohomological degrees",
+        cmd_coh_bounds,
+        (
+            _option("--length", int, required=True),
+            _option("--rank", int, required=True),
+            _option("--half-signature", int),
+            _option("--json", bool, False),
+        ),
+    ),
+    "verify": (
+        "run the certified sweeps",
+        cmd_verify,
+        (
+            _option(
+                "--target", ("all", "table", "qd", "density", "maxsl2"), "all"
+            ),
+            _option("--nmax", int, 60),
+            _option("--json", bool, False),
+        ),
+    ),
+    "leading-term": (
+        "main-term data of a rep",
+        cmd_leading_term,
+        (_REP, _option("--convention", ("binom", "example1"), "binom")),
+    ),
+    "euler": (
+        "gamma factors and congruence indices",
+        cmd_euler,
+        (
+            _option("--ideal", required=True, help='prime powers like "2,3^2"'),
+            _option("--indices", help='gamma indices like "2,1,-1"'),
+            _option("--congruence", int, help="congruence index rank"),
+        ),
+    ),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built on first use and shared by every `run` call."""
+    """The CLI's parser, built from COMMANDS on first use and shared by every
+    `run` call that the plain reader hands on."""
     parser = argparse.ArgumentParser(
         prog="upqgrowth",
         description="Exact growth and density combinatorics for "
         "cohomological representations of real unitary groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sx-table", help="density table rows for partitions")
-    p.add_argument("--parts", help='partition list like "(2,2);(2,2,1)"')
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_sx_table)
-
-    p = sub.add_parser("delta-max", help="dominant shapes of a representation")
-    p.add_argument("--rep", required=True, help="JSON file, or - for stdin")
-    p.set_defaults(func=cmd_delta_max)
-
-    p = sub.add_parser("coh-bounds", help="lowest cohomological degrees")
-    p.add_argument("--length", type=int, required=True)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--half-signature", type=int)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_coh_bounds)
-
-    p = sub.add_parser("verify", help="run the certified sweeps")
-    p.add_argument(
-        "--target",
-        choices=["all", "table", "qd", "density", "maxsl2"],
-        default="all",
-    )
-    p.add_argument("--nmax", type=int, default=60)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("leading-term", help="main-term data of a rep")
-    p.add_argument("--rep", required=True, help="JSON file, or - for stdin")
-    p.add_argument(
-        "--convention",
-        choices=["binom", "example1"],
-        default="binom",
-    )
-    p.set_defaults(func=cmd_leading_term)
-
-    p = sub.add_parser("euler", help="gamma factors and congruence indices")
-    p.add_argument("--ideal", required=True, help='prime powers like "2,3^2"')
-    p.add_argument("--indices", help='gamma indices like "2,1,-1"')
-    p.add_argument("--congruence", type=int, help="congruence index rank")
-    p.set_defaults(func=cmd_euler)
-
+    for command, (help_text, func, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for o in options:
+            if o.kind is bool:
+                how = {"action": "store_true"}
+            elif type(o.kind) is tuple:
+                how = {"choices": o.kind}
+            else:
+                how = {"type": int} if o.kind is int else {}
+            p.add_argument(
+                o.name,
+                default=o.default,
+                required=o.required,
+                help=o.help,
+                **how,
+            )
+        p.set_defaults(func=func)
     return parser
 
 
+def read_plain(argv) -> argparse.Namespace | None:
+    """The Namespace argparse would give for a plain argv, without a parser;
+    None for any other argv, which argparse reads instead.
+
+    Plain: argv[0] names a command, each option is spelt out in full and
+    given at most once, no value starts with "-", an int option's value
+    reads by int() and a choice is one of its choices, and every required
+    option is there. So help, errors, abbreviations, --opt=value, repeats
+    and negative values all go to argparse.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, options = COMMANDS[argv[0]]
+    values = {}
+    rest = iter(argv[1:])
+    for name in rest:
+        o = next((o for o in options if o.name == name), None)
+        if o is None or o.dest in values:
+            return None
+        if o.kind is bool:
+            values[o.dest] = True
+            continue
+        value = next(rest, "-")  # a missing value reads like an option
+        if value.startswith("-"):
+            return None
+        if o.kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif type(o.kind) is tuple and value not in o.kind:
+            return None
+        values[o.dest] = value
+    for o in options:
+        if o.dest not in values:
+            if o.required:
+                return None
+            values[o.dest] = o.default
+    return argparse.Namespace(command=argv[0], **values, func=func)
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        code = e.code
-        return code if isinstance(code, int) else 2
+    if argv is None:
+        argv = sys.argv[1:]
+    args = read_plain(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as e:
+            code = e.code
+            return code if isinstance(code, int) else 2
     try:
         return args.func(args)
     except ValueError as e:  # ParseError included

@@ -201,9 +201,23 @@ def _fraction_from_json(value) -> Fraction:
     return Fraction(value)
 
 
+# the JSON kind of each type json.load gives; the CLI reads JSON floats
+# exactly, as Decimals
+_KINDS = {
+    dict: "object",
+    list: "array",
+    str: "string",
+    type(None): "null",
+    bool: "boolean",
+    int: "integer",
+    float: "float",
+    Decimal: "float",
+}
+
+
 def _kind(value) -> str:
-    # the CLI reads JSON floats exactly, as Decimals
-    return "float" if type(value) is Decimal else type(value).__name__
+    """The JSON kind of value, or its type's name when it is no JSON value."""
+    return _KINDS.get(type(value), type(value).__name__)
 
 
 def _int_from_json(value, field: str) -> int:
@@ -243,7 +257,7 @@ def local_rep_from_json(data: dict) -> LocalRep:
     infchar = _array_from_json(data["infchar"], "infchar")
     if any(type(s) is bool for s in infchar):
         # Fraction would read true as 1
-        raise ValueError("infchar entries must be numbers, got bool")
+        raise ValueError("infchar entries must be numbers, got boolean")
     lam = tuple(_fraction_from_json(s) for s in infchar)
     return LocalRep(p=p, q=q, blocks=tuple(blocks), lam=lam)
 

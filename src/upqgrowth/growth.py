@@ -9,7 +9,7 @@ multiplicity 1, 2 or 3; multiplicity-3 corrections are where eps enters.
 
 Every bound is N^2/2 plus one term per block, so a maximum over the ways to
 group equal parts into blocks (`split_tables`, `grouping_score`) or to merge
-the size-1 parts (`merge_bounds`) is a small exact dynamic programme instead
+the size-1 parts (`_best_merge`) is a small exact dynamic programme instead
 of an enumeration. The merge of the 1s runs only over the part sizes the
 partition already holds: merging 1s into a new size never pays.
 """
@@ -224,9 +224,11 @@ def floor_below(tables) -> int:
     return -1 - 2 * sum(max(map(abs, row)) for row in tables.values())
 
 
-def _best_merge(base: Counter, ones: int, term) -> GrowthValue:
-    """Top of N^2/2 + sum term(T_d, d) over the partitions base + extra,
-    extra any partition of ones, with equal parts fully grouped.
+def _best_merge(base: Counter, ones: int, term, k: int) -> tuple[int, int]:
+    """(top, kept): packed with k, the top of sum term(T_d, d) over the
+    partitions base + extra, extra any partition of ones, with equal parts
+    fully grouped, and its value at extra = (1,) * ones, the partition kept
+    as it is. Neither holds the N^2/2 that every bound adds.
 
     Only the sizes 2 <= d <= ones that base holds go to `extra_tops`, by
     this lemma: no maximizer has a part of a size d >= 2 that base lacks.
@@ -239,34 +241,21 @@ def _best_merge(base: Counter, ones: int, term) -> GrowthValue:
     e(e + 1 - d^2) in the conjectural one.
 
     `extra_tops` starts from the terms of the 1-blocks left by an extra of
-    s ones, so every sum is reachable. Terms are packed with k = N + 1: only
-    T = 3, d > 1 blocks carry eps, d of it each, so every partial sum has
-    0 <= eps <= N.
+    s ones, so every sum is reachable. k must exceed N: only T = 3, d > 1
+    blocks carry eps, d of it each, so every partial sum has 0 <= eps <= N.
     """
-    n = ones + sum(d * m for d, m in base.items())
-    k = n + 1
-    fixed = sum(pack(term, m, d, k) for d, m in base.items() if d > ones)
+    blocks = {d: pack(term, m, d, k) for d, m in base.items()}
+    fixed = sum(v for d, v in blocks.items() if d > ones)
+    start = [pack(term, s, 1, k) for s in range(ones + 1)]
     best = extra_tops(
-        [pack(term, s, 1, k) for s in range(ones + 1)],
+        start,
         sorted(d for d in base if d <= ones),
         lambda d: [
             pack(term, base[d] + e, d, k) for e in range(ones // d + 1)
         ],
     )
-    return GrowthValue.unpack(n * n * k + fixed + best[ones], k)
-
-
-def merge_bounds(parts) -> tuple[GrowthValue, GrowthValue]:
-    """Top refined and conjectural bounds over the partitions reachable by
-    merging only the size-1 parts of parts, each with equal parts fully
-    grouped; the same maxima as `partition_bound` and `partition_bound0`
-    over `sarnakxue.one_merge_coarsenings`."""
-    base = Counter(int(v) for v in parts)
-    ones = base.pop(1, 0)
-    return (
-        _best_merge(base, ones, _refined_term),
-        _best_merge(base, ones, _conjectural_term),
-    )
+    kept = sum(blocks.values()) + start[ones]
+    return fixed + best[ones], kept
 
 
 # --- runs of a local rep, common SL(2)-types, the dominant one --------------

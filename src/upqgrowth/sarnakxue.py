@@ -10,22 +10,22 @@ certificates listing every violation instead of raising.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import accumulate, chain
 from operator import add, gt
 
 from .growth import (
     GrowthValue,
+    _best_merge,
+    _conjectural_term,
     _naive_term,
     _refined_term,
     extra_tops,
     floor_below,
     grouping_score,
-    merge_bounds,
     pack,
     partition_bound,
-    partition_bound0,
     split_tables,
 )
 from .infchar import format_rational
@@ -117,12 +117,6 @@ def integrability_bound(parts) -> Fraction:
     return 1 - max_ratio(parts)
 
 
-def sx_goal(parts) -> Fraction:
-    parts = tuple(int(v) for v in parts)
-    n = sum(parts)
-    return (n * n - 1) * integrability_bound(parts)
-
-
 def qd(n: int, d: int) -> tuple[int, ...]:
     """d repeated floor(n/d) times plus the remainder, zero dropped."""
     if d < 1 or n < d:
@@ -197,27 +191,35 @@ def sx_row(parts) -> DensityRow:
 
     Both exponents take the max over the one-merge coarsenings: size-1 parts
     can recombine, so the bound must cover every recombination. The maxima
-    come from `growth.merge_bounds` without listing the coarsenings.
+    come from `growth._best_merge` without listing the coarsenings, one
+    knapsack per term, which also scores the row as it is; the italic flags
+    compare those packed ints. The goal is (N^2 - 1)(1 - ratio) at the top
+    ratio of `_top_ratio`.
     """
-    parts = tuple(sorted((int(v) for v in parts), reverse=True))
-    validate_partition(parts)
-    n = sum(parts)
-    top_prov, top_conj = merge_bounds(parts)
-    best_prov = top_prov - 1
-    best_conj = top_conj - 1
-    goal = sx_goal(parts)
-    exceeds = best_prov.main > goal or (
-        best_prov.main == goal and best_prov.eps > 0
-    )
+    q = tuple(sorted((int(v) for v in parts), reverse=True))
+    validate_partition(q)
+    n = sum(q)
+    k = n + 1
+    base = Counter(q)
+    sigma = _profile_prefix(q, {m: _part_profile(m) for m in base})
+    num, den = _top_ratio(sigma, _pair_weights(n))
+    goal = Fraction((n * n - 1) * (den - num), den)
+    ones = base.pop(1, 0)
+    # N^2/2 less 1, doubled and packed: the rows print each top less 1
+    less_one = (n * n - 2) * k
+    top_prov, kept_prov = _best_merge(base, ones, _refined_term, k)
+    top_conj, kept_conj = _best_merge(base, ones, _conjectural_term, k)
+    provable = GrowthValue.unpack(less_one + top_prov, k)
     return DensityRow(
-        q=parts,
-        provable=best_prov,
-        conjectural=best_conj,
+        q=q,
+        provable=provable,
+        conjectural=GrowthValue.unpack(less_one + top_conj, k),
         sx_goal=goal,
         trivial=n * n - 1,
-        provable_at_coarsening=partition_bound(parts) < top_prov,
-        conjectural_at_coarsening=partition_bound0(parts) < top_conj,
-        exceeds_goal=exceeds,
+        provable_at_coarsening=kept_prov < top_prov,
+        conjectural_at_coarsening=kept_conj < top_conj,
+        # (main, eps) above (goal, 0): a larger main, or eps on an equal one
+        exceeds_goal=provable > (goal, 0),
     )
 
 

@@ -328,6 +328,12 @@ def max_ratio(q_parts) -> Fraction:
     return ratio
 
 
+def sx_goal(q_parts) -> Fraction:
+    """The density goal (N^2 - 1)(1 - max_ratio)."""
+    n = sum(q_parts)
+    return (n * n - 1) * (1 - max_ratio(q_parts))
+
+
 def qd(n: int, d: int) -> tuple[int, ...]:
     k, r = divmod(n, d)
     return (d,) * k + ((r,) if r else ())
@@ -577,26 +583,42 @@ def maxsl2_cases(n_max: int, value=refined_value) -> list[tuple[int, list[str]]]
     return cases
 
 
-def table_row(q_parts):
-    """(provable main, eps, italic, conjectural main, italic, goal, trivial)."""
+def table_row(q_parts, best=best_grouping):
+    """(provable main, eps, italic, conjectural main, italic, goal, trivial);
+    best(q, value) scores q at its best grouping, as `best_grouping` does."""
     n = sum(q_parts)
     q_parts = tuple(sorted(q_parts, reverse=True))
-    best_r = {qq: best_grouping(qq, refined_value) for qq in one_coarsenings(q_parts)}
-    best_r0 = {qq: best_grouping(qq, conjectural_value) for qq in one_coarsenings(q_parts)}
+    best_r = {qq: best(qq, refined_value) for qq in one_coarsenings(q_parts)}
+    best_r0 = {qq: best(qq, conjectural_value) for qq in one_coarsenings(q_parts)}
     top_r = max(best_r.values())
     top_r0 = max(best_r0.values())
     italic_r = best_r[q_parts] < top_r
     italic_r0 = best_r0[q_parts] < top_r0
 
-    goal = (n * n - 1) * (1 - max_ratio(q_parts))
     return (
         top_r[0] - 1,
         top_r[1],
         italic_r,
         top_r0[0] - 1,
         italic_r0,
-        goal,
+        sx_goal(q_parts),
         n * n - 1,
+    )
+
+
+def density_row(q_parts, best=best_grouping) -> sarnakxue.DensityRow:
+    """The `sarnakxue.DensityRow` of q_parts from `table_row`, with the
+    types the library gives each field."""
+    pm, pe, pi, cm, ci, goal, trivial = table_row(q_parts, best)
+    return sarnakxue.DensityRow(
+        q=tuple(sorted(q_parts, reverse=True)),
+        provable=sarnakxue.GrowthValue(pm, pe),
+        conjectural=sarnakxue.GrowthValue(cm, 0),
+        sx_goal=goal,
+        trivial=trivial,
+        provable_at_coarsening=pi,
+        conjectural_at_coarsening=ci,
+        exceeds_goal=pm > goal or (pm == goal and pe > 0),
     )
 
 

@@ -143,6 +143,7 @@ def test_tracer_alone_keeps_these():
     outside = _readme_and_demo_uses()
     assert _uncalled(outside) - _uncalled(outside | traced) == {
         "growth.all_groupings",
+        "growth.partition_bound0",
         "partitions.balanced_bipartition",
         "sarnakxue.exponent_profile",
         "sarnakxue.one_merge_coarsenings",

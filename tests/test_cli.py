@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -15,7 +16,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from upqgrowth import asymptotics, cli, growth, sarnakxue, shapes
@@ -31,6 +32,8 @@ REP_JSON = {
     ]
 }
 
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # a child `python -m upqgrowth.cli` imports the package under test
 SRC_ENV = {
@@ -634,7 +637,7 @@ def test_euler_small_congruence_keeps_its_error(capsys):
 
 # --- JSON output -----------------------------------------------------------------
 
-DATA = Path(__file__).parent / "data"
+DATA = ROOT / "tests" / "data"
 
 # text with quotes, backslashes, control and non-ASCII characters
 _JSON_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
@@ -737,20 +740,178 @@ def test_module_entry_point():
     assert proc.stdout.strip() == "48"
 
 
-# --- one parser per process ----------------------------------------------------
+# --- the option table, the plain reader and the parser --------------------------
 
 
 def test_parser_is_built_once():
+    # a plain argv builds no parser; any other argv builds it once, and
+    # every later one shares it
     cli.build_parser.cache_clear()
     for argv in (
         ["euler", "--ideal", "3", "--congruence", "2"],
         ["sx-table", "--parts", "x"],
-        ["frobnicate"],
         ["verify", "--target", "table"],
+    ):
+        cli.run(argv)
+    assert cli.build_parser.cache_info().misses == 0
+    for argv in (
+        ["frobnicate"],
+        ["verify", "--target=table"],
+        ["verify", "--nmax", "-5"],
+        ["sx-table", "--js"],
     ):
         cli.run(argv)
     assert cli.build_parser.cache_info().misses == 1
     assert cli.build_parser.cache_info().hits == 3
+
+
+def test_parser_registers_the_table_options():
+    # COMMANDS is the one place options are declared
+    parser = cli.build_parser()
+    (sub,) = (a for a in parser._actions if a.dest == "command")
+    assert list(sub.choices) == list(cli.COMMANDS)
+    for command, (_, func, options) in cli.COMMANDS.items():
+        registered = [
+            a.option_strings
+            for a in sub.choices[command]._actions
+            if a.dest != "help"
+        ]
+        assert registered == [[o.name] for o in options], command
+        assert sub.choices[command].get_default("func") is func
+
+
+HELP = DATA / "help"
+
+
+@pytest.mark.parametrize("command", ["", *cli.COMMANDS])
+def test_help_text_frozen(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [command, "--help"] if command else ["--help"]
+    assert cli.run(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == (HELP / f"{command or 'upqgrowth'}.txt").read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, plain",
+    [
+        (["sx-table", "--parts", "2,2,1", "--json"], True),
+        (["verify", "--target", "table"], True),
+        (["verify", "--target=table"], False),
+    ],
+)
+def test_plain_first_command_loads_no_parser_modules(argv, plain):
+    # -S: no site hooks. Building the parser loads shutil (for the terminal
+    # width of each HelpFormatter) and locale; a plain argv builds none
+    script = (
+        "import sys\n"
+        "from upqgrowth import cli\n"
+        "code = cli.run(sys.argv[1:])\n"
+        "print(code, 'shutil' in sys.modules, 'locale' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script, *argv],
+        capture_output=True,
+        text=True,
+        env=SRC_ENV,
+    )
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[-1] == f"0 {not plain} {not plain}"
+
+
+def _vars_by_argparse(argv):
+    return vars(cli.build_parser().parse_args(argv))
+
+
+_ALL_OPTIONS = sorted(
+    {o.name for _, _, options in cli.COMMANDS.values() for o in options}
+)
+_TEXT = st.text(max_size=4)
+_ODD_VALUE = st.one_of(
+    st.integers(-3, -1).map(str),
+    st.sampled_from(["-", "", " 7", "7.0", "x", "--json"]),
+    _TEXT,
+)
+_TOKEN = st.one_of(
+    st.sampled_from(_ALL_OPTIONS),
+    _ODD_VALUE,
+    st.sampled_from(["-h", "--help", "--", "--js", "--nmax=5", "--rep=-"]),
+)
+
+
+def _value(o):
+    """Mostly a value the option takes, sometimes one it may not."""
+    if type(o.kind) is tuple:
+        fitting = st.sampled_from(o.kind)
+    elif o.kind is int:
+        fitting = st.integers(0, 300).map(str)
+    else:
+        fitting = st.sampled_from(["2,2;1", "3", "-", "x"]) | _TEXT
+    return st.one_of(fitting, fitting, fitting, _ODD_VALUE)
+
+
+@st.composite
+def _argvs(draw):
+    """A command, most of its required options and some others, in any
+    order, with a token of noise now and then."""
+    command = draw(st.sampled_from([*cli.COMMANDS, *cli.COMMANDS, "-h", "x"]))
+    words = []
+    for o in draw(st.permutations(cli.COMMANDS.get(command, ("", "", ()))[2])):
+        if draw(st.integers(0, 9)) < (9 if o.required else 5):
+            words.append(o.name)
+            if o.kind is not bool:
+                words.append(draw(_value(o)))
+    noise = draw(st.lists(_TOKEN, max_size=1))
+    at = draw(st.integers(0, len(words)))
+    return [command, *words[:at], *noise, *words[at:]]
+
+
+@settings(max_examples=400)  # about a third of the argvs are plain
+@given(_argvs())
+@example(["verify", "--nmax", " 7 ", "--json"])
+@example(["euler", "--ideal", "2", "--indices", "1,1"])
+@example(["delta-max", "--rep", "-"])
+def test_plain_reader_reads_what_argparse_reads(argv):
+    args = cli.read_plain(argv)
+    if args is not None:
+        assert vars(args) == _vars_by_argparse(argv)
+
+
+def test_plain_reader_takes_every_workload_argv(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for workload in workloads.WORKLOADS:
+        cmds, _ = workloads.generate(workload, 0, tmp_path)
+        for cmd in cmds:
+            args = cli.read_plain(cmd["argv"])
+            assert args is not None, cmd["argv"]
+            assert vars(args) == _vars_by_argparse(cmd["argv"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["frobnicate"],
+        ["verify", "--help"],
+        ["verify", "--nmax", "-5"],
+        ["verify", "--nmax", "5", "--nmax", "6"],
+        ["verify", "--nm", "7"],
+        ["verify", "--nmax=7"],
+        ["verify", "--nmax", "x"],
+        ["verify", "--target", "bogus"],
+        ["verify", "--target"],
+        ["verify", "--json", "--json"],
+        ["verify", "extra"],
+        ["verify", "--", "--json"],
+        ["coh-bounds", "--length", "3"],
+        ["euler", "--ideal", "3", "--indices", "-1,2"],
+    ],
+)
+def test_plain_reader_hands_on_the_rest(argv):
+    assert cli.read_plain(argv) is None
 
 
 def _run(argv, stdin=""):
@@ -892,28 +1053,34 @@ _RHO3 = {"signature": [3, 0], "bipartition": [[1, 0], [1, 0], [1, 0]]}
         (
             "leading-term",
             {**_RHO3, "infchar": "210"},
-            "infchar must be an array, got str",
+            "infchar must be an array, got string",
         ),
         (
             "delta-max",
             {**_RHO3, "infchar": {"2": 0, "1": 0, "0": 0}},
-            "infchar must be an array, got dict",
+            "infchar must be an array, got object",
         ),
-        ("delta-max", {"places": "x"}, "places must be an array, got str"),
+        ("delta-max", {"places": "x"}, "places must be an array, got string"),
         (
             "leading-term",
             {**_RHO3, "signature": "30", "infchar": ["1", "0", "-1"]},
-            "signature must be an array, got str",
+            "signature must be an array, got string",
         ),
         (
             "delta-max",
             {**_RHO3, "bipartition": {"3": 0}, "infchar": ["1", "0", "-1"]},
-            "bipartition must be an array, got dict",
+            "bipartition must be an array, got object",
         ),
         (
             "delta-max",
             {**_RHO3, "bipartition": ["10", "10", "10"], "infchar": ["1", "0", "-1"]},
-            "each bipartition entry must be an array, got str",
+            "each bipartition entry must be an array, got string",
+        ),
+        ("delta-max", {"places": None}, "places must be an array, got null"),
+        (
+            "leading-term",
+            {**_RHO3, "signature": True, "infchar": ["1", "0", "-1"]},
+            "signature must be an array, got boolean",
         ),
     ],
     ids=[
@@ -923,6 +1090,8 @@ _RHO3 = {"signature": [3, 0], "bipartition": [[1, 0], [1, 0], [1, 0]]}
         "signature",
         "bipartition",
         "bipartition-entry",
+        "places-null",
+        "signature-true",
     ],
 )
 def test_rep_field_that_is_no_array_refused_by_name(command, rep, error):
@@ -934,14 +1103,48 @@ def test_rep_field_that_is_no_array_refused_by_name(command, rep, error):
 @pytest.mark.parametrize(
     "text, error",
     [
-        ('{"places": ["x"]}', "each place must be an object, got str"),
-        ('"places"', "the representation must be an object, got str"),
-        ("[1, 2]", "the representation must be an object, got list"),
+        ('{"places": ["x"]}', "each place must be an object, got string"),
+        ('"places"', "the representation must be an object, got string"),
+        ("[1, 2]", "the representation must be an object, got array"),
+        ("null", "the representation must be an object, got null"),
+        ('{"places": [true]}', "each place must be an object, got boolean"),
     ],
-    ids=["place", "text", "array"],
+    ids=["place", "text", "array", "null", "place-true"],
 )
 def test_rep_or_place_that_is_no_object_refused_by_name(text, error):
     code, out, err = _run(["delta-max", "--rep", "-"], text)
+    assert (code, out) == (2, "")
+    assert err == f"error: bad representation data: {error}\n"
+
+
+@pytest.mark.parametrize(
+    "rep, error",
+    [
+        (
+            {**_RHO3, "signature": [None, 0], "infchar": ["1", "0", "-1"]},
+            "signature entries must be integers, got null",
+        ),
+        (
+            {
+                **_RHO3,
+                "bipartition": [[1, 0], [1, 0], [True, 0]],
+                "infchar": ["1", "0", "-1"],
+            },
+            "bipartition entries must be integers, got boolean",
+        ),
+        (
+            {**_RHO3, "infchar": [True, "0", "-1"]},
+            "infchar entries must be numbers, got boolean",
+        ),
+        (
+            {**_RHO3, "signature": ["3", 0], "infchar": ["1", "0", "-1"]},
+            "signature entries must be integers, got string",
+        ),
+    ],
+    ids=["signature-null", "bipartition-true", "infchar-true", "signature-text"],
+)
+def test_rep_entry_of_another_kind_refused_by_name(rep, error):
+    code, out, err = _run(["delta-max", "--rep", "-"], json.dumps(rep))
     assert (code, out) == (2, "")
     assert err == f"error: bad representation data: {error}\n"
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,6 @@ from upqgrowth.growth import (
     floor_below,
     grouped_blocks,
     grouping_score,
-    merge_bounds,
     pack,
     partition_bound,
     partition_bound0,
@@ -197,6 +197,39 @@ def test_split_tables_maximize_over_splits():
         (0, 0), (1, 0), (2, 0), (3, 0), (4, 0)
     ]
     assert [_doubled(x, 5) for x in per_block[2]] == [(0, 0), (1, 0), (2, 0)]
+
+
+def merge_bounds(parts) -> tuple[GrowthValue, GrowthValue]:
+    """The top refined and conjectural bounds of `growth._best_merge` over
+    merging only the size-1 parts of parts, as `sarnakxue.sx_row` reads
+    them before taking 1 off."""
+    base = Counter(parts)
+    ones = base.pop(1, 0)
+    n = sum(parts)
+    k = n + 1
+    return tuple(
+        GrowthValue.unpack(
+            n * n * k + growth._best_merge(base, ones, term, k)[0], k
+        )
+        for term in (_refined_term, _conjectural_term)
+    )
+
+
+def test_best_merge_keeps_the_partition_score():
+    # the second int of _best_merge scores the partition as it is, as
+    # partition_bound and partition_bound0 do, for every N <= 18
+    for n in range(1, 19):
+        k = n + 1
+        for parts in partitions_of(n):
+            base = Counter(parts)
+            ones = base.pop(1, 0)
+            kept = [
+                GrowthValue.unpack(
+                    n * n * k + growth._best_merge(base, ones, term, k)[1], k
+                )
+                for term in (_refined_term, _conjectural_term)
+            ]
+            assert kept == [partition_bound(parts), partition_bound0(parts)]
 
 
 def test_merge_bounds_match_coarsenings():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import functools
 import inspect
 import re
 from collections import Counter
@@ -26,7 +27,6 @@ from upqgrowth.sarnakxue import (
     profile_sum,
     qd,
     qd_prime,
-    sx_goal,
     sx_row,
     verify_density,
     verify_maxsl2,
@@ -89,14 +89,14 @@ def test_max_ratio_matches_oracle(parts):
     assert max_ratio(parts) == want
     assert max_ratio(parts[::-1]) == want
     assert integrability_bound(parts) == 1 - want
-    assert sx_goal(parts) == (n * n - 1) * (1 - want)
+    assert sx_row(parts).sx_goal == (n * n - 1) * (1 - want)
 
 
 def test_goal_values():
     assert integrability_bound((2, 2)) == Fraction(1, 2)
-    assert sx_goal((2, 2)) == Fraction(15, 2)
-    assert sx_goal((2, 2, 1)) == 16
-    assert sx_goal((5, 5)) == Fraction(99, 2)
+    assert sx_row((2, 2)).sx_goal == Fraction(15, 2)
+    assert sx_row((2, 2, 1)).sx_goal == 16
+    assert sx_row((5, 5)).sx_goal == Fraction(99, 2)
 
 
 def test_profile_domination_by_balanced():
@@ -161,23 +161,27 @@ def test_one_merge_coarsenings():
     ]
 
 
-def _assert_row_matches_oracle(parts):
-    row = sx_row(parts)
-    pm, pe, pi, cm, ci, goal, triv = oracles.table_row(parts)
-    assert row.provable.main == pm
-    assert row.provable.eps == pe
-    assert row.provable_at_coarsening == pi
-    assert row.conjectural.main == cm
-    assert row.conjectural.eps == 0
-    assert row.conjectural_at_coarsening == ci
-    assert row.sx_goal == goal
-    assert row.trivial == triv
+def _fields(row):
+    """Each field of a row, a GrowthValue as its main and eps, with its type."""
+    flat = []
+    for value in row:
+        flat.append((value, type(value)))
+        if isinstance(value, GrowthValue):
+            flat.extend((v, type(v)) for v in value)
+    return flat
+
+
+def _assert_row_matches_oracle(parts, best=oracles.best_grouping):
+    assert _fields(sx_row(parts)) == _fields(oracles.density_row(parts, best))
 
 
 def test_rows_match_oracle():
-    for n in range(2, 11):
+    # every partition with N <= 18 (1,596 rows), field by field with its
+    # type; each coarsening's best grouping is scored once across the rows
+    best = functools.cache(oracles.best_grouping)
+    for n in range(1, 19):
         for parts in partitions_of(n):
-            _assert_row_matches_oracle(parts)
+            _assert_row_matches_oracle(parts, best)
 
 
 @given(
