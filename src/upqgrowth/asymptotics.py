@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from math import comb, log10, prod
+from operator import index
 
 from .cohomology import GlobalRep
 from .growth import GrowthValue, td_pairs
@@ -27,7 +28,7 @@ Ideal = tuple[tuple[int, int], ...]
 
 
 def _check_ideal(ideal) -> Ideal:
-    out = tuple((int(q), int(e)) for q, e in ideal)
+    out = tuple((index(q), index(e)) for q, e in ideal)
     if not out:
         raise ValueError("ideal needs at least one prime")
     for q, e in out:
@@ -48,7 +49,7 @@ def gamma_factor(ns, ideal) -> Fraction:
     contributes nothing.
     """
     ideal = _check_ideal(ideal)
-    ns = tuple(int(n) for n in ns)
+    ns = tuple(map(index, ns))
     value = Fraction(1)
     for q, _ in ideal:
         for n in ns:
@@ -70,7 +71,7 @@ def euler_digits(ns, ideal, n: int = 0) -> int:
     taken in ints, so no exponent is too large for it.
     """
     ideal = _check_ideal(ideal)
-    ms = [abs(int(m)) for m in ns]
+    ms = [abs(index(m)) for m in ns]
     total = 0
     for q, e in ideal:
         log_q = int(log10(q) * 2**32) + 1

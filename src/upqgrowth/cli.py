@@ -23,7 +23,7 @@ MAXSL2_NMAX = 48  # verify runs the maxsl2 sweep at most this far
 # (table ignores --nmax; maxsl2, whose first case is N = 1, keeps the qd floor)
 NMAX_MIN = {"table": 2, "qd": 2, "density": 3, "maxsl2": 2}
 # the largest --nmax of the qd and density sweeps: qd at 200 is about 0.5 s
-# of work; density at 1600 is about 0.02 s, since it decides its cases by
+# of work; density at 1600 is about 0.013 s, since it decides its cases by
 # blocks, but keeps the limit it had when it took 0.5 s; maxsl2 is capped at
 # MAXSL2_NMAX instead
 NMAX_MAX = {"qd": 200, "density": 1600}

@@ -244,13 +244,25 @@ def _object_from_json(value, field: str) -> dict:
     return value
 
 
+def _pair_from_json(value, field: str) -> list:
+    """value when it is a JSON array of 2 entries: another length is
+    refused, where unpacking would fail with a message that names none."""
+    value = _array_from_json(value, field)
+    if len(value) != 2:
+        raise ValueError(f"{field} must have 2 entries, got {len(value)}")
+    return value
+
+
 def local_rep_from_json(data: dict) -> LocalRep:
     data = _object_from_json(data, "each place")
-    signature = _array_from_json(data["signature"], "signature")
+    for field in ("signature", "bipartition", "infchar"):
+        if field not in data:  # the KeyError would print only the name
+            raise ValueError(f'missing field "{field}"')
+    signature = _pair_from_json(data["signature"], "signature")
     p, q = (_int_from_json(v, "signature") for v in signature)
     blocks = []
     for entry in _array_from_json(data["bipartition"], "bipartition"):
-        x, y = _array_from_json(entry, "each bipartition entry")
+        x, y = _pair_from_json(entry, "each bipartition entry")
         blocks.append(
             (_int_from_json(x, "bipartition"), _int_from_json(y, "bipartition"))
         )

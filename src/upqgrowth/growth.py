@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import product
+from operator import index
 
 from .cohomology import GlobalRep, LocalRep
 from .infchar import format_rational
@@ -105,7 +106,7 @@ def td_pairs(x) -> tuple[tuple[int, int], ...]:
     """(T, d) per block, of a shape (by its `.blocks`) or of (T, d) pairs."""
     if hasattr(x, "blocks"):
         return tuple((b.T, b.d) for b in x.blocks)
-    return tuple((int(t), int(d)) for t, d in x)
+    return tuple((index(t), index(d)) for t, d in x)
 
 
 def _bound(term, x) -> GrowthValue:
@@ -132,7 +133,7 @@ def conjectural_bound(x) -> GrowthValue:
 
 def grouped_blocks(q_parts) -> tuple[tuple[int, int], ...]:
     """Group equal parts of a partition into (multiplicity, size) blocks."""
-    q_parts = tuple(int(v) for v in q_parts)
+    q_parts = tuple(map(index, q_parts))
     validate_partition(tuple(sorted(q_parts, reverse=True)))
     mult = Counter(q_parts)
     return tuple((mult[d], d) for d in sorted(mult, reverse=True))
@@ -150,7 +151,7 @@ def partition_bound0(q_parts) -> GrowthValue:
 
 def all_groupings(q_parts):
     """Every way to split each part-multiplicity into blocks."""
-    mult = Counter(int(v) for v in q_parts)
+    mult = Counter(map(index, q_parts))
     sizes = sorted(mult, reverse=True)
     pools = [partitions_of(mult[d]) for d in sizes]
     for combo in product(*pools):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import accumulate, chain
-from operator import add, gt
+from operator import add, gt, index
 
 from .growth import (
     GrowthValue,
@@ -105,7 +105,7 @@ def _top_ratio(sigma: list[int], weights) -> tuple[int, int]:
 
 def max_ratio(parts) -> Fraction:
     """max over 1 <= i <= N/2 of sigma_i / (i*(N-i)) at the balanced profile."""
-    parts = tuple(sorted(map(int, parts), reverse=True))
+    parts = tuple(sorted(map(index, parts), reverse=True))
     validate_partition(parts)
     profiles = {m: _part_profile(m) for m in set(parts)}
     sigma = _profile_prefix(parts, profiles)
@@ -145,7 +145,7 @@ def qd_prime(n: int, d: int) -> tuple[int, ...]:
 
 def one_merge_coarsenings(parts) -> list[tuple[int, ...]]:
     """Partitions reachable by merging only the size-1 parts; includes parts."""
-    parts = tuple(sorted((int(v) for v in parts), reverse=True))
+    parts = tuple(sorted(map(index, parts), reverse=True))
     validate_partition(parts)
     ones = sum(1 for v in parts if v == 1)
     base = tuple(v for v in parts if v > 1)
@@ -196,7 +196,7 @@ def sx_row(parts) -> DensityRow:
     compare those packed ints. The goal is (N^2 - 1)(1 - ratio) at the top
     ratio of `_top_ratio`.
     """
-    q = tuple(sorted((int(v) for v in parts), reverse=True))
+    q = tuple(sorted(map(index, parts), reverse=True))
     validate_partition(q)
     n = sum(q)
     k = n + 1
@@ -352,38 +352,35 @@ def verify_qd_bound(n_max: int) -> Certificate:
 
 
 def _block_taylor(k: int, d: int, r0: int, naive: int, slope: int):
-    """(secondary, strict): the Taylor coefficients, lowest first, at
-    y = r - r0 of lhs - rhs of the secondary and the strict naive comparison
-    of `verify_density` over the block N = k*d + r, given the (k, d) term
-    less 2 and the remainder term slope * r; the formulas are in
-    `verify_density`. Each factor is expanded at r0: m = m0 + y,
-    N^2 - 1 = t0 + 2*n0*y + y^2 and N(N-d) = n0*(n0-d) + (2*n0-d)*y + y^2.
+    """(c0, c1, c2, c3): the Taylor coefficients, lowest first, at
+    y = r - r0 of lhs - rhs of the strict naive comparison of
+    `verify_density` over the block N = k*d + r, given the (k, d) term less 2
+    and the remainder term slope * r; the formulas are in `verify_density`.
+    Each factor is expanded at r0: m = m0 + y and
+    N^2 - 1 = t0 + 2*n0*y + y^2.
     """
     n0 = k * d + r0
     m0 = n0 - k
     t0 = n0 * n0 - 1
     a = m0 - d + 1
     p0 = t0 + 1 + naive + slope * r0
-    secondary = (
-        (a + 1) * t0 - (m0 + 1) * n0 * (n0 - d),
-        n0 + r0 + d - 1,
-        1,
-    )
-    strict = (
+    return (
         2 * a * t0 - m0 * p0,
         2 * t0 + 4 * a * n0 - p0 - m0 * (2 * n0 + slope),
         2 * n0 + 2 * a - m0 - slope,
         1,
     )
-    return secondary, strict
 
 
 def verify_density(n_max: int) -> Certificate:
-    """Sweep the three density comparisons and recheck the exceptional pairs.
+    """Sweep the two density comparisons and recheck the exceptional pairs.
 
     The naive-bound comparison is expected to fail exactly at N = 2d,
     N = 2d+1 and (N,d) = (6,2); on those pairs the refined bound must
-    still beat the goal except at (4,2).
+    still beat the goal except at (4,2). The secondary comparison
+    (m-d+2)(N^2-1) > N(N-d)(m+1) is not swept: it reads no `growth` term,
+    and over the block N = k*d + r its difference is
+    r^2 + (dk+d-1)r + (d^2k - dk + d + k - 2), > 0 for d, k >= 2.
 
     The comparisons are of int ratios, by cross-multiplying: with trivial =
     N^2 - 1 and k = N // d, the target is N(N-d)/trivial and 1 - (d-1)/m is
@@ -398,19 +395,15 @@ def verify_density(n_max: int) -> Certificate:
 
     Most blocks are decided without walking a case, by this lemma: an
     integer polynomial whose constant term is > 0 and whose other
-    coefficients are >= 0 is > 0 at every integer y >= 0. Past its
-    exceptional pairs, from r = r0 on, each difference lhs - rhs of a block
-    is a polynomial in y = r - r0. With n0 = k*d + r0, m0 = n0 - k,
-    t0 = n0^2 - 1 and a = m0 - d + 1, its Taylor coefficients at r0 are:
-    - secondary, (m-d+2)(N^2-1) - N(N-d)(m+1): y^2 + s1*y + s0, the cubic
-      terms cancelling, with s0 = (a+1)*t0 - (m0+1)*n0*(n0-d) and
-      s1 = n0 + r0 + d - 1;
-    - strict naive, 2(m-d+1)(N^2-1) - (N^2 + naive + rem)*m, where naive is
-      the (k, d) term less 2 and rem = slope * r is the remainder term:
-      y^3 + c2*y^2 + c1*y + c0, with p0 = n0^2 + naive + slope*r0,
-      c0 = 2*a*t0 - m0*p0, c1 = 2*t0 + 4*a*n0 - p0 - m0*(2*n0 + slope)
-      and c2 = 2*n0 + 2*a - m0 - slope. The remainder terms are checked
-      to be affine once per sweep; if they are not, every block is walked.
+    coefficients are >= 0 is > 0 at every integer y >= 0. Past the block's
+    exceptional pairs, from r = r0 on, the strict naive difference
+    2(m-d+1)(N^2-1) - (N^2 + naive + rem)*m, naive the (k, d) term less 2
+    and rem = slope * r the remainder term, is y^3 + c2*y^2 + c1*y + c0 in
+    y = r - r0. With n0 = k*d + r0, m0 = n0 - k, t0 = n0^2 - 1,
+    a = m0 - d + 1 and p0 = n0^2 + naive + slope*r0: c0 = 2*a*t0 - m0*p0,
+    c1 = 2*t0 + 4*a*n0 - p0 - m0*(2*n0 + slope) and
+    c2 = 2*n0 + 2*a - m0 - slope. The remainder terms are checked to be
+    affine once per sweep; if they are not, every block is walked.
     The short range d < N < 2d is one block per d, with the difference
     (N-d)(N^2-1) - N(N-d)(N-1) = (N-d)(N-1) = x^2 + (d+1)x + d at
     x = N-d-1. A block whose coefficients pass the lemma holds at every
@@ -442,32 +435,21 @@ def verify_density(n_max: int) -> Certificate:
             first = k * d
             stop = min(first + d, n_max + 1)
             # walk the exceptional pairs, and the rest of the block when its
-            # polynomials fail the lemma
+            # cubic fails the lemma
             end = (
                 min(last_exceptional + 1, stop)
                 if first <= last_exceptional
                 else first
             )
             if end < stop:
-                (s0, s1, _), (c0, c1, c2, _) = _block_taylor(
-                    k, d, end - first, naive, slope
-                )
-                if not (
-                    affine
-                    and s0 > 0
-                    and c0 > 0
-                    and s1 >= 0
-                    and c1 >= 0
-                    and c2 >= 0
-                ):
+                c0, c1, c2, _ = _block_taylor(k, d, end - first, naive, slope)
+                if not (affine and c0 > 0 and c1 >= 0 and c2 >= 0):
                     end = stop
             for n in range(first, end):
                 r = n - first
                 m = n - k
                 nn = n * n
                 trivial = nn - 1
-                if not (m - d + 2) * trivial > n * (n - d) * (m + 1):
-                    violations.append(f"secondary case fails at ({n},{d})")
                 # 1 - (d-1)/m > (rbar - 1) / trivial, with 2*rbar - 2 =
                 # N^2 + naive + rem
                 rem = rem_naive[r]
@@ -577,7 +559,7 @@ def verify_maxsl2(n_max: int) -> Certificate:
     checked = 0
     tables = split_tables(n_max)
     k = n_max + 1
-    ones = tables[1]
+    ones = tables.get(1, [0])  # no row at n_max = 0, which has no case
     ones_block = [pack(_refined_term, s, 1, k) for s in range(n_max + 1)]
     floor = floor_below(tables)  # below the core parts' entries too
     for core in _distinct_part_sets(n_max):

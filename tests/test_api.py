@@ -1,8 +1,9 @@
 """The top-level API is what the README tour and the demos import, every
 function the benchmark's tracer wraps still exists under its module, every
 definition of the package has a caller, the tracer alone keeps a fixed few,
-every import is read, and the package's modules import each other at their
-top, with no cycle."""
+every import is read, the package's modules import each other at their top,
+with no cycle, and what reads a part, a block, an index or a prime power
+refuses a float or a text."""
 
 from __future__ import annotations
 
@@ -13,7 +14,10 @@ from graphlib import TopologicalSorter
 from itertools import chain
 from pathlib import Path
 
+import pytest
+
 import upqgrowth
+from upqgrowth import asymptotics, growth, sarnakxue
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -223,3 +227,39 @@ def test_import_graph_has_no_cycle():
     assert "growth" in graph["shapes"]  # the reader sees the edges
     assert "shapes" not in graph["growth"]
     TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
+
+
+@pytest.mark.parametrize("bad", [2.5, "3"], ids=["float", "text"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: growth.td_pairs(((v, 1),)),
+        lambda v: growth.td_pairs(((1, v),)),
+        lambda v: growth.grouped_blocks((v, 2)),
+        lambda v: list(growth.all_groupings((v, 2))),
+        lambda v: sarnakxue.max_ratio((v, 1)),
+        lambda v: sarnakxue.one_merge_coarsenings((v, 1)),
+        lambda v: sarnakxue.sx_row((v, 2)),
+        lambda v: asymptotics.index_congruence(2, ((v, 1),)),
+        lambda v: asymptotics.index_congruence(2, ((2, v),)),
+        lambda v: asymptotics.gamma_factor((v,), ((2, 1),)),
+        lambda v: asymptotics.euler_digits((v,), ((2, 1),)),
+    ],
+    ids=[
+        "td_pairs-T",
+        "td_pairs-d",
+        "grouped_blocks",
+        "all_groupings",
+        "max_ratio",
+        "one_merge_coarsenings",
+        "sx_row",
+        "ideal-q",
+        "ideal-e",
+        "gamma_factor",
+        "euler_digits",
+    ],
+)
+def test_non_integer_refused(call, bad):
+    # int() would read 2.5 as 2 and "3" as 3
+    with pytest.raises(TypeError):
+        call(bad)

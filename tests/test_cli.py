@@ -1149,6 +1149,59 @@ def test_rep_entry_of_another_kind_refused_by_name(rep, error):
     assert err == f"error: bad representation data: {error}\n"
 
 
+_CHAR3 = {"infchar": ["1", "0", "-1"]}
+
+
+@pytest.mark.parametrize(
+    "rep, error",
+    [
+        (
+            {**_RHO3, **_CHAR3, "signature": [3, 0, 1]},
+            "signature must have 2 entries, got 3",
+        ),
+        (
+            {**_RHO3, **_CHAR3, "signature": [3]},
+            "signature must have 2 entries, got 1",
+        ),
+        (
+            {**_RHO3, **_CHAR3, "bipartition": [[1, 0], [1, 0], [1, 0, 2]]},
+            "each bipartition entry must have 2 entries, got 3",
+        ),
+        (
+            {**_RHO3, **_CHAR3, "bipartition": [[1, 0], [1, 0], [1]]},
+            "each bipartition entry must have 2 entries, got 1",
+        ),
+        (
+            {"signature": [3, 0], **_CHAR3},
+            'missing field "bipartition"',
+        ),
+        (
+            {"bipartition": _RHO3["bipartition"], **_CHAR3},
+            'missing field "signature"',
+        ),
+        (_RHO3, 'missing field "infchar"'),
+        (
+            {"places": [{**_RHO3, **_CHAR3}, _RHO3]},
+            'missing field "infchar"',
+        ),
+    ],
+    ids=[
+        "signature-3",
+        "signature-1",
+        "bipartition-entry-3",
+        "bipartition-entry-1",
+        "no-bipartition",
+        "no-signature",
+        "no-infchar",
+        "place-no-infchar",
+    ],
+)
+def test_rep_array_of_another_length_or_missing_field_refused_by_name(rep, error):
+    code, out, err = _run(["delta-max", "--rep", "-"], json.dumps(rep))
+    assert (code, out) == (2, "")
+    assert err == f"error: bad representation data: {error}\n"
+
+
 @pytest.mark.parametrize(
     "value, error",
     [

@@ -385,19 +385,13 @@ def test_density_violation_text_frozen(monkeypatch):
         for nd in ("(4,2)", "(5,2)", "(6,2)", "(6,3)", "(7,3)")
     )
     monkeypatch.undo()
-    # with no comparison holding, every short-range and secondary case fails,
-    # and so does the naive case wherever it is not exceptional
+    # with no comparison holding, every short-range case fails, and so does
+    # the naive case wherever it is not exceptional
     assert _gt_reads_false(verify_density)(7).violations == (
         "short-range case fails at (3,2)",
-        "secondary case fails at (4,2)",
-        "secondary case fails at (5,2)",
-        "secondary case fails at (6,2)",
-        "secondary case fails at (7,2)",
         "naive case at (7,2): strict=False, expected exceptional=False",
         "short-range case fails at (4,3)",
         "short-range case fails at (5,3)",
-        "secondary case fails at (6,3)",
-        "secondary case fails at (7,3)",
         "short-range case fails at (5,4)",
         "short-range case fails at (6,4)",
         "short-range case fails at (7,4)",
@@ -537,9 +531,23 @@ def test_density_sweep_finds_a_block_tail_fault(d, slope, extra):
     assert fault in cert.violations
 
 
+def test_density_secondary_comparison_cannot_fail():
+    # why verify_density does not sweep it: over the block N = k*d + r,
+    # (m-d+2)(N^2-1) - N(N-d)(m+1) is a quadratic in r with coefficients
+    # > 0 for d, k >= 2, and it reads no growth term
+    for d in range(2, 61):
+        for k in range(2, 61):
+            for r in range(d):
+                n = k * d + r
+                m = n - k
+                diff = (m - d + 2) * (n * n - 1) - n * (n - d) * (m + 1)
+                want = r * r + (d * k + d - 1) * r + (d * d * k - d * k + d + k - 2)
+                assert diff == want > 0, (n, d)
+
+
 def test_density_block_test_skips_no_failing_case():
     # every block of N <= 200 past its exceptional pairs: the Taylor
-    # coefficients give each case's differences lhs - rhs, and where they
+    # coefficients give each case's difference lhs - rhs, and where they
     # pass the lemma (constant term > 0, the others >= 0) every case holds
     n_max = 200
     slope = sarnakxue._naive_term(1, 1)[0]
@@ -556,24 +564,37 @@ def test_density_block_test_skips_no_failing_case():
             cases = range(first + r0, min(first + d, n_max + 1))
             if not cases:
                 continue
-            polys = sarnakxue._block_taylor(k, d, r0, naive, slope)
-            lemma = all(p[0] > 0 and min(p[1:]) >= 0 for p in polys)
+            poly = sarnakxue._block_taylor(k, d, r0, naive, slope)
+            lemma = poly[0] > 0 and min(poly[1:]) >= 0
             for n in cases:
                 y = n - first - r0
                 m = n - k
-                trivial = n * n - 1
                 rem = slope * (n - first)
-                diffs = (
-                    (m - d + 2) * trivial - n * (n - d) * (m + 1),
-                    2 * (m - d + 1) * trivial - (n * n + naive + rem) * m,
-                )
-                values = tuple(sum(c * y**i for i, c in enumerate(p)) for p in polys)
-                assert values == diffs, (n, d)
-                assert not lemma or min(diffs) > 0, (n, d)
+                diff = 2 * (m - d + 1) * (n * n - 1) - (n * n + naive + rem) * m
+                value = sum(c * y**i for i, c in enumerate(poly))
+                assert value == diff, (n, d)
+                assert not lemma or diff > 0, (n, d)
             blocks += 1
             passed += lemma
     # with the growth terms the sweep walks no case past the exceptional pairs
     assert passed == blocks == 697
+
+
+@pytest.mark.parametrize(
+    "sweep, n_max, cases",
+    [
+        (verify_qd_bound, 0, 0),
+        (verify_qd_bound, 1, 0),
+        (verify_density, 0, 0),
+        (verify_density, 1, 0),
+        (verify_maxsl2, 0, 0),
+        (verify_maxsl2, 1, 1),  # the partition (1)
+    ],
+)
+def test_sweeps_below_two(sweep, n_max, cases):
+    cert = sweep(n_max)
+    assert (cert.checked_count, cert.violations) == (cases, ())
+    assert cert.ok == (cases > 0)
 
 
 def test_verify_maxsl2_small():
