@@ -56,6 +56,16 @@ for r in range(0, n - k + 1):
     print(f"  r={r}: exponent {term.exponent}, L-indices {term.indices},"
           f" coefficient {term.coeff}")
 
+# Six places that take turns between two U(13,1) representations.  Each
+# place has 7 placements of the dominant type (5, 3, 1^6), so the
+# coefficient sums 7^6 shapes; it is folded one place at a time instead.
+print()
+a = LocalRep(p=13, q=1, blocks=((2, 1),) + ((1, 0),) * 11, lam=rho(14))
+b = LocalRep(p=13, q=1, blocks=((4, 1),) + ((1, 0),) * 9, lam=rho(14))
+term = leading_term(GlobalRep((a, b) * 3))
+print(f"six places: exponent {term.exponent}, L-indices {term.indices},"
+      f" coefficient {term.coeff}")
+
 # The congruence-subgroup index entering the same count, at a split prime of
 # residue degree one, is the order of the general linear group over the
 # residue field.

@@ -8,21 +8,17 @@ the exact rational part.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from math import comb, log10, prod
 from operator import index
 
 from .cohomology import GlobalRep
-from .growth import GrowthValue, td_pairs
+from .growth import GrowthValue, common_candidates, dominant, grouped_blocks
+from .growth import local_run_data, td_pairs
 from .infchar import format_rational, weyl_dim
-from .shapes import (
-    delta_max,
-    is_gsk,
-    is_odd_gsk,
-    odd_gsk_parity_test,
-    sl2_partition,
-)
+from .shapes import _place_centres, _place_parity, _unramified_parity
+from .shapes import is_gsk, is_odd_gsk
 
 Ideal = tuple[tuple[int, int], ...]
 
@@ -70,6 +66,7 @@ def euler_digits(ns, ideal, n: int = 0) -> int:
     n). Each logarithm is rounded up to a multiple of 2^-32 and the sum is
     taken in ints, so no exponent is too large for it.
     """
+    n = index(n)
     ideal = _check_ideal(ideal)
     ms = [abs(index(m)) for m in ns]
     total = 0
@@ -87,8 +84,10 @@ def index_congruence(n: int, ideal) -> Fraction:
     For a single (q, 1) prime this is the order of GL_n over the size-q
     field.
     """
+    n = index(n)
     if n < 1:
         raise ValueError("need n >= 1")
+    # read once: ideal_norm and gamma_factor both iterate it
     ideal = _check_ideal(ideal)
     return ideal_norm(ideal) ** (n * n) * gamma_factor((n,), ideal)
 
@@ -147,34 +146,50 @@ def leading_term(rep: GlobalRep, convention: str = "binom") -> LeadingTerm:
     Gamma_L(ideal); coeff sums the parity-surviving dominant shapes, each
     contributing its rank-1 block dimension over the packet size at every
     place.
+
+    A dominant shape is one placement of the dominant type per place, and
+    it survives when the unramified exponent and every long block's
+    exponent, a sum of one `_place_parity` per place, are even. So the
+    places are folded one at a time, never their product: a table maps
+    each vector of long-block parities (bit j for the j-th longest block)
+    to the summed weight of the partial shapes that have it, and coeff is
+    the entry at 0.
     """
-    result = delta_max(rep)
-    shapes = result.shapes
-    if not all(is_odd_gsk(s) for s in shapes):
+    runs = [local_run_data(local) for local in rep.places]
+    bound, _, tops = dominant(common_candidates(runs))
+    placed = []
+    for q_parts in tops:
+        ds = sorted(set(q_parts), reverse=True)
+        pools = [_place_centres(data, q_parts, ds) for data in runs]
+        if all(pools):  # a type with no placement at some place has no shape
+            placed.append((grouped_blocks(q_parts), ds, pools))
+    if not all(is_odd_gsk(pairs) for pairs, _, _ in placed):
         raise ValueError("dominant shapes are not all odd GSK")
-    types = {sl2_partition(s) for s in shapes}
-    if len(types) != 1:
+    if len(placed) != 1:
         raise ValueError("dominant SL(2)-type is not unique")
-    sample = shapes[0]
-    pairs = sorted(td_pairs(sample), key=lambda td: td[1])
-    t1, k = pairs[0][0], len(pairs)
-    coeff = Fraction(0)
+    ((pairs, ds, pools),) = placed
+    # d descending: is_gsk puts the 1-block last, after the T = 1 long blocks
+    t1, k = pairs[-1][0], len(pairs)
     size = packet_size(t1, convention, rep.rank)
-    for s in shapes:
-        if not odd_gsk_parity_test(rep, s):
-            continue
-        block1 = next((b for b in s.blocks if b.d == 1), None)
-        if block1 is None:
-            raise AssertionError("odd GSK shape has no block of size 1")
-        term = Fraction(1)
-        for v in range(s.places):
-            term *= Fraction(weyl_dim(block1.centers[v]), size)
-        coeff += term
-    symbols = (f"VOL_RATIO(U({t1})xU(1)^{k - 1})",)
+    coeff = Fraction(0)
+    if not _unramified_parity(rep):
+        table = {0: Fraction(1)}
+        for local, pool in zip(rep.places, pools):
+            folded: Counter[int] = Counter()
+            for placement in pool:
+                stretches = [(d, c2) for d, cs in zip(ds, placement) for c2 in cs]
+                bits = 0
+                for j, (d, (c2,)) in enumerate(zip(ds, placement[:-1])):
+                    bits |= _place_parity(local, stretches, d, c2) << j
+                weight = weyl_dim(tuple(Fraction(c2, 2) for c2 in placement[-1])) / size
+                for key, x in table.items():
+                    folded[key ^ bits] += x * weight
+            table = folded
+        coeff += table[0]
     return LeadingTerm(
-        exponent=result.bound,
-        indices=index_list(sample),
+        exponent=bound,
+        indices=index_list(pairs),
         coeff=coeff,
-        symbols=symbols,
+        symbols=(f"VOL_RATIO(U({t1})xU(1)^{k - 1})",),
         zero=coeff == 0,
     )

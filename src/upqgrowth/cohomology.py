@@ -228,45 +228,43 @@ def _int_from_json(value, field: str) -> int:
     return value
 
 
-def _array_from_json(value, field: str) -> list:
-    """value when it is a JSON array: a text or an object is refused, where
-    iterating would read its characters or its keys as the entries."""
-    if type(value) is not list:
-        raise ValueError(f"{field} must be an array, got {_kind(value)}")
-    return value
+# what a field that requires each container must be
+_CONTAINERS = {list: "an array", dict: "an object"}
 
 
-def _object_from_json(value, field: str) -> dict:
-    """value when it is a JSON object: a text or an array is refused, where
-    reading a field would fail with a message that names none."""
-    if type(value) is not dict:
-        raise ValueError(f"{field} must be an object, got {_kind(value)}")
+def _container_from_json(value, kind: type, field: str):
+    """value when it is a JSON array (kind list) or object (kind dict):
+    anything else is refused, where iterating a text or an object would read
+    its characters or its keys as the entries, and reading a field of a
+    text or an array would fail with a message that names none."""
+    if type(value) is not kind:
+        raise ValueError(f"{field} must be {_CONTAINERS[kind]}, got {_kind(value)}")
     return value
 
 
 def _pair_from_json(value, field: str) -> list:
     """value when it is a JSON array of 2 entries: another length is
     refused, where unpacking would fail with a message that names none."""
-    value = _array_from_json(value, field)
+    value = _container_from_json(value, list, field)
     if len(value) != 2:
         raise ValueError(f"{field} must have 2 entries, got {len(value)}")
     return value
 
 
 def local_rep_from_json(data: dict) -> LocalRep:
-    data = _object_from_json(data, "each place")
+    data = _container_from_json(data, dict, "each place")
     for field in ("signature", "bipartition", "infchar"):
         if field not in data:  # the KeyError would print only the name
             raise ValueError(f'missing field "{field}"')
     signature = _pair_from_json(data["signature"], "signature")
     p, q = (_int_from_json(v, "signature") for v in signature)
     blocks = []
-    for entry in _array_from_json(data["bipartition"], "bipartition"):
+    for entry in _container_from_json(data["bipartition"], list, "bipartition"):
         x, y = _pair_from_json(entry, "each bipartition entry")
         blocks.append(
             (_int_from_json(x, "bipartition"), _int_from_json(y, "bipartition"))
         )
-    infchar = _array_from_json(data["infchar"], "infchar")
+    infchar = _container_from_json(data["infchar"], list, "infchar")
     if any(type(s) is bool for s in infchar):
         # Fraction would read true as 1
         raise ValueError("infchar entries must be numbers, got boolean")
@@ -275,9 +273,9 @@ def local_rep_from_json(data: dict) -> LocalRep:
 
 
 def global_rep_from_json(data: dict) -> GlobalRep:
-    data = _object_from_json(data, "the representation")
+    data = _container_from_json(data, dict, "the representation")
     if "places" in data:
-        places = _array_from_json(data["places"], "places")
+        places = _container_from_json(data["places"], list, "places")
         places = tuple(local_rep_from_json(d) for d in places)
     else:
         places = (local_rep_from_json(data),)

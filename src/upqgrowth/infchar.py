@@ -9,7 +9,7 @@ an arithmetic progression with step -1.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 
 from .partitions import validate_partition
 
@@ -56,9 +56,9 @@ def is_adapted(lam: Character, parts: tuple[int, ...]) -> bool:
 def total_character(blocks) -> Character:
     """Merge block expansions (xi, d) into one strictly decreasing character.
 
-    The values are sorted and compared as ints, scaled by twice the lcm of
-    the centres' denominators, so every expansion xi + (d+1)/2 - l is exact.
-    Raises IrregularCharacterError when two expansions collide.
+    Each block gives xi + (d+1)/2 - l, l = 1..d, and the values are sorted
+    as Fractions. Raises IrregularCharacterError when two expansions
+    collide.
     """
     pairs: list[tuple[Fraction, int]] = []
     for xi, d in blocks:
@@ -66,18 +66,12 @@ def total_character(blocks) -> Character:
         if d < 1:
             raise ValueError("block length must be positive")
         pairs.append((xi, d))
-    scale = 2 * lcm(*(xi.denominator for xi, _ in pairs))
-    values: list[int] = []
-    for xi, d in pairs:
-        top = xi.numerator * (scale // xi.denominator) + (d - 1) * (scale // 2)
-        values.extend(range(top, top - d * scale, -scale))
+    values = [xi + Fraction(d + 1, 2) - l for xi, d in pairs for l in range(1, d + 1)]
     values.sort(reverse=True)
     for a, b in zip(values, values[1:]):
         if a == b:
-            raise IrregularCharacterError(
-                f"total character has a repeated entry {Fraction(a, scale)}"
-            )
-    return tuple(Fraction(v, scale) for v in values)
+            raise IrregularCharacterError(f"total character has a repeated entry {a}")
+    return tuple(values)
 
 
 def weyl_dim(lam: Character) -> Fraction:

@@ -318,31 +318,44 @@ def _stretch_q(rep: LocalRep, c: Fraction, d: int) -> int:
     return q
 
 
+def _unramified_parity(rep: GlobalRep) -> int:
+    """Parity of the everywhere-unramified exponent: n(n-1)/2 per place,
+    plus every place's q."""
+    n = rep.rank
+    return ((n * (n - 1) // 2) * len(rep.places) + sum(r.q for r in rep.places)) % 2
+
+
+def _place_parity(local: LocalRep, stretches, d: int, c2) -> int:
+    """The parity a long block of length d and doubled centre c2 adds at one
+    place: its position among the place's stretches, (length, doubled
+    centre) pairs, by top value, plus its stretch's q, plus chi4(d)."""
+    # the stretches whose doubled top c2' + d' is above its own
+    above = sum(x2 + dd > c2 + d for dd, x2 in stretches)
+    return (above + _stretch_q(local, Fraction(c2, 2), d) + chi4(d)) % 2
+
+
 def odd_gsk_parity_test(rep: GlobalRep, shape: Shape) -> bool:
     """Vanishing test for odd-GSK shapes: every long block must accumulate an
     even sign exponent across the places, and the everywhere-unramified part
     must carry an even exponent too.
 
-    At each place a long block adds its position among the shape's stretches
-    by top value, its stretch's q and chi4(d).
+    At each place a long block adds `_place_parity`; the blocks are summed
+    one at a time, and the first odd one decides.
     """
     if not is_odd_gsk(shape):
         raise ValueError("parity test only applies to odd GSK shapes")
     if shape.places != len(rep.places):
         raise ValueError("shape and representation disagree on places")
-    n = rep.rank
-    unram = (n * (n - 1) // 2) * len(rep.places) + sum(r.q for r in rep.places)
-    if unram % 2:
+    if _unramified_parity(rep):
         return False
+    stretches = [
+        [(o.d, 2 * x) for o in shape.blocks for x in o.centers[v]]
+        for v in range(shape.places)
+    ]
     for b in (b for b in shape.blocks if b.d > 1):
-        t = 0
-        for v, local in enumerate(rep.places):
-            (c,) = b.centers[v]  # a long block of a GSK shape has T = 1
-            # its position: the stretches whose top x + (d' - 1)/2 is above its own
-            top2 = 2 * c + b.d
-            above = sum(2 * x + o.d > top2 for o in shape.blocks for x in o.centers[v])
-            t += above + _stretch_q(local, c, b.d) + chi4(b.d)
-        if t % 2:
+        # a long block of a GSK shape has T = 1
+        places = zip(rep.places, stretches, b.centers)
+        if sum(_place_parity(r, s, b.d, 2 * c) for r, s, (c,) in places) % 2:
             return False
     return True
 

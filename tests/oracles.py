@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
+from math import comb, prod
 
 from upqgrowth import sarnakxue
 
@@ -733,8 +734,8 @@ def local_assignments(place, q_parts):
     return out
 
 
-def dominant_shapes(places, tops, rank: int) -> list[dict]:
-    """Every shape realizing a partition in tops, in `delta-max` JSON form.
+def shape_blocks(places, tops, rank: int) -> list[tuple]:
+    """Every shape realizing a partition in tops.
 
     places holds (blocks, lam) per place. A shape is a tuple of blocks
     (T, d, centres per place, eta), d descending; the shapes are
@@ -767,6 +768,11 @@ def dominant_shapes(places, tops, rank: int) -> list[dict]:
             pairs = [(c, d) for t, d, cs, eta in shape for c in cs[v]]
             if total_character(pairs) != tuple(lam):
                 raise AssertionError("shape does not rebuild the character")
+    return unique
+
+
+def dominant_shapes(places, tops, rank: int) -> list[dict]:
+    """`shape_blocks` in `delta-max` JSON form."""
     return [
         {
             "blocks": [
@@ -774,7 +780,7 @@ def dominant_shapes(places, tops, rank: int) -> list[dict]:
                 for t, d, cs, eta in shape
             ]
         }
-        for shape in unique
+        for shape in shape_blocks(places, tops, rank)
     ]
 
 
@@ -810,17 +816,23 @@ def stretch_q(place, values) -> int:
     return sum(deg_lookup[v] for v in values)
 
 
-def parity_test(places, blocks) -> bool:
-    """The odd-GSK parity test of places (p, q, bipartition, lam) and shape
-    blocks (T, d, centres per place, eta), with the library's messages."""
-    pairs = sorted(((t, d) for t, d, _, _ in blocks), key=lambda td: td[1])
+def is_odd_gsk(blocks) -> bool:
+    """Shape blocks (T, d, ...) of pairwise distinct odd lengths, one of them
+    1, and T = 1 on every longer block."""
+    pairs = sorted(((t, d) for t, d, *_ in blocks), key=lambda td: td[1])
     ds = [d for _, d in pairs]
     gsk = (
         len(set(ds)) == len(ds)
         and ds[0] == 1
         and all(t == 1 for t, d in pairs if d > 1)
     )
-    if not (gsk and all(d % 2 == 1 for d in ds)):
+    return gsk and all(d % 2 == 1 for d in ds)
+
+
+def parity_test(places, blocks) -> bool:
+    """The odd-GSK parity test of places (p, q, bipartition, lam) and shape
+    blocks (T, d, centres per place, eta), with the library's messages."""
+    if not is_odd_gsk(blocks):
         raise ValueError("parity test only applies to odd GSK shapes")
     if len(blocks[0][2]) != len(places):
         raise ValueError("shape and representation disagree on places")
@@ -845,6 +857,49 @@ def parity_test(places, blocks) -> bool:
         if t % 2:
             return False
     return True
+
+
+def weyl_dimension(lam) -> Fraction:
+    """Product over i < j of (lam_i - lam_j) / (j - i)."""
+    n = len(lam)
+    return prod(
+        (Fraction(lam[i] - lam[j], j - i) for i in range(n) for j in range(i + 1, n)),
+        start=Fraction(1),
+    )
+
+
+def leading_term(places, tops, convention: str = "binom"):
+    """(exponent, L-indices, coeff, symbols, zero) of the places (p, q,
+    bipartition, lam) whose dominant SL(2)-types are tops, summed shape by
+    shape as the library did before it folded the places one at a time.
+
+    Every shape of the product of the places' placements passes
+    `parity_test` or not, and a passing one adds the Weyl dimension of its
+    1-block over the packet size at each place. The refusals carry the
+    library's messages.
+    """
+    rank = places[0][0] + places[0][1]
+    shapes = shape_blocks([(b, lam) for _, _, b, lam in places], tops, rank)
+    if not all(is_odd_gsk(s) for s in shapes):
+        raise ValueError("dominant shapes are not all odd GSK")
+    types = {tuple(sorted(d for t, d, _, _ in s for _ in range(t))) for s in shapes}
+    if len(types) != 1:
+        raise ValueError("dominant SL(2)-type is not unique")
+    pairs = sorted(((t, d) for t, d, _, _ in shapes[0]), key=lambda td: td[1])
+    t1, k = pairs[0][0], len(pairs)
+    size = rank if convention == "example1" else comb(t1, t1 // 2)
+    coeff = Fraction(0)
+    for s in shapes:
+        if parity_test(places, s):
+            (ones,) = [cs for _, d, cs, _ in s if d == 1]
+            coeff += prod((weyl_dimension(lam) / size for lam in ones), start=1)
+    return (
+        refined_value(grouped(types.pop())),
+        (t1,) + (1,) * (k - 1) + (-1,) * (k - 1),
+        coeff,
+        (f"VOL_RATIO(U({t1})xU(1)^{k - 1})",),
+        coeff == 0,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,7 @@ def test_tracer_alone_keeps_these():
         "sarnakxue.exponent_profile",
         "sarnakxue.one_merge_coarsenings",
         "sarnakxue.profile_sum",
+        "shapes.odd_gsk_parity_test",
     }
 
 
@@ -244,6 +245,8 @@ def test_import_graph_has_no_cycle():
         lambda v: asymptotics.index_congruence(2, ((2, v),)),
         lambda v: asymptotics.gamma_factor((v,), ((2, 1),)),
         lambda v: asymptotics.euler_digits((v,), ((2, 1),)),
+        lambda v: asymptotics.euler_digits((1,), ((2, 1),), v),
+        lambda v: asymptotics.index_congruence(v, ((2, 1),)),
     ],
     ids=[
         "td_pairs-T",
@@ -257,9 +260,11 @@ def test_import_graph_has_no_cycle():
         "ideal-e",
         "gamma_factor",
         "euler_digits",
+        "euler_digits-n",
+        "index_congruence-n",
     ],
 )
 def test_non_integer_refused(call, bad):
-    # int() would read 2.5 as 2 and "3" as 3
-    with pytest.raises(TypeError):
+    # int() would read 2.5 as 2 and "3" as 3; operator.index refuses both
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         call(bad)

@@ -6,9 +6,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from upqgrowth import asymptotics
 from upqgrowth.asymptotics import (
     LeadingTerm,
@@ -21,9 +22,9 @@ from upqgrowth.asymptotics import (
     packet_size,
 )
 from upqgrowth.cohomology import GlobalRep, LocalRep
-from upqgrowth.growth import GrowthValue, refined_bound
+from upqgrowth.growth import GrowthValue, dominant, refined_bound, sl2_candidates
 from upqgrowth.infchar import rho
-from upqgrowth.shapes import DeltaMax, Shape, ShapeBlock, delta_max
+from upqgrowth.shapes import delta_max
 
 
 # --- ideals and gamma factors --------------------------------------------------
@@ -75,6 +76,8 @@ def test_index_congruence_prime_power():
     # rank 1 at (q, e): q^(e-1) * (q - 1)
     assert index_congruence(1, [(2, 3)]) == 4
     assert index_congruence(1, [(3, 2)]) == 6
+    # an iterator is read once, though the norm and the gamma factor both need it
+    assert index_congruence(2, iter([(3, 1)])) == 48
     with pytest.raises(ValueError):
         index_congruence(0, [(2, 1)])
 
@@ -221,23 +224,6 @@ def test_leading_term_needs_odd_gsk():
         leading_term(GlobalRep((r1,)))
 
 
-def test_leading_term_without_unit_block_is_internal_error(monkeypatch):
-    # an odd-GSK shape always has a d = 1 block; forge one that lacks it and
-    # let it past the odd-GSK and parity checks
-    forged = Shape(blocks=(ShapeBlock(T=1, d=7, centers=((0,),), eta=1),))
-    result = DeltaMax(
-        candidates=((7,),),
-        bound=GrowthValue(0),
-        q_argmax=(7,),
-        shapes=(forged,),
-    )
-    monkeypatch.setattr(asymptotics, "delta_max", lambda rep: result)
-    monkeypatch.setattr(asymptotics, "is_odd_gsk", lambda s: True)
-    monkeypatch.setattr(asymptotics, "odd_gsk_parity_test", lambda r, s: True)
-    with pytest.raises(AssertionError, match="no block of size 1"):
-        leading_term(_rep_passing())
-
-
 def test_leading_term_example1_convention():
     lt = leading_term(_rep_passing(), convention="example1")
     assert lt.coeff == Fraction(1, 7)
@@ -246,6 +232,94 @@ def test_leading_term_example1_convention():
 def test_leading_term_structure():
     lt = leading_term(_rep_passing())
     assert isinstance(lt, LeadingTerm)
+
+
+# --- the places folded one at a time ------------------------------------------
+
+
+def _alternating(places):
+    # rank 14: a length-3 and a length-5 mixed block, each above a run of
+    # ones, take turns; the one dominant type (5, 3, 1^6) has 7 placements
+    # at every place, so its shapes number 7^places
+    a = LocalRep(p=13, q=1, blocks=((2, 1),) + ((1, 0),) * 11, lam=rho(14))
+    b = LocalRep(p=13, q=1, blocks=((4, 1),) + ((1, 0),) * 9, lam=rho(14))
+    return GlobalRep(tuple((a, b)[v % 2] for v in range(places)))
+
+
+_MIXED_LENGTHS = [(2,), (3,), (5,), (7,), (2, 3), (2, 5), (3, 5), (3, 7), (5, 7)]
+
+
+@st.composite
+def _mixed_block_reps(draw):
+    # 1-4 places of rank n at rho(n); every place holds mixed blocks of the
+    # same one or two lengths among 2, 3, 5 and 7, each split at random and
+    # placed at random among degenerate blocks, most of them (1, 0)
+    lengths = draw(st.sampled_from(_MIXED_LENGTHS))
+    n = draw(st.integers(sum(lengths) + 1, max(sum(lengths) + 1, 10)))
+    ones = st.sampled_from(((1, 0),) * 3 + ((0, 1),))
+    places = []
+    for _ in range(draw(st.integers(1, 4))):
+        blocks = [draw(ones) for _ in range(n - sum(lengths))]
+        for d in lengths:
+            x = draw(st.integers(1, d - 1))
+            blocks.insert(draw(st.integers(0, len(blocks))), (x, d - x))
+        p = sum(x for x, _ in blocks)
+        places.append(LocalRep(p=p, q=n - p, blocks=tuple(blocks), lam=rho(n)))
+    return GlobalRep(tuple(places))
+
+
+def _outcome(call, *args):
+    try:
+        return tuple(call(*args))
+    except ValueError as e:
+        return str(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mixed_block_reps(), st.sampled_from(["binom", "example1"]))
+@example(_rep_passing(), "binom")
+@example(_rep_vanishing(), "binom")
+@example(_alternating(3), "binom")
+@example(_alternating(2), "example1")
+def test_leading_term_matches_shape_by_shape_oracle(rep, convention):
+    # the fold over the places against the sum over every dominant shape,
+    # refusals included
+    got = _outcome(leading_term, rep, convention)
+    cands = sl2_candidates(rep)
+    if not cands:
+        assert got == "no common SL(2)-type across the places"
+        return
+    tops = dominant(cands)[2]
+    assert got == _outcome(oracles.leading_term, rep.places, tops, convention)
+
+
+def test_leading_term_reads_each_placement_once(monkeypatch):
+    # the place parity runs once per placement and long block at each place:
+    # 6 places x 7 placements x 2 long blocks, not once per each of the
+    # 7^6 = 117,649 shapes; the coefficient is the one their sum gave
+    rep = _alternating(6)
+    calls = []
+    place_parity = asymptotics._place_parity
+
+    def counted(*args):
+        calls.append(args)
+        return place_parity(*args)
+
+    monkeypatch.setattr(asymptotics, "_place_parity", counted)
+    lt = leading_term(rep)
+    assert len(calls) == 6 * 7 * 2
+    assert lt.indices == (6, 1, 1, -1, -1)
+    assert lt.coeff == Fraction(555452686314709569107, 1000000)
+
+
+def test_five_place_coefficient_frozen():
+    # the sum over the 16,807 shapes, as the shape-by-shape code gave it
+    lt = leading_term(_alternating(5))
+    assert lt.exponent == GrowthValue(101)
+    assert lt.indices == (6, 1, 1, -1, -1)
+    assert lt.coeff == Fraction(135408116049635709, 25000)
+    assert lt.symbols == ("VOL_RATIO(U(6)xU(1)^2)",)
+    assert lt.zero is False
 
 
 # --- elementary volume constants -------------------------------------------------

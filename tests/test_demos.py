@@ -24,8 +24,7 @@ def test_demos_exist():
     assert DEMOS
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(demo):
+def _run_demo(demo: Path) -> str:
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
@@ -38,7 +37,21 @@ def test_demo_runs(demo):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+    return proc.stdout
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo):
+    assert _run_demo(demo).strip()
+
+
+def test_shapes_demo_prints_six_place_term():
+    # 7^6 dominant shapes, folded one place at a time
+    out = _run_demo(ROOT / "demos" / "03_shapes_and_leading_terms.py")
+    assert (
+        "six places: exponent 101, L-indices (6, 1, 1, -1, -1), "
+        "coefficient 555452686314709569107/1000000\n"
+    ) in out
 
 
 def test_readme_tour_runs():
