@@ -14,10 +14,9 @@ from math import comb, log10, prod
 from operator import index
 
 from .cohomology import GlobalRep
-from .growth import GrowthValue, common_candidates, dominant, grouped_blocks
-from .growth import local_run_data, td_pairs
+from .growth import GrowthValue, td_pairs
 from .infchar import format_rational, weyl_dim
-from .shapes import _place_centres, _place_parity, _unramified_parity
+from .shapes import _place_parity, _unramified_parity, dominant_placements
 from .shapes import is_gsk, is_odd_gsk
 
 Ideal = tuple[tuple[int, int], ...]
@@ -147,27 +146,21 @@ def leading_term(rep: GlobalRep, convention: str = "binom") -> LeadingTerm:
     contributing its rank-1 block dimension over the packet size at every
     place.
 
-    A dominant shape is one placement of the dominant type per place, and
-    it survives when the unramified exponent and every long block's
-    exponent, a sum of one `_place_parity` per place, are even. So the
-    places are folded one at a time, never their product: a table maps
-    each vector of long-block parities (bit j for the j-th longest block)
-    to the summed weight of the partial shapes that have it, and coeff is
-    the entry at 0.
+    A dominant shape is one placement per place of the dominant type, both
+    from `shapes.dominant_placements` as in `delta_max`, and it survives
+    when the unramified exponent and every long block's exponent, a sum of
+    one `_place_parity` per place, are even. So the places are folded one at
+    a time, never their product: a table maps each vector of long-block
+    parities (bit j for the j-th longest block) to the summed weight of the
+    partial shapes that have it, and coeff is the entry at 0.
     """
-    runs = [local_run_data(local) for local in rep.places]
-    bound, _, tops = dominant(common_candidates(runs))
-    placed = []
-    for q_parts in tops:
-        ds = sorted(set(q_parts), reverse=True)
-        pools = [_place_centres(data, q_parts, ds) for data in runs]
-        if all(pools):  # a type with no placement at some place has no shape
-            placed.append((grouped_blocks(q_parts), ds, pools))
-    if not all(is_odd_gsk(pairs) for pairs, _, _ in placed):
+    _, bound, _, placed = dominant_placements(rep)
+    if not all(is_odd_gsk(pairs) for pairs, _ in placed):
         raise ValueError("dominant shapes are not all odd GSK")
     if len(placed) != 1:
         raise ValueError("dominant SL(2)-type is not unique")
-    ((pairs, ds, pools),) = placed
+    ((pairs, pools),) = placed
+    ds = [d for _, d in pairs]
     # d descending: is_gsk puts the 1-block last, after the T = 1 long blocks
     t1, k = pairs[-1][0], len(pairs)
     size = packet_size(t1, convention, rep.rank)

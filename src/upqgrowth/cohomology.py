@@ -67,7 +67,8 @@ class LocalRep(namedtuple("LocalRep", "p q blocks lam")):
             if twice[i] - twice[i + k - 1] != 2 * (k - 1):
                 raise ValueError("character is not adapted to the bipartition")
             i += k
-        return tuple.__new__(cls, (p, q, blocks, lam))
+        # copied last, so a list is refused with the texts a tuple gets
+        return tuple.__new__(cls, (p, q, tuple(map(tuple, blocks)), lam))
 
     @property
     def rank(self) -> int:
@@ -84,7 +85,7 @@ class GlobalRep(namedtuple("GlobalRep", "places")):
         ranks = {r.rank for r in places}
         if len(ranks) != 1:
             raise ValueError(f"places have mixed ranks {sorted(ranks)}")
-        return tuple.__new__(cls, (places,))
+        return tuple.__new__(cls, (tuple(places),))
 
     @property
     def rank(self) -> int:

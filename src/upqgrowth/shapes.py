@@ -6,7 +6,8 @@ The blocks expand place by place to a regular total character.
 
 Given a global representation, `growth` finds the partitions of the rank
 that every place's cohomological archimedean data allows as SL(2)-type, and
-which of them dominate; this module builds the shapes realizing those.
+which of them dominate; `dominant_placements` places those once for both
+`delta_max`, which builds their shapes, and `asymptotics.leading_term`.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import chain, permutations, product
+from operator import index
 
 from . import infchar
 from .cohomology import GlobalRep, LocalRep
@@ -22,6 +24,7 @@ from .growth import GrowthValue, RunData, common_candidates, dominant, td_pairs
 from .growth import local_run_data, sl2_candidates
 from .infchar import format_rational
 from .packets import chi4
+from .partitions import partitions_of
 
 
 class ShapeBlock(namedtuple("ShapeBlock", "T d centers eta")):
@@ -32,6 +35,7 @@ class ShapeBlock(namedtuple("ShapeBlock", "T d centers eta")):
     eta: int
 
     def __new__(cls, T, d, centers, eta):
+        T, d = index(T), index(d)
         if T < 1 or d < 1:
             raise ValueError("block multiplicities and lengths must be positive")
         if eta not in (1, -1):
@@ -128,39 +132,20 @@ def q_can(rep: GlobalRep) -> tuple[int, ...] | None:
 # --- dominant-shape construction --------------------------------------------
 
 
-def _submultisets_with_sum(counter: Counter, target: int):
-    """Sub-multisets of counter summing to target, as descending tuples."""
-    vals = sorted(counter, reverse=True)
-
-    def rec(i: int, remaining: int, acc: list[int]):
-        if remaining == 0:
-            yield tuple(acc)
-            return
-        if i == len(vals):
-            return
-        v = vals[i]
-        top = min(counter[v], remaining // v)
-        for k in range(top, -1, -1):
-            acc.extend([v] * k)
-            yield from rec(i + 1, remaining - v * k, acc)
-            if k:
-                del acc[-k:]
-
-    yield from rec(0, target, [])
-
-
 def _distributions(leftover: Counter, run_lengths: list[int]):
     """Ways to split the leftover multiset into one sub-multiset per run,
-    each summing to the run length."""
+    each summing to the run length: per run, the partitions of its length
+    that the leftover still holds, in `partitions_of` order."""
     if not run_lengths:
         if sum(leftover.values()) == 0:
             yield []
         return
     first, rest = run_lengths[0], run_lengths[1:]
-    for sub in _submultisets_with_sum(leftover, first):
-        remaining = leftover - Counter(sub)
-        for tail in _distributions(remaining, rest):
-            yield [sub] + tail
+    for sub in partitions_of(first):
+        counts = Counter(sub)
+        if counts <= leftover:
+            for tail in _distributions(leftover - counts, rest):
+                yield [sub] + tail
 
 
 def _chunkings(run2: tuple[int, ...], sub: tuple[int, ...]):
@@ -249,24 +234,37 @@ class DeltaMax(namedtuple("DeltaMax", "candidates bound q_argmax shapes")):
         }
 
 
-def delta_max(rep: GlobalRep) -> DeltaMax:
-    """Candidates, bound, witness and dominant shapes as a `DeltaMax`.
-
-    Splits each place into runs once, scores every common SL(2)-type with the
-    refined growth bound, then expands each maximizer place by place. Shapes
-    are keyed by (d, T, eta, doubled centres per place) per block, d
-    descending; distinct keys are sorted and each is built once.
-    """
+def dominant_placements(rep: GlobalRep):
+    """(candidates, bound, q_argmax, placed): the one dominance decision,
+    runs per place, common SL(2)-types and one `dominant` pass, shared by
+    `delta_max` and `leading_term`. placed holds, per maximizer in candidate
+    order, its (T, d) pairs, d descending, and per place its
+    `_place_centres` groupings; every place has one at least, as a common
+    type is the place's beta_plus plus one partition per run."""
     runs = [local_run_data(local) for local in rep.places]
     cands = common_candidates(runs)
     bound, q_argmax, tops = dominant(cands)
-    keys = []
-    centres = set()
+    placed = []
     for q_parts in tops:
         mult = Counter(q_parts)
         ds = sorted(mult, reverse=True)
-        head = [(d, mult[d], -1 if (rep.rank - d) % 2 else 1) for d in ds]
         pools = [_place_centres(data, q_parts, ds) for data in runs]
+        placed.append((tuple((mult[d], d) for d in ds), pools))
+    return tuple(cands), bound, q_argmax, placed
+
+
+def delta_max(rep: GlobalRep) -> DeltaMax:
+    """Candidates, bound, witness and dominant shapes as a `DeltaMax`.
+
+    A shape takes one of `dominant_placements`' groupings per place. Shapes
+    are keyed by (d, T, eta, doubled centres per place) per block, d
+    descending; distinct keys are sorted and each is built once.
+    """
+    cands, bound, q_argmax, placed = dominant_placements(rep)
+    keys = []
+    centres = set()
+    for pairs, pools in placed:
+        head = [(d, t, -1 if (rep.rank - d) % 2 else 1) for t, d in pairs]
         for pool in pools:  # pool: groupings, each a tuple of centres per d
             centres.update(chain.from_iterable(chain.from_iterable(pool)))
         for combo in product(*pools):
@@ -279,7 +277,7 @@ def delta_max(rep: GlobalRep) -> DeltaMax:
     keys.sort()
     halves = {c2: Fraction(c2, 2) for c2 in centres}
     return DeltaMax(
-        tuple(cands),
+        cands,
         bound,
         q_argmax,
         tuple(_shape_from_key(k, halves) for k in keys),

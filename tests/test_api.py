@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import upqgrowth
-from upqgrowth import asymptotics, growth, sarnakxue
+from upqgrowth import asymptotics, growth, sarnakxue, shapes
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -230,6 +230,28 @@ def test_import_graph_has_no_cycle():
     TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
 
 
+def test_asymptotics_leaves_the_dominance_decision_to_shapes():
+    # delta_max and leading_term read one decision: runs, candidates,
+    # dominant and placements stay behind shapes.dominant_placements
+    tree = _package()["asymptotics"]
+    names = {name for name, _ in _uses(tree)}
+    names |= {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert "dominant_placements" in names
+    decision = {
+        "local_run_data",
+        "common_candidates",
+        "dominant",
+        "grouped_blocks",
+        "_place_centres",
+    }
+    assert names.isdisjoint(decision)
+
+
 @pytest.mark.parametrize("bad", [2.5, "3"], ids=["float", "text"])
 @pytest.mark.parametrize(
     "call",
@@ -247,6 +269,8 @@ def test_import_graph_has_no_cycle():
         lambda v: asymptotics.euler_digits((v,), ((2, 1),)),
         lambda v: asymptotics.euler_digits((1,), ((2, 1),), v),
         lambda v: asymptotics.index_congruence(v, ((2, 1),)),
+        lambda v: shapes.ShapeBlock(T=v, d=1, centers=((1, 0),), eta=1),
+        lambda v: shapes.ShapeBlock(T=1, d=v, centers=((0,),), eta=1),
     ],
     ids=[
         "td_pairs-T",
@@ -262,6 +286,8 @@ def test_import_graph_has_no_cycle():
         "euler_digits",
         "euler_digits-n",
         "index_congruence-n",
+        "ShapeBlock-T",
+        "ShapeBlock-d",
     ],
 )
 def test_non_integer_refused(call, bad):

@@ -24,7 +24,7 @@ from upqgrowth.asymptotics import (
 from upqgrowth.cohomology import GlobalRep, LocalRep
 from upqgrowth.growth import GrowthValue, dominant, refined_bound, sl2_candidates
 from upqgrowth.infchar import rho
-from upqgrowth.shapes import delta_max
+from upqgrowth.shapes import delta_max, sl2_partition
 
 
 # --- ideals and gamma factors --------------------------------------------------
@@ -250,15 +250,16 @@ _MIXED_LENGTHS = [(2,), (3,), (5,), (7,), (2, 3), (2, 5), (3, 5), (3, 7), (5, 7)
 
 
 @st.composite
-def _mixed_block_reps(draw):
-    # 1-4 places of rank n at rho(n); every place holds mixed blocks of the
-    # same one or two lengths among 2, 3, 5 and 7, each split at random and
-    # placed at random among degenerate blocks, most of them (1, 0)
+def _mixed_block_reps(draw, max_places=4):
+    # 1-max_places places of rank n at rho(n); every place holds mixed
+    # blocks of the same one or two lengths among 2, 3, 5 and 7, each split
+    # at random and placed at random among degenerate blocks, most of them
+    # (1, 0)
     lengths = draw(st.sampled_from(_MIXED_LENGTHS))
     n = draw(st.integers(sum(lengths) + 1, max(sum(lengths) + 1, 10)))
     ones = st.sampled_from(((1, 0),) * 3 + ((0, 1),))
     places = []
-    for _ in range(draw(st.integers(1, 4))):
+    for _ in range(draw(st.integers(1, max_places))):
         blocks = [draw(ones) for _ in range(n - sum(lengths))]
         for d in lengths:
             x = draw(st.integers(1, d - 1))
@@ -291,6 +292,26 @@ def test_leading_term_matches_shape_by_shape_oracle(rep, convention):
         return
     tops = dominant(cands)[2]
     assert got == _outcome(oracles.leading_term, rep.places, tops, convention)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mixed_block_reps(max_places=2))
+@example(_rep_passing())
+@example(_rep_vanishing())
+@example(_alternating(2))
+def test_leading_term_reads_the_delta_max_decision(rep):
+    # both read shapes.dominant_placements: wherever leading_term returns,
+    # its exponent is delta_max's bound and its one dominant type is the
+    # SL(2)-type of every delta_max shape
+    try:
+        lt = leading_term(rep)
+    except ValueError:
+        return
+    dm = delta_max(rep)
+    assert lt.exponent == dm.bound
+    assert dm.shapes
+    assert {sl2_partition(s) for s in dm.shapes} == {dm.q_argmax}
+    assert {index_list(s) for s in dm.shapes} == {lt.indices}
 
 
 def test_leading_term_reads_each_placement_once(monkeypatch):

@@ -8,6 +8,7 @@ violations.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -184,3 +185,21 @@ def test_certificate_default_notes():
     assert sarnakxue.Certificate("qd", "one", 1, ()).ok
     assert not sarnakxue.Certificate("qd", "one", 1, ("bad",)).ok
 
+
+def test_rep_records_store_lists_as_tuples():
+    # a list given for blocks or places is copied into tuples, so the
+    # record stays immutable and hashes by its fields
+    blocks = [(1, 0), [1, 1]]
+    local = cohomology.LocalRep(p=2, q=1, blocks=blocks, lam=(2, 0, -1))
+    places = [local]
+    rep = cohomology.GlobalRep(places)
+    blocks.append((0, 1))
+    places.append(LOCAL2)
+    assert local == LOCAL and hash(local) == hash(LOCAL)
+    assert rep == GLOBAL and hash(rep) == hash(GLOBAL)
+    assert type(local.blocks) is tuple and type(rep.places) is tuple
+    assert all(type(block) is tuple for block in local.blocks)
+    # refused as the list it was given, before any conversion
+    text = "bipartition [(2, 0), (0, 1)] is not reduced"
+    with pytest.raises(ValueError, match=re.escape(text)):
+        cohomology.LocalRep(p=2, q=1, blocks=[(2, 0), (0, 1)], lam=(1, 0, -1))

@@ -16,7 +16,7 @@ from upqgrowth import cli, shapes as shapes_module
 from upqgrowth.cohomology import GlobalRep, LocalRep, global_rep_from_json
 from upqgrowth.growth import dominant, partition_bound, rep_bound
 from upqgrowth.infchar import IrregularCharacterError, rho
-from upqgrowth.partitions import reduced_bipartitions
+from upqgrowth.partitions import partitions_of, reduced_bipartitions
 from upqgrowth.shapes import (
     Shape,
     ShapeBlock,
@@ -289,6 +289,31 @@ def test_dominant_shapes_match_oracle(rep):
     assert delta_max(rep).to_json()["shapes"] == want
 
 
+@st.composite
+def _leftovers_and_runs(draw):
+    # up to 4 runs of length <= 8; the leftover is one partition per run
+    # merged, which splits at least once, or drawn freely, which may split
+    # nowhere
+    lengths = draw(st.lists(st.integers(1, 8), max_size=4))
+    if draw(st.booleans()):
+        parts = [x for n in lengths for x in draw(st.sampled_from(partitions_of(n)))]
+    else:
+        parts = draw(st.lists(st.integers(1, 9), max_size=12))
+    return Counter(parts), lengths
+
+
+@settings(max_examples=300)
+@given(_leftovers_and_runs())
+@example((Counter({3: 1}), [1, 2]))  # a part longer than every run
+@example((Counter({2: 2, 1: 4}), [4, 2, 2]))
+def test_distributions_match_oracle(case):
+    # each run's splits read from partitions_of against the sub-multiset
+    # recursion, order included
+    leftover, lengths = case
+    got = list(shapes_module._distributions(leftover, lengths))
+    assert got == list(oracles._distributions(leftover, lengths))
+
+
 @settings(max_examples=200)
 @given(global_reps())
 @example(GlobalRep((_rep71(), _rep72())))
@@ -302,6 +327,9 @@ def test_place_groupings_are_distinct(rep):
             data = local_run_data(local)
             groups = shapes_module._place_centres(data, q_parts, ds)
             assert len(set(groups)) == len(groups)
+            # a common type is beta_plus plus one partition per run here,
+            # so it has a grouping at every place
+            assert groups
 
 
 @settings(max_examples=200)
