@@ -153,6 +153,9 @@ def leading_term(rep: GlobalRep, convention: str = "binom") -> LeadingTerm:
     a time, never their product: a table maps each vector of long-block
     parities (bit j for the j-th longest block) to the summed weight of the
     partial shapes that have it, and coeff is the entry at 0.
+
+    No rep of one place up to rank 9, or of two places up to rank 6, at
+    rho(n) reaches the refusal of two odd-GSK dominant types.
     """
     _, bound, _, placed = dominant_placements(rep)
     if not all(is_odd_gsk(pairs) for pairs, _ in placed):

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import product
-from operator import index
+from operator import add, index
 
 from .cohomology import GlobalRep, LocalRep
 from .infchar import format_rational
@@ -167,15 +167,16 @@ def split_tables(n_max: int, term=_refined_term) -> dict[int, list[int]]:
     tables[d][m], for m <= n_max // d, is the top sum of packed block terms
     (refined by default), k = n_max + 1, over every way to split m parts d
     into blocks (T, d): the maximum over t of term(t, d) + tables[d][m - t].
+    Each term is packed once per row.
     """
     k = n_max + 1
     tables = {}
     for d in range(1, n_max + 1):
+        terms = [pack(term, t, d, k) for t in range(1, n_max // d + 1)]
         best = [0]
-        for m in range(1, n_max // d + 1):
-            best.append(
-                max(pack(term, t, d, k) + best[m - t] for t in range(1, m + 1))
-            )
+        for _ in terms:
+            # terms[t - 1] + best[m - t] for t = 1..m, m = len(best)
+            best.append(max(map(add, terms, reversed(best))))
         tables[d] = best
     return tables
 

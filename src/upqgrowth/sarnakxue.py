@@ -504,6 +504,17 @@ def _distinct_part_sets(n_max: int):
     return out
 
 
+def maxsl2_count(n_max: int) -> int:
+    """The (core, N) cases of `verify_maxsl2`: sum over t of c[t] times the
+    N with max(t, 1) <= N <= n_max, where c[t] counts the sets of pairwise
+    distinct parts >= 2 with sum t, by a 0/1 knapsack over the parts."""
+    c = [1] + [0] * n_max
+    for v in range(2, n_max + 1):
+        for t in range(n_max, v - 1, -1):
+            c[t] += c[t - v]
+    return sum(x * max(0, n_max + 1 - max(t, 1)) for t, x in enumerate(c))
+
+
 def _maxsl2_violations(core, n: int, tables) -> list[str]:
     """The messages for one failing (core, N) of `verify_maxsl2`.
 
@@ -534,30 +545,20 @@ def _maxsl2_violations(core, n: int, tables) -> list[str]:
     return out
 
 
-def verify_maxsl2(n_max: int) -> Certificate:
-    """The padded partition maximizes growth over all merges and groupings.
+def _maxsl2_walk(tables, n_max: int) -> list[str]:
+    """The violations of `verify_maxsl2`, core by core: one
+    `growth.extra_tops` knapsack per core.
 
-    For every distinct-part core Q0 and rank N, the max of the refined bound
-    over partitions Q0 + (any partition of the slack) and over all block
-    groupings is attained at Q0 padded with ones, fully grouped; the argmax
-    partition is unique except for slack 2 with a 2 already present. Each
-    partition's best grouping comes from `split_tables`, so the groupings are
-    maximized over, not enumerated.
-
-    Nor are the partitions of the slack: per core, `growth.extra_tops`
-    gives best[s], the top sum of the table entries of the sizes d >= 2,
-    core parts included, over the extras of parts >= 2 that sum to s. It
-    runs every size 2..room, not only the core's: this sweep certifies that
-    padding beats every merge, so it leans on no lemma of `growth`.
-    Each N then adds the table entry of the remaining ones. The padded
-    partition must reach the top and every extra with a part >= 2 stay
-    below it, except (2,) where the tie is allowed, which must reach it.
-    Scores are the tables' packed ints, and a case that fails is scored
-    again by `_maxsl2_violations` to write its messages.
+    best[s] is the top sum of the table entries of the sizes d >= 2, core
+    parts included, over the extras of parts >= 2 that sum to s. It runs
+    every size 2..room, not only the core's: this sweep certifies that
+    padding beats every merge, so it leans on no lemma of `growth`. Each N
+    then adds the table entry of the remaining ones. The padded partition
+    must reach the top and every extra with a part >= 2 stay below it,
+    except (2,) where the tie is allowed, which must reach it. A case that
+    fails is scored again by `_maxsl2_violations` to write its messages.
     """
     violations = []
-    checked = 0
-    tables = split_tables(n_max)
     k = n_max + 1
     ones = tables.get(1, [0])  # no row at n_max = 0, which has no case
     ones_block = [pack(_refined_term, s, 1, k) for s in range(n_max + 1)]
@@ -572,7 +573,6 @@ def verify_maxsl2(n_max: int) -> Certificate:
         )
         core_blocks = sum(pack(_refined_term, 1, d, k) for d in core)
         for n in range(max(size, 1), n_max + 1):
-            checked += 1
             slack = n - size
             padded = best[0] + ones[slack]
             merged = max(map(add, best[slack:1:-1], ones), default=None)
@@ -584,9 +584,89 @@ def verify_maxsl2(n_max: int) -> Certificate:
                 or (merged == top) != tie_allowed
             ):
                 violations.extend(_maxsl2_violations(core, n, tables))
+    return violations
+
+
+def _maxsl2_bound_holds(tables, n_max: int) -> bool:
+    """Whether the lemma of `verify_maxsl2` decides that every case passes:
+    its row checks, then its test on the dominating knapsacks U, one for
+    the cores without a 2 and one for those with a 2."""
+    k = n_max + 1
+    ones = tables.get(1, [0])
+    if ones != [pack(_refined_term, s, 1, k) for s in range(k)] or any(
+        tables[d][:2] != [0, pack(_refined_term, 1, d, k)] for d in range(2, k)
+    ):
+        return False
+    floor = floor_below(tables)
+    # d >= 3: the better of a size the core lacks and one it holds
+    rows = {
+        d: [max(x, y - row[1]) for x, y in zip(row, row[1:])] + row[-1:]
+        for d, row in tables.items()
+        if d > 2
+    }
+    for two_in_core in (False, True):
+        room = n_max - 2 * two_in_core
+        if room >= 2:
+            row = tables[2]
+            rows[2] = [y - row[1] for y in row[1:]] if two_in_core else row
+        u = extra_tops([0] + [floor] * room, range(2, room + 1), rows.get)
+        for slack in range(2, room + 1):
+            merged = max(map(add, u[slack:1:-1], ones))
+            if (
+                merged != ones[2]
+                if two_in_core and slack == 2
+                else merged >= ones[slack]
+            ):
+                return False
+    return True
+
+
+def verify_maxsl2(n_max: int) -> Certificate:
+    """The padded partition maximizes growth over all merges and groupings.
+
+    For every distinct-part core Q0 and rank N, the max of the refined bound
+    over partitions Q0 + (any partition of the slack) and over all block
+    groupings is attained at Q0 padded with ones, fully grouped; the argmax
+    partition is unique except for slack 2 with a 2 already present. Each
+    partition's best grouping comes from `split_tables`, so the groupings are
+    maximized over, not enumerated. Scores are the tables' packed ints.
+
+    The sweep is decided for every core at once by this lemma, which holds
+    for any table contents. With ones = tables[1], each core's knapsack
+    (see `_maxsl2_walk`) gives best[s], the top over the extras of parts
+    >= 2 summing to s, and a case (core, N) with slack = N - sum(core)
+    passes when max over 2 <= s <= slack of best[s] + ones[slack - s] is
+    below best[0] + ones[slack] (equal when slack is 2 and the core holds
+    a 2) and best[0] + ones[slack] is the packed refined term of the core's
+    1-blocks and of (slack, 1).
+
+    - Row checks: tables[d][0] = 0 and tables[d][1] is the term of (1, d)
+      for 2 <= d <= n_max, and ones[s] the term of (s, 1) for s <= n_max.
+      Then best[0] is the core's term, and each case passes once padding
+      wins. The cases of the empty core and of the one-part cores compare
+      these same entries.
+    - The dominating knapsack. An extra with e parts d gains tables[d][e]
+      when d is not in the core, and tables[d][1+e] - tables[d][1] when it
+      is. U = extra_tops([0] + [floor] * room, sizes 2..room) takes for each
+      size d != 2 the larger of the two (the second where
+      1 + e <= n_max // d), and for size 2 the one that the core's 2
+      decides, with room n_max for the cores without a 2 and n_max - 2 for
+      those with one. So U[s] >= best[s] - best[0] for every core. Its floor
+      entries can only raise U. At s = 2 the bound is exact, as (2,) is the
+      only extra summing to 2.
+    - The test: U[s] + ones[slack - s] < ones[slack] for 2 <= s <= slack
+      <= room, with == at slack 2 when the core holds a 2.
+
+    If all of it holds, every case passes. If not, the cores are walked one
+    by one by `_maxsl2_walk`, so the messages are those of the walk. The
+    count of cases comes from `maxsl2_count`.
+    """
+    tables = split_tables(n_max)
     return Certificate(
         target="maxsl2",
         sweep=f"distinct cores, N <= {n_max}",
-        checked_count=checked,
-        violations=tuple(violations),
+        checked_count=maxsl2_count(n_max),
+        violations=()
+        if _maxsl2_bound_holds(tables, n_max)
+        else tuple(_maxsl2_walk(tables, n_max)),
     )

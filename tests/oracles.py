@@ -2,11 +2,12 @@
 
 Everything here is deliberately brute-force and independent of the package
 internals. Each function recomputes its target from first principles so the
-fast library versions can be checked against it; the one exception,
-`density_walk`, is the case-by-case walk that the density certificate's
-block test replaced, and reads its block terms through `sarnakxue` so that
-a patched term reaches both. Run as a script to print the values that the
-unit tests freeze.
+fast library versions can be checked against it; the two exceptions,
+`density_walk` and `maxsl2_walk`, are the case-by-case walks that the
+density certificate's block test and the maxsl2 certificate's dominating
+knapsack replaced, and read their terms and tables through `sarnakxue` so
+that a patched term or table reaches both. Run as a script to print the
+values that the unit tests freeze.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 from math import comb, prod
+from operator import add
 
 from upqgrowth import sarnakxue
 
@@ -480,6 +482,51 @@ def density_walk(n_max: int) -> sarnakxue.Certificate:
             if n_max >= 4
             else ()
         ),
+    )
+
+
+def maxsl2_walk(n_max: int) -> sarnakxue.Certificate:
+    """`sarnakxue.verify_maxsl2` walked core by core, one `extra_tops`
+    knapsack per core, as it ran before its dominating knapsack; every
+    helper is read through `sarnakxue`, so a patched table reaches both."""
+    violations = []
+    checked = 0
+    tables = sarnakxue.split_tables(n_max)
+    k = n_max + 1
+    ones = tables.get(1, [0])  # no row at n_max = 0, which has no case
+    ones_block = [
+        sarnakxue.pack(sarnakxue._refined_term, s, 1, k) for s in range(n_max + 1)
+    ]
+    floor = sarnakxue.floor_below(tables)  # below the core parts' entries too
+    for core in sarnakxue._distinct_part_sets(n_max):
+        size = sum(core)
+        room = n_max - size
+        best = sarnakxue.extra_tops(
+            [sum(tables[d][1] for d in core if d > room)] + [floor] * room,
+            range(2, room + 1),
+            lambda d: tables[d][1:] if d in core else tables[d],
+        )
+        core_blocks = sum(
+            sarnakxue.pack(sarnakxue._refined_term, 1, d, k) for d in core
+        )
+        for n in range(max(size, 1), n_max + 1):
+            checked += 1
+            slack = n - size
+            padded = best[0] + ones[slack]
+            merged = max(map(add, best[slack:1:-1], ones), default=None)
+            top = padded if merged is None else max(padded, merged)
+            tie_allowed = slack == 2 and 2 in core
+            if (
+                top != core_blocks + ones_block[slack]
+                or padded != top
+                or (merged == top) != tie_allowed
+            ):
+                violations.extend(sarnakxue._maxsl2_violations(core, n, tables))
+    return sarnakxue.Certificate(
+        target="maxsl2",
+        sweep=f"distinct cores, N <= {n_max}",
+        checked_count=checked,
+        violations=tuple(violations),
     )
 
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from upqgrowth import asymptotics
+from upqgrowth import asymptotics, shapes
 from upqgrowth.asymptotics import (
     LeadingTerm,
     euler_digits,
@@ -331,6 +331,24 @@ def test_leading_term_reads_each_placement_once(monkeypatch):
     assert len(calls) == 6 * 7 * 2
     assert lt.indices == (6, 1, 1, -1, -1)
     assert lt.coeff == Fraction(555452686314709569107, 1000000)
+
+
+def test_leading_term_refuses_two_odd_gsk_types(monkeypatch):
+    # no rep of the sizes searched has two odd-GSK maximizers, so the
+    # dominance step of shapes.dominant_placements is patched to return two
+    # common odd-GSK types of one place; the fold and the shape-by-shape
+    # oracle refuse them alike
+    place = LocalRep(p=8, q=1, blocks=((2, 1),) + ((1, 0),) * 6, lam=rho(9))
+    rep = GlobalRep((place,))
+    tops = [(5, 3, 1), (3,) + (1,) * 6]
+    assert set(tops) <= set(sl2_candidates(rep))
+    bound = dominant(sl2_candidates(rep))[0]
+    monkeypatch.setattr(shapes, "dominant", lambda cands: (bound, tops[0], tops))
+    _, _, _, placed = shapes.dominant_placements(rep)
+    assert [len(pools) for _, pools in placed] == [1, 1]
+    refusal = "dominant SL(2)-type is not unique"
+    assert _outcome(leading_term, rep) == refusal
+    assert _outcome(oracles.leading_term, rep.places, tops) == refusal
 
 
 def test_five_place_coefficient_frozen():

@@ -483,18 +483,23 @@ def test_verify_refuses_large_nmax(target, nmax, line, capsys):
     assert capsys.readouterr() == ("", f"error: {line}\n")
 
 
-@pytest.mark.parametrize("target", ["qd", "density"])
+@pytest.mark.parametrize("target", ["qd", "density", "maxsl2"])
 def test_sweep_cases_count_the_certificate(target):
     sweep = {
         "qd": sarnakxue.verify_qd_bound,
         "density": sarnakxue.verify_density,
+        "maxsl2": sarnakxue.verify_maxsl2,
     }
-    assert cli.NMAX_MAX[target] >= {"qd": 60, "density": 110}[target]
-    for nmax in [*range(cli.NMAX_MIN[target], 16), cli.NMAX_MAX[target]]:
+    assert cli.NMAX_MAX[target] >= {"qd": 60, "density": 110, "maxsl2": 100}[target]
+    for nmax in [*range(2, 61), cli.NMAX_MAX[target]]:
         cases = sweep[target](nmax).checked_count
-        assert cli.sweep_cases(target, nmax) == cases
+        assert cli.sweep_cases(target, nmax) == cases, nmax
     # the counts quoted at the refusal boundary
-    assert cases == {"qd": 19_900, "density": 1_277_601}[target]
+    assert cases == {
+        "qd": 19_900,
+        "density": 1_277_601,
+        "maxsl2": 5_481_836_750_020_246_172_039_138,
+    }[target]
 
 
 @pytest.mark.parametrize(
@@ -508,18 +513,39 @@ def test_density_note_needs_the_case_it_names(nmax, notes, capsys):
     assert cert["notes"] == notes
 
 
-def test_verify_maxsl2_cap_is_noted(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "MAXSL2_NMAX", 14)
-    argv = ["verify", "--target", "maxsl2", "--nmax", "16"]
-    assert cli.run(argv + ["--json"]) == 0
+def test_verify_maxsl2_refuses_above_its_limit(capsys):
+    # past its limit maxsl2 is refused with the count it would check; below
+    # it, the sweep runs to --nmax with no note
+    limit = cli.NMAX_MAX["maxsl2"]
+    argv = ["verify", "--target", "maxsl2", "--nmax", str(limit + 1)]
+    for extra in ([], ["--json"]):
+        assert cli.run(argv + extra) == 2
+        assert capsys.readouterr() == (
+            "",
+            f"error: --nmax must be at most {limit} for maxsl2, got "
+            f"{limit + 1}: the maxsl2 sweep would check "
+            f"{sarnakxue.maxsl2_count(limit + 1)} cases\n",
+        )
+    assert cli.run(["verify", "--target", "maxsl2", "--nmax", "49", "--json"]) == 0
     (cert,) = json.loads(capsys.readouterr().out)["certificates"]
-    assert cert["range"] == "distinct cores, N <= 14"
-    assert cert["notes"] == ["nmax 16 capped at 14"]
-    assert cli.run(argv) == 0
-    assert capsys.readouterr().out.splitlines() == [
-        "ok maxsl2: 272 cases (distinct cores, N <= 14)",
-        "  note: nmax 16 capped at 14",
-    ]
+    assert cert["range"] == "distinct cores, N <= 49"
+    assert (cert["checked_count"], cert["notes"]) == (118_556, [])
+
+
+def test_verify_maxsl2_decides_at_its_limit(monkeypatch, capsys):
+    # the shipped tables pass the dominating knapsacks at the limit, so no
+    # core is walked
+    def refuse(tables, n_max):
+        raise AssertionError("maxsl2 walked its cores")
+
+    monkeypatch.setattr(sarnakxue, "_maxsl2_walk", refuse)
+    limit = cli.NMAX_MAX["maxsl2"]
+    assert limit >= 100
+    assert cli.run(["verify", "--target", "maxsl2", "--nmax", str(limit)]) == 0
+    assert capsys.readouterr().out == (
+        f"ok maxsl2: {sarnakxue.maxsl2_count(limit)} cases "
+        f"(distinct cores, N <= {limit})\n"
+    )
 
 
 def test_verify_maxsl2_runs_to_24(capsys):

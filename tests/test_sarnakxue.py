@@ -706,6 +706,80 @@ def test_maxsl2_violation_text(monkeypatch, term, value, lines):
     assert sorted(verify_maxsl2(9).violations) == sorted(want)
 
 
+@pytest.mark.parametrize("n_max", [*range(41), 48])
+def test_maxsl2_matches_walk(n_max):
+    # the two dominating knapsacks decide what one knapsack per core did
+    assert verify_maxsl2(n_max) == oracles.maxsl2_walk(n_max)
+
+
+def _shifted(n_max, changes):
+    """(n_max, split_tables(n_max) with each entry (d, e) in changes raised
+    by its value)."""
+    tables = split_tables(n_max)
+    for (d, e), x in changes.items():
+        tables[d][e] += x
+    return n_max, tables
+
+
+@st.composite
+def _perturbed_tables(draw, max_n):
+    n_max = draw(st.integers(1, max_n))
+    k = n_max + 1
+    spots = [(d, e) for d in range(1, k) for e in range(n_max // d + 1)]
+    # a shift of the doubled main part and of the epsilons, either sign
+    shift = st.builds(lambda a, e: a * k + e, st.integers(-3, 3), st.integers(-2, 2))
+    return _shifted(
+        n_max, draw(st.dictionaries(st.sampled_from(spots), shift, max_size=3))
+    )
+
+
+# a lowered merge entry, which the bound still decides; a raised one, and an
+# entry 0 moved, which it does not
+@example(_shifted(10, {(2, 3): -30, (3, 2): -1}))
+@example(_shifted(9, {(3, 2): 20}))
+@example(_shifted(6, {(4, 0): -1}))
+@given(_perturbed_tables(12))
+def test_maxsl2_matches_walk_under_perturbed_tables(case):
+    n_max, tables = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sarnakxue, "split_tables", lambda n: tables)
+        assert verify_maxsl2(n_max) == oracles.maxsl2_walk(n_max)
+
+
+@example(_shifted(10, {(2, 3): -30, (3, 2): -1}))
+@example(_shifted(6, {(4, 0): -1}))
+@given(_perturbed_tables(16))
+def test_maxsl2_bound_has_no_false_pass(case):
+    # the lemma holds for any table contents: wherever the bound passes,
+    # walking every core flags no case, not even one whose rescoring, which
+    # reads no entry 0, would write no message
+    n_max, tables = case
+    if sarnakxue._maxsl2_bound_holds(tables, n_max):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sarnakxue, "split_tables", lambda n: tables)
+            patch.setattr(
+                sarnakxue, "_maxsl2_violations", lambda core, n, t: [(core, n)]
+            )
+            assert oracles.maxsl2_walk(n_max).violations == ()
+
+
+def test_maxsl2_examples_take_both_branches():
+    n_max, tables = _shifted(10, {(2, 3): -30, (3, 2): -1})
+    assert sarnakxue._maxsl2_bound_holds(tables, n_max)
+    n_max, tables = _shifted(9, {(3, 2): 20})
+    assert not sarnakxue._maxsl2_bound_holds(tables, n_max)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sarnakxue, "split_tables", lambda n: tables)
+        assert verify_maxsl2(n_max).violations
+
+
+def test_maxsl2_count_matches_core_enumeration():
+    for n_max in range(61):
+        cores = sarnakxue._distinct_part_sets(n_max)
+        want = sum(n_max + 1 - max(sum(core), 1) for core in cores)
+        assert sarnakxue.maxsl2_count(n_max) == want, n_max
+
+
 def test_certificate_of_no_cases_is_not_ok():
     cert = Certificate(target="t", sweep="s", checked_count=0, violations=())
     assert not cert.ok
