@@ -519,15 +519,23 @@ def _maxsl2_violations(core, n: int, tables) -> list[str]:
     """The messages for one failing (core, N) of `verify_maxsl2`.
 
     Scores every extra partition of the slack, to name the best value and
-    list the partitions that reach it.
+    list the partitions that reach it. A partition scores what the
+    knapsack of `_maxsl2_walk` gives it: its `grouping_score` plus entry 0
+    of each row that the knapsack runs and the partition lacks, row 1 and
+    the rows 2..room, room = n_max - sum(core). So every case that the
+    walk flags gets a message, whatever the tables hold.
     """
     slack = n - sum(core)
+    room = len(tables) - sum(core)
     padded = core + (1,) * slack
     expected_best = partition_bound(padded)
     top = None
     tops = []
     for extra in partitions_of(slack):
-        score = grouping_score(core + extra, tables)
+        parts = core + extra
+        score = grouping_score(parts, tables) + sum(
+            tables[d][0] for d in range(1, max(room, 1) + 1) if d not in parts
+        )
         if top is None or score > top:
             top, tops = score, [extra]
         elif score == top:

@@ -132,20 +132,43 @@ def q_can(rep: GlobalRep) -> tuple[int, ...] | None:
 # --- dominant-shape construction --------------------------------------------
 
 
-def _distributions(leftover: Counter, run_lengths: list[int]):
-    """Ways to split the leftover multiset into one sub-multiset per run,
-    each summing to the run length: per run, the partitions of its length
-    that the leftover still holds, in `partitions_of` order."""
-    if not run_lengths:
-        if sum(leftover.values()) == 0:
-            yield []
+def _distributions(leftover: dict[int, int], run_lengths: list[int]):
+    """Ways to split the leftover multiset, a dict of part counts, into one
+    sub-multiset per run, each summing to the run length: per run, the
+    partitions of its length that the leftover still holds, in
+    `partitions_of` order.
+
+    The walk takes each split's parts out of one dict of counts and puts
+    them back after its tails, so no multiset is built per split. Parts
+    that do not sum to the runs' total split nowhere; parts that do are
+    all used once every run is split.
+    """
+    counts = {v: m for v, m in leftover.items() if m > 0}
+    if sum(v * m for v, m in counts.items()) != sum(run_lengths):
         return
-    first, rest = run_lengths[0], run_lengths[1:]
-    for sub in partitions_of(first):
-        counts = Counter(sub)
-        if counts <= leftover:
-            for tail in _distributions(leftover - counts, rest):
-                yield [sub] + tail
+    pools = [partitions_of(n) for n in run_lengths]
+    split: list[tuple[int, ...]] = []
+
+    def walk(i):
+        if i == len(pools):
+            yield split[:]
+            return
+        for sub in pools[i]:
+            taken = 0
+            for v in sub:
+                m = counts.get(v)
+                if not m:
+                    break
+                counts[v] = m - 1
+                taken += 1
+            else:
+                split.append(sub)
+                yield from walk(i + 1)
+                split.pop()
+            for v in sub[:taken]:
+                counts[v] += 1
+
+    yield from walk(0)
 
 
 def _chunkings(run2: tuple[int, ...], sub: tuple[int, ...]):
@@ -171,13 +194,16 @@ def _place_centres(data: RunData, q_parts: tuple[int, ...], ds: list[int]):
     of every shape here. Distinct placements give distinct groupings, since
     a chunk's (d, centre) fixes its values, so no grouping repeats.
     """
-    leftover = Counter(q_parts)
-    leftover.subtract(data.beta_plus)
-    if any(k < 0 for k in leftover.values()):
-        return []
+    leftover: dict[int, int] = {}
+    for v in q_parts:
+        leftover[v] = leftover.get(v, 0) + 1
+    for v in data.beta_plus:
+        if not leftover.get(v):
+            return []
+        leftover[v] -= 1
     runs = data.p_runs + data.q_runs
     out = []
-    for alloc in _distributions(+leftover, [len(r) for r in runs]):
+    for alloc in _distributions(leftover, [len(r) for r in runs]):
         pools = [list(_chunkings(run2, sub)) for run2, sub in zip(runs, alloc)]
         for combo in product(*pools):
             assign = data.big + tuple(chain.from_iterable(combo))
@@ -194,7 +220,7 @@ def _place_centres(data: RunData, q_parts: tuple[int, ...], ds: list[int]):
     return out
 
 
-def _shape_from_key(key, halves: dict[int, Fraction]) -> Shape:
+def _shape_from_key(key, halved: dict) -> Shape:
     """The shape of a key that `_place_centres` has proved, built unchecked.
 
     The rebuild check proved in ints that each place's blocks expand to its
@@ -202,13 +228,13 @@ def _shape_from_key(key, halves: dict[int, Fraction]) -> Shape:
     doubled character strictly decreases, it also proves what
     `ShapeBlock.__new__` checks: T distinct centres per place, here
     sorted descending. So both records are made by `tuple.__new__`, which
-    skips those checks and conversions. halves maps each doubled centre to
-    its value, one shared `Fraction` per distinct centre.
+    skips those checks and conversions. halved maps each grouping's tuple
+    of doubled centres to its tuple of values, one shared tuple per
+    distinct grouping tuple and one shared `Fraction` per distinct centre.
     """
     blocks = tuple(
         tuple.__new__(
-            ShapeBlock,
-            (t, d, tuple(tuple(map(halves.__getitem__, p)) for p in centres), eta),
+            ShapeBlock, (t, d, tuple(map(halved.__getitem__, centres)), eta)
         )
         for d, t, eta, centres in key
     )
@@ -258,15 +284,16 @@ def delta_max(rep: GlobalRep) -> DeltaMax:
 
     A shape takes one of `dominant_placements`' groupings per place. Shapes
     are keyed by (d, T, eta, doubled centres per place) per block, d
-    descending; distinct keys are sorted and each is built once.
+    descending; distinct keys are sorted and each is built once. The
+    shapes share one tuple of values per distinct tuple of doubled centres.
     """
     cands, bound, q_argmax, placed = dominant_placements(rep)
     keys = []
-    centres = set()
+    rows = set()
     for pairs, pools in placed:
         head = [(d, t, -1 if (rep.rank - d) % 2 else 1) for t, d in pairs]
         for pool in pools:  # pool: groupings, each a tuple of centres per d
-            centres.update(chain.from_iterable(chain.from_iterable(pool)))
+            rows.update(chain.from_iterable(pool))
         for combo in product(*pools):
             keys.append(
                 tuple(
@@ -275,12 +302,13 @@ def delta_max(rep: GlobalRep) -> DeltaMax:
                 )
             )
     keys.sort()
-    halves = {c2: Fraction(c2, 2) for c2 in centres}
+    halves = {c2: Fraction(c2, 2) for c2 in set(chain.from_iterable(rows))}
+    halved = {row: tuple(map(halves.__getitem__, row)) for row in rows}
     return DeltaMax(
         cands,
         bound,
         q_argmax,
-        tuple(_shape_from_key(k, halves) for k in keys),
+        tuple(_shape_from_key(k, halved) for k in keys),
     )
 
 

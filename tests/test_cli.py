@@ -710,6 +710,12 @@ def test_emit_json_prints_what_json_dumps_prints(obj):
             ["leading-term", "--rep", str(DATA / "odd_block_rep.json")],
             "odd_block_leading_term.json",
         ),
+        # the README tour's two places: 11 shapes, two candidates, centres in
+        # Z and Z + 1/2, and eta of both signs
+        (
+            ["delta-max", "--rep", str(DATA / "readme_tour_rep.json")],
+            "readme_delta_max.json",
+        ),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )
@@ -719,6 +725,37 @@ def test_json_output_frozen(argv, frozen, capsys):
     out, err = capsys.readouterr()
     assert err == ""
     assert out == (DATA / frozen).read_text()
+
+
+# runs the CLI with every run's first chunk moved up by one, in doubled values
+_SHIFTED_CHUNK_CLI = """
+import sys
+from upqgrowth import cli, shapes
+
+chunkings = shapes._chunkings
+
+def shifted(run2, sub):
+    for (c, c2), *rest in chunkings(run2, sub):
+        yield ((c, c2 + 2), *rest)
+
+shapes._chunkings = shifted
+sys.exit(cli.run(sys.argv[1:]))
+"""
+
+
+def test_delta_max_broken_chunk_prints_no_record():
+    # the rebuild check trips inside shapes.delta_max, before the writer
+    # has a record: the process names the invariant and prints no JSON
+    argv = ["delta-max", "--rep", str(DATA / "readme_tour_rep.json")]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SHIFTED_CHUNK_CLI, *argv],
+        capture_output=True,
+        text=True,
+        env=SRC_ENV,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == "internal error: shape does not rebuild the character\n"
 
 
 def test_cli_imports_only_the_standard_library():

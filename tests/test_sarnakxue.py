@@ -751,8 +751,7 @@ def test_maxsl2_matches_walk_under_perturbed_tables(case):
 @given(_perturbed_tables(16))
 def test_maxsl2_bound_has_no_false_pass(case):
     # the lemma holds for any table contents: wherever the bound passes,
-    # walking every core flags no case, not even one whose rescoring, which
-    # reads no entry 0, would write no message
+    # walking every core flags no case, whatever its messages would be
     n_max, tables = case
     if sarnakxue._maxsl2_bound_holds(tables, n_max):
         with pytest.MonkeyPatch.context() as patch:
@@ -761,6 +760,45 @@ def test_maxsl2_bound_has_no_false_pass(case):
                 sarnakxue, "_maxsl2_violations", lambda core, n, t: [(core, n)]
             )
             assert oracles.maxsl2_walk(n_max).violations == ()
+
+
+def _flagged(n_max, tables):
+    """(core, N, messages) of each case that `_maxsl2_walk` flags."""
+    flagged = []
+    rescore = sarnakxue._maxsl2_violations
+
+    def record(core, n, t):
+        messages = rescore(core, n, t)
+        flagged.append((core, n, messages))
+        return messages
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sarnakxue, "_maxsl2_violations", record)
+        sarnakxue._maxsl2_walk(tables, n_max)
+    return flagged
+
+
+def test_maxsl2_walk_names_a_lowered_entry_0():
+    # the walk's knapsack adds entry 0 of every row it runs, so lowering one
+    # flags the cases of the cores () and (2,); the rescoring reads the same
+    # entries, so each of them gets a message
+    n_max, tables = _shifted(6, {(4, 0): -1})
+    assert not sarnakxue._maxsl2_bound_holds(tables, n_max)
+    flagged = _flagged(n_max, tables)
+    assert [(core, n) for core, n, _ in flagged] == [
+        ((), n) for n in range(1, 7)
+    ] + [((2,), n) for n in range(2, 7)]
+    assert all(messages for _, _, messages in flagged)
+    assert sarnakxue._maxsl2_walk(tables, n_max)[0] == (
+        "core (), N=1: best 1/2+6*eps not at padded partition"
+    )
+
+
+@example(_shifted(6, {(4, 0): -1}))
+@example(_shifted(9, {(3, 2): 20}))
+@given(_perturbed_tables(10))
+def test_maxsl2_walk_names_every_flagged_case(case):
+    assert all(messages for _, _, messages in _flagged(*case))
 
 
 def test_maxsl2_examples_take_both_branches():

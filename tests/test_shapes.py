@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -15,7 +18,7 @@ import oracles
 from upqgrowth import cli, shapes as shapes_module
 from upqgrowth.cohomology import GlobalRep, LocalRep, global_rep_from_json
 from upqgrowth.growth import dominant, partition_bound, rep_bound
-from upqgrowth.infchar import IrregularCharacterError, rho
+from upqgrowth.infchar import IrregularCharacterError, format_rational, rho
 from upqgrowth.partitions import partitions_of, reduced_bipartitions
 from upqgrowth.shapes import (
     Shape,
@@ -413,6 +416,35 @@ def test_rank14_rep_output_frozen(capsys):
     out = capsys.readouterr().out
     assert len(json.loads(out)["shapes"]) == 72
     assert out == (DATA / "rank14_delta_max.json").read_text()
+
+
+def _rep_text(rep: GlobalRep) -> str:
+    """The representation as the CLI reads it."""
+    return json.dumps({"places": [
+        {
+            "signature": [local.p, local.q],
+            "bipartition": [list(block) for block in local.blocks],
+            "infchar": [format_rational(v) for v in local.lam],
+        }
+        for local in rep.places
+    ]})
+
+
+@settings(max_examples=200)
+@given(global_reps())
+@example(GlobalRep((_rep71(), _rep72())))
+@example(WIDE12)
+def test_delta_max_prints_what_json_dumps_prints(rep):
+    # the CLI writes the record straight from its shapes; json.dumps of the
+    # library's dict form is the oracle, bytes and order included
+    assume(sl2_candidates(rep))
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys, "stdin", io.StringIO(_rep_text(rep)))
+        with contextlib.redirect_stdout(out):
+            assert cli.run(["delta-max", "--rep", "-"]) == 0
+    record = delta_max(rep).to_json()
+    assert out.getvalue() == json.dumps(record, sort_keys=True, indent=2) + "\n"
 
 
 # --- block predicates and Sato-Tate factors ----------------------------------
