@@ -22,6 +22,72 @@ from .shapes import is_gsk, is_odd_gsk
 Ideal = tuple[tuple[int, int], ...]
 
 
+# the primes up to 41: below _MR_EXACT, a strong probable prime to every
+# one of these bases is prime (the least composite one is _MR_EXACT)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT = 3_317_044_064_679_887_385_961_981
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """Whether an odd n > 41 is a strong probable prime to every base in
+    `_MR_BASES` (Miller-Rabin); below `_MR_EXACT`, whether it is prime."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _iroot(q: int, j: int) -> int:
+    """floor(q^(1/j)) for q >= 1, by Newton's method from above."""
+    r = 1 << -(-q.bit_length() // j)
+    while True:
+        s = ((j - 1) * r + q // r ** (j - 1)) // j
+        if s >= r:
+            return r
+        r = s
+
+
+def _is_prime_power(q: int) -> bool:
+    """Whether q >= 2 is p^e for a prime p and e >= 1; exact for
+    q < `_MR_EXACT` (about 3.3 * 10^24), and never false for a prime power.
+
+    A q with a prime factor p <= 41 is one when it is a power of p. Any
+    other q below `_MR_EXACT` is one when its least integer root is prime,
+    by Miller-Rabin on the primes up to 41, which is exact there. That
+    root is at least 43, so it is a j-th root with 43^j <= q: q is replaced
+    by its j-th root while it is a j-th power, and j moves on when it is
+    none (a value that is no i-th power has no root that is one). From
+    `_MR_EXACT` on, such a q passes unchecked, as a composite with no
+    prime factor up to 41 would: the test would take seconds at the 4300
+    digits that an int read from text may have.
+    """
+    for p in _MR_BASES:
+        if not q % p:
+            while not q % p:
+                q //= p
+            return q == 1
+    if q >= _MR_EXACT:
+        return True
+    j = 2
+    while 43**j <= q:
+        r = _iroot(q, j)
+        if r**j == q:
+            q = r
+        else:
+            j += 1
+    return q < 43 * 43 or _strong_probable_prime(q)
+
+
 def _check_ideal(ideal) -> Ideal:
     out = tuple((index(q), index(e)) for q, e in ideal)
     if not out:
@@ -29,6 +95,11 @@ def _check_ideal(ideal) -> Ideal:
     for q, e in out:
         if q < 2 or e < 1:
             raise ValueError(f"invalid prime power ({q},{e})")
+        if not _is_prime_power(q):
+            raise ValueError(
+                f"residue size {q} is not a prime power: no field has {q} "
+                "elements"
+            )
     return out
 
 

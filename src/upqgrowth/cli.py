@@ -7,13 +7,13 @@ All structured output is JSON with sorted keys; tables default to CSV.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
 from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import asymptotics, cohomology, sarnakxue, shapes
 from .infchar import format_rational
@@ -22,8 +22,9 @@ from .infchar import format_rational
 # (table ignores --nmax; maxsl2, whose first case is N = 1, keeps the qd floor)
 NMAX_MIN = {"table": 2, "qd": 2, "density": 3, "maxsl2": 2}
 # the largest --nmax per sweep: qd at 200 is about 0.5 s of work; density at
-# 1600 is about 0.013 s, since it decides its cases by blocks, but keeps the
-# limit it had when it took 0.5 s; maxsl2, decided by two knapsacks, takes
+# 1600 is about 0.01 s (9.5 ms in process, 2-vCPU Xeon, Python 3.11.7),
+# since it decides its cases by blocks, but keeps the limit it had when it
+# took 0.5 s; maxsl2, decided by two knapsacks, takes
 # 0.51-0.60 s at 1000 in process (2-vCPU Xeon, Python 3.11), where it
 # counts about 5.5 * 10^24 cases
 NMAX_MAX = {"qd": 200, "density": 1600, "maxsl2": 1000}
@@ -445,9 +446,12 @@ COMMANDS = {
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built from COMMANDS on first use and shared by every
-    `run` call that the plain reader hands on."""
+def build_parser():
+    """The CLI's argparse parser, built from COMMANDS on first use and shared
+    by every `run` call that the plain reader hands on. argparse is imported
+    here, as a plain argv never needs it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="upqgrowth",
         description="Exact growth and density combinatorics for "
@@ -474,9 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def read_plain(argv) -> argparse.Namespace | None:
-    """The Namespace argparse would give for a plain argv, without a parser;
-    None for any other argv, which argparse reads instead.
+def read_plain(argv) -> SimpleNamespace | None:
+    """The attributes of the Namespace argparse would give for a plain argv,
+    without a parser; None for any other argv, which argparse reads instead.
 
     Plain: argv[0] names a command, each option is spelt out in full and
     given at most once, no value starts with "-", an int option's value
@@ -512,7 +516,7 @@ def read_plain(argv) -> argparse.Namespace | None:
             if o.required:
                 return None
             values[o.dest] = o.default
-    return argparse.Namespace(command=argv[0], **values, func=func)
+    return SimpleNamespace(command=argv[0], **values, func=func)
 
 
 def run(argv=None) -> int:

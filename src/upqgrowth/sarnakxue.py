@@ -372,6 +372,39 @@ def _block_taylor(k: int, d: int, r0: int, naive: int, slope: int):
     )
 
 
+def _regular_walks(n_max: int, slope: int, affine: bool) -> dict:
+    """The regular blocks of `verify_density` that fail its lemma, by d:
+    d -> [(k, naive, first, end)], k ascending, each block's cases
+    first <= N < end to walk and its naive term less 2. A block (k, d) is
+    regular when it starts past the exceptional pairs, at k >= 3 (k >= 4
+    for d = 2), so its r0 is 0. Every regular block is listed when the
+    remainder terms are not affine.
+
+    One tight loop per d reads each block's naive term once and computes
+    the coefficients of `_block_taylor(k, d, 0, naive, slope)` in place:
+    with term = naive + 2, n0 = k*d, e = d - 1 and j = k - 2, they are
+    c0 = e*(j*n0^2 + 2 - k*term), c1 = n0*(n0 + 2*e*j) - term - k*e*slope
+    and c2 = 2*n0 + j*e - slope. As e > 0, c0 > 0 when its cofactor is.
+    """
+    walks = {}
+    for d in range(2, n_max // 3 + 1):  # no d past n_max/3 has k >= 3
+        e = d - 1
+        for k in range(3 + (d == 2), n_max // d + 1):
+            term = _naive_term(k, d)[0]
+            n0 = k * d
+            j = k - 2
+            if not (
+                affine
+                and j * n0 * n0 + 2 > k * term
+                and n0 * (n0 + 2 * e * j) >= term + k * e * slope
+                and 2 * n0 + j * e >= slope
+            ):
+                walks.setdefault(d, []).append(
+                    (k, term - 2, n0, min(n0 + d, n_max + 1))
+                )
+    return walks
+
+
 def verify_density(n_max: int) -> Certificate:
     """Sweep the two density comparisons and recheck the exceptional pairs.
 
@@ -389,27 +422,36 @@ def verify_density(n_max: int) -> Certificate:
     (doubled main parts).
 
     The wide range N >= 2d is taken by blocks N = k*d + r, r = 0..d-1, the
-    last block cut at n_max. The naive term of (k, d) is read once per
-    block and those of the remainder blocks once per sweep; the refined
-    term of (k, d) only on an exceptional pair, whose remainder is 0 or 1.
+    last block cut at n_max. Each d's blocks are decided in two loops. The
+    exceptional blocks, k = 2 and (3, 2), hold the exceptional pairs; each
+    is walked case by case up to its last exceptional pair, and its rest,
+    from r = r0 on, is decided by the lemma below at that r0. Every later
+    block is regular: it starts past the exceptional pairs, so r0 = 0, and
+    `_regular_walks` decides it in one tight loop with the coefficients at
+    r0 = 0 computed in place. A block that fails the lemma is walked like
+    the exceptional pairs, after the exceptional blocks and in order of k,
+    so the violations come in the order of the cases.
 
-    Most blocks are decided without walking a case, by this lemma: an
-    integer polynomial whose constant term is > 0 and whose other
-    coefficients are >= 0 is > 0 at every integer y >= 0. Past the block's
-    exceptional pairs, from r = r0 on, the strict naive difference
+    Each term is read where the sweep needs it: the naive term of (k, d)
+    once per block (in `_regular_walks` for a regular block), those of the
+    remainder blocks (1, r) once per sweep, and the refined term of (k, d)
+    once per exceptional pair, whose remainder is 0 or 1, and that of the
+    remainder block (1, 1) once per sweep.
+
+    The lemma: an integer polynomial whose constant term is > 0 and whose
+    other coefficients are >= 0 is > 0 at every integer y >= 0. From
+    r = r0 on, the strict naive difference
     2(m-d+1)(N^2-1) - (N^2 + naive + rem)*m, naive the (k, d) term less 2
     and rem = slope * r the remainder term, is y^3 + c2*y^2 + c1*y + c0 in
     y = r - r0. With n0 = k*d + r0, m0 = n0 - k, t0 = n0^2 - 1,
     a = m0 - d + 1 and p0 = n0^2 + naive + slope*r0: c0 = 2*a*t0 - m0*p0,
     c1 = 2*t0 + 4*a*n0 - p0 - m0*(2*n0 + slope) and
-    c2 = 2*n0 + 2*a - m0 - slope. The remainder terms are checked to be
-    affine once per sweep; if they are not, every block is walked.
-    The short range d < N < 2d is one block per d, with the difference
-    (N-d)(N^2-1) - N(N-d)(N-1) = (N-d)(N-1) = x^2 + (d+1)x + d at
-    x = N-d-1. A block whose coefficients pass the lemma holds at every
-    case. The cases of one that fails it are walked one by one, in the
-    loop that walks the exceptional pairs. With the `growth` terms every
-    block passes, so a sweep decides O(N log N) blocks and walks O(N)
+    c2 = 2*n0 + 2*a - m0 - slope (`_block_taylor`). The remainder terms are
+    checked to be affine once per sweep; if they are not, every block is
+    walked. The short range d < N < 2d is one block per d, with the
+    difference (N-d)(N^2-1) - N(N-d)(N-1) = (N-d)(N-1) = x^2 + (d+1)x + d
+    at x = N-d-1, put to the lemma for every d. With the `growth` terms
+    every block passes, so a sweep decides O(N log N) blocks and walks O(N)
     exceptional pairs instead of O(N^2) cases.
     """
     violations = []
@@ -421,6 +463,7 @@ def verify_density(n_max: int) -> Certificate:
     rem_refined = ((0, 0), _refined_term(1, 1))
     slope = rem_naive[1] if len(rem_naive) >= 2 else 0
     affine = rem_naive == [slope * r for r in range(len(rem_naive))]
+    failing = _regular_walks(n_max, slope, affine)
     for d in range(2, n_max + 1):
         # short range, d < N < 2d: only 1 - (d-1)/(N-1) against the target,
         # walked only when x^2 + (d+1)x + d fails the lemma
@@ -429,22 +472,26 @@ def verify_density(n_max: int) -> Certificate:
                 trivial = n * n - 1
                 if not (n - d) * trivial > n * (n - d) * (n - 1):
                     violations.append(f"short-range case fails at ({n},{d})")
+        if 2 * d > n_max:
+            continue  # no block: N >= 2d is past n_max
         last_exceptional = 2 * d + 1 + (d == 2)
-        for k in range(2, n_max // d + 1):
+        # (k, naive, first, end): the cases first <= N < end of a block to
+        # walk, blocks in order of k; first the exceptional blocks, k = 2
+        # and (3, 2), each walked from first to past its exceptional pairs
+        walks = []
+        for k in range(2, min(3 + (d == 2), n_max // d + 1)):
             naive = _naive_term(k, d)[0] - 2
             first = k * d
             stop = min(first + d, n_max + 1)
-            # walk the exceptional pairs, and the rest of the block when its
-            # cubic fails the lemma
-            end = (
-                min(last_exceptional + 1, stop)
-                if first <= last_exceptional
-                else first
-            )
+            # walk the rest of the block too when its cubic fails the lemma
+            end = min(last_exceptional + 1, stop)
             if end < stop:
                 c0, c1, c2, _ = _block_taylor(k, d, end - first, naive, slope)
                 if not (affine and c0 > 0 and c1 >= 0 and c2 >= 0):
                     end = stop
+            walks.append((k, naive, first, end))
+        walks += failing.get(d, ())
+        for k, naive, first, end in walks:
             for n in range(first, end):
                 r = n - first
                 m = n - k

@@ -79,6 +79,22 @@ def fiber_count_by_poly(parts: tuple[int, ...], q: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# residue sizes
+
+
+def is_prime_power(q: int) -> bool:
+    """Whether q >= 2 has exactly one prime factor, by trial division."""
+    p = 2
+    while p * p <= q:
+        if q % p == 0:
+            while q % p == 0:
+                q //= p
+            return q == 1
+        p += 1
+    return q >= 2
+
+
+# ---------------------------------------------------------------------------
 # Weyl dimension oracle: semistandard tableaux count
 
 

@@ -156,17 +156,54 @@ def test_tracer_alone_keeps_these():
     }
 
 
-def test_no_import_inside_a_function():
-    # a function-level import hides a dependency, often one that closes a cycle
+# (function, the modules it imports) for each function that imports: the CLI
+# loads argparse (and gettext, which argparse imports) only to build its
+# parser, which a plain argv never needs
+FUNCTION_IMPORTS = [("cli.build_parser", ["argparse"])]
+
+
+def _function_imports(package: dict[str, ast.Module]) -> list:
+    """(module.function, imported names) for every function, nested or a
+    method, that holds an import; one pair per definition, so functions that
+    share a name are each reported."""
     funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
-    found = [
-        f"{module}.{func.name}"
-        for module, tree in _package().items()
-        for func in ast.walk(tree)
-        if isinstance(func, funcs)
-        and any(isinstance(n, (ast.Import, ast.ImportFrom)) for n in ast.walk(func))
+    found = []
+    for module, tree in package.items():
+        for func in ast.walk(tree):
+            if isinstance(func, funcs):
+                names = [
+                    alias.name
+                    for n in ast.walk(func)
+                    if isinstance(n, (ast.Import, ast.ImportFrom))
+                    for alias in n.names
+                ]
+                if names:
+                    found.append((f"{module}.{func.name}", names))
+    return found
+
+
+def test_no_import_inside_a_function():
+    # a function-level import hides a dependency, often one that closes a
+    # cycle; the one exception imports a standard-library module
+    assert _function_imports(_package()) == FUNCTION_IMPORTS
+
+
+def test_import_in_a_same_named_function_is_found():
+    # shapes has two `__new__` and partitions several nested `rec`: an import
+    # planted in the first of two same-named definitions is still reported
+    planted = ast.parse(
+        "class A:\n"
+        "    def __new__(cls):\n"
+        "        import os\n"
+        "class B:\n"
+        "    def __new__(cls):\n"
+        "        pass\n"
+    )
+    package = _package()
+    package["planted"] = planted
+    assert _function_imports(package) == FUNCTION_IMPORTS + [
+        ("planted.__new__", ["os"])
     ]
-    assert found == []
 
 
 # imported at module level and read nowhere in the module

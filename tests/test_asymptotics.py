@@ -38,6 +38,41 @@ def test_ideal_norm():
             ideal_norm(bad)
 
 
+@pytest.mark.parametrize(
+    "q",
+    [
+        6,
+        10,
+        2 * 3**40,
+        41 * 43,
+        43 * 47,
+        43**2 * 47,
+        (10**12 + 39) * (10**12 + 61),
+        3825123056546413051,  # a strong pseudoprime to the primes up to 23
+        318665857834031151167461,  # to the primes up to 37
+    ],
+)
+def test_ideal_refuses_a_residue_size_that_is_no_prime_power(q):
+    line = f"residue size {q} is not a prime power: no field has {q} elements"
+    for ideal in ([(q, 1)], [(2, 1), (q, 3)]):
+        with pytest.raises(ValueError) as e:
+            ideal_norm(ideal)
+        assert str(e.value) == line
+
+
+def test_ideal_takes_every_prime_power():
+    # 4 and 9 as residue fields, and two primes of norm 2
+    assert ideal_norm([(4, 1), (9, 2)]) == 324
+    assert index_congruence(1, [(2, 1), (2, 1)]) == 1
+    for q in (43**2, 43**14, 1009**8, (10**12 + 39) ** 2, 2**89 - 1, 7**300):
+        assert ideal_norm([(q, 1)]) == q
+
+
+@given(st.integers(2, 10**4))
+def test_prime_power_test_matches_trial_division(q):
+    assert asymptotics._is_prime_power(q) == oracles.is_prime_power(q)
+
+
 def test_gamma_factor_values():
     assert gamma_factor((2,), [(2, 1), (3, 1)]) == Fraction(2, 9)
     assert gamma_factor((-1,), [(2, 1)]) == Fraction(3, 2)

@@ -610,6 +610,33 @@ def test_euler_argument_errors(capsys):
     assert capsys.readouterr() == ("", "error: bad prime power '3^'\n")
 
 
+@pytest.mark.parametrize("ideal, q", [("6", 6), ("2,3^2,10^3", 10), ("2021", 2021)])
+def test_euler_refuses_a_residue_size_that_is_no_prime_power(ideal, q, capsys):
+    # before, --ideal 6 printed 1050, the order of a group over no field
+    for option in ("--congruence", "--indices"):
+        assert cli.run(["euler", option, "2", "--ideal", ideal]) == 2
+        assert capsys.readouterr() == (
+            "",
+            f"error: residue size {q} is not a prime power: no field has "
+            f"{q} elements\n",
+        )
+
+
+@pytest.mark.parametrize(
+    "ideal, value",
+    [
+        ("4", "180"),
+        ("9", "5760"),
+        ("2,2", "36"),
+        ("43^2", "11410207311888"),
+        ("1849", "11681875497600"),  # 43^2 as a residue size
+    ],
+)
+def test_euler_takes_prime_power_residue_sizes(ideal, value, capsys):
+    assert cli.run(["euler", "--congruence", "2", "--ideal", ideal]) == 0
+    assert capsys.readouterr().out.strip() == value
+
+
 @pytest.mark.parametrize(
     "argv, line",
     [
@@ -865,13 +892,15 @@ def test_help_text_frozen(command, monkeypatch, capsys):
     ],
 )
 def test_plain_first_command_loads_no_parser_modules(argv, plain):
-    # -S: no site hooks. Building the parser loads shutil (for the terminal
-    # width of each HelpFormatter) and locale; a plain argv builds none
+    # -S: no site hooks. Building the parser imports argparse, with gettext
+    # for its messages, and loads shutil (for the terminal width of each
+    # HelpFormatter) and locale; a plain argv builds none
+    modules = ("argparse", "gettext", "shutil", "locale")
     script = (
         "import sys\n"
         "from upqgrowth import cli\n"
         "code = cli.run(sys.argv[1:])\n"
-        "print(code, 'shutil' in sys.modules, 'locale' in sys.modules)\n"
+        f"print(code, *[m in sys.modules for m in {modules!r}])\n"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", script, *argv],
@@ -880,7 +909,7 @@ def test_plain_first_command_loads_no_parser_modules(argv, plain):
         env=SRC_ENV,
     )
     assert proc.stderr == ""
-    assert proc.stdout.splitlines()[-1] == f"0 {not plain} {not plain}"
+    assert proc.stdout.splitlines()[-1] == " ".join(["0"] + [str(not plain)] * 4)
 
 
 def _vars_by_argparse(argv):

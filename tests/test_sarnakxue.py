@@ -580,6 +580,53 @@ def test_density_block_test_skips_no_failing_case():
     assert passed == blocks == 697
 
 
+def _taylor_walks(term, n_max: int, slope: int) -> dict:
+    """The regular blocks (k, d), N <= n_max, whose `_block_taylor`
+    coefficients at r0 = 0 fail the lemma, listed as `_regular_walks`
+    lists them."""
+    want = {}
+    for d in range(2, n_max + 1):
+        for k in range(3 + (d == 2), n_max // d + 1):
+            first = k * d
+            assert first > 2 * d + 1 + (d == 2)  # past the exceptional pairs
+            naive = term(k, d)[0] - 2
+            poly = sarnakxue._block_taylor(k, d, 0, naive, slope)
+            if not (poly[0] > 0 and min(poly[1:]) >= 0):
+                want.setdefault(d, []).append(
+                    (k, naive, first, min(first + d, n_max + 1))
+                )
+    return want
+
+
+def test_regular_blocks_decided_in_place_with_growth_terms():
+    # every regular block passes the lemma; with remainder terms that are
+    # not affine, every one is walked
+    slope = sarnakxue._naive_term(1, 1)[0]
+    assert sarnakxue._regular_walks(300, slope, True) == {}
+    assert _taylor_walks(sarnakxue._naive_term, 300, slope) == {}
+    walked = sarnakxue._regular_walks(300, slope, False)
+    every = _taylor_walks(lambda t, d: (10**9, 0), 300, slope)
+    assert [(d, k) for d, ws in walked.items() for k, *_ in ws] == [
+        (d, k) for d, ws in every.items() for k, *_ in ws
+    ]
+    assert sum(map(len, walked.values())) == 1018
+
+
+# the growth terms give c0 = 2 at (4, 2) and c0 = 4 at (3, 3), one more
+# gives -2 at each; (3, 3) at slope 15 and 16: c1 = 0 and -6
+@example(_perturbed({(4, 2): 1}, 1, {}))
+@example(_perturbed({(3, 3): 1}, 1, {}))
+@example(_perturbed({}, 15, {}))
+@example(_perturbed({}, 16, {}))
+@given(naive_terms(300))
+def test_regular_blocks_decided_in_place_as_by_taylor(term):
+    slope = term(1, 1)[0]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sarnakxue, "_naive_term", term)
+        walks = sarnakxue._regular_walks(300, slope, True)
+    assert walks == _taylor_walks(term, 300, slope)
+
+
 @pytest.mark.parametrize(
     "sweep, n_max, cases",
     [
