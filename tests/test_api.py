@@ -153,6 +153,7 @@ def test_tracer_alone_keeps_these():
         "sarnakxue.one_merge_coarsenings",
         "sarnakxue.profile_sum",
         "shapes.odd_gsk_parity_test",
+        "shapes.shape_to_json",
     }
 
 
@@ -287,6 +288,25 @@ def test_asymptotics_leaves_the_dominance_decision_to_shapes():
         "_place_centres",
     }
     assert names.isdisjoint(decision)
+
+
+def test_cli_leaves_the_delta_max_text_to_shapes():
+    # the record's JSON text is written once, by DeltaMax.to_text: cli
+    # reads that and defines no writer of its own and no line breaks for it
+    tree = _package()["cli"]
+    assert "to_text" in {name for name, _ in _uses(tree)}
+    defined = {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    } | {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    }
+    assert not {name for name in defined if "delta_max" in name} - {"cmd_delta_max"}
+    assert not {name for name in defined if name.startswith("_NL")}
+    assert not {"_int_list", "_shape_texts"} & defined
 
 
 @pytest.mark.parametrize("bad", [2.5, "3"], ids=["float", "text"])

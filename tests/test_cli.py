@@ -785,6 +785,24 @@ def test_delta_max_broken_chunk_prints_no_record():
     assert proc.stderr == "internal error: shape does not rebuild the character\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["delta-max", "--rep", str(DATA / "wide12_rep.json")],
+        ["leading-term", "--rep", str(DATA / "odd_block_rep.json")],
+    ],
+    ids=["delta-max", "leading-term"],
+)
+def test_a_place_without_groupings_is_an_internal_error(argv, monkeypatch, capsys):
+    # with no grouping at a place, delta-max would print no shape and
+    # leading-term a zero coefficient, both exiting 0
+    monkeypatch.setattr(shapes, "_place_centres", lambda data, q_parts, ds: [])
+    assert cli.run(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: a place has no grouping of (")
+
+
 def test_cli_imports_only_the_standard_library():
     # -S: no site hooks, so only what importing the CLI loads is loaded
     proc = subprocess.run(

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import io
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -11,7 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from upqgrowth import cohomology as ch
+from strategies import global_reps, rep_text
+from upqgrowth import cli, cohomology as ch
 from upqgrowth.infchar import format_rational, rho
 
 
@@ -200,6 +203,16 @@ def test_json_round_trip(p, q):
     assert ch.local_rep_from_json(data) == rep
     g = ch.GlobalRep((rep, rep))
     assert ch.global_rep_from_json({"places": [data, data]}) == g
+
+
+@settings(max_examples=200)
+@given(global_reps())
+def test_global_json_round_trip(rep):
+    # mixed blocks, several places and shifted characters, written as the
+    # CLI reads them and read back through its loader
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys, "stdin", io.StringIO(rep_text(rep)))
+        assert cli.load_rep("-") == rep
 
 
 def test_bare_local_json_accepted_as_global():

@@ -15,12 +15,14 @@ from hypothesis import assume, example, given, settings, target
 from hypothesis import strategies as st
 
 import oracles
+from strategies import global_reps, rep_text
 from upqgrowth import cli, shapes as shapes_module
 from upqgrowth.cohomology import GlobalRep, LocalRep, global_rep_from_json
-from upqgrowth.growth import dominant, partition_bound, rep_bound
+from upqgrowth.growth import GrowthValue, dominant, partition_bound, rep_bound
 from upqgrowth.infchar import IrregularCharacterError, format_rational, rho
 from upqgrowth.partitions import partitions_of, reduced_bipartitions
 from upqgrowth.shapes import (
+    DeltaMax,
     Shape,
     ShapeBlock,
     delta_max,
@@ -230,36 +232,6 @@ def test_shapes_deduplicated_and_sorted():
     assert len(set(shapes)) == len(shapes)
 
 
-@st.composite
-def global_reps(draw, n_max=8):
-    """Reps of rank <= n_max with 1-3 places. A place is a row of segments,
-    each a run of same-side degenerate blocks or one mixed block, with a
-    regular integral character adapted to it; the gap between segments is
-    mostly 1, so runs often join and chunk in many ways."""
-    n = draw(st.integers(1, n_max))
-    places = []
-    for _ in range(draw(st.integers(1, 3))):
-        blocks, lam = [], []
-        top = Fraction(n - 1, 2) + draw(st.integers(-2, 2))
-        while len(lam) < n:
-            room = n - len(lam)
-            if room > 1 and draw(st.booleans()):
-                s = draw(st.integers(2, room))
-                x = draw(st.integers(1, s - 1))
-                segment = [(x, s - x)]
-            else:
-                side = draw(st.sampled_from(((1, 0), (0, 1))))
-                s = draw(st.integers(1, room))
-                segment = [side] * s
-            if lam:
-                top = lam[-1] - draw(st.sampled_from((1, 1, 2)))
-            blocks += segment
-            lam.extend(top - i for i in range(s))
-        p = sum(x for x, _ in blocks)
-        places.append(LocalRep(p=p, q=n - p, blocks=tuple(blocks), lam=tuple(lam)))
-    return GlobalRep(tuple(places))
-
-
 @settings(max_examples=200)
 @given(global_reps())
 @example(GlobalRep((_rep71(), _rep72())))
@@ -418,33 +390,113 @@ def test_rank14_rep_output_frozen(capsys):
     assert out == (DATA / "rank14_delta_max.json").read_text()
 
 
-def _rep_text(rep: GlobalRep) -> str:
-    """The representation as the CLI reads it."""
-    return json.dumps({"places": [
-        {
-            "signature": [local.p, local.q],
-            "bipartition": [list(block) for block in local.blocks],
-            "infchar": [format_rational(v) for v in local.lam],
-        }
-        for local in rep.places
-    ]})
-
-
 @settings(max_examples=200)
 @given(global_reps())
 @example(GlobalRep((_rep71(), _rep72())))
 @example(WIDE12)
 def test_delta_max_prints_what_json_dumps_prints(rep):
-    # the CLI writes the record straight from its shapes; json.dumps of the
-    # library's dict form is the oracle, bytes and order included
-    assume(sl2_candidates(rep))
+    # the CLI writes the record straight from its shapes, and to_json reads
+    # that text back; json.dumps of the dict is the oracle of the format,
+    # bytes and order included, and a dict built here from the scoring and
+    # the Fraction assembly is the oracle of the values
+    cands = sl2_candidates(rep)
+    assume(cands)
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sys, "stdin", io.StringIO(_rep_text(rep)))
+        patch.setattr(sys, "stdin", io.StringIO(rep_text(rep)))
         with contextlib.redirect_stdout(out):
             assert cli.run(["delta-max", "--rep", "-"]) == 0
     record = delta_max(rep).to_json()
     assert out.getvalue() == json.dumps(record, sort_keys=True, indent=2) + "\n"
+    bound, q_argmax, tops = dominant(cands)
+    places = [(local.blocks, local.lam) for local in rep.places]
+    assert json.loads(out.getvalue()) == {
+        "bound": {"main": format_rational(bound.main), "eps": bound.eps},
+        "q_argmax": list(q_argmax),
+        "candidates": [list(q) for q in cands],
+        "shapes": oracles.dominant_shapes(places, tops, rep.rank),
+    }
+
+
+def _unchecked_shape(*blocks) -> Shape:
+    # (T, d, centres per place, eta) blocks, with none of the checks
+    return tuple.__new__(
+        Shape, (tuple(tuple.__new__(ShapeBlock, b) for b in blocks),)
+    )
+
+
+@pytest.mark.parametrize(
+    "record, want",
+    [
+        (
+            DeltaMax((), GrowthValue(Fraction(0), 0), (), ()),
+            {
+                "bound": {"main": "0", "eps": 0},
+                "q_argmax": [],
+                "candidates": [],
+                "shapes": [],
+            },
+        ),
+        (
+            DeltaMax(
+                ((3,), ()),
+                GrowthValue(Fraction(-7, 2), -1),
+                (3,),
+                (
+                    _unchecked_shape(),
+                    _unchecked_shape((1, 1, ((),), 1), (2, 3, (), -1)),
+                ),
+            ),
+            {
+                "bound": {"main": "-7/2", "eps": -1},
+                "q_argmax": [3],
+                "candidates": [[3], []],
+                "shapes": [
+                    {"blocks": []},
+                    {"blocks": [[1, 1, [[]], 1], [2, 3, [], -1]]},
+                ],
+            },
+        ),
+        (
+            DeltaMax(
+                ((2, 1), (1, 1, 1)),
+                GrowthValue(Fraction(5, 2), 1),
+                (2, 1),
+                (
+                    Shape(
+                        (
+                            ShapeBlock(
+                                1, 2, ((Fraction(1, 2),), (Fraction(-1, 2),)), -1
+                            ),
+                            ShapeBlock(
+                                1, 1, ((Fraction(-1),), (Fraction(1),)), 1
+                            ),
+                        )
+                    ),
+                ),
+            ),
+            {
+                "bound": {"main": "5/2", "eps": 1},
+                "q_argmax": [2, 1],
+                "candidates": [[2, 1], [1, 1, 1]],
+                "shapes": [
+                    {
+                        "blocks": [
+                            [1, 2, [["1/2"], ["-1/2"]], -1],
+                            [1, 1, [["-1"], ["1"]], 1],
+                        ]
+                    }
+                ],
+            },
+        ),
+    ],
+    ids=["empty", "empty-tuples", "two-places"],
+)
+def test_to_json_of_hand_built_records(record, want):
+    # the dicts the record and shape converters built before they read the
+    # text back, empty tuples included
+    assert record.to_json() == want
+    assert [shape_to_json(s) for s in record.shapes] == want["shapes"]
 
 
 # --- block predicates and Sato-Tate factors ----------------------------------
