@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
+from operator import le
 
 from . import infchar, partitions
 from .infchar import Character, as_character
@@ -30,42 +31,11 @@ class LocalRep(namedtuple("LocalRep", "p q blocks lam")):
     lam: Character
 
     def __new__(cls, p, q, blocks, lam):
-        if not partitions.is_reduced(blocks):
-            raise ValueError(f"bipartition {blocks} is not reduced")
-        ps = sum(x for x, _ in blocks)
-        qs = sum(y for _, y in blocks)
-        if (ps, qs) != (p, q):
-            raise ValueError(
-                f"bipartition totals ({ps},{qs}) do not match signature "
-                f"({p},{q})"
-            )
+        if not isinstance(blocks, (list, tuple)):  # an iterator is read once
+            blocks = tuple(blocks or ())
+        _check_blocks(p, q, blocks)
         lam = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in lam)
-        # The checks run on the doubled values, exact ints when every
-        # denominator is 1 or 2. Any other denominator is not regular
-        # integral, so then only the decreasing check runs, in Fractions.
-        if all(x.denominator <= 2 for x in lam):
-            twice = [x.numerator * 2 // x.denominator for x in lam]
-        else:
-            twice = None
-        keys = lam if twice is None else twice
-        if any(a <= b for a, b in zip(keys, keys[1:])):
-            raise ValueError(f"character must be strictly decreasing: {lam}")
-        n = p + q
-        if len(lam) != n:
-            raise ValueError("character rank does not match signature")
-        # regular integral: in Z for odd n and in Z + 1/2 for even n, so
-        # every doubled value has the parity of n - 1
-        if twice is None or any((v - n + 1) % 2 for v in twice):
-            raise ValueError("infinitesimal character must be regular integral")
-        # adapted: each block's values step by 1. The doubled values now
-        # fall by an even amount of at least 2 at each step, so a block of
-        # k values spans 2(k - 1) exactly when every step is 2.
-        i = 0
-        for x, y in blocks:
-            k = x + y
-            if twice[i] - twice[i + k - 1] != 2 * (k - 1):
-                raise ValueError("character is not adapted to the bipartition")
-            i += k
+        _check_character(p + q, blocks, list(map(_doubled, lam)))
         # copied last, so a list is refused with the texts a tuple gets
         return tuple.__new__(cls, (p, q, tuple(map(tuple, blocks)), lam))
 
@@ -79,16 +49,57 @@ class GlobalRep(namedtuple("GlobalRep", "places")):
     places: tuple[LocalRep, ...]
 
     def __new__(cls, places):
+        places = tuple(places or ())  # an iterator is read once
         if not places:
             raise ValueError("need at least one place")
         ranks = {r.rank for r in places}
         if len(ranks) != 1:
             raise ValueError(f"places have mixed ranks {sorted(ranks)}")
-        return tuple.__new__(cls, (tuple(places),))
+        return tuple.__new__(cls, (places,))
 
     @property
     def rank(self) -> int:
         return self.places[0].rank
+
+
+def _check_blocks(p: int, q: int, blocks) -> None:
+    """Refuse a bipartition that is not reduced or does not total (p, q)."""
+    if not partitions.is_reduced(blocks):
+        raise ValueError(f"bipartition {blocks} is not reduced")
+    ps, qs = map(sum, zip(*blocks))
+    if (ps, qs) != (p, q):
+        raise ValueError(
+            f"bipartition totals ({ps},{qs}) do not match signature ({p},{q})"
+        )
+
+
+def _doubled(x: Fraction):
+    """2x: an int when x's denominator is 1 or 2, else a Fraction."""
+    return x.numerator * 2 // x.denominator if x.denominator <= 2 else 2 * x
+
+
+def _check_character(n: int, blocks, twice: list) -> None:
+    """Refuse a rank-n character, given by its `_doubled` values, that is
+    not strictly decreasing, of n values, regular integral and adapted to
+    the checked blocks, with the first of those texts that applies."""
+    if any(map(le, twice, twice[1:])):
+        lam = tuple(Fraction(v, 2) for v in twice)
+        raise ValueError(f"character must be strictly decreasing: {lam}")
+    if len(twice) != n:
+        raise ValueError("character rank does not match signature")
+    # regular integral: in Z for odd n and in Z + 1/2 for even n, so every
+    # doubled value is an int of the parity of n - 1
+    if any((v - n + 1) % 2 for v in twice):
+        raise ValueError("infinitesimal character must be regular integral")
+    # adapted: each block's values step by 1. The doubled values now
+    # fall by an even amount of at least 2 at each step, so a block of
+    # k values spans 2(k - 1) exactly when every step is 2.
+    i = 0
+    for x, y in blocks:
+        k = x + y
+        if twice[i] - twice[i + k - 1] != 2 * (k - 1):
+            raise ValueError("character is not adapted to the bipartition")
+        i += k
 
 
 class HodgeProfile(namedtuple("HodgeProfile", "lowest plus minus maxshift")):
@@ -165,25 +176,16 @@ def reps_in_degree(p: int, q: int, lam: Character, degree: int) -> list[Bipartit
 
 
 def _fraction_from_json(value) -> Fraction:
-    r"""Fraction(value), with the ASCII texts -?\d+ and -?\d+/2 read by int.
+    """Fraction(value), with a text or Decimal of a huge exponent refused.
 
-    Those forms cover every value of a regular integral character, and on
-    them int reads what Fraction would. A Decimal goes to Fraction as its
-    text, whose digits int's limit of 4300 bounds. A text is refused when
-    its exponent in scientific notation is 4300 or more in size: the
-    adjusted exponent of the Decimal before its last e or E, plus what
-    follows that e read by int. Fraction would build 10**exponent in full,
-    for minutes at an exponent of 10**8, and no output could print a value
-    of more than 4300 digits, such as 1 and 4298 zeros times 10**4299.
-    Every other value goes to Fraction.
+    A Decimal goes to Fraction as its text, whose digits int's limit of
+    4300 bounds. A text is refused when its exponent in scientific notation
+    is 4300 or more in size: the adjusted exponent of the Decimal before its
+    last e or E, plus what follows that e read by int. Fraction would build
+    10**exponent in full, for minutes at an exponent of 10**8, and no output
+    could print a value of more than 4300 digits, such as 1 and 4298 zeros
+    times 10**4299. Every other value goes to Fraction.
     """
-    if type(value) is str and value.isascii():
-        num, slash, den = value.partition("/")
-        negative = num[:1] == "-"
-        digits = num[negative:]
-        if digits.isdigit() and (not slash or den == "2"):
-            n = -int(digits) if negative else int(digits)
-            return Fraction(n, 2) if slash else Fraction(n)
     if isinstance(value, (str, Decimal)):
         value = str(value)
         head, e, tail = value.lower().rpartition("e")
@@ -199,6 +201,23 @@ def _fraction_from_json(value) -> Fraction:
                 "notation"
             )
     return Fraction(value)
+
+
+def _doubled_from_json(value):
+    r"""2 * value as `_doubled` gives it. The ASCII texts -?\d+ and -?\d+/2,
+    which cover every value of a regular integral character, and JSON
+    integers are read by int, as Fraction reads them, and build no
+    Fraction; any other value is read by `_fraction_from_json`."""
+    if type(value) is str and value.isascii():
+        num, slash, den = value.partition("/")
+        negative = num[:1] == "-"
+        digits = num[negative:]
+        if digits.isdigit() and (not slash or den == "2"):
+            n = -int(digits) if negative else int(digits)
+            return n if slash else 2 * n
+    elif type(value) is int:
+        return 2 * value
+    return _doubled(_fraction_from_json(value))
 
 
 # the JSON kind of each type json.load gives; the CLI reads JSON floats
@@ -251,7 +270,10 @@ def _pair_from_json(value, field: str) -> list:
     return value
 
 
-def local_rep_from_json(data: dict) -> LocalRep:
+def local_rep_from_json(data: dict, halves: dict | None = None) -> LocalRep:
+    """The place data holds, refused by the checks of `LocalRep` run on its
+    doubled character, its values taken from halves, which maps each
+    doubled value to its Fraction and is shared by the places of a rep."""
     data = _container_from_json(data, dict, "each place")
     for field in ("signature", "bipartition", "infchar"):
         if field not in data:  # the KeyError would print only the name
@@ -268,15 +290,22 @@ def local_rep_from_json(data: dict) -> LocalRep:
     if any(type(s) is bool for s in infchar):
         # Fraction would read true as 1
         raise ValueError("infchar entries must be numbers, got boolean")
-    lam = tuple(_fraction_from_json(s) for s in infchar)
-    return LocalRep(p=p, q=q, blocks=tuple(blocks), lam=lam)
+    twice = [_doubled_from_json(s) for s in infchar]
+    blocks = tuple(blocks)
+    _check_blocks(p, q, blocks)
+    _check_character(p + q, blocks, twice)
+    halves = {} if halves is None else halves
+    halves.update((v, Fraction(v, 2)) for v in set(twice) - halves.keys())
+    lam = tuple(map(halves.__getitem__, twice))
+    return tuple.__new__(LocalRep, (p, q, blocks, lam))
 
 
 def global_rep_from_json(data: dict) -> GlobalRep:
     data = _container_from_json(data, dict, "the representation")
     if "places" in data:
         places = _container_from_json(data["places"], list, "places")
-        places = tuple(local_rep_from_json(d) for d in places)
+        halves: dict = {}
+        places = tuple(local_rep_from_json(d, halves) for d in places)
     else:
         places = (local_rep_from_json(data),)
     return GlobalRep(places=places)

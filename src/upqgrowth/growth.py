@@ -316,12 +316,15 @@ def local_run_data(rep: LocalRep) -> RunData:
 def _local_candidates(data: RunData) -> set[tuple[int, ...]]:
     """beta_plus merged with one partition of each run's length, as descending
     tuples: folded one run at a time, with the repeats dropped after each."""
-    out = {data.beta_plus}
-    for run in data.p_runs + data.q_runs:
-        pool = partitions_of(len(run))
-        out = {
-            tuple(sorted(q + part, reverse=True)) for q in out for part in pool
-        }
+    runs = data.p_runs + data.q_runs
+    # a run of one value adds a part 1 whichever way the others are cut
+    out = {data.beta_plus + (1,) * sum(len(run) == 1 for run in runs)}
+    for run in runs:
+        if len(run) > 1:
+            pool = partitions_of(len(run))
+            out = {
+                tuple(sorted(q + part, reverse=True)) for q in out for part in pool
+            }
     return out
 
 

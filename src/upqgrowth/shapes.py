@@ -16,7 +16,7 @@ import json
 from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import chain, permutations, product
-from operator import index
+from operator import index, itemgetter
 
 from . import infchar
 from .cohomology import GlobalRep, LocalRep
@@ -60,6 +60,7 @@ class Shape(namedtuple("Shape", "blocks")):
     blocks: tuple[ShapeBlock, ...]
 
     def __new__(cls, blocks):
+        blocks = tuple(blocks or ())  # an iterator is read once
         if not blocks:
             raise ValueError("shape needs at least one block")
         counts = {len(b.centers) for b in blocks}
@@ -190,10 +191,14 @@ def _place_centres(data: RunData, q_parts: tuple[int, ...], ds: list[int]):
 
     Each placement, as (length, doubled centre) pairs, must expand to the
     place's character: its doubled values c2 + d - 1 - 2l, l = 0..d-1,
-    sorted, are the doubled character. A shape's blocks at this place are
-    exactly one placement's pairs grouped by d, so this is the rebuild check
-    of every shape here. Distinct placements give distinct groupings, since
-    a chunk's (d, centre) fixes its values, so no grouping repeats.
+    sorted, are the doubled character lam2. As lam2 strictly decreases in
+    steps of 2 or more (its values share one parity), that holds exactly
+    when the chunks, by centre descending, tile it: a chunk starting at
+    index i has lam2[i] = c2 + d - 1 and lam2[i + d - 1] = c2 - d + 1, the
+    next starts at i + d, and the last ends at len(lam2). A shape's blocks
+    here are one placement's pairs grouped by d, so this is the rebuild
+    check of every shape, and the walk gives each d's centres descending.
+    A chunk's (d, centre) fixes its values, so no grouping repeats.
     """
     leftover: dict[int, int] = {}
     for v in q_parts:
@@ -203,43 +208,53 @@ def _place_centres(data: RunData, q_parts: tuple[int, ...], ds: list[int]):
             return []
         leftover[v] -= 1
     runs = data.p_runs + data.q_runs
+    lam2 = data.lam2
+    n = len(lam2)
     out = []
     for alloc in _distributions(leftover, [len(r) for r in runs]):
         pools = [list(_chunkings(run2, sub)) for run2, sub in zip(runs, alloc)]
         for combo in product(*pools):
-            assign = data.big + tuple(chain.from_iterable(combo))
-            values = [v for d, c2 in assign for v in range(c2 + d - 1, c2 - d, -2)]
-            values.sort(reverse=True)
-            if tuple(values) != data.lam2:
+            centres: dict[int, list[int]] = {d: [] for d in ds}
+            chunks = sorted(chain(data.big, *combo), key=itemgetter(1), reverse=True)
+            i = 0
+            for d, c2 in chunks:
+                j = i + d - 1
+                if j >= n or lam2[i] != c2 + d - 1 or lam2[j] != c2 - d + 1:
+                    raise AssertionError("shape does not rebuild the character")
+                centres[d].append(c2)
+                i = j + 1
+            if i != n:
                 raise AssertionError("shape does not rebuild the character")
-            out.append(
-                tuple(
-                    tuple(sorted((c2 for dd, c2 in assign if dd == d), reverse=True))
-                    for d in ds
-                )
-            )
+            out.append(tuple(map(tuple, centres.values())))
     return out
 
 
-def _shape_from_key(key, halved: dict) -> Shape:
-    """The shape of a key that `_place_centres` has proved, built unchecked.
+def _shapes_from_keys(keys) -> tuple[Shape, ...]:
+    """The shapes of keys that `_place_centres` has proved, built unchecked.
 
-    The rebuild check proved in ints that each place's blocks expand to its
+    The tiling check proved in ints that each place's blocks expand to its
     regular character, which is all `Shape.__new__` checks. As the
     doubled character strictly decreases, it also proves what
     `ShapeBlock.__new__` checks: T distinct centres per place, here
     sorted descending. So both records are made by `tuple.__new__`, which
-    skips those checks and conversions. halved maps each grouping's tuple
-    of doubled centres to its tuple of values, one shared tuple per
-    distinct grouping tuple and one shared `Fraction` per distinct centre.
+    skips those checks and conversions. Each distinct doubled centre
+    becomes one `Fraction`, each distinct row of a place's doubled centres
+    one tuple of them, and each distinct (d, T, eta, rows) entry of the
+    keys one `ShapeBlock`, which every shape with that entry shares.
     """
-    blocks = tuple(
-        tuple.__new__(
+    entries = set(chain.from_iterable(keys))
+    rows = {row for _, _, _, centres in entries for row in centres}
+    halves = {c2: Fraction(c2, 2) for c2 in set(chain.from_iterable(rows))}
+    halved = {row: tuple(map(halves.__getitem__, row)) for row in rows}
+    blocks = {}
+    for entry in entries:
+        d, t, eta, centres = entry
+        blocks[entry] = tuple.__new__(
             ShapeBlock, (t, d, tuple(map(halved.__getitem__, centres)), eta)
         )
-        for d, t, eta, centres in key
+    return tuple(
+        tuple.__new__(Shape, (tuple(map(blocks.__getitem__, key)),)) for key in keys
     )
-    return tuple.__new__(Shape, (blocks,))
 
 
 class DeltaMax(namedtuple("DeltaMax", "candidates bound q_argmax shapes")):
@@ -302,32 +317,19 @@ def delta_max(rep: GlobalRep) -> DeltaMax:
 
     A shape takes one of `dominant_placements`' groupings per place. Shapes
     are keyed by (d, T, eta, doubled centres per place) per block, d
-    descending; distinct keys are sorted and each is built once. The
-    shapes share one tuple of values per distinct tuple of doubled centres.
+    descending; distinct keys are sorted and each is built once, by
+    `_shapes_from_keys`.
     """
     cands, bound, q_argmax, placed = dominant_placements(rep)
     keys = []
-    rows = set()
     for pairs, pools in placed:
-        head = [(d, t, -1 if (rep.rank - d) % 2 else 1) for t, d in pairs]
-        for pool in pools:  # pool: groupings, each a tuple of centres per d
-            rows.update(chain.from_iterable(pool))
-        for combo in product(*pools):
-            keys.append(
-                tuple(
-                    (d, t, eta, tuple(place[j] for place in combo))
-                    for j, (d, t, eta) in enumerate(head)
-                )
-            )
+        ts, ds = zip(*pairs)
+        etas = [-1 if (rep.rank - d) % 2 else 1 for d in ds]
+        # pool: groupings, each a tuple of centres per d; a combination
+        # transposed gives each block's centres per place
+        keys.extend(tuple(zip(ds, ts, etas, zip(*combo))) for combo in product(*pools))
     keys.sort()
-    halves = {c2: Fraction(c2, 2) for c2 in set(chain.from_iterable(rows))}
-    halved = {row: tuple(map(halves.__getitem__, row)) for row in rows}
-    return DeltaMax(
-        cands,
-        bound,
-        q_argmax,
-        tuple(_shape_from_key(k, halved) for k in keys),
-    )
+    return DeltaMax(cands, bound, q_argmax, _shapes_from_keys(keys))
 
 
 # --- parity test over the odd GSK family ------------------------------------
@@ -408,6 +410,8 @@ def odd_gsk_parity_test(rep: GlobalRep, shape: Shape) -> bool:
 
 # the line breaks of a delta-max record, each with the indent of its depth
 _NL2, _NL4, _NL6, _NL8, _NL10, _NL12, _NL14 = ("\n" + " " * n for n in range(2, 16, 2))
+# the separators of list items at the indents of blocks, rows and centres
+_SEP8, _SEP12, _SEP14 = f",{_NL8}", f",{_NL12}", f",{_NL14}"
 
 
 def _int_list(row, pad: str, inner: str) -> str:
@@ -421,36 +425,38 @@ def _shape_texts(shapes):
 
     A centre's text is its `format_rational` in quotes, which json's
     escaper leaves as it is. The shapes of a `delta_max` record share one
-    object per centre and one tuple per row of a place's centres, so each
-    object and each row is formatted once; the caller keeps the shapes
-    alive, so no id is reused while the texts are written.
+    object per centre, one tuple per row of a place's centres and one
+    `ShapeBlock` per distinct block, so each object, row and block is
+    formatted once; the caller keeps the shapes alive, so no id is reused
+    while the texts are written.
     """
     texts: dict[int, str] = {}
     rows: dict[int, str] = {}
-
-    def centre(c) -> str:
-        text = texts.get(id(c))
-        if text is None:
-            text = texts[id(c)] = f'"{format_rational(c)}"'
-        return text
+    blocks: dict[int, str] = {}
 
     def row(place) -> str:
         text = rows.get(id(place))
         if text is None:
-            text = rows[id(place)] = (
-                f"[{_NL14}" + f",{_NL14}".join(map(centre, place)) + f"{_NL12}]"
+            items = []
+            for c in place:
+                item = texts.get(id(c))
+                if item is None:
+                    item = texts[id(c)] = f'"{format_rational(c)}"'
+                items.append(item)
+            text = rows[id(place)] = f"[{_NL14}{_SEP14.join(items)}{_NL12}]"
+        return text
+
+    def block(b) -> str:
+        text = blocks.get(id(b))
+        if text is None:
+            text = blocks[id(b)] = (
+                f"[{_NL10}{b.T},{_NL10}{b.d},{_NL10}[{_NL12}"
+                f"{_SEP12.join(map(row, b.centers))}{_NL10}],{_NL10}{b.eta}{_NL8}]"
             )
         return text
 
     return (
-        f'{{{_NL6}"blocks": [{_NL8}'
-        + f",{_NL8}".join(
-            f"[{_NL10}{b.T},{_NL10}{b.d},{_NL10}[{_NL12}"
-            + f",{_NL12}".join(map(row, b.centers))
-            + f"{_NL10}],{_NL10}{b.eta}{_NL8}]"
-            for b in s.blocks
-        )
-        + f"{_NL6}]{_NL4}}}"
+        f'{{{_NL6}"blocks": [{_NL8}{_SEP8.join(map(block, s.blocks))}{_NL6}]{_NL4}}}'
         for s in shapes
     )
 

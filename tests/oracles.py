@@ -6,19 +6,22 @@ fast library versions can be checked against it; the two exceptions,
 `density_walk` and `maxsl2_walk`, are the case-by-case walks that the
 density certificate's block test and the maxsl2 certificate's dominating
 knapsack replaced, and read their terms and tables through `sarnakxue` so
-that a patched term or table reaches both. Run as a script to print the
-values that the unit tests freeze.
+that a patched term or table reaches both. The representation reader
+`global_rep_from_json` is the one the doubled-int reader replaced: it reads
+each value to a Fraction and leaves every check to the record constructors.
+Run as a script to print the values that the unit tests freeze.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from itertools import permutations, product
 from math import comb, prod
 from operator import add
 
-from upqgrowth import sarnakxue
+from upqgrowth import cohomology, sarnakxue
 
 
 # ---------------------------------------------------------------------------
@@ -963,6 +966,75 @@ def leading_term(places, tops, convention: str = "binom"):
         (f"VOL_RATIO(U({t1})xU(1)^{k - 1})",),
         coeff == 0,
     )
+
+
+# ---------------------------------------------------------------------------
+# the representation's JSON reader as it was before the doubled-int reader:
+# every value read to a Fraction, then checked by the LocalRep constructor
+
+
+def fraction_from_json(value) -> Fraction:
+    r"""Fraction(value), with the ASCII texts -?\d+ and -?\d+/2 read by int,
+    and a text or Decimal whose exponent in scientific notation is 4300 or
+    more in size refused."""
+    if type(value) is str and value.isascii():
+        num, slash, den = value.partition("/")
+        negative = num[:1] == "-"
+        digits = num[negative:]
+        if digits.isdigit() and (not slash or den == "2"):
+            n = -int(digits) if negative else int(digits)
+            return Fraction(n, 2) if slash else Fraction(n)
+    if isinstance(value, (str, Decimal)):
+        value = str(value)
+        head, e, tail = value.lower().rpartition("e")
+        if not e:
+            head, tail = tail, "0"
+        try:
+            size = abs(Decimal(head).adjusted() + int(tail))
+        except (ArithmeticError, ValueError):
+            size = 0
+        if size >= 4300:
+            raise ValueError(
+                "infchar entries take exponents below 4300 in scientific "
+                "notation"
+            )
+    return Fraction(value)
+
+
+def local_rep_from_json(data: dict) -> cohomology.LocalRep:
+    data = cohomology._container_from_json(data, dict, "each place")
+    for field in ("signature", "bipartition", "infchar"):
+        if field not in data:
+            raise ValueError(f'missing field "{field}"')
+    signature = cohomology._pair_from_json(data["signature"], "signature")
+    p, q = (cohomology._int_from_json(v, "signature") for v in signature)
+    blocks = []
+    bipartition = cohomology._container_from_json(
+        data["bipartition"], list, "bipartition"
+    )
+    for entry in bipartition:
+        x, y = cohomology._pair_from_json(entry, "each bipartition entry")
+        blocks.append(
+            (
+                cohomology._int_from_json(x, "bipartition"),
+                cohomology._int_from_json(y, "bipartition"),
+            )
+        )
+    infchar = cohomology._container_from_json(data["infchar"], list, "infchar")
+    if any(type(s) is bool for s in infchar):
+        raise ValueError("infchar entries must be numbers, got boolean")
+    lam = tuple(fraction_from_json(s) for s in infchar)
+    return cohomology.LocalRep(p=p, q=q, blocks=tuple(blocks), lam=lam)
+
+
+def global_rep_from_json(data: dict) -> cohomology.GlobalRep:
+    data = cohomology._container_from_json(data, dict, "the representation")
+    if "places" in data:
+        places = cohomology._container_from_json(data["places"], list, "places")
+        places = tuple(local_rep_from_json(d) for d in places)
+    else:
+        places = (local_rep_from_json(data),)
+    return cohomology.GlobalRep(places=places)
 
 
 # ---------------------------------------------------------------------------

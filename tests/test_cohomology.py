@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import io
+import json
 import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -292,3 +294,113 @@ def test_fraction_from_json_matches_fraction(value):
     else:
         want = _outcome(Fraction, value)
     assert _outcome(ch._fraction_from_json, value) == want
+
+
+# values of a character entry that the doubled-int reader must read as the
+# Fraction reader does: odd texts, JSON integers, Decimals, booleans, NaN
+# and exponents at and around the limit
+_ODD_VALUES = [
+    "+3", "03", "-0", "1/02", "3/4", " 1", "٠", "-0/2", "4/2", "1_0", "1e1",
+    3, -2, 0, 2**1000, Decimal("1.5"), Decimal("-0.5"), Decimal("2"),
+    Decimal("NaN"), True, False, None, [1], {"1": 1}, 0.5, float("nan"),
+    "1e4300", "1e4299", "-2.5E-4300", Decimal("1E+4300"), "9" * 4301,
+    "-" + "9" * 5000 + "/2", "abc", "", "1/0",
+]
+
+
+@st.composite
+def _place_json(draw):
+    """(place data, rep data): one place of a drawn rep as the CLI reads it,
+    often perturbed in one field, and the rep with that place in it."""
+    rep = json.loads(rep_text(draw(global_reps())))
+    places = rep["places"]
+    i = draw(st.integers(0, len(places) - 1))
+    place = places[i]
+    values, blocks = place["infchar"], place["bipartition"]
+    flaw = draw(
+        st.sampled_from(
+            ["none", "value", "ints", "length", "kind", "order", "field", "swap"]
+        )
+    )
+    j = draw(st.integers(0, len(values) - 1))
+    if flaw == "value":
+        values[j] = draw(st.sampled_from(_ODD_VALUES) | st.integers() | st.text())
+    elif flaw == "ints":  # JSON integers and Decimals for the same values
+        place["infchar"] = [
+            int(Fraction(v)) if Fraction(v).denominator == 1
+            else Decimal(Fraction(v).numerator) / 2
+            for v in values
+        ]
+    elif flaw == "length":
+        field = draw(st.sampled_from(["infchar", "bipartition", "signature", "pair"]))
+        if field == "pair":
+            blocks[0] = blocks[0] + [0]
+        elif draw(st.booleans()) and place[field]:
+            del place[field][-1]
+        else:
+            place[field].append(place[field][-1])
+    elif flaw == "kind":
+        field = draw(st.sampled_from(["infchar", "bipartition", "signature", "entry"]))
+        if field == "entry":
+            blocks[0] = "10"
+        else:
+            place[field] = draw(st.sampled_from(["10", {"1": 0}, None, 1, True]))
+    elif flaw == "order":
+        # a bipartition that is not reduced, with a character that is bad
+        # or not decreasing: the first complaint must be the same
+        blocks[0] = [blocks[0][0] + blocks[0][1] + 1, 0]
+        values[j] = draw(st.sampled_from(["x", "3/4", values[0], 1, Decimal("0.1")]))
+    elif flaw == "field":
+        del place[draw(st.sampled_from(["signature", "bipartition", "infchar"]))]
+    elif flaw == "swap" and len(values) > 1:
+        values[0], values[-1] = values[-1], values[0]
+    return place, rep
+
+
+def _same_outcome(read, reference, data):
+    """The reader's record equals the reference reader's, with a Fraction
+    for every value, or both refuse with one exception type and message."""
+    got, want = _outcome(read, data), _outcome(reference, data)
+    assert got == want
+    if isinstance(got[1], ch.GlobalRep):
+        places = got[1].places
+    elif isinstance(got[1], ch.LocalRep):
+        places = (got[1],)
+    else:
+        return
+    assert all(type(x) is Fraction for place in places for x in place.lam)
+
+
+@settings(max_examples=400)
+@given(_place_json())
+@example(({"signature": [2, 0], "bipartition": [[2, 0]], "infchar": ["x", "0"]}, {}))
+@example(
+    ({"signature": [2, 0], "bipartition": [[2, 0]], "infchar": ["1/2", "3/4"]}, {})
+)
+@example(({"signature": [1, 0], "bipartition": [[1, 0]], "infchar": ["1e4300"]}, {}))
+@example(
+    ({"signature": [1, 0], "bipartition": [[1, 0]], "infchar": [Decimal("NaN")]}, {})
+)
+def test_reader_matches_fraction_reader(case):
+    # the doubled-int reader against the Fraction reader it replaced, on
+    # valid places and places broken in one field
+    place, rep = case
+    _same_outcome(ch.local_rep_from_json, oracles.local_rep_from_json, place)
+    _same_outcome(ch.global_rep_from_json, oracles.global_rep_from_json, rep)
+
+
+def test_reader_builds_one_fraction_per_value(monkeypatch):
+    # the places of a rep share one Fraction per distinct character value
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(ch, "Fraction", counted)
+    rep = cli.load_rep(str(Path(__file__).parent / "data" / "wide12_rep.json"))
+    values = {x for place in rep.places for x in place.lam}
+    assert len(values) == 11
+    assert 0 < len(built) <= len(values)
+    lam = [x for place in rep.places for x in place.lam]
+    assert len({id(x) for x in lam}) == len(values)

@@ -203,3 +203,28 @@ def test_rep_records_store_lists_as_tuples():
     text = "bipartition [(2, 0), (0, 1)] is not reduced"
     with pytest.raises(ValueError, match=re.escape(text)):
         cohomology.LocalRep(p=2, q=1, blocks=[(2, 0), (0, 1)], lam=(1, 0, -1))
+
+
+def test_records_read_an_iterator_once():
+    # a check that iterates its argument must not leave an empty iterator
+    # for the next check or for the record
+    local = cohomology.LocalRep(2, 1, iter(LOCAL.blocks), LOCAL.lam)
+    assert local == LOCAL and type(local.blocks) is tuple
+    pairs = (b for b in ((1, 0), (1, 0), (0, 1)))
+    assert cohomology.LocalRep(2, 1, pairs, (1, 0, -1)).blocks == (
+        (1, 0),
+        (1, 0),
+        (0, 1),
+    )
+    rep = cohomology.GlobalRep(iter([LOCAL, LOCAL]))
+    assert rep.places == (LOCAL, LOCAL) and rep.rank == 3
+    shape = shapes.Shape(iter(SHAPE.blocks))
+    assert shape == SHAPE and type(shape.blocks) is tuple
+    # an empty or missing argument is refused as before
+    for empty in (iter(()), None):
+        with pytest.raises(ValueError, match="need at least one place"):
+            cohomology.GlobalRep(empty)
+        with pytest.raises(ValueError, match="bipartition needs at least one block"):
+            cohomology.LocalRep(0, 0, empty, ())
+        with pytest.raises(ValueError, match="shape needs at least one block"):
+            shapes.Shape(empty)

@@ -18,7 +18,13 @@ import oracles
 from strategies import global_reps, rep_text
 from upqgrowth import cli, shapes as shapes_module
 from upqgrowth.cohomology import GlobalRep, LocalRep, global_rep_from_json
-from upqgrowth.growth import GrowthValue, dominant, partition_bound, rep_bound
+from upqgrowth.growth import (
+    GrowthValue,
+    RunData,
+    dominant,
+    partition_bound,
+    rep_bound,
+)
 from upqgrowth.infchar import IrregularCharacterError, format_rational, rho
 from upqgrowth.partitions import partitions_of, reduced_bipartitions
 from upqgrowth.shapes import (
@@ -371,6 +377,85 @@ def test_broken_centre_is_internal_error(monkeypatch, capsys, tmp_path):
     assert shifted
     assert out == ""
     assert err == "internal error: shape does not rebuild the character\n"
+
+
+def _drop_last_chunk(chunks):
+    # the bottom value of the run is left uncovered
+    return chunks[:-1]
+
+
+def _lengthen_last_chunk(chunks):
+    # the last chunk keeps its top value and runs one value past the run
+    *rest, (c, c2) = chunks
+    return (*rest, (c + 1, c2 - 1))
+
+
+@pytest.mark.parametrize(
+    "mutate", [_drop_last_chunk, _lengthen_last_chunk], ids=["uncovered", "overrun"]
+)
+def test_broken_tiling_is_internal_error(mutate, monkeypatch, capsys, tmp_path):
+    # every run ends at the bottom of its place's character here, so a
+    # placement that stops short or runs past its end must trip the tiling
+    # check, never an IndexError
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps({"places": [
+        {"signature": [6, 1], "bipartition": [[1, 1]] + [[1, 0]] * 5,
+         "infchar": [str(v) for v in RHO7]},
+        {"signature": [6, 1], "bipartition": [[2, 1]] + [[1, 0]] * 4,
+         "infchar": [str(v) for v in RHO7]},
+    ]}))
+    chunkings = shapes_module._chunkings
+    monkeypatch.setattr(
+        shapes_module,
+        "_chunkings",
+        lambda run2, sub: map(mutate, chunkings(run2, sub)),
+    )
+    assert cli.run(["delta-max", "--rep", str(path)]) == 3
+    assert capsys.readouterr() == (
+        "",
+        "internal error: shape does not rebuild the character\n",
+    )
+
+
+def test_tiling_check_sees_a_gap():
+    # a chunk whose top value and length fit the character but whose values
+    # step over a gap in it
+    data = RunData(beta_plus=(3,), p_runs=(), q_runs=(), big=((3, 2),), lam2=(4, 2, -2))
+    with pytest.raises(AssertionError, match="shape does not rebuild the character"):
+        shapes_module._place_centres(data, (3,), [3])
+    assert shapes_module._place_centres(data._replace(lam2=(4, 2, 0)), (3,), [3]) == [
+        ((2,),)
+    ]
+
+
+def test_shared_blocks_print_once_each():
+    # one block object in two shapes, next to an equal block that is
+    # another object: each prints as json.dumps prints its dict
+    half = (Fraction(1, 2),), (Fraction(-1, 2),)
+    shared = ShapeBlock(1, 2, half, -1)
+    twin = ShapeBlock(1, 2, ((Fraction(1, 2),), (Fraction(-1, 2),)), -1)
+    low = ShapeBlock(1, 1, ((Fraction(-1),), (Fraction(1),)), 1)
+    lower = ShapeBlock(1, 1, ((Fraction(-1),), (Fraction(-2),)), 1)
+    assert shared == twin and shared is not twin
+    record = DeltaMax(
+        ((2, 1), (1, 1, 1)),
+        GrowthValue(Fraction(3), 0),
+        (2, 1),
+        (Shape((shared, low)), Shape((shared, lower)), Shape((twin, lower))),
+    )
+    first = [1, 2, [["1/2"], ["-1/2"]], -1]
+    want = {
+        "bound": {"main": "3", "eps": 0},
+        "candidates": [[2, 1], [1, 1, 1]],
+        "q_argmax": [2, 1],
+        "shapes": [
+            {"blocks": [first, [1, 1, [["-1"], ["1"]], 1]]},
+            {"blocks": [first, [1, 1, [["-1"], ["-2"]], 1]]},
+            {"blocks": [first, [1, 1, [["-1"], ["-2"]], 1]]},
+        ],
+    }
+    assert record.to_text() == json.dumps(want, sort_keys=True, indent=2)
+    assert record.to_json() == want
 
 
 def test_wide_rep_output_frozen(capsys):
