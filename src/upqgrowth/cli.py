@@ -21,10 +21,12 @@ from .infchar import format_rational
 # the smallest --nmax per target: the first N at which its sweep has a case
 # (table ignores --nmax; maxsl2, whose first case is N = 1, keeps the qd floor)
 NMAX_MIN = {"table": 2, "qd": 2, "density": 3, "maxsl2": 2}
-# the largest --nmax per sweep: qd at 200 is about 0.5 s of work; density at
-# 1600 is about 0.01 s (9.5 ms in process, 2-vCPU Xeon, Python 3.11.7),
-# since it decides its cases by blocks, but keeps the limit it had when it
-# took 0.5 s; maxsl2, decided by two knapsacks, takes
+# the largest --nmax per sweep: qd at 200 is about 0.3 s of work (0.30-0.34 s
+# in process, 2-vCPU Xeon, Python 3.11.7), since it decides its cases by
+# families, but keeps the limit it had when it took 0.5 s; density at 1600 is
+# about 0.01 s (9.5 ms in process, 2-vCPU Xeon, Python 3.11.7), since it
+# decides its cases by blocks, but keeps the limit it had when it took 0.5 s;
+# maxsl2, decided by two knapsacks, takes
 # 0.51-0.60 s at 1000 in process (2-vCPU Xeon, Python 3.11), where it
 # counts about 5.5 * 10^24 cases
 NMAX_MAX = {"qd": 200, "density": 1600, "maxsl2": 1000}
@@ -104,14 +106,25 @@ def parse_indices(text: str) -> tuple[int, ...]:
         raise ParseError(f"bad index list {text!r}") from None
 
 
+# one decoder for every representation file: a float would round
+# 0.50000000000000001 to 1/2 before any check, and json.load(..., parse_float=)
+# would build a new decoder per file
+_REP_DECODER = json.JSONDecoder(parse_float=Decimal)
+
+
 def load_rep(path: str) -> cohomology.GlobalRep:
-    # a float would round 0.50000000000000001 to 1/2 before any check
     try:
         if path == "-":
-            data = json.load(sys.stdin, parse_float=Decimal)
+            text = sys.stdin.read()
         else:
             with open(path) as fh:
-                data = json.load(fh, parse_float=Decimal)
+                text = fh.read()
+        if text.startswith("\ufeff"):
+            # json.load refuses a byte order mark with this text
+            raise json.JSONDecodeError(
+                "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0
+            )
+        data = _REP_DECODER.decode(text)
     except (OSError, RecursionError, json.JSONDecodeError) as e:
         # RecursionError: arrays or objects nested too deep for the decoder
         raise ParseError(f"cannot read representation: {e}") from None

@@ -303,46 +303,155 @@ def verify_table1() -> Certificate:
     )
 
 
+def _threshold_terms(d: int, tail):
+    """An iterator of (A, B) at the thresholds v = 1, 2, ... below
+    max(tail) of the family d^k + tail of `verify_qd_bound`, whose F at
+    the top-x point of threshold v is k*A + B; the formulas are there."""
+    e = d - 1
+    total = sum(tail)
+    for v in range(1, max(tail, default=0)):
+        j = (d + 1 - v) // 2
+        jt = s = 0
+        for m in tail:
+            c = (m + 1 - v) // 2
+            if c > 0:
+                jt += c
+                s += c * (m - c)
+        yield (
+            e * (j * (total - jt) + jt * (d - j) - s) - total * j * (d - j),
+            e * jt * (total - jt) - total * s,
+        )
+
+
+def _family_holds(d: int, tail, k_hi: int) -> bool:
+    """Whether the top profile ratio of d^k + tail is (d - 1)/(N - k) for
+    every 1 <= k <= k_hi, by the lemma of `verify_qd_bound`: k*A + B >= 0
+    at both ends, at every threshold."""
+    for a, b in _threshold_terms(d, tail):
+        if a + b < 0 or k_hi * a + b < 0:
+            return False
+    return True
+
+
+def _profile_dominates(high, low, profiles) -> bool:
+    """Whether every top-i sum of the profile of `high` is at least that of
+    `low`, two partitions of the same total."""
+    return not any(
+        map(gt, _profile_prefix(low, profiles), _profile_prefix(high, profiles))
+    )
+
+
+def _qd_violations(n, d, q, q2, profiles, weights) -> list[str]:
+    """The messages of the case (N, d) of `verify_qd_bound`, given what
+    qd(N, d) returned and, for N >= 2d, what qd_prime(N, d) returned (else
+    None): each profile summed once into a prefix array, its top ratio
+    compared with its closed form by cross-multiplying, and qd_prime kept
+    under qd when its prefix sums are, index by index up to N."""
+    violations = []
+    k = n // d
+    sigma = _profile_prefix(q, profiles)
+    got = _top_ratio(sigma, weights[sum(q)])
+    if got[0] * (n - k) != (d - 1) * got[1]:
+        violations.append(
+            f"ratio(qd({n},{d})) = {Fraction(*got)} != "
+            f"{Fraction(d - 1, n - k)}"
+        )
+    if q2 is not None:
+        sigma2 = _profile_prefix(q2, profiles)
+        got2 = _top_ratio(sigma2, weights[sum(q2)])
+        if got2[0] * (n - k + 1) != (d - 1) * got2[1]:
+            violations.append(
+                f"ratio(qd_prime({n},{d})) = {Fraction(*got2)} != "
+                f"{Fraction(d - 1, n - k + 1)}"
+            )
+        if any(map(gt, sigma2, sigma)):
+            violations.append(
+                f"qd_prime({n},{d}) escapes the qd({n},{d}) profile"
+            )
+    return violations
+
+
 def verify_qd_bound(n_max: int) -> Certificate:
     """Closed forms for the extremal-partition ratios, plus domination.
 
-    Each case calls `qd` and `qd_prime` and sums the profile of what they
-    return once into a prefix array. Two tables are built once per sweep and
-    filled on first read, so they serve any part or total those return: the
+    Every case (N, d), 2 <= d <= N <= n_max, reads qd(N, d) and, for
+    N >= 2d, qd_prime(N, d) once. The cases are decided by families: with
+    k, r = divmod(N, d), qd(N, d) is d^k + T and qd_prime(N, d) is
+    d^(k-1) + T', with T = (r) (empty when r = 0) and T' = (d-1, r+1), or
+    (d-1, d-1, 1) when r = d - 1. A family (d, r) holds the
+    cases N = k*d + r <= n_max, k >= 1; it is decided at once when it has
+    two cases or more (2d + r <= n_max) by the two lemmas below. A case
+    whose partitions are not its family's tuples, a case of a family that
+    the lemmas reject and the case of a family of one are walked by
+    `_qd_violations`, in the order of the cases, so the messages are the walk's.
+    The walk's two tables are built once per sweep and filled on first
+    read, so they serve any part or total a patched qd returns: the
     balanced profile m - 1, m - 3, ... of each part m, and the weights
-    i*(N-i), 0 <= i <= N/2, of each total N. The ratios are compared with
-    their closed forms by cross-multiplying, and qd_prime stays under qd when
-    its prefix sums do, index by index up to N.
+    i*(N-i), 0 <= i <= N/2, of each total N.
+
+    The ratio lemma. Let q = d^kappa + T with T's parts at most d and
+    R = sum(T), so N = kappa*d + R, and let F(i) = (d-1)*i*(N-i)
+    - (N-kappa)*sigma_i, sigma_i the sum of the i largest entries of the
+    profile of q. The top ratio is (d-1)/(N-kappa) exactly when F >= 0 at
+    every 1 <= i <= N/2, since F(kappa) = 0: the kappa largest entries are
+    d - 1, and kappa <= N/d <= N/2. For a threshold 1 <= v < d, the entries
+    >= v are j = (d+1-v)//2 of each part d and c_m = max(0, (m+1-v)//2)
+    of each m in T, with sums j*(d-j) and c_m*(m-c_m). So at
+    x = kappa*j + j', j' = sum c_m, sigma_x = kappa*j*(d-j) + s with
+    s = sum c_m*(m-c_m), and the kappa^2 terms of F(x) cancel:
+    F(x) = kappa*A + B with A = (d-1)*(j*(R-j') + j'*(d-j) - s)
+    - R*j*(d-j) and B = (d-1)*j'*(R-j') - R*s (`_threshold_terms`).
+    - Between 0 and the points x of the thresholds v = d - 1, ..., 1, in
+      turn, sigma is linear, so F is concave there and least at an end;
+      F(0) = 0.
+    - Past the end of the profile, whose length is sum m//2 <= N/2, sigma
+      is constant and F increases up to N/2.
+    - For v >= max(T), j' = s = 0 and F = kappa*R*j*(j-1) >= 0.
+    Each x lies in [kappa, N/2], so F >= 0 everywhere exactly when
+    kappa*A + B >= 0 at each threshold v < max(T), and, being linear in
+    kappa, that holds for every kappa in [1, kappa_hi] exactly when it
+    holds at both ends (`_family_holds`): qd's family takes kappa = k,
+    qd_prime's kappa = k - 1.
+
+    The domination lemma. The top-i sum of the profile of a union U + X is
+    the max over a + b = i of sigma_U(a) + sigma_X(b), so
+    sigma_X >= sigma_Y pointwise gives sigma_(U+X) >= sigma_(U+Y)
+    pointwise. With U = d^(k-1), X = (d) + T and Y = T', one comparison
+    per family (`_profile_dominates`) keeps qd_prime under qd for every k.
+    A family decided this way costs O(d) steps, where its walk cost O(N)
+    per case.
     """
     violations = []
     checked = 0
     profiles = _Table(_part_profile)
     weights = _Table(lambda n: list(_pair_weights(n)))
     for d in range(2, n_max + 1):
+        # r -> (T, T') of a family (d, r) of two cases or more that the
+        # lemmas decide, None for one they reject; r past the list: one case
+        families = []
+        for r in range(min(d, n_max - 2 * d + 1)):
+            tail = (r,) if r else ()
+            tail2 = (d - 1, d - 1, 1) if r == d - 1 else (d - 1, r + 1)
+            k_hi = (n_max - r) // d
+            holds = (
+                _family_holds(d, tail, k_hi)
+                and _family_holds(d, tail2, k_hi - 1)
+                and _profile_dominates((d, *tail), tail2, profiles)
+            )
+            families.append((tail, tail2) if holds else None)
         for n in range(d, n_max + 1):
-            k = n // d
+            k, r = divmod(n, d)
             checked += 1
             q = qd(n, d)
-            sigma = _profile_prefix(q, profiles)
-            got = _top_ratio(sigma, weights[sum(q)])
-            if got[0] * (n - k) != (d - 1) * got[1]:
-                violations.append(
-                    f"ratio(qd({n},{d})) = {Fraction(*got)} != "
-                    f"{Fraction(d - 1, n - k)}"
-                )
-            if n >= 2 * d:
-                q2 = qd_prime(n, d)
-                sigma2 = _profile_prefix(q2, profiles)
-                got2 = _top_ratio(sigma2, weights[sum(q2)])
-                if got2[0] * (n - k + 1) != (d - 1) * got2[1]:
-                    violations.append(
-                        f"ratio(qd_prime({n},{d})) = {Fraction(*got2)} != "
-                        f"{Fraction(d - 1, n - k + 1)}"
-                    )
-                if any(map(gt, sigma2, sigma)):
-                    violations.append(
-                        f"qd_prime({n},{d}) escapes the qd({n},{d}) profile"
-                    )
+            q2 = qd_prime(n, d) if n >= 2 * d else None
+            family = families[r] if r < len(families) else None
+            if (
+                family
+                and q == (d,) * k + family[0]
+                and (q2 is None or q2 == (d,) * (k - 1) + family[1])
+            ):
+                continue
+            violations += _qd_violations(n, d, q, q2, profiles, weights)
     return Certificate(
         target="qd",
         sweep=f"2 <= d <= N <= {n_max}",

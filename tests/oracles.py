@@ -2,11 +2,12 @@
 
 Everything here is deliberately brute-force and independent of the package
 internals. Each function recomputes its target from first principles so the
-fast library versions can be checked against it; the two exceptions,
-`density_walk` and `maxsl2_walk`, are the case-by-case walks that the
-density certificate's block test and the maxsl2 certificate's dominating
-knapsack replaced, and read their terms and tables through `sarnakxue` so
-that a patched term or table reaches both. The representation reader
+fast library versions can be checked against it; the three exceptions,
+`qd_walk`, `density_walk` and `maxsl2_walk`, are the case-by-case walks
+that the qd certificate's family lemmas, the density certificate's block
+test and the maxsl2 certificate's dominating knapsack replaced, and read
+their partitions, terms and tables through `sarnakxue` so that a patched
+one reaches both. The representation reader
 `global_rep_from_json` is the one the doubled-int reader replaced: it reads
 each value to a Fraction and leaves every check to the record constructors.
 Run as a script to print the values that the unit tests freeze.
@@ -404,6 +405,47 @@ def qd_sweep(n_max: int) -> tuple[int, list[str]]:
                         f"qd_prime({n},{d}) escapes the qd({n},{d}) profile"
                     )
     return checked, violations
+
+
+def qd_walk(n_max: int) -> sarnakxue.Certificate:
+    """`sarnakxue.verify_qd_bound` walked case by case, as it ran before its
+    family lemmas: each profile of qd and qd_prime, read through
+    `sarnakxue`, summed into a prefix array and its top ratio scanned."""
+    violations = []
+    checked = 0
+    profiles = sarnakxue._Table(sarnakxue._part_profile)
+    weights = sarnakxue._Table(lambda n: list(sarnakxue._pair_weights(n)))
+    for d in range(2, n_max + 1):
+        for n in range(d, n_max + 1):
+            k = n // d
+            checked += 1
+            q = sarnakxue.qd(n, d)
+            sigma = sarnakxue._profile_prefix(q, profiles)
+            got = sarnakxue._top_ratio(sigma, weights[sum(q)])
+            if got[0] * (n - k) != (d - 1) * got[1]:
+                violations.append(
+                    f"ratio(qd({n},{d})) = {Fraction(*got)} != "
+                    f"{Fraction(d - 1, n - k)}"
+                )
+            if n >= 2 * d:
+                q2 = sarnakxue.qd_prime(n, d)
+                sigma2 = sarnakxue._profile_prefix(q2, profiles)
+                got2 = sarnakxue._top_ratio(sigma2, weights[sum(q2)])
+                if got2[0] * (n - k + 1) != (d - 1) * got2[1]:
+                    violations.append(
+                        f"ratio(qd_prime({n},{d})) = {Fraction(*got2)} != "
+                        f"{Fraction(d - 1, n - k + 1)}"
+                    )
+                if any(s2 > s1 for s1, s2 in zip(sigma, sigma2)):
+                    violations.append(
+                        f"qd_prime({n},{d}) escapes the qd({n},{d}) profile"
+                    )
+    return sarnakxue.Certificate(
+        target="qd",
+        sweep=f"2 <= d <= N <= {n_max}",
+        checked_count=checked,
+        violations=tuple(violations),
+    )
 
 
 def density_sweep(n_max: int) -> tuple[int, list[str]]:

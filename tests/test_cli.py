@@ -19,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from upqgrowth import asymptotics, cli, growth, sarnakxue, shapes
 from upqgrowth.sarnakxue import Certificate
 
@@ -560,6 +561,17 @@ def test_verify_maxsl2_uncapped_prints_one_line(capsys):
     assert capsys.readouterr().out.splitlines() == [
         "ok maxsl2: 272 cases (distinct cores, N <= 14)"
     ]
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+@pytest.mark.parametrize("nmax", ["2", "60", "200"])
+def test_verify_qd_prints_what_the_walk_printed(nmax, json_flag, monkeypatch):
+    # the family lemmas change no byte of the output, the exit code or stderr
+    argv = ["verify", "--target", "qd", "--nmax", nmax, *json_flag]
+    got = _run(argv)
+    monkeypatch.setattr(sarnakxue, "verify_qd_bound", oracles.qd_walk)
+    assert _run(argv) == got
+    assert got[0] == 0
 
 
 def test_verify_reports_violations(monkeypatch, capsys):
@@ -1370,3 +1382,26 @@ def test_long_value_under_the_limit_prints(command, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(_one_value_rep(value)))
     assert cli.run([command, "--rep", "-"]) == 0
     assert capsys.readouterr().err == ""
+
+
+BOM_REFUSAL = (
+    "error: cannot read representation: Unexpected UTF-8 BOM "
+    "(decode using utf-8-sig): line 1 column 1 (char 0)\n"
+)
+
+
+@pytest.mark.parametrize("command", ["delta-max", "leading-term"])
+def test_bom_refused_from_a_file(command, tmp_path, capsys):
+    # json.load refuses a leading byte order mark before it decodes; the one
+    # decoder of load_rep would say "Expecting value", so the check stays
+    path = tmp_path / "rep.json"
+    path.write_text("\ufeff" + json.dumps(REP_JSON), encoding="utf-8")
+    assert cli.run([command, "--rep", str(path)]) == 2
+    assert capsys.readouterr() == ("", BOM_REFUSAL)
+
+
+@pytest.mark.parametrize("command", ["delta-max", "leading-term"])
+def test_bom_refused_from_stdin(command, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeff" + json.dumps(REP_JSON)))
+    assert cli.run([command, "--rep", "-"]) == 2
+    assert capsys.readouterr() == ("", BOM_REFUSAL)

@@ -8,6 +8,7 @@ import inspect
 import re
 from collections import Counter
 from fractions import Fraction
+from operator import ge
 
 import pytest
 from hypothesis import example, given
@@ -137,6 +138,15 @@ def test_qd_prime():
         qd_prime(5, 3)  # below 2d
     with pytest.raises(ValueError):
         qd_prime(4, 1)
+
+
+def test_max_ratio_closed_form_exhaustive():
+    # the closed forms of qd and qd_prime are instances of this; the qd
+    # sweep checks them rather than assuming them
+    for n in range(2, 23):
+        for q in partitions_of(n):
+            if q[0] >= 2:
+                assert max_ratio(q) == Fraction(q[0] - 1, n - q.count(q[0])), q
 
 
 def test_qd_ratio_closed_forms():
@@ -341,6 +351,108 @@ def test_qd_sweep_reads_qd_and_qd_prime_once_per_case(monkeypatch):
 def test_qd_sweep_matches_fraction_oracle_large(n_max):
     cert = verify_qd_bound(n_max)
     assert (cert.checked_count, list(cert.violations)) == oracles.qd_sweep(n_max)
+
+
+def test_qd_sweep_matches_walk():
+    # the family lemmas decide what the walk checked case by case
+    for n_max in [*range(121), 200]:
+        assert verify_qd_bound(n_max) == oracles.qd_walk(n_max), n_max
+
+
+def _walked(n_max):
+    """(certificate, the cases (N, d) that the sweep walks)."""
+    walked = []
+    walk = sarnakxue._qd_violations
+
+    def record(n, d, *rest):
+        walked.append((n, d))
+        return walk(n, d, *rest)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sarnakxue, "_qd_violations", record)
+        return verify_qd_bound(n_max), walked
+
+
+@pytest.mark.parametrize("n_max", [8, 60, 97])
+def test_qd_sweep_walks_only_families_of_one_case(n_max):
+    cert, walked = _walked(n_max)
+    assert cert == oracles.qd_walk(n_max)
+    assert walked == [
+        (n, d)
+        for d in range(2, n_max + 1)
+        for n in range(d, n_max + 1)
+        if 2 * d + n % d > n_max
+    ]
+
+
+@pytest.mark.parametrize("rejects", ["_family_holds", "_profile_dominates"])
+def test_qd_sweep_walks_every_rejected_family(monkeypatch, rejects):
+    monkeypatch.setattr(sarnakxue, rejects, lambda *args: False)
+    for n_max in [*range(41), 60, 97]:
+        cert, walked = _walked(n_max)
+        assert cert == oracles.qd_walk(n_max), n_max
+        assert len(walked) == cert.checked_count
+
+
+@st.composite
+def _qd_families(draw):
+    """(d, T, kappa_hi) with T's parts in 1..d: a part d makes the closed
+    form (d - 1)/(N - kappa) of d^kappa + T false."""
+    d = draw(st.integers(2, 12))
+    tail = tuple(draw(st.lists(st.integers(1, d), max_size=4)))
+    return d, tail, draw(st.integers(1, 6))
+
+
+@example((5, (3,), 4))
+@example((5, (4, 3, 1), 3))
+@example((3, (3,), 2))
+@example((2, (2, 1), 1))
+@given(_qd_families())
+def test_qd_threshold_lemma(case):
+    # F = kappa*A + B at the top-x point of every threshold v < max(T),
+    # against the prefix sums; and the verdict of the ends kappa = 1 and
+    # kappa_hi is that of the scan at every kappa between, both ways
+    d, tail, k_hi = case
+    terms = list(sarnakxue._threshold_terms(d, tail))
+    assert len(terms) == max(max(tail, default=0) - 1, 0)
+    holds = []
+    for kappa in range(1, k_hi + 1):
+        q = (d,) * kappa + tail
+        n = sum(q)
+        profile = oracles.balanced_profile(q)
+        profiles = {m: sarnakxue._part_profile(m) for m in q}
+        sigma = sarnakxue._profile_prefix(q, profiles)
+        for v, (a, b) in enumerate(terms, 1):
+            x = sum(1 for e in profile if e >= v)
+            assert kappa * a + b == (d - 1) * x * (n - x) - (n - kappa) * sigma[x]
+        num, den = sarnakxue._top_ratio(sigma, sarnakxue._pair_weights(n))
+        holds.append(num * (n - kappa) == (d - 1) * den)
+    assert sarnakxue._family_holds(d, tail, k_hi) == all(holds)
+
+
+def _top_sums(values, length):
+    ordered = sorted(values, reverse=True)
+    return [sum(ordered[:i]) for i in range(length + 1)]
+
+
+multisets = st.lists(st.integers(0, 6), max_size=5)
+
+
+@example([3, 1], [2, 2], [3, 1], [1])
+@given(multisets, multisets, multisets, st.lists(st.integers(0, 3), max_size=5))
+def test_top_sums_of_a_union(u, x, y, cuts):
+    # the top-i sum of U + X is the best split a + b = i of its top sums, so
+    # X over Y pointwise keeps U + X over U + Y pointwise
+    length = len(u) + max(len(x), len(y))
+    su, sx = _top_sums(u, length), _top_sums(x, length)
+    union = _top_sums(u + x, length)
+    assert union == [
+        max(su[a] + sx[i - a] for a in range(i + 1)) for i in range(length + 1)
+    ]
+    # y as drawn, and x with entries cut, which x always dominates
+    for low in (y, [max(0, e - c) for e, c in zip(x, cuts)] + x[len(cuts) :]):
+        if all(map(ge, sx, _top_sums(low, length))):
+            assert all(map(ge, union, _top_sums(u + low, length)))
 
 
 def _gt_reads_false(func):
