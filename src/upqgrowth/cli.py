@@ -26,10 +26,12 @@ NMAX_MIN = {"table": 2, "qd": 2, "density": 3, "maxsl2": 2}
 # families, but keeps the limit it had when it took 0.5 s; density at 1600 is
 # about 0.01 s (9.5 ms in process, 2-vCPU Xeon, Python 3.11.7), since it
 # decides its cases by blocks, but keeps the limit it had when it took 0.5 s;
-# maxsl2, decided by two knapsacks, takes
-# 0.51-0.60 s at 1000 in process (2-vCPU Xeon, Python 3.11), where it
-# counts about 5.5 * 10^24 cases
+# maxsl2, decided by one knapsack, takes 0.25-0.29 s at 1000 in process
+# (2-vCPU Xeon, Python 3.11.7), where it counts about 5.5 * 10^24 cases
 NMAX_MAX = {"qd": 200, "density": 1600, "maxsl2": 1000}
+# a refusal quotes the count at --nmax up to this N, and above it as more than
+# the count here: maxsl2's is an O(N^2) DP, and no int of 4300 digits prints
+COUNT_N_MAX = 2000
 # the largest N of an sx-table row: the merge knapsack runs each part size
 # the row holds up to its number of ones, so the slowest rows of an N are a
 # core of distinct small parts padded with ones; they grow like N^2 log N and
@@ -46,12 +48,8 @@ COH_RANK_MAX = 100_000
 
 def sweep_cases(target: str, nmax: int) -> int:
     """The number of cases the qd, density or maxsl2 sweep checks up to
-    nmax."""
-    if target == "qd":
-        return nmax * (nmax - 1) // 2
-    if target == "maxsl2":
-        return sarnakxue.maxsl2_count(nmax)
-    return (nmax - 1) * (nmax - 2) // 2
+    nmax: `sarnakxue.qd_count`, `density_count` or `maxsl2_count`."""
+    return getattr(sarnakxue, f"{target}_count")(nmax)
 
 
 class ParseError(ValueError):
@@ -272,9 +270,11 @@ def cmd_verify(args) -> int:
         raise ParseError(f"--nmax must be at least {least}, got {nmax}")
     for t in targets:
         if t in NMAX_MAX and nmax > NMAX_MAX[t]:
+            more = "more than " if nmax > COUNT_N_MAX else ""
             raise ParseError(
                 f"--nmax must be at most {NMAX_MAX[t]} for {t}, got {nmax}: "
-                f"the {t} sweep would check {sweep_cases(t, nmax)} cases"
+                f"the {t} sweep would check {more}"
+                f"{sweep_cases(t, min(nmax, COUNT_N_MAX))} cases"
             )
     runners = {
         "table": sarnakxue.verify_table1,

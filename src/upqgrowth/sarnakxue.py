@@ -422,7 +422,6 @@ def verify_qd_bound(n_max: int) -> Certificate:
     per case.
     """
     violations = []
-    checked = 0
     profiles = _Table(_part_profile)
     weights = _Table(lambda n: list(_pair_weights(n)))
     for d in range(2, n_max + 1):
@@ -441,7 +440,6 @@ def verify_qd_bound(n_max: int) -> Certificate:
             families.append((tail, tail2) if holds else None)
         for n in range(d, n_max + 1):
             k, r = divmod(n, d)
-            checked += 1
             q = qd(n, d)
             q2 = qd_prime(n, d) if n >= 2 * d else None
             family = families[r] if r < len(families) else None
@@ -455,7 +453,7 @@ def verify_qd_bound(n_max: int) -> Certificate:
     return Certificate(
         target="qd",
         sweep=f"2 <= d <= N <= {n_max}",
-        checked_count=checked,
+        checked_count=qd_count(n_max),
         violations=tuple(violations),
     )
 
@@ -564,8 +562,6 @@ def verify_density(n_max: int) -> Certificate:
     exceptional pairs instead of O(N^2) cases.
     """
     violations = []
-    # one case per pair 2 <= d < N <= n_max: N - 2 of them for each N
-    checked = sum(range(n_max - 1))
     # the terms of the remainder block (1, r), r < d <= n_max/2; no block
     # when r = 0
     rem_naive = [0] + [_naive_term(1, r)[0] for r in range(1, n_max // 2)]
@@ -634,7 +630,7 @@ def verify_density(n_max: int) -> Certificate:
     return Certificate(
         target="density",
         sweep=f"2 <= d < N <= {n_max}",
-        checked_count=checked,
+        checked_count=density_count(n_max),
         violations=tuple(violations),
         # the refined recheck first meets (4,2) at N = 4
         notes=(
@@ -658,6 +654,16 @@ def _distinct_part_sets(n_max: int):
 
     rec(2, 0, [])
     return out
+
+
+def qd_count(n_max: int) -> int:
+    """The (N, d) cases of `verify_qd_bound`, 2 <= d <= N <= n_max."""
+    return n_max * (n_max - 1) // 2 if n_max >= 2 else 0
+
+
+def density_count(n_max: int) -> int:
+    """The (N, d) cases of `verify_density`, 2 <= d < N <= n_max."""
+    return (n_max - 1) * (n_max - 2) // 2 if n_max >= 3 else 0
 
 
 def maxsl2_count(n_max: int) -> int:
@@ -753,36 +759,29 @@ def _maxsl2_walk(tables, n_max: int) -> list[str]:
 
 def _maxsl2_bound_holds(tables, n_max: int) -> bool:
     """Whether the lemma of `verify_maxsl2` decides that every case passes:
-    its row checks, then its test on the dominating knapsacks U, one for
-    the cores without a 2 and one for those with a 2."""
+    its row checks, the extra (2,), one comparison per size on U."""
     k = n_max + 1
     ones = tables.get(1, [0])
-    if ones != [pack(_refined_term, s, 1, k) for s in range(k)] or any(
-        tables[d][:2] != [0, pack(_refined_term, 1, d, k)] for d in range(2, k)
+    if (
+        ones != [k * s * s for s in range(k)]
+        or ones != [pack(_refined_term, s, 1, k) for s in range(k)]
+        or any(
+            tables[d][:2] != [0, pack(_refined_term, 1, d, k)]
+            for d in range(2, k)
+        )
+        # the extra (2,): below padding, and tied with it on a core with a 2
+        or (n_max >= 2 and tables[2][1] >= ones[2])
+        or (n_max >= 4 and tables[2][2] - tables[2][1] != ones[2])
     ):
         return False
-    floor = floor_below(tables)
-    # d >= 3: the better of a size the core lacks and one it holds
+    # the better of joining a core that lacks d and one that holds it
     rows = {
         d: [max(x, y - row[1]) for x, y in zip(row, row[1:])] + row[-1:]
         for d, row in tables.items()
-        if d > 2
+        if d > 1
     }
-    for two_in_core in (False, True):
-        room = n_max - 2 * two_in_core
-        if room >= 2:
-            row = tables[2]
-            rows[2] = [y - row[1] for y in row[1:]] if two_in_core else row
-        u = extra_tops([0] + [floor] * room, range(2, room + 1), rows.get)
-        for slack in range(2, room + 1):
-            merged = max(map(add, u[slack:1:-1], ones))
-            if (
-                merged != ones[2]
-                if two_in_core and slack == 2
-                else merged >= ones[slack]
-            ):
-                return False
-    return True
+    u = extra_tops([0] + [floor_below(tables)] * n_max, range(2, k), rows.get)
+    return all(map(gt, ones[3:], u[3:]))
 
 
 def verify_maxsl2(n_max: int) -> Certificate:
@@ -805,21 +804,22 @@ def verify_maxsl2(n_max: int) -> Certificate:
     1-blocks and of (slack, 1).
 
     - Row checks: tables[d][0] = 0 and tables[d][1] is the term of (1, d)
-      for 2 <= d <= n_max, and ones[s] the term of (s, 1) for s <= n_max.
-      Then best[0] is the core's term, and each case passes once padding
-      wins. The cases of the empty core and of the one-part cores compare
-      these same entries.
+      for 2 <= d <= n_max, and ones[s] = k*s^2, k = n_max + 1, the term of
+      (s, 1), for s <= n_max. Then best[0] is the core's term, and each case
+      passes once padding wins. The cases of the empty core and of the
+      one-part cores compare these same entries.
+    - The extra (2,), the only one summing to 2, is checked exactly: it
+      gains tables[2][1] < ones[2] on a core without a 2, and ones[2] =
+      tables[2][2] - tables[2][1] on a core with one (the tie at slack 2);
+      at slack > 2, 4k + k*(slack - 2)^2 < k*slack^2 keeps it below.
     - The dominating knapsack. An extra with e parts d gains tables[d][e]
       when d is not in the core, and tables[d][1+e] - tables[d][1] when it
-      is. U = extra_tops([0] + [floor] * room, sizes 2..room) takes for each
-      size d != 2 the larger of the two (the second where
-      1 + e <= n_max // d), and for size 2 the one that the core's 2
-      decides, with room n_max for the cores without a 2 and n_max - 2 for
-      those with one. So U[s] >= best[s] - best[0] for every core. Its floor
-      entries can only raise U. At s = 2 the bound is exact, as (2,) is the
-      only extra summing to 2.
-    - The test: U[s] + ones[slack - s] < ones[slack] for 2 <= s <= slack
-      <= room, with == at slack 2 when the core holds a 2.
+      is. U = extra_tops([0] + [floor] * n_max, sizes 2..n_max) takes for
+      each size the larger of the two (the second where 1 + e <= n_max // d),
+      so U[s] >= best[s] - best[0] for every core. Floor entries only raise U.
+    - The test: U[s] < ones[s] for 3 <= s <= n_max: ones[slack] -
+      ones[slack - s] = k*s*(2*slack - s) grows with slack from ones[s], so
+      best[s] + ones[slack - s] < best[0] + ones[slack] at every slack >= s.
 
     If all of it holds, every case passes. If not, the cores are walked one
     by one by `_maxsl2_walk`, so the messages are those of the walk. The

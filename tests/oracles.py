@@ -7,7 +7,8 @@ fast library versions can be checked against it; the three exceptions,
 that the qd certificate's family lemmas, the density certificate's block
 test and the maxsl2 certificate's dominating knapsack replaced, and read
 their partitions, terms and tables through `sarnakxue` so that a patched
-one reaches both. The representation reader
+one reaches both; `maxsl2_two_knapsacks` is the maxsl2 bound that its one
+knapsack replaced, read the same way. The representation reader
 `global_rep_from_json` is the one the doubled-int reader replaced: it reads
 each value to a Fraction and leaves every check to the record constructors.
 Run as a script to print the values that the unit tests freeze.
@@ -589,6 +590,43 @@ def maxsl2_walk(n_max: int) -> sarnakxue.Certificate:
         checked_count=checked,
         violations=tuple(violations),
     )
+
+
+def maxsl2_two_knapsacks(tables, n_max: int) -> bool:
+    """The maxsl2 bound as it ran before its one knapsack: two dominating
+    knapsacks, one for the cores without a 2 and one for those with a 2,
+    each scanned at every (s, slack) pair."""
+    k = n_max + 1
+    ones = tables.get(1, [0])
+    pack, term = sarnakxue.pack, sarnakxue._refined_term
+    if ones != [pack(term, s, 1, k) for s in range(k)] or any(
+        tables[d][:2] != [0, pack(term, 1, d, k)] for d in range(2, k)
+    ):
+        return False
+    floor = sarnakxue.floor_below(tables)
+    # d >= 3: the better of a size the core lacks and one it holds
+    rows = {
+        d: [max(x, y - row[1]) for x, y in zip(row, row[1:])] + row[-1:]
+        for d, row in tables.items()
+        if d > 2
+    }
+    for two_in_core in (False, True):
+        room = n_max - 2 * two_in_core
+        if room >= 2:
+            row = tables[2]
+            rows[2] = [y - row[1] for y in row[1:]] if two_in_core else row
+        u = sarnakxue.extra_tops(
+            [0] + [floor] * room, range(2, room + 1), rows.get
+        )
+        for slack in range(2, room + 1):
+            merged = max(map(add, u[slack:1:-1], ones))
+            if (
+                merged != ones[2]
+                if two_in_core and slack == 2
+                else merged >= ones[slack]
+            ):
+                return False
+    return True
 
 
 def merge_bounds(q_parts) -> tuple[tuple[Fraction, int], tuple[Fraction, int]]:

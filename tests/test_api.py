@@ -140,6 +140,53 @@ def test_every_definition_has_a_caller():
     assert _uncalled(_readme_and_demo_uses() | traced) == UNCALLED
 
 
+# a backticked private name, bare or after a module or class, with any call
+PRIVATE_NAME = re.compile(r"`(?:(\w+)\.)?(_[A-Za-z]\w*)(?:\([^`]*\))?`")
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    """The names a module defines at its top and in its classes' bodies."""
+    bodies = [tree.body]
+    bodies += [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+    names = set()
+    for node in chain.from_iterable(bodies):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def _docstrings(tree: ast.Module):
+    """The docstrings of a module, its classes and its functions."""
+    kinds = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in ast.walk(tree):
+        if isinstance(node, kinds) and ast.get_docstring(node):
+            yield ast.get_docstring(node)
+
+
+def test_docs_name_only_defined_private_helpers():
+    # the README and the package's docstrings name private helpers for the
+    # reader to look up; each one named must still exist, in its module when
+    # the name gives one
+    package = _package()
+    defined = {module: _defined(tree) for module, tree in package.items()}
+    anywhere = set().union(*defined.values())
+    texts = [("README.md", (ROOT / "README.md").read_text())]
+    texts += [(m, doc) for m, tree in package.items() for doc in _docstrings(tree)]
+    named = [
+        (where, prefix, name)
+        for where, text in texts
+        for prefix, name in PRIVATE_NAME.findall(text)
+    ]
+    assert len(named) > 20
+    assert [
+        (where, prefix, name)
+        for where, prefix, name in named
+        if name not in defined.get(prefix, anywhere)
+    ] == []
+
+
 def test_tracer_alone_keeps_these():
     # off the hot path, kept only because perfbench's TRACED table names
     # them; they move to tests/oracles.py when the table drops them

@@ -533,6 +533,23 @@ def test_verify_maxsl2_refuses_above_its_limit(capsys):
     assert (cert["checked_count"], cert["notes"]) == (118_556, [])
 
 
+@pytest.mark.parametrize("nmax", ["limit + 1", "10^22", "3000 digits"])
+@pytest.mark.parametrize("target", ["qd", "density", "maxsl2", "all"])
+def test_verify_refusal_is_bounded_and_names_the_limit(target, nmax, capsys):
+    # no count is computed or printed past cli.COUNT_N_MAX, so a huge --nmax
+    # is refused at once, and with the limit, not an overflow or a traceback
+    limits = cli.NMAX_MAX
+    limit = min(limits.values()) if target == "all" else limits[target]
+    value = {"limit + 1": limit + 1, "10^22": 10**22, "3000 digits": 10**2999}
+    argv = ["verify", "--target", target, "--nmax", str(value[nmax])]
+    start = time.perf_counter()
+    assert cli.run(argv) == 2
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: --nmax must be at most {limit} for ")
+
+
 def test_verify_maxsl2_decides_at_its_limit(monkeypatch, capsys):
     # the shipped tables pass the dominating knapsacks at the limit, so no
     # core is walked

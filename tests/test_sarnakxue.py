@@ -783,7 +783,7 @@ def test_maxsl2_scans_every_size(monkeypatch):
 
     monkeypatch.setattr(sarnakxue, "extra_tops", recording)
     assert verify_maxsl2(14).ok
-    assert max(rooms) == 14 and len(rooms) > 1
+    assert rooms == [14]
 
 
 @pytest.fixture(scope="module")
@@ -960,6 +960,78 @@ def test_maxsl2_walk_names_every_flagged_case(case):
     assert all(messages for _, _, messages in _flagged(*case))
 
 
+@example(_shifted(10, {(2, 3): -30, (3, 2): -1}))
+@example(_shifted(9, {(3, 2): 20}))
+@example(_shifted(6, {(2, 2): -1}))  # the extra (2,) no longer ties on (2,)
+@given(_perturbed_tables(16))
+def test_maxsl2_bound_decides_as_two_knapsacks(case):
+    # one knapsack and one comparison per size give the verdict of the two
+    # knapsacks scanned at every (s, slack)
+    n_max, tables = case
+    assert sarnakxue._maxsl2_bound_holds(
+        tables, n_max
+    ) == oracles.maxsl2_two_knapsacks(tables, n_max)
+
+
+def test_maxsl2_bound_decides_real_tables_as_two_knapsacks():
+    for n_max in range(301):
+        tables = split_tables(n_max)
+        assert sarnakxue._maxsl2_bound_holds(tables, n_max), n_max
+        assert oracles.maxsl2_two_knapsacks(tables, n_max), n_max
+
+
+@given(st.integers(1, 50), st.integers(2, 60), st.integers(0, 60), st.integers())
+def test_maxsl2_monotone_step(k, s, more, u):
+    # with ones[x] = k*x^2, ones[slack] - ones[slack - s] grows with slack
+    # from ones[s] at slack = s, so u < ones[s] keeps u + ones[slack - s]
+    # below ones[slack] at every slack >= s, and slack = s is that test
+    ones = [k * x * x for x in range(s + more + 2)]
+    slack = s + more
+    step = ones[slack] - ones[slack - s]
+    assert step == k * s * (2 * slack - s)
+    assert ones[slack + 1] - ones[slack + 1 - s] > step >= ones[s]
+    assert (u < ones[s]) <= (u + ones[slack - s] < ones[slack])
+    assert (u < ones[s]) == (u + ones[0] < ones[s])
+
+
+def _lifted_ones(t, d):
+    """The refined term with (t - 1)(t - 2) more on each block (t, 1): the
+    best split of s ones is still one block and the extra (2,) still ties,
+    but the row of ones, the term of (s, 1), is not k*s^2 from s = 3 on."""
+    main, eps = growth._refined_term(t, d)
+    return (main + (t - 1) * (t - 2), eps) if d == 1 and t else (main, eps)
+
+
+def _lifted_two(t, d):
+    """The refined term with the block (1, 2) at 4, the term of (2, 1): the
+    extra (2,) ties with padding on a core without a 2."""
+    return (4, 0) if (t, d) == (1, 2) else growth._refined_term(t, d)
+
+
+@pytest.mark.parametrize("n_max", [3, 5, 9, 12])
+@pytest.mark.parametrize("term", [_lifted_ones, _lifted_two])
+def test_maxsl2_patched_terms_go_to_the_walk(term, n_max, monkeypatch):
+    # tables built from a term whose row of ones is not k*s^2, or whose
+    # extra (2,) ties on a core without a 2, are walked core by core, though
+    # every other check of the bound passes
+    monkeypatch.setattr(sarnakxue, "_refined_term", term)
+    tables = split_tables(n_max, term=term)
+    monkeypatch.setattr(sarnakxue, "split_tables", lambda n: tables)
+    k = n_max + 1
+    assert tables[1] == [growth.pack(term, s, 1, k) for s in range(k)]
+    assert tables[2][1] == growth.pack(term, 1, 2, k)
+    assert not sarnakxue._maxsl2_bound_holds(tables, n_max)
+    walked = []
+    walk = sarnakxue._maxsl2_walk
+    monkeypatch.setattr(
+        sarnakxue, "_maxsl2_walk", lambda t, n: walked.append(n) or walk(t, n)
+    )
+    cert = verify_maxsl2(n_max)
+    assert cert == oracles.maxsl2_walk(n_max)
+    assert walked == [n_max]
+    assert cert.ok == (term is _lifted_ones)
+
+
 def test_maxsl2_examples_take_both_branches():
     n_max, tables = _shifted(10, {(2, 3): -30, (3, 2): -1})
     assert sarnakxue._maxsl2_bound_holds(tables, n_max)
@@ -975,6 +1047,17 @@ def test_maxsl2_count_matches_core_enumeration():
         cores = sarnakxue._distinct_part_sets(n_max)
         want = sum(n_max + 1 - max(sum(core), 1) for core in cores)
         assert sarnakxue.maxsl2_count(n_max) == want, n_max
+
+
+def test_qd_and_density_counts_match_case_enumeration():
+    # the counts that the certificates and the CLI read, 0 below each
+    # sweep's first case
+    for n_max in range(-3, 61):
+        pairs = [(n, d) for n in range(2, n_max + 1) for d in range(2, n + 1)]
+        assert sarnakxue.qd_count(n_max) == len(pairs), n_max
+        assert sarnakxue.density_count(n_max) == sum(
+            d < n for n, d in pairs
+        ), n_max
 
 
 def test_certificate_of_no_cases_is_not_ok():
