@@ -21,13 +21,15 @@ from .infchar import format_rational
 # the smallest --nmax per target: the first N at which its sweep has a case
 # (table ignores --nmax; maxsl2, whose first case is N = 1, keeps the qd floor)
 NMAX_MIN = {"table": 2, "qd": 2, "density": 3, "maxsl2": 2}
-# the largest --nmax per sweep: qd at 200 is about 0.3 s of work (0.30-0.34 s
-# in process, 2-vCPU Xeon, Python 3.11.7), since it decides its cases by
-# families, but keeps the limit it had when it took 0.5 s; density at 1600 is
-# about 0.01 s (9.5 ms in process, 2-vCPU Xeon, Python 3.11.7), since it
-# decides its cases by blocks, but keeps the limit it had when it took 0.5 s;
-# maxsl2, decided by one knapsack, takes 0.25-0.29 s at 1000 in process
-# (2-vCPU Xeon, Python 3.11.7), where it counts about 5.5 * 10^24 cases
+# the largest --nmax per sweep: qd at 200 is about 0.1 s of work (0.08 s in
+# process, 0.11 s as the first call of a fresh one, 2-vCPU Xeon, Python
+# 3.11.7), since it decides each (d, r) family by closed forms at the ends
+# of its threshold runs, but keeps the limit it had when it took 0.5 s;
+# density at 1600 is about 0.01 s (9.5 ms in process, 2-vCPU Xeon, Python
+# 3.11.7), since it decides its cases by blocks, but keeps the limit it had
+# when it took 0.5 s; maxsl2, decided by one knapsack, takes 0.25-0.29 s at
+# 1000 in process (2-vCPU Xeon, Python 3.11.7), where it counts about
+# 5.5 * 10^24 cases
 NMAX_MAX = {"qd": 200, "density": 1600, "maxsl2": 1000}
 # a refusal quotes the count at --nmax up to this N, and above it as more than
 # the count here: maxsl2's is an O(N^2) DP, and no int of 4300 digits prints

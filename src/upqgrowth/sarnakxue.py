@@ -333,6 +333,55 @@ def _family_holds(d: int, tail, k_hi: int) -> bool:
     return True
 
 
+def _qd_terms(d: int, r: int, v: int) -> tuple[int, int]:
+    """(A, B) of `_threshold_terms(d, (r,))` at the threshold 1 <= v < r,
+    in closed form: with j, delta = divmod(d+1-v, 2) and
+    c, gamma = divmod(r+1-v, 2), A = r*j*(j-1) - (d-1)*c*(c+gamma-delta)
+    and B = c*(r-c)*(d-1-r)."""
+    e = d - 1
+    j, delta = divmod(d + 1 - v, 2)
+    c, gamma = divmod(r + 1 - v, 2)
+    return r * j * (j - 1) - e * c * (c + gamma - delta), c * (r - c) * (e - r)
+
+
+def _qd_prime_terms(d: int, r: int, v: int) -> tuple[int, int]:
+    """(A, B) of `_threshold_terms(d, (d - 1, r + 1))`, r <= d - 2, at a
+    threshold 1 <= v <= r + 1, in closed form: with j, delta and the counts
+    c1 = (d-v)//2 of the part d - 1 and c2, gamma = divmod(r+2-v, 2) of the
+    part r + 1, A = (r+1)*j*(j-1) - (d-1)*c2*(c2+gamma-delta) and
+    B = (r+1)*(c1-c2)^2 + (d-r-2)*c2*(d+r-2*c1)."""
+    j, delta = divmod(d + 1 - v, 2)
+    c1 = (d - v) // 2
+    c2, gamma = divmod(r + 2 - v, 2)
+    return (
+        (r + 1) * j * (j - 1) - (d - 1) * c2 * (c2 + gamma - delta),
+        (r + 1) * (c1 - c2) ** 2 + (d - r - 2) * c2 * (d + r - 2 * c1),
+    )
+
+
+def _run_ends_hold(terms, d: int, r: int, last: int, k_hi: int) -> bool:
+    """Whether k*A + B >= 0 for k = 1 and k = k_hi, (A, B) = terms(d, r, v),
+    at the least and the largest threshold v of each parity in [1, last]."""
+    for v in {1, 2, last - 1, last}:
+        if 1 <= v <= last:
+            a, b = terms(d, r, v)
+            if a + b < 0 or k_hi * a + b < 0:
+                return False
+    return True
+
+
+def _qd_family_holds(d: int, r: int, k_hi: int) -> bool:
+    """`_family_holds(d, T, k_hi)` and, for k_hi >= 2,
+    `_family_holds(d, T', k_hi - 1)` of the family (d, r) of
+    `verify_qd_bound`, decided by its second-difference lemma at the ends of
+    the threshold runs: at most four thresholds of T and four of T'."""
+    return _run_ends_hold(_qd_terms, d, r, r - 1, k_hi) and (
+        k_hi < 2
+        or r == d - 1
+        or _run_ends_hold(_qd_prime_terms, d, r, min(r + 1, d - 2), k_hi - 1)
+    )
+
+
 def _profile_dominates(high, low, profiles) -> bool:
     """Whether every top-i sum of the profile of `high` is at least that of
     `low`, two partitions of the same total."""
@@ -379,11 +428,11 @@ def verify_qd_bound(n_max: int) -> Certificate:
     k, r = divmod(N, d), qd(N, d) is d^k + T and qd_prime(N, d) is
     d^(k-1) + T', with T = (r) (empty when r = 0) and T' = (d-1, r+1), or
     (d-1, d-1, 1) when r = d - 1. A family (d, r) holds the
-    cases N = k*d + r <= n_max, k >= 1; it is decided at once when it has
-    two cases or more (2d + r <= n_max) by the two lemmas below. A case
-    whose partitions are not its family's tuples, a case of a family that
-    the lemmas reject and the case of a family of one are walked by
-    `_qd_violations`, in the order of the cases, so the messages are the walk's.
+    cases N = k*d + r <= n_max, 1 <= k <= k_hi, and is decided at once by
+    the lemmas below (`_qd_family_holds`, and `_profile_dominates` when
+    k_hi >= 2). A case whose partitions are not its family's tuples and a
+    case of a family that the lemmas reject are walked by `_qd_violations`,
+    in the order of the cases, so the messages are the walk's.
     The walk's two tables are built once per sweep and filled on first
     read, so they serve any part or total a patched qd returns: the
     balanced profile m - 1, m - 3, ... of each part m, and the weights
@@ -413,36 +462,61 @@ def verify_qd_bound(n_max: int) -> Certificate:
     holds at both ends (`_family_holds`): qd's family takes kappa = k,
     qd_prime's kappa = k - 1.
 
+    The second-difference lemma. From v to v - 2, j and every
+    (m+1-v)//2 grow by 1. Take a run of thresholds of one parity on which
+    a parts of T have (m+1-v)//2 >= 0 and the others have it <= 0: the
+    others add nothing, and a part at 0 adds nothing either, so A and B
+    are quadratics in the step with second differences
+    2*(R - (d-1)*a) and 2*a*(R - (d-1)*a). When R <= (d-1)*a,
+    kappa*A + B is concave along the run for every kappa >= 0, and least
+    at one of its ends. The families take it in closed form, with
+    j, delta = divmod(d+1-v, 2):
+    - T = (r): a = 1 and R = r <= d - 1 on all of 1 <= v <= r - 1, where
+      c, gamma = divmod(r+1-v, 2), A = r*j*(j-1) - (d-1)*c*(c+gamma-delta)
+      and B = c*(r-c)*(d-1-r) (`_qd_terms`). So the least and the largest
+      v of each parity, at most four thresholds, decide T at kappa = 1 and
+      kappa = k_hi.
+    - T' = (d-1, r+1), r <= d - 2, with c1 = (d-v)//2: for v >= r + 2,
+      A = (r+1)*j*(j-1) and B = (r+1)*c1^2, which are never negative. For
+      v <= r + 1, c2, gamma = divmod(r+2-v, 2),
+      A = (r+1)*j*(j-1) - (d-1)*c2*(c2+gamma-delta) and
+      B = (r+1)*(c1-c2)^2 + (d-r-2)*c2*(d+r-2*c1) (`_qd_prime_terms`);
+      a = 2 and R = d + r <= 2*(d-1), so the ends of each parity in
+      [1, min(r+1, d-2)] decide T' at kappa = 1 and kappa = k_hi - 1.
+    - T' = (d-1, d-1, 1): A = j*(j-1) and B = 2*c1^2 at every threshold,
+      so the ratio of qd_prime holds with no check.
+    A family of one case (k_hi = 1, 2d + r > n_max) has no qd_prime and is
+    decided by T at kappa = 1 alone.
+
     The domination lemma. The top-i sum of the profile of a union U + X is
     the max over a + b = i of sigma_U(a) + sigma_X(b), so
     sigma_X >= sigma_Y pointwise gives sigma_(U+X) >= sigma_(U+Y)
     pointwise. With U = d^(k-1), X = (d) + T and Y = T', one comparison
     per family (`_profile_dominates`) keeps qd_prime under qd for every k.
-    A family decided this way costs O(d) steps, where its walk cost O(N)
-    per case.
+    A family decided this way costs at most eight closed-form evaluations
+    and, with two cases or more, one profile comparison, where its walk
+    cost O(N) per case.
     """
     violations = []
     profiles = _Table(_part_profile)
     weights = _Table(lambda n: list(_pair_weights(n)))
     for d in range(2, n_max + 1):
-        # r -> (T, T') of a family (d, r) of two cases or more that the
-        # lemmas decide, None for one they reject; r past the list: one case
+        # r -> (T, T') of a family (d, r) that the lemmas decide, None for
+        # one they reject
         families = []
-        for r in range(min(d, n_max - 2 * d + 1)):
+        for r in range(min(d, n_max - d + 1)):
             tail = (r,) if r else ()
             tail2 = (d - 1, d - 1, 1) if r == d - 1 else (d - 1, r + 1)
             k_hi = (n_max - r) // d
-            holds = (
-                _family_holds(d, tail, k_hi)
-                and _family_holds(d, tail2, k_hi - 1)
-                and _profile_dominates((d, *tail), tail2, profiles)
+            holds = _qd_family_holds(d, r, k_hi) and (
+                k_hi < 2 or _profile_dominates((d, *tail), tail2, profiles)
             )
             families.append((tail, tail2) if holds else None)
         for n in range(d, n_max + 1):
             k, r = divmod(n, d)
             q = qd(n, d)
             q2 = qd_prime(n, d) if n >= 2 * d else None
-            family = families[r] if r < len(families) else None
+            family = families[r]
             if (
                 family
                 and q == (d,) * k + family[0]

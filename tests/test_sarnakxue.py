@@ -11,7 +11,7 @@ from fractions import Fraction
 from operator import ge
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import oracles
@@ -375,23 +375,28 @@ def _walked(n_max):
 
 @pytest.mark.parametrize("n_max", [8, 60, 97])
 def test_qd_sweep_walks_only_families_of_one_case(n_max):
+    # a family of one case is decided by its tail at kappa = 1 like the
+    # others, so the real qd and qd_prime walk no case at all
     cert, walked = _walked(n_max)
     assert cert == oracles.qd_walk(n_max)
-    assert walked == [
-        (n, d)
-        for d in range(2, n_max + 1)
-        for n in range(d, n_max + 1)
-        if 2 * d + n % d > n_max
-    ]
+    assert walked == []
 
 
-@pytest.mark.parametrize("rejects", ["_family_holds", "_profile_dominates"])
+@pytest.mark.parametrize("rejects", ["_qd_family_holds", "_profile_dominates"])
 def test_qd_sweep_walks_every_rejected_family(monkeypatch, rejects):
+    # the first decides every family, so every case is walked; the second
+    # only those of two cases or more (2d + r <= N)
     monkeypatch.setattr(sarnakxue, rejects, lambda *args: False)
+    every = rejects == "_qd_family_holds"
     for n_max in [*range(41), 60, 97]:
         cert, walked = _walked(n_max)
         assert cert == oracles.qd_walk(n_max), n_max
-        assert len(walked) == cert.checked_count
+        assert walked == [
+            (n, d)
+            for d in range(2, n_max + 1)
+            for n in range(d, n_max + 1)
+            if every or 2 * d + n % d <= n_max
+        ]
 
 
 @st.composite
@@ -428,6 +433,125 @@ def test_qd_threshold_lemma(case):
         num, den = sarnakxue._top_ratio(sigma, sarnakxue._pair_weights(n))
         holds.append(num * (n - kappa) == (d - 1) * den)
     assert sarnakxue._family_holds(d, tail, k_hi) == all(holds)
+
+
+def _qd_tails(d, r):
+    """(T, T') of the family (d, r) of `verify_qd_bound`."""
+    return (r,) if r else (), (d - 1, d - 1, 1) if r == d - 1 else (d - 1, r + 1)
+
+
+def test_qd_closed_forms_match_threshold_terms():
+    for d in range(2, 151):
+        for r in range(d):
+            tail, tail2 = _qd_tails(d, r)
+            terms = list(sarnakxue._threshold_terms(d, tail))
+            assert terms == [sarnakxue._qd_terms(d, r, v) for v in range(1, r)]
+            for v, (a, b) in enumerate(sarnakxue._threshold_terms(d, tail2), 1):
+                j, c1 = (d + 1 - v) // 2, (d - v) // 2
+                if r == d - 1:
+                    assert (a, b) == (j * (j - 1), 2 * c1 * c1), (d, v)
+                elif v >= r + 2:
+                    assert (a, b) == ((r + 1) * j * (j - 1), (r + 1) * c1 * c1)
+                else:
+                    assert (a, b) == sarnakxue._qd_prime_terms(d, r, v), (d, r, v)
+
+
+@st.composite
+def _threshold_segments(draw):
+    """(d, T, v): three thresholds v, v - 2, v - 4 below max(T), each part
+    of T that counts at v - 4 counting at v at least 0 times."""
+    d = draw(st.integers(2, 40))
+    tail = tuple(draw(st.lists(st.integers(1, d), min_size=1, max_size=5)))
+    top = max(tail) - 1
+    assume(top >= 5)
+    v = draw(st.integers(5, top))
+    assume(all(m >= v - 1 for m in tail if m >= v - 3))
+    return d, tail, v
+
+
+# the part 5 counts 0 times at v = 6 and twice at v = 2
+@example((10, (9, 5), 6))
+@given(_threshold_segments())
+def test_qd_second_difference_lemma(case):
+    # along one parity A and B are quadratics whose second differences
+    # are 2*(R - e*a) and 2*a*(R - e*a), a the parts counted
+    d, tail, v = case
+    terms = list(sarnakxue._threshold_terms(d, tail))
+    (a0, b0), (a1, b1), (a2, b2) = (terms[w - 1] for w in (v, v - 2, v - 4))
+    a = sum(1 for m in tail if m >= v - 3)
+    slack = sum(tail) - (d - 1) * a
+    assert a0 - 2 * a1 + a2 == 2 * slack
+    assert b0 - 2 * b1 + b2 == 2 * a * slack
+
+
+def test_qd_run_ends_hold_the_least_of_each_run():
+    # the least kappa*A + B over the thresholds of one parity of each run
+    # that `_qd_family_holds` reads is at one of the run's ends
+    for d in range(2, 81):
+        for r in range(d):
+            tail, tail2 = _qd_tails(d, r)
+            runs = [list(sarnakxue._threshold_terms(d, tail))]
+            if r < d - 1:
+                runs.append(list(sarnakxue._threshold_terms(d, tail2))[: r + 1])
+            for terms in runs:
+                for run in (terms[0::2], terms[1::2]):
+                    for kappa in range(1, 9):
+                        f = [kappa * a + b for a, b in run]
+                        assert min(f, default=0) == min(f[:1] + f[-1:], default=0)
+
+
+def test_qd_family_decision_matches_the_scan():
+    for d in range(2, 121):
+        for r in range(d):
+            tail, tail2 = _qd_tails(d, r)
+            for k_hi in (1, 2, 5, 40):
+                want = sarnakxue._family_holds(d, tail, k_hi) and (
+                    k_hi < 2 or sarnakxue._family_holds(d, tail2, k_hi - 1)
+                )
+                assert sarnakxue._qd_family_holds(d, r, k_hi) == want, (d, r)
+
+
+# (A, B) = (1, -2) fails only at kappa = 1, (-1, 1) only at kappa = 5
+@pytest.mark.parametrize("worse", [(1, -2), (-1, 1)])
+@pytest.mark.parametrize(
+    "terms, r, k_hi, ends",
+    [("_qd_terms", 9, 5, (1, 2, 7, 8)), ("_qd_prime_terms", 6, 6, (1, 2, 6, 7))],
+)
+def test_qd_family_decision_reads_each_end_at_both_kappas(
+    monkeypatch, worse, terms, r, k_hi, ends
+):
+    # d = 12: a failure at either end of either parity of either run rejects
+    # the family
+    real = getattr(sarnakxue, terms)
+    assert sarnakxue._qd_family_holds(12, r, k_hi)
+    for bad in ends:
+        monkeypatch.setattr(
+            sarnakxue, terms, lambda d, r, v: worse if v == bad else real(d, r, v)
+        )
+        assert not sarnakxue._qd_family_holds(12, r, k_hi), bad
+
+
+def test_qd_sweep_decides_each_family_by_its_run_ends(monkeypatch):
+    # no threshold scan, and at most 8 closed-form evaluations a family,
+    # 4 for a family of one case (2d + r > N): counts, not timings
+    def scan(*args):
+        raise AssertionError("the sweep scanned every threshold")
+
+    monkeypatch.setattr(sarnakxue, "_threshold_terms", scan)
+    evaluations = Counter()
+    for name in ("_qd_terms", "_qd_prime_terms"):
+        real = getattr(sarnakxue, name)
+
+        def counted(d, r, v, real=real):
+            evaluations[d, r] += 1
+            return real(d, r, v)
+
+        monkeypatch.setattr(sarnakxue, name, counted)
+    n_max = 200
+    assert verify_qd_bound(n_max).ok
+    for (d, r), count in evaluations.items():
+        assert count <= (8 if 2 * d + r <= n_max else 4), (d, r)
+    assert max(evaluations.values()) == 8
 
 
 def _top_sums(values, length):
@@ -867,7 +991,7 @@ def test_maxsl2_violation_text(monkeypatch, term, value, lines):
 
 @pytest.mark.parametrize("n_max", [*range(41), 48])
 def test_maxsl2_matches_walk(n_max):
-    # the two dominating knapsacks decide what one knapsack per core did
+    # the one dominating knapsack decides what one knapsack per core did
     assert verify_maxsl2(n_max) == oracles.maxsl2_walk(n_max)
 
 
