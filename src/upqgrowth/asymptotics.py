@@ -225,8 +225,9 @@ def leading_term(rep: GlobalRep, convention: str = "binom") -> LeadingTerm:
     parities (bit j for the j-th longest block) to the summed weight of the
     partial shapes that have it, and coeff is the entry at 0.
 
-    No rep of one place up to rank 9, or of two places up to rank 6, at
-    rho(n) reaches the refusal of two odd-GSK dominant types.
+    No rep of one place up to rank 9, or of two places up to rank 5, at
+    rho(n) reaches the refusal of two odd-GSK dominant types (each place of
+    rank n a reduced bipartition; checked by the tests).
     """
     _, bound, _, placed = dominant_placements(rep)
     if not all(is_odd_gsk(pairs) for pairs, _ in placed):

@@ -43,8 +43,9 @@ SX_N_MAX = 1200
 # prints no int of more than 4300 digits, and any value under the cap takes
 # at most about 0.1 s (thousands of indices of 1) and mostly a few ms
 EULER_DIGITS_MAX = 4000
-# the largest --rank of a coh-bounds table (rank/2 + 1 rows, about 0.1 s as
-# CSV and 0.27 s as JSON); one --half-signature row has no limit
+# the largest --rank of a coh-bounds table (rank/2 + 1 rows, about 0.05 s as
+# CSV and 0.19-0.24 s as JSON in process, 2-vCPU Xeon, Python 3.11.7); one
+# --half-signature row has no limit
 COH_RANK_MAX = 100_000
 
 
@@ -146,51 +147,9 @@ def format_decimal2(x: Fraction) -> str:
     return f"{sign}{q // 100}.{q % 100:02d}"
 
 
-_encode_str = json.encoder.encode_basestring_ascii  # json's C escaper
-
-
-def _json_text(obj, pad: str = "") -> str:
-    """The text of json.dumps(obj, sort_keys=True, indent=2); keys are str.
-
-    With an indent, CPython's json runs its pure-Python encoder. This
-    writer prints the `verify --json` certificates, the `sx-table --json`
-    rows, the leading terms and the coh-bounds tables; delta-max prints
-    through `shapes.DeltaMax.to_text`. Per output it takes 15.5 against
-    25.3 us for a certificate, 20.8 against 26.1 us for a leading term and
-    42.9 against 50.1 us for an sx-table row (in process, 2-vCPU Xeon,
-    Python 3.11.7). Str and int items of a container are written in place,
-    without a call.
-    """
-    if isinstance(obj, dict):
-        keys = sorted(obj)
-        items = [obj[k] for k in keys]
-        opener, closer = "{", "}"
-    elif isinstance(obj, (list, tuple)):
-        keys, items = None, obj
-        opener, closer = "[", "]"
-    elif type(obj) is str:
-        return _encode_str(obj)
-    elif type(obj) is int:
-        return int.__repr__(obj)
-    else:  # bool, None and float, as json prints them
-        return json.dumps(obj)
-    if not items:
-        return opener + closer
-    inner = pad + "  "
-    body = [
-        _encode_str(v) if type(v) is str
-        else int.__repr__(v) if type(v) is int
-        else _json_text(v, inner)
-        for v in items
-    ]
-    if keys is not None:
-        body = [_encode_str(k) + ": " + text for k, text in zip(keys, body)]
-    return f"{opener}\n{inner}" + f",\n{inner}".join(body) + f"\n{pad}{closer}"
-
-
 def _emit_json(obj) -> None:
     """Print obj as JSON: sorted keys, a 2-space indent, ASCII escapes."""
-    print(_json_text(obj))
+    print(json.dumps(obj, sort_keys=True, indent=2))
 
 
 # --- subcommands -------------------------------------------------------------
@@ -442,7 +401,10 @@ def read_plain(argv) -> SimpleNamespace | None:
     given at most once, no value starts with "-", an int option's value
     reads by int() and a choice is one of its choices, and every required
     option is there. So help, errors, abbreviations, --opt=value, repeats
-    and negative values all go to argparse.
+    and negative values all go to argparse. It stays beside argparse, as it
+    takes 1.7-4.3 us per argv against 23-51 us for a built parser's
+    parse_args (in process, 2-vCPU Xeon, Python 3.11.7), and a plain argv
+    never imports argparse.
     """
     if not argv or argv[0] not in COMMANDS:
         return None

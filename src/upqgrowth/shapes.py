@@ -273,7 +273,11 @@ class DeltaMax(namedtuple("DeltaMax", "candidates bound q_argmax shapes")):
         built and no type looked at. A record from `delta_max` has no empty
         list, as a common type has a grouping at every place and the rank
         is at least 1; an empty one prints as a bracket pair around a blank
-        line, which json reads as [].
+        line, which json reads as []. It stays beside json.dumps, which runs
+        CPython's pure-Python encoder with an indent: on
+        tests/data/wide12_rep.json it takes 0.04-0.11 ms, against
+        0.33-0.42 ms for json.dumps of `to_json()`'s dict, in a command of
+        0.38-0.43 ms (in process, 2-vCPU Xeon, Python 3.11.7).
         """
         bound = self.bound
         candidates = f",{_NL4}".join(_int_list(q, _NL4, _NL6) for q in self.candidates)

@@ -8,9 +8,12 @@ that the qd certificate's family lemmas, the density certificate's block
 test and the maxsl2 certificate's dominating knapsack replaced, and read
 their partitions, terms and tables through `sarnakxue` so that a patched
 one reaches both; `maxsl2_two_knapsacks` is the maxsl2 bound that its one
-knapsack replaced, read the same way. The representation reader
-`global_rep_from_json` is the one the doubled-int reader replaced: it reads
-each value to a Fraction and leaves every check to the record constructors.
+knapsack replaced, read the same way; `threshold_terms` and
+`family_holds` are the qd certificate's general threshold scan, which its
+closed forms at the ends of the threshold runs replaced. The
+representation reader `global_rep_from_json` is the one the doubled-int
+reader replaced: it reads each value to a Fraction and leaves every check
+to the record constructors.
 Run as a script to print the values that the unit tests freeze.
 """
 
@@ -447,6 +450,42 @@ def qd_walk(n_max: int) -> sarnakxue.Certificate:
         checked_count=checked,
         violations=tuple(violations),
     )
+
+
+def threshold_terms(d: int, tail):
+    """An iterator of (A, B) at the thresholds v = 1, 2, ... below
+    max(tail) of the family d^k + tail of `sarnakxue.verify_qd_bound`,
+    whose F at the top-x point of threshold v is k*A + B: with e = d - 1,
+    R = sum(tail), j = (d+1-v)//2, j' the sum and s the sum of c*(m-c)
+    over the counts c = (m+1-v)//2 > 0 of the parts m of tail,
+    A = e*(j*(R-j') + j'*(d-j) - s) - R*j*(d-j) and B = e*j'*(R-j') - R*s.
+    The general scan that the sweep's closed forms are checked against."""
+    e = d - 1
+    total = sum(tail)
+    for v in range(1, max(tail, default=0)):
+        j = (d + 1 - v) // 2
+        jt = s = 0
+        for m in tail:
+            c = (m + 1 - v) // 2
+            if c > 0:
+                jt += c
+                s += c * (m - c)
+        yield (
+            e * (j * (total - jt) + jt * (d - j) - s) - total * j * (d - j),
+            e * jt * (total - jt) - total * s,
+        )
+
+
+def family_holds(d: int, tail, k_hi: int) -> bool:
+    """Whether the top profile ratio of d^k + tail is (d - 1)/(N - k) for
+    every 1 <= k <= k_hi, by the ratio lemma of `sarnakxue.verify_qd_bound`:
+    k*A + B >= 0 at both ends, k = 1 and k = k_hi, at every threshold of
+    `threshold_terms`. The exact scan that `sarnakxue._qd_family_holds`
+    decides at the ends of the threshold runs."""
+    for a, b in threshold_terms(d, tail):
+        if a + b < 0 or k_hi * a + b < 0:
+            return False
+    return True
 
 
 def density_sweep(n_max: int) -> tuple[int, list[str]]:

@@ -73,9 +73,6 @@ UNCALLED = {
     # these two pin the degree and weight formulas of the cohomology docstring
     "cohomology.HodgeProfile.highest",
     "cohomology.HodgeProfile.weight_in_degree",
-    # the qd threshold scan that the sweep's decision at the run ends is
-    # checked against
-    "sarnakxue._family_holds",
 }
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import example, given, settings
@@ -384,6 +384,26 @@ def test_leading_term_refuses_two_odd_gsk_types(monkeypatch):
     refusal = "dominant SL(2)-type is not unique"
     assert _outcome(leading_term, rep) == refusal
     assert _outcome(oracles.leading_term, rep.places, tops) == refusal
+
+
+def _places_at_rho(n):
+    """One place of rank n at rho(n) per reduced bipartition."""
+    return [
+        LocalRep(p=p, q=n - p, blocks=blocks, lam=rho(n))
+        for p in range(n + 1)
+        for blocks in oracles.reduced_bipartitions(p, n - p)
+    ]
+
+
+@pytest.mark.parametrize("places, n_max", [(1, 9), (2, 5)])
+def test_no_rep_at_rho_has_two_odd_gsk_dominant_types(places, n_max):
+    # the claim of leading_term's docstring, over every rep it names, each
+    # unordered tuple of places once; the other refusals (not all odd GSK,
+    # no common type) are allowed
+    refusal = "dominant SL(2)-type is not unique"
+    for n in range(2, n_max + 1):
+        for rep in combinations_with_replacement(_places_at_rho(n), places):
+            assert _outcome(leading_term, GlobalRep(rep)) != refusal, rep
 
 
 def test_five_place_coefficient_frozen():

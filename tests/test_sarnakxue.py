@@ -418,7 +418,7 @@ def test_qd_threshold_lemma(case):
     # against the prefix sums; and the verdict of the ends kappa = 1 and
     # kappa_hi is that of the scan at every kappa between, both ways
     d, tail, k_hi = case
-    terms = list(sarnakxue._threshold_terms(d, tail))
+    terms = list(oracles.threshold_terms(d, tail))
     assert len(terms) == max(max(tail, default=0) - 1, 0)
     holds = []
     for kappa in range(1, k_hi + 1):
@@ -432,7 +432,7 @@ def test_qd_threshold_lemma(case):
             assert kappa * a + b == (d - 1) * x * (n - x) - (n - kappa) * sigma[x]
         num, den = sarnakxue._top_ratio(sigma, sarnakxue._pair_weights(n))
         holds.append(num * (n - kappa) == (d - 1) * den)
-    assert sarnakxue._family_holds(d, tail, k_hi) == all(holds)
+    assert oracles.family_holds(d, tail, k_hi) == all(holds)
 
 
 def _qd_tails(d, r):
@@ -444,9 +444,9 @@ def test_qd_closed_forms_match_threshold_terms():
     for d in range(2, 151):
         for r in range(d):
             tail, tail2 = _qd_tails(d, r)
-            terms = list(sarnakxue._threshold_terms(d, tail))
+            terms = list(oracles.threshold_terms(d, tail))
             assert terms == [sarnakxue._qd_terms(d, r, v) for v in range(1, r)]
-            for v, (a, b) in enumerate(sarnakxue._threshold_terms(d, tail2), 1):
+            for v, (a, b) in enumerate(oracles.threshold_terms(d, tail2), 1):
                 j, c1 = (d + 1 - v) // 2, (d - v) // 2
                 if r == d - 1:
                     assert (a, b) == (j * (j - 1), 2 * c1 * c1), (d, v)
@@ -476,7 +476,7 @@ def test_qd_second_difference_lemma(case):
     # along one parity A and B are quadratics whose second differences
     # are 2*(R - e*a) and 2*a*(R - e*a), a the parts counted
     d, tail, v = case
-    terms = list(sarnakxue._threshold_terms(d, tail))
+    terms = list(oracles.threshold_terms(d, tail))
     (a0, b0), (a1, b1), (a2, b2) = (terms[w - 1] for w in (v, v - 2, v - 4))
     a = sum(1 for m in tail if m >= v - 3)
     slack = sum(tail) - (d - 1) * a
@@ -490,9 +490,9 @@ def test_qd_run_ends_hold_the_least_of_each_run():
     for d in range(2, 81):
         for r in range(d):
             tail, tail2 = _qd_tails(d, r)
-            runs = [list(sarnakxue._threshold_terms(d, tail))]
+            runs = [list(oracles.threshold_terms(d, tail))]
             if r < d - 1:
-                runs.append(list(sarnakxue._threshold_terms(d, tail2))[: r + 1])
+                runs.append(list(oracles.threshold_terms(d, tail2))[: r + 1])
             for terms in runs:
                 for run in (terms[0::2], terms[1::2]):
                     for kappa in range(1, 9):
@@ -505,8 +505,8 @@ def test_qd_family_decision_matches_the_scan():
         for r in range(d):
             tail, tail2 = _qd_tails(d, r)
             for k_hi in (1, 2, 5, 40):
-                want = sarnakxue._family_holds(d, tail, k_hi) and (
-                    k_hi < 2 or sarnakxue._family_holds(d, tail2, k_hi - 1)
+                want = oracles.family_holds(d, tail, k_hi) and (
+                    k_hi < 2 or oracles.family_holds(d, tail2, k_hi - 1)
                 )
                 assert sarnakxue._qd_family_holds(d, r, k_hi) == want, (d, r)
 
@@ -531,13 +531,28 @@ def test_qd_family_decision_reads_each_end_at_both_kappas(
         assert not sarnakxue._qd_family_holds(12, r, k_hi), bad
 
 
-def test_qd_sweep_decides_each_family_by_its_run_ends(monkeypatch):
-    # no threshold scan, and at most 8 closed-form evaluations a family,
-    # 4 for a family of one case (2d + r > N): counts, not timings
-    def scan(*args):
-        raise AssertionError("the sweep scanned every threshold")
+# (A, B) = (1, -2) fails only at kappa = 1, (-1, 1) only at kappa = 5
+@pytest.mark.parametrize("worse", [(1, -2), (-1, 1)])
+def test_threshold_scan_reads_both_kappas(monkeypatch, worse):
+    # the scan that the closed forms are checked against rejects a family
+    # that fails at either end of its kappa range, at any one threshold
+    real = oracles.threshold_terms
+    d, tail, k_hi = 12, (9,), 5
+    assert oracles.family_holds(d, tail, k_hi)
+    for bad in range(len(list(real(d, tail)))):
+        monkeypatch.setattr(
+            oracles,
+            "threshold_terms",
+            lambda d, tail: (
+                worse if i == bad else t for i, t in enumerate(real(d, tail))
+            ),
+        )
+        assert not oracles.family_holds(d, tail, k_hi), bad
 
-    monkeypatch.setattr(sarnakxue, "_threshold_terms", scan)
+
+def test_qd_sweep_decides_each_family_by_its_run_ends(monkeypatch):
+    # at most 8 closed-form evaluations a family, 4 for a family of one case
+    # (2d + r > N): counts, not timings
     evaluations = Counter()
     for name in ("_qd_terms", "_qd_prime_terms"):
         real = getattr(sarnakxue, name)
@@ -621,19 +636,11 @@ def test_density_violation_text_frozen(monkeypatch):
         for nd in ("(4,2)", "(5,2)", "(6,2)", "(6,3)", "(7,3)")
     )
     monkeypatch.undo()
-    # with no comparison holding, every short-range case fails, and so does
-    # the naive case wherever it is not exceptional
+    # with no comparison holding, the naive case fails wherever it is not
+    # exceptional; the short range makes no comparison, as its lemma holds
+    # for every d
     assert _gt_reads_false(verify_density)(7).violations == (
-        "short-range case fails at (3,2)",
         "naive case at (7,2): strict=False, expected exceptional=False",
-        "short-range case fails at (4,3)",
-        "short-range case fails at (5,3)",
-        "short-range case fails at (5,4)",
-        "short-range case fails at (6,4)",
-        "short-range case fails at (7,4)",
-        "short-range case fails at (6,5)",
-        "short-range case fails at (7,5)",
-        "short-range case fails at (7,6)",
     )
 
 
