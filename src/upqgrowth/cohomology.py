@@ -23,21 +23,25 @@ from .infchar import Character, as_character
 from .partitions import Bipartition
 
 
-class LocalRep(namedtuple("LocalRep", "p q blocks lam")):
+class LocalRep(namedtuple("LocalRep", "p q blocks lam2")):
     __slots__ = ()
     p: int
     q: int
     blocks: Bipartition
-    lam: Character
+    lam2: tuple[int, ...]  # the character doubled: regular integral, so ints
 
     def __new__(cls, p, q, blocks, lam):
         if not isinstance(blocks, (list, tuple)):  # an iterator is read once
             blocks = tuple(blocks or ())
+        twice = list(map(_doubled_from_json, lam))
         _check_blocks(p, q, blocks)
-        lam = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in lam)
-        _check_character(p + q, blocks, list(map(_doubled, lam)))
+        _check_character(p + q, blocks, twice)
         # copied last, so a list is refused with the texts a tuple gets
-        return tuple.__new__(cls, (p, q, tuple(map(tuple, blocks)), lam))
+        return tuple.__new__(cls, (p, q, tuple(map(tuple, blocks)), tuple(twice)))
+
+    @property
+    def lam(self) -> Character:
+        return tuple(Fraction(v, 2) for v in self.lam2)
 
     @property
     def rank(self) -> int:
@@ -73,15 +77,11 @@ def _check_blocks(p: int, q: int, blocks) -> None:
         )
 
 
-def _doubled(x: Fraction):
-    """2x: an int when x's denominator is 1 or 2, else a Fraction."""
-    return x.numerator * 2 // x.denominator if x.denominator <= 2 else 2 * x
-
-
 def _check_character(n: int, blocks, twice: list) -> None:
-    """Refuse a rank-n character, given by its `_doubled` values, that is
-    not strictly decreasing, of n values, regular integral and adapted to
-    the checked blocks, with the first of those texts that applies."""
+    """Refuse a rank-n character, given by its `_doubled_from_json` values,
+    that is not strictly decreasing, of n values, regular integral and
+    adapted to the checked blocks, with the first of those texts that
+    applies."""
     if any(map(le, twice, twice[1:])):
         lam = tuple(Fraction(v, 2) for v in twice)
         raise ValueError(f"character must be strictly decreasing: {lam}")
@@ -204,10 +204,11 @@ def _fraction_from_json(value) -> Fraction:
 
 
 def _doubled_from_json(value):
-    r"""2 * value as `_doubled` gives it. The ASCII texts -?\d+ and -?\d+/2,
-    which cover every value of a regular integral character, and JSON
-    integers are read by int, as Fraction reads them, and build no
-    Fraction; any other value is read by `_fraction_from_json`."""
+    r"""2 * value: an int when value is an integer or half-integer, else a
+    Fraction. The ASCII texts -?\d+ and -?\d+/2, which cover every value
+    of a regular integral character, and JSON integers are read by int, as
+    Fraction reads them, and build no Fraction; any other value is read by
+    `_fraction_from_json`."""
     if type(value) is str and value.isascii():
         num, slash, den = value.partition("/")
         negative = num[:1] == "-"
@@ -217,7 +218,8 @@ def _doubled_from_json(value):
             return n if slash else 2 * n
     elif type(value) is int:
         return 2 * value
-    return _doubled(_fraction_from_json(value))
+    x = _fraction_from_json(value)
+    return x.numerator * 2 // x.denominator if x.denominator <= 2 else 2 * x
 
 
 # the JSON kind of each type json.load gives; the CLI reads JSON floats
@@ -270,10 +272,9 @@ def _pair_from_json(value, field: str) -> list:
     return value
 
 
-def local_rep_from_json(data: dict, halves: dict | None = None) -> LocalRep:
-    """The place data holds, refused by the checks of `LocalRep` run on its
-    doubled character, its values taken from halves, which maps each
-    doubled value to its Fraction and is shared by the places of a rep."""
+def local_rep_from_json(data: dict) -> LocalRep:
+    """The place data holds: its fields' structure is checked here, and its
+    values and their checks are left to `LocalRep`."""
     data = _container_from_json(data, dict, "each place")
     for field in ("signature", "bipartition", "infchar"):
         if field not in data:  # the KeyError would print only the name
@@ -290,22 +291,14 @@ def local_rep_from_json(data: dict, halves: dict | None = None) -> LocalRep:
     if any(type(s) is bool for s in infchar):
         # Fraction would read true as 1
         raise ValueError("infchar entries must be numbers, got boolean")
-    twice = [_doubled_from_json(s) for s in infchar]
-    blocks = tuple(blocks)
-    _check_blocks(p, q, blocks)
-    _check_character(p + q, blocks, twice)
-    halves = {} if halves is None else halves
-    halves.update((v, Fraction(v, 2)) for v in set(twice) - halves.keys())
-    lam = tuple(map(halves.__getitem__, twice))
-    return tuple.__new__(LocalRep, (p, q, blocks, lam))
+    return LocalRep(p, q, tuple(blocks), infchar)
 
 
 def global_rep_from_json(data: dict) -> GlobalRep:
     data = _container_from_json(data, dict, "the representation")
     if "places" in data:
         places = _container_from_json(data["places"], list, "places")
-        halves: dict = {}
-        places = tuple(local_rep_from_json(d, halves) for d in places)
+        places = tuple(map(local_rep_from_json, places))
     else:
         places = (local_rep_from_json(data),)
     return GlobalRep(places=places)

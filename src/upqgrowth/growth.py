@@ -279,8 +279,7 @@ class RunData(namedtuple("RunData", "beta_plus p_runs q_runs big lam2")):
 
 
 def local_run_data(rep: LocalRep) -> RunData:
-    # the character is regular integral, so 2x is an int: no Fraction product
-    lam2 = tuple(2 * x.numerator // x.denominator for x in rep.lam)
+    lam2 = rep.lam2
     beta_plus: list[int] = []
     big: list[tuple[int, int]] = []
     p_runs: list[list[int]] = []

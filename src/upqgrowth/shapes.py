@@ -244,8 +244,8 @@ def _shapes_from_keys(keys) -> tuple[Shape, ...]:
     """
     entries = set(chain.from_iterable(keys))
     rows = {row for _, _, _, centres in entries for row in centres}
-    halves = {c2: Fraction(c2, 2) for c2 in set(chain.from_iterable(rows))}
-    halved = {row: tuple(map(halves.__getitem__, row)) for row in rows}
+    half = {c2: Fraction(c2, 2) for c2 in set(chain.from_iterable(rows))}
+    halved = {row: tuple(map(half.__getitem__, row)) for row in rows}
     blocks = {}
     for entry in entries:
         d, t, eta, centres = entry
@@ -339,23 +339,23 @@ def delta_max(rep: GlobalRep) -> DeltaMax:
 # --- parity test over the odd GSK family ------------------------------------
 
 
-def _stretch_q(rep: LocalRep, c: Fraction, d: int) -> int:
-    """Second-coordinate weight of the length-d stretch centred at c.
+def _stretch_q(rep: LocalRep, c2: int, d: int) -> int:
+    """Second-coordinate weight of the length-d stretch of doubled centre c2.
 
     A stretch matching one mixed block exactly takes that block's q; a
     stretch made of degenerate-block values counts its (0,1) members;
     anything else is rejected.
     """
-    top = c + Fraction(d - 1, 2)
-    bottom = top - d + 1
+    top, bottom = c2 + d - 1, c2 - d + 1  # doubled, as is every value here
     q = found = i = 0
     for x, y in rep.blocks:
         n = x + y
-        first, last = rep.lam[i], rep.lam[i + n - 1]
+        first, last = rep.lam2[i], rep.lam2[i + n - 1]
         i += n
         # values stepping by 1 meet the stretch's top, top - 1, ..., bottom
-        # when the ranges overlap and differ by an integer
-        if last > top or first < bottom or (top - first).denominator > 1:
+        # when the ranges overlap and differ by an integer: an even number,
+        # doubled
+        if last > top or first < bottom or (top - first) % 2:
             continue
         if n == 1:
             q, found = q + y, found + 1
@@ -381,7 +381,7 @@ def _place_parity(local: LocalRep, stretches, d: int, c2) -> int:
     centre) pairs, by top value, plus its stretch's q, plus chi4(d)."""
     # the stretches whose doubled top c2' + d' is above its own
     above = sum(x2 + dd > c2 + d for dd, x2 in stretches)
-    return (above + _stretch_q(local, Fraction(c2, 2), d) + chi4(d)) % 2
+    return (above + _stretch_q(local, c2, d) + chi4(d)) % 2
 
 
 def odd_gsk_parity_test(rep: GlobalRep, shape: Shape) -> bool:

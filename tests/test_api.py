@@ -337,6 +337,18 @@ def test_asymptotics_leaves_the_dominance_decision_to_shapes():
     assert names.isdisjoint(decision)
 
 
+def test_only_cohomology_reads_the_fraction_character():
+    # a place's character is stored doubled, as ints: the Fractions of its
+    # lam are built on request, and no module of the package asks for them
+    readers = {
+        module
+        for module, tree in _package().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "lam"
+    }
+    assert readers <= {"cohomology"}
+
+
 def test_cli_leaves_the_delta_max_text_to_shapes():
     # the record's JSON text is written once, by DeltaMax.to_text: cli
     # reads that and defines no writer of its own and no line breaks for it

@@ -326,7 +326,8 @@ def test_leading_term_matches_shape_by_shape_oracle(rep, convention):
         assert got == "no common SL(2)-type across the places"
         return
     tops = dominant(cands)[2]
-    assert got == _outcome(oracles.leading_term, rep.places, tops, convention)
+    places = [(r.p, r.q, r.blocks, r.lam) for r in rep.places]
+    assert got == _outcome(oracles.leading_term, places, tops, convention)
 
 
 @settings(max_examples=100, deadline=None)
@@ -383,7 +384,8 @@ def test_leading_term_refuses_two_odd_gsk_types(monkeypatch):
     assert [len(pools) for _, pools in placed] == [1, 1]
     refusal = "dominant SL(2)-type is not unique"
     assert _outcome(leading_term, rep) == refusal
-    assert _outcome(oracles.leading_term, rep.places, tops) == refusal
+    places = [(place.p, place.q, place.blocks, place.lam)]
+    assert _outcome(oracles.leading_term, places, tops) == refusal
 
 
 def _places_at_rho(n):

@@ -6,8 +6,10 @@ import io
 import json
 import re
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -31,6 +33,13 @@ def test_local_rep_validation():
     with pytest.raises(ValueError):
         # character with a gap inside the mixed block
         ch.LocalRep(p=2, q=1, blocks=((2, 1),), lam=(3, 1, 0))
+    # a huge exponent is refused at once with the reader's text, before
+    # Fraction builds 10**exponent in full
+    for value in ("1e10000000", Decimal("1e10000000")):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="take exponents below 4300"):
+            ch.LocalRep(p=1, q=0, blocks=((1, 0),), lam=[value])
+        assert time.perf_counter() - start < 0.5
 
 
 @st.composite
@@ -358,8 +367,8 @@ def _place_json(draw):
 
 
 def _same_outcome(read, reference, data):
-    """The reader's record equals the reference reader's, with a Fraction
-    for every value, or both refuse with one exception type and message."""
+    """The reader's record equals the reference reader's, with an int for
+    every doubled value, or both refuse with one exception type and message."""
     got, want = _outcome(read, data), _outcome(reference, data)
     assert got == want
     if isinstance(got[1], ch.GlobalRep):
@@ -368,7 +377,24 @@ def _same_outcome(read, reference, data):
         places = (got[1],)
     else:
         return
-    assert all(type(x) is Fraction for place in places for x in place.lam)
+    assert all(type(x) is int for place in places for x in place.lam2)
+
+
+def _decoded(place):
+    """(p, q, blocks, values) of a place whose fields have the JSON kinds
+    the reader takes, or None."""
+    try:
+        (p, q), bipartition, values = (
+            place[field] for field in ("signature", "bipartition", "infchar")
+        )
+        blocks = tuple((x, y) for x, y in bipartition)
+    except (KeyError, TypeError, ValueError):
+        return None
+    if any(type(v) is not int for v in (p, q, *chain.from_iterable(blocks))):
+        return None
+    if type(values) is not list or any(type(v) is bool for v in values):
+        return None
+    return p, q, blocks, values
 
 
 @settings(max_examples=400)
@@ -383,24 +409,28 @@ def _same_outcome(read, reference, data):
 )
 def test_reader_matches_fraction_reader(case):
     # the doubled-int reader against the Fraction reader it replaced, on
-    # valid places and places broken in one field
+    # valid places and places broken in one field; a place the reader
+    # decodes, built by LocalRep from its values, is the reader's record or
+    # its refusal
     place, rep = case
     _same_outcome(ch.local_rep_from_json, oracles.local_rep_from_json, place)
     _same_outcome(ch.global_rep_from_json, oracles.global_rep_from_json, rep)
+    for data in [place, *rep.get("places", ())]:
+        decoded = _decoded(data)
+        if decoded is not None:
+            built = _outcome(lambda args: ch.LocalRep(*args), decoded)
+            assert built == _outcome(ch.local_rep_from_json, data)
 
 
-def test_reader_builds_one_fraction_per_value(monkeypatch):
-    # the places of a rep share one Fraction per distinct character value
-    built = []
+def test_reader_builds_no_fraction(monkeypatch):
+    # every value of the frozen reps goes straight to its doubled int: with
+    # Fraction refused, the reader gives the Fraction reader's records
+    paths = sorted((Path(__file__).parent / "data").glob("*_rep.json"))
+    want = [oracles.global_rep_from_json(json.loads(p.read_text())) for p in paths]
 
-    def counted(*args):
-        built.append(args)
-        return Fraction(*args)
+    def refused(*args):
+        raise AssertionError(f"Fraction{args} built")
 
-    monkeypatch.setattr(ch, "Fraction", counted)
-    rep = cli.load_rep(str(Path(__file__).parent / "data" / "wide12_rep.json"))
-    values = {x for place in rep.places for x in place.lam}
-    assert len(values) == 11
-    assert 0 < len(built) <= len(values)
-    lam = [x for place in rep.places for x in place.lam]
-    assert len({id(x) for x in lam}) == len(values)
+    monkeypatch.setattr(ch, "Fraction", refused)
+    assert [cli.load_rep(str(path)) for path in paths] == want
+    assert len(want) == 5

@@ -634,30 +634,31 @@ def test_parity_requires_odd_gsk():
 
 
 def test_stretch_straddle_rejected():
-    # values 3/2, 1/2, -1/2 in the mixed block, then -3/2 in a (1,0) block
+    # values 3/2, 1/2, -1/2 in the mixed block, then -3/2 in a (1,0) block;
+    # each centre is given doubled
     rep = LocalRep(p=3, q=1, blocks=((2, 1), (1, 0)), lam=rho(4))
     with pytest.raises(ValueError, match="straddles"):
-        _stretch_q(rep, Fraction(0), 2)  # 1/2, -1/2: part of the mixed block
+        _stretch_q(rep, 0, 2)  # 1/2, -1/2: part of the mixed block
     with pytest.raises(ValueError, match="straddles"):
-        _stretch_q(rep, Fraction(-1), 2)  # -1/2, -3/2: across its boundary
-    assert _stretch_q(rep, Fraction(1, 2), 3) == 1  # the mixed block exactly
-    assert _stretch_q(rep, Fraction(-3, 2), 1) == 0
+        _stretch_q(rep, -2, 2)  # -1/2, -3/2: across its boundary
+    assert _stretch_q(rep, 1, 3) == 1  # the mixed block exactly
+    assert _stretch_q(rep, -3, 1) == 0
     with pytest.raises(ValueError, match="missing from the local character"):
-        _stretch_q(rep, Fraction(0), 3)  # 1, 0, -1: between the block's values
+        _stretch_q(rep, 0, 3)  # 1, 0, -1: between the block's values
 
 
 def test_stretch_missing_values_rejected():
     rep = LocalRep(p=2, q=2, blocks=((1, 0), (0, 1)) * 2, lam=rho(4))
-    assert _stretch_q(rep, Fraction(0), 4) == 2  # the (0,1) values 1/2, -3/2
-    assert _stretch_q(rep, Fraction(1, 2), 3) == 1  # 3/2, 1/2, -1/2
-    for c, d in [
-        (Fraction(-3, 2), 3),  # -1/2, -3/2 and -5/2, which lam lacks
-        (Fraction(5, 2), 1),  # above the character
-        (Fraction(0), 1),  # between two values
-        (Fraction(0), 3),  # 1, 0 and -1: no value of lam
+    assert _stretch_q(rep, 0, 4) == 2  # the (0,1) values 1/2, -3/2
+    assert _stretch_q(rep, 1, 3) == 1  # 3/2, 1/2, -1/2
+    for c2, d in [
+        (-3, 3),  # -1/2, -3/2 and -5/2, which lam lacks
+        (5, 1),  # above the character
+        (0, 1),  # between two values
+        (0, 3),  # 1, 0 and -1: no value of lam
     ]:
         with pytest.raises(ValueError, match="missing from the local character"):
-            _stretch_q(rep, c, d)
+            _stretch_q(rep, c2, d)
 
 
 def _with_character_shifted(places, k):
@@ -702,7 +703,8 @@ def test_parity_test_matches_fraction_oracle():
             for shape in shapes:
                 for h in others:
                     got = _outcome(odd_gsk_parity_test, h, shape)
-                    want = _outcome(oracles.parity_test, h.places, shape.blocks)
+                    places = [(r.p, r.q, r.blocks, r.lam) for r in h.places]
+                    want = _outcome(oracles.parity_test, places, shape.blocks)
                     assert got == want, (h, shape)
                     outcomes[got if type(got) is bool else got[1]] += 1
     assert sum(outcomes.values()) == 10369
