@@ -2,7 +2,8 @@
 
 A shape is a list of blocks (T, d, centers, eta): T copies of a length-d
 string, with T distinct center values per archimedean place and a sign eta.
-The blocks expand place by place to a regular total character.
+The blocks expand place by place to a regular total character. Its centres
+are integers or half-integers, so a block stores them doubled, as ints.
 
 Given a global representation, `growth` finds the partitions of the rank
 that every place's cohomological archimedean data allows as SL(2)-type, and
@@ -14,25 +15,23 @@ from __future__ import annotations
 
 import json
 from collections import Counter, namedtuple
-from fractions import Fraction
 from itertools import chain, permutations, product
-from operator import index, itemgetter
+from operator import index, itemgetter, le
 
-from . import infchar
-from .cohomology import GlobalRep, LocalRep
+from .cohomology import GlobalRep, LocalRep, _doubled_from_json
 from .growth import GrowthValue, RunData, common_candidates, dominant, td_pairs
 # the benchmark traces these two by their names in this module
 from .growth import local_run_data, sl2_candidates
-from .infchar import format_rational
+from .infchar import IrregularCharacterError, format_rational
 from .packets import chi4
 from .partitions import partitions_of
 
 
-class ShapeBlock(namedtuple("ShapeBlock", "T d centers eta")):
+class ShapeBlock(namedtuple("ShapeBlock", "T d centers2 eta")):
     __slots__ = ()
     T: int
     d: int
-    centers: tuple[tuple[Fraction, ...], ...]  # one tuple of T values per place
+    centers2: tuple[tuple[int, ...], ...]  # T doubled centres per place
     eta: int
 
     def __new__(cls, T, d, centers, eta):
@@ -41,7 +40,8 @@ class ShapeBlock(namedtuple("ShapeBlock", "T d centers eta")):
             raise ValueError("block multiplicities and lengths must be positive")
         if eta not in (1, -1):
             raise ValueError("eta must be +1 or -1")
-        cs = tuple(tuple(Fraction(c) for c in place) for place in centers)
+        # each centre read as LocalRep reads its character
+        cs = tuple(tuple(map(_doubled_from_json, place)) for place in centers)
         if not cs:
             raise ValueError("need at least one place")
         for place in cs:
@@ -50,8 +50,11 @@ class ShapeBlock(namedtuple("ShapeBlock", "T d centers eta")):
                     f"block of multiplicity {T} needs {T} centers "
                     f"per place, got {len(place)}"
                 )
-            if any(a <= b for a, b in zip(place, place[1:])):
+            if any(map(le, place, place[1:])):
                 raise ValueError("centers must be strictly decreasing")
+        # last, so a block refused before this check keeps its text
+        if any(type(c) is not int for c in chain.from_iterable(cs)):
+            raise ValueError("centers must be integers or half-integers")
         return tuple.__new__(cls, (T, d, cs, eta))
 
 
@@ -63,29 +66,33 @@ class Shape(namedtuple("Shape", "blocks")):
         blocks = tuple(blocks or ())  # an iterator is read once
         if not blocks:
             raise ValueError("shape needs at least one block")
-        counts = {len(b.centers) for b in blocks}
+        counts = {len(b.centers2) for b in blocks}
         if len(counts) != 1:
             raise ValueError("blocks disagree on the number of places")
-        self = tuple.__new__(cls, (blocks,))
-        for v in range(self.places):
-            # raises IrregularCharacterError when two strings collide
-            total_infchar(self, v)
-        return self
+        for v in range(counts.pop()):
+            # the place's character, doubled: c2 + d - 1 - 2l, l = 0..d-1,
+            # per string; two strings collide at a repeated value
+            values = [
+                c2 + b.d - 1 - 2 * l
+                for b in blocks
+                for c2 in b.centers2[v]
+                for l in range(b.d)
+            ]
+            values.sort(reverse=True)
+            for x, y in zip(values, values[1:]):
+                if x == y:
+                    raise IrregularCharacterError(
+                        f"total character has a repeated entry {_half_text(x)}"
+                    )
+        return tuple.__new__(cls, (blocks,))
 
     @property
     def places(self) -> int:
-        return len(self.blocks[0].centers)
+        return len(self.blocks[0].centers2)
 
     @property
     def rank(self) -> int:
         return sum(b.T * b.d for b in self.blocks)
-
-
-def total_infchar(shape: Shape, place: int = 0):
-    """The full infinitesimal character of the shape at one place."""
-    return infchar.total_character(
-        (c, b.d) for b in shape.blocks for c in b.centers[place]
-    )
 
 
 def sl2_partition(shape: Shape) -> tuple[int, ...]:
@@ -232,26 +239,19 @@ def _place_centres(data: RunData, q_parts: tuple[int, ...], ds: list[int]):
 def _shapes_from_keys(keys) -> tuple[Shape, ...]:
     """The shapes of keys that `_place_centres` has proved, built unchecked.
 
-    The tiling check proved in ints that each place's blocks expand to its
-    regular character, which is all `Shape.__new__` checks. As the
-    doubled character strictly decreases, it also proves what
-    `ShapeBlock.__new__` checks: T distinct centres per place, here
-    sorted descending. So both records are made by `tuple.__new__`, which
-    skips those checks and conversions. Each distinct doubled centre
-    becomes one `Fraction`, each distinct row of a place's doubled centres
-    one tuple of them, and each distinct (d, T, eta, rows) entry of the
-    keys one `ShapeBlock`, which every shape with that entry shares.
+    The tiling check proved that each place's blocks expand to its regular
+    character, which is all `Shape.__new__` checks. As the doubled
+    character strictly decreases, it also proves what `ShapeBlock.__new__`
+    checks: T distinct centres per place, ints, here sorted descending. So
+    both records are made by `tuple.__new__`, which skips those checks. A
+    key's rows of doubled centres are the block's `centers2`, and each
+    distinct (d, T, eta, rows) entry of the keys becomes one `ShapeBlock`,
+    which every shape with that entry shares.
     """
-    entries = set(chain.from_iterable(keys))
-    rows = {row for _, _, _, centres in entries for row in centres}
-    half = {c2: Fraction(c2, 2) for c2 in set(chain.from_iterable(rows))}
-    halved = {row: tuple(map(half.__getitem__, row)) for row in rows}
     blocks = {}
-    for entry in entries:
+    for entry in set(chain.from_iterable(keys)):
         d, t, eta, centres = entry
-        blocks[entry] = tuple.__new__(
-            ShapeBlock, (t, d, tuple(map(halved.__getitem__, centres)), eta)
-        )
+        blocks[entry] = tuple.__new__(ShapeBlock, (t, d, centres, eta))
     return tuple(
         tuple.__new__(Shape, (tuple(map(blocks.__getitem__, key)),)) for key in keys
     )
@@ -375,7 +375,7 @@ def _unramified_parity(rep: GlobalRep) -> int:
     return ((n * (n - 1) // 2) * len(rep.places) + sum(r.q for r in rep.places)) % 2
 
 
-def _place_parity(local: LocalRep, stretches, d: int, c2) -> int:
+def _place_parity(local: LocalRep, stretches, d: int, c2: int) -> int:
     """The parity a long block of length d and doubled centre c2 adds at one
     place: its position among the place's stretches, (length, doubled
     centre) pairs, by top value, plus its stretch's q, plus chi4(d)."""
@@ -399,13 +399,13 @@ def odd_gsk_parity_test(rep: GlobalRep, shape: Shape) -> bool:
     if _unramified_parity(rep):
         return False
     stretches = [
-        [(o.d, 2 * x) for o in shape.blocks for x in o.centers[v]]
+        [(o.d, c2) for o in shape.blocks for c2 in o.centers2[v]]
         for v in range(shape.places)
     ]
     for b in (b for b in shape.blocks if b.d > 1):
         # a long block of a GSK shape has T = 1
-        places = zip(rep.places, stretches, b.centers)
-        if sum(_place_parity(r, s, b.d, 2 * c) for r, s, (c,) in places) % 2:
+        places = zip(rep.places, stretches, b.centers2)
+        if sum(_place_parity(r, s, b.d, c2) for r, s, (c2,) in places) % 2:
             return False
     return True
 
@@ -424,30 +424,28 @@ def _int_list(row, pad: str, inner: str) -> str:
     return f"[{inner}" + f",{inner}".join(map(int.__repr__, row)) + f"{pad}]"
 
 
+def _half_text(c2: int) -> str:
+    """The text of the half-integer c2 / 2, as `format_rational` prints it."""
+    return str(c2 // 2) if c2 % 2 == 0 else f"{c2}/2"
+
+
 def _shape_texts(shapes):
     """Each shape's text at its indent in a delta-max record.
 
-    A centre's text is its `format_rational` in quotes, which json's
-    escaper leaves as it is. The shapes of a `delta_max` record share one
-    object per centre, one tuple per row of a place's centres and one
-    `ShapeBlock` per distinct block, so each object, row and block is
-    formatted once; the caller keeps the shapes alive, so no id is reused
-    while the texts are written.
+    A centre's text is the `_half_text` of its doubled int in quotes, which
+    json's escaper leaves as it is. Each distinct row of a place's centres
+    is formatted once, and so is each `ShapeBlock` object, which the shapes
+    of a `delta_max` record share per distinct block; the caller keeps the
+    shapes alive, so no id is reused while the texts are written.
     """
-    texts: dict[int, str] = {}
-    rows: dict[int, str] = {}
+    rows: dict[tuple[int, ...], str] = {}
     blocks: dict[int, str] = {}
 
     def row(place) -> str:
-        text = rows.get(id(place))
+        text = rows.get(place)
         if text is None:
-            items = []
-            for c in place:
-                item = texts.get(id(c))
-                if item is None:
-                    item = texts[id(c)] = f'"{format_rational(c)}"'
-                items.append(item)
-            text = rows[id(place)] = f"[{_NL14}{_SEP14.join(items)}{_NL12}]"
+            items = _SEP14.join([f'"{_half_text(c2)}"' for c2 in place])
+            text = rows[place] = f"[{_NL14}{items}{_NL12}]"
         return text
 
     def block(b) -> str:
@@ -455,7 +453,7 @@ def _shape_texts(shapes):
         if text is None:
             text = blocks[id(b)] = (
                 f"[{_NL10}{b.T},{_NL10}{b.d},{_NL10}[{_NL12}"
-                f"{_SEP12.join(map(row, b.centers))}{_NL10}],{_NL10}{b.eta}{_NL8}]"
+                f"{_SEP12.join(map(row, b.centers2))}{_NL10}],{_NL10}{b.eta}{_NL8}]"
             )
         return text
 

@@ -195,6 +195,7 @@ def test_tracer_alone_keeps_these():
     assert _uncalled(outside) - _uncalled(outside | traced) == {
         "growth.all_groupings",
         "growth.partition_bound0",
+        "infchar.total_character",
         "partitions.balanced_bipartition",
         "sarnakxue.exponent_profile",
         "sarnakxue.one_merge_coarsenings",
@@ -347,6 +348,18 @@ def test_only_cohomology_reads_the_fraction_character():
         if isinstance(node, ast.Attribute) and node.attr == "lam"
     }
     assert readers <= {"cohomology"}
+
+
+def test_shapes_reads_no_fraction():
+    # a shape's centres are stored doubled, as ints, and written from them:
+    # shapes neither imports fractions nor reads the name Fraction
+    tree = _package()["shapes"]
+    assert "Fraction" not in {name for name, _ in _uses(tree)}
+    assert "fractions" not in {
+        name.partition(".")[0]
+        for node in ast.walk(tree)
+        for name in _imported(node)
+    }
 
 
 def test_cli_leaves_the_delta_max_text_to_shapes():

@@ -35,8 +35,8 @@ def _odd_block_term(convention):
 
 LOCAL_TEXT = "LocalRep(p=2, q=1, blocks=((1, 0), (1, 1)), lam2=(4, 0, -2))"
 BLOCK_TEXTS = (
-    "ShapeBlock(T=1, d=2, centers=((Fraction(-1, 2),),), eta=-1)",
-    "ShapeBlock(T=1, d=1, centers=((Fraction(2, 1),),), eta=1)",
+    "ShapeBlock(T=1, d=2, centers2=((-1,),), eta=-1)",
+    "ShapeBlock(T=1, d=1, centers2=((4,),), eta=1)",
 )
 SHAPE_TEXT = f"Shape(blocks=({BLOCK_TEXTS[0]}, {BLOCK_TEXTS[1]}))"
 
@@ -72,7 +72,7 @@ RECORDS = [
     (
         SHAPE.blocks[0],
         SHAPE.blocks[1],
-        ("T", "d", "centers", "eta"),
+        ("T", "d", "centers2", "eta"),
         BLOCK_TEXTS[0],
     ),
     (
@@ -132,6 +132,9 @@ def test_equality_and_hash_by_field(record, other, names, text):
     values = {name: getattr(record, name) for name in names}
     if type(record) is cohomology.LocalRep:  # built from lam, stores lam2
         again = cohomology.LocalRep(*record[:3], record.lam)
+    elif type(record) is shapes.ShapeBlock:  # built from centres, stores them doubled
+        centres = [[Fraction(c2, 2) for c2 in row] for row in record.centers2]
+        again = shapes.ShapeBlock(record.T, record.d, centres, record.eta)
     else:
         again = type(record)(**values)
     assert again is not record

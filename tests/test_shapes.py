@@ -7,6 +7,7 @@ import io
 import json
 import sys
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import oracles
 from strategies import global_reps, rep_text
-from upqgrowth import cli, shapes as shapes_module
+from upqgrowth import cli, infchar, shapes as shapes_module
 from upqgrowth.cohomology import GlobalRep, LocalRep, global_rep_from_json
 from upqgrowth.growth import (
     GrowthValue,
@@ -41,7 +42,6 @@ from upqgrowth.shapes import (
     shape_to_json,
     sl2_candidates,
     sl2_partition,
-    total_infchar,
     _stretch_q,
 )
 
@@ -49,6 +49,18 @@ RHO7 = rho(7)
 DATA = Path(__file__).resolve().parent / "data"
 # rank 9, 3 places, 12 dominant shapes
 WIDE12 = global_rep_from_json(json.loads((DATA / "wide12_rep.json").read_text()))
+
+
+def _halved(centers2):
+    # a block's doubled centres per place, as the Fractions they double
+    return tuple(tuple(Fraction(c2, 2) for c2 in row) for row in centers2)
+
+
+def _total_character(shape: Shape, place: int = 0):
+    # the oracle's sorted block expansions of the shape at one place
+    return oracles.total_character(
+        (c, b.d) for b in shape.blocks for c in _halved(b.centers2)[place]
+    )
 
 
 def _rep71():
@@ -198,11 +210,9 @@ def test_single_place_dominant_shape():
     s = shapes[0]
     assert sl2_partition(s) == (3, 1, 1, 1, 1)
     assert [(b.T, b.d, b.eta) for b in s.blocks] == [(1, 3, 1), (4, 1, 1)]
-    assert s.blocks[0].centers == ((Fraction(2),),)
-    assert s.blocks[1].centers == (
-        (Fraction(0), Fraction(-1), Fraction(-2), Fraction(-3)),
-    )
-    assert total_infchar(s) == RHO7
+    assert s.blocks[0].centers2 == ((4,),)
+    assert s.blocks[1].centers2 == ((0, -2, -4, -6),)
+    assert _total_character(s) == RHO7
 
 
 def test_two_place_tie_shapes():
@@ -218,18 +228,12 @@ def test_two_place_tie_shapes():
         (1, 2, -1),
         (2, 1, 1),
     ]
-    assert s0.blocks[0].centers == ((Fraction(-2),), (Fraction(2),))
-    assert s0.blocks[1].centers == (
-        (Fraction(5, 2),),
-        (Fraction(-5, 2),),
-    )
-    assert s0.blocks[2].centers == (
-        (Fraction(1), Fraction(0)),
-        (Fraction(0), Fraction(-1)),
-    )
+    assert s0.blocks[0].centers2 == ((-4,), (4,))
+    assert s0.blocks[1].centers2 == ((5,), (-5,))
+    assert s0.blocks[2].centers2 == ((2, 0), (0, -2))
     for s in shapes:
         for v in range(2):
-            assert total_infchar(s, v) == RHO7
+            assert _total_character(s, v) == RHO7
 
 
 def test_shapes_deduplicated_and_sorted():
@@ -325,23 +329,25 @@ def test_unchecked_shapes_match_checked(rep):
     for s in delta_max(rep).shapes:
         checked = Shape(
             tuple(
-                ShapeBlock(T=b.T, d=b.d, centers=b.centers, eta=b.eta)
+                ShapeBlock(T=b.T, d=b.d, centers=_halved(b.centers2), eta=b.eta)
                 for b in s.blocks
             )
         )
         assert checked == s
         assert hash(checked) == hash(s)
         for b in s.blocks:
-            assert all(type(c) is Fraction for place in b.centers for c in place)
+            assert all(type(c) is int for place in b.centers2 for c in place)
 
 
 def test_delta_max_checks_no_fraction_character(monkeypatch, capsys):
-    # the int rebuild check is the only character check of a dominant shape
+    # the int rebuild check is the only character check of a dominant shape:
+    # neither the Fraction character nor a record constructor's check runs
     def refuse(*args):
-        raise AssertionError("Fraction character check called")
+        raise AssertionError("a character or record check called")
 
-    monkeypatch.setattr(shapes_module.infchar, "total_character", refuse)
-    monkeypatch.setattr(shapes_module, "total_infchar", refuse)
+    monkeypatch.setattr(infchar, "total_character", refuse)
+    monkeypatch.setattr(Shape, "__new__", refuse)
+    monkeypatch.setattr(ShapeBlock, "__new__", refuse)
     assert cli.run(["delta-max", "--rep", str(DATA / "wide12_rep.json")]) == 0
     out, err = capsys.readouterr()
     assert err == ""
@@ -661,6 +667,31 @@ def test_stretch_missing_values_rejected():
             _stretch_q(rep, c2, d)
 
 
+def test_parity_test_hands_int_centres(monkeypatch):
+    # each place's parity compares the block's centre and every stretch's
+    # with the int lam2, so all of them must reach it as doubled ints: on a
+    # shape from delta_max and on the same shape rebuilt from its texts
+    place_parity = shapes_module._place_parity
+    seen = []
+
+    def spy(local, stretches, d, c2):
+        seen.append(c2)
+        seen.extend(x2 for _, x2 in stretches)
+        return place_parity(local, stretches, d, c2)
+
+    monkeypatch.setattr(shapes_module, "_place_parity", spy)
+    rep = global_rep_from_json(json.loads((DATA / "odd_block_rep.json").read_text()))
+    (shape,) = delta_max(rep).shapes
+    rebuilt = Shape(
+        ShapeBlock(t, d, centers, eta)
+        for t, d, centers, eta in shape_to_json(shape)["blocks"]
+    )
+    for s in (shape, rebuilt):
+        seen.clear()
+        assert odd_gsk_parity_test(rep, s) is True
+        assert seen and all(type(c) is int for c in seen)
+
+
 def _with_character_shifted(places, k):
     return GlobalRep(
         tuple(LocalRep(r.p, r.q, r.blocks, [x + k for x in r.lam]) for r in places)
@@ -704,7 +735,10 @@ def test_parity_test_matches_fraction_oracle():
                 for h in others:
                     got = _outcome(odd_gsk_parity_test, h, shape)
                     places = [(r.p, r.q, r.blocks, r.lam) for r in h.places]
-                    want = _outcome(oracles.parity_test, places, shape.blocks)
+                    blocks = [
+                        (b.T, b.d, _halved(b.centers2), b.eta) for b in shape.blocks
+                    ]
+                    want = _outcome(oracles.parity_test, places, blocks)
                     assert got == want, (h, shape)
                     outcomes[got if type(got) is bool else got[1]] += 1
     assert sum(outcomes.values()) == 10369
@@ -727,6 +761,67 @@ def test_shape_block_validation():
         ShapeBlock(T=1, d=1, centers=((Fraction(0),),), eta=0)
     with pytest.raises(ValueError):
         ShapeBlock(T=1, d=0, centers=((),), eta=1)
+    # centres are read as LocalRep reads its character: integers and
+    # half-integers only, and no exponent of 4300 or more in size
+    for bad in (Fraction(1, 3), "1/3", Decimal("0.25"), 0.1):
+        with pytest.raises(
+            ValueError, match="^centers must be integers or half-integers$"
+        ):
+            ShapeBlock(T=1, d=1, centers=((bad,),), eta=1)
+    for huge in ("1e4300", "-1E-4300", Decimal("1e5000")):
+        with pytest.raises(ValueError, match="exponents below 4300"):
+            ShapeBlock(T=1, d=1, centers=((huge,),), eta=1)
+    # a block refused for its count or order keeps that text
+    with pytest.raises(ValueError, match="needs 2 centers"):
+        ShapeBlock(T=2, d=1, centers=(("1/3",),), eta=1)
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        ShapeBlock(T=2, d=1, centers=(("1/3", "1/3"),), eta=1)
+
+
+@st.composite
+def _doubled_blocks(draw):
+    # 1-4 blocks over 1-3 places: (T, d, rows of T distinct doubled
+    # centres, descending, eta), in a range narrow enough that strings
+    # often collide
+    places = draw(st.integers(1, 3))
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        t = draw(st.integers(1, 3))
+        rows = [
+            sorted(draw(st.sets(st.integers(-9, 9), min_size=t, max_size=t)))[::-1]
+            for _ in range(places)
+        ]
+        blocks.append((t, draw(st.integers(1, 4)), rows, draw(st.sampled_from((1, -1)))))
+    return blocks
+
+
+@settings(max_examples=300)
+@given(_doubled_blocks(), st.booleans())
+@example([(1, 2, [[1], [1]], 1), (1, 1, [[4], [0]], 1)], False)  # place 2 collides
+@example([(2, 3, [[4, -4]], 1), (1, 1, [[-1]], -1)], True)  # parities differ
+def test_shape_regularity_matches_fraction_oracle(blocks, as_text):
+    # Shape's int repeat scan accepts and refuses the shapes that the
+    # oracle's sorted Fraction expansions do, place by place, with its text
+    def halve(c2):
+        c = Fraction(c2, 2)
+        return format_rational(c) if as_text else c
+
+    def oracle():
+        for v in range(len(blocks[0][2])):
+            oracles.total_character(
+                (Fraction(c2, 2), d) for _, d, rows, _ in blocks for c2 in rows[v]
+            )
+
+    def shape():
+        Shape(
+            ShapeBlock(t, d, [list(map(halve, row)) for row in rows], eta)
+            for t, d, rows, eta in blocks
+        )
+
+    got, want = _outcome(shape), _outcome(oracle)
+    target(float(got is None))
+    assert (got and got[1]) == (want and want[1])
+    assert got is None or got[0] is IrregularCharacterError
 
 
 def test_shape_validation():
@@ -734,9 +829,18 @@ def test_shape_validation():
     b2 = ShapeBlock(T=1, d=1, centers=((Fraction(0),), (Fraction(0),)), eta=1)
     with pytest.raises(ValueError):
         Shape(blocks=(b1, b2))  # place counts disagree
-    with pytest.raises(IrregularCharacterError):
-        # two copies of the same string collide
-        Shape(blocks=(b1, b1))
+    # two strings collide; the repeated entry is printed as
+    # format_rational prints it
+    for blocks, entry in [
+        ((b1, b1), "1"),
+        ((ShapeBlock(1, 1, (("-3/2",),), 1),) * 2, "-3/2"),
+        ((ShapeBlock(1, 3, ((-1,),), 1), ShapeBlock(1, 1, ((-2,),), 1)), "-2"),
+    ]:
+        with pytest.raises(
+            IrregularCharacterError,
+            match=f"^total character has a repeated entry {entry}$",
+        ):
+            Shape(blocks=blocks)
     with pytest.raises(ValueError):
         Shape(blocks=())
 
