@@ -16,10 +16,9 @@ from __future__ import annotations
 from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
-from operator import le
 
-from . import infchar, partitions
-from .infchar import Character, as_character
+from . import partitions
+from .infchar import Character, _doubled_from_json, adapted2, check_decreasing
 from .partitions import Bipartition
 
 
@@ -82,24 +81,15 @@ def _check_character(n: int, blocks, twice: list) -> None:
     that is not strictly decreasing, of n values, regular integral and
     adapted to the checked blocks, with the first of those texts that
     applies."""
-    if any(map(le, twice, twice[1:])):
-        lam = tuple(Fraction(v, 2) for v in twice)
-        raise ValueError(f"character must be strictly decreasing: {lam}")
+    check_decreasing(twice)
     if len(twice) != n:
         raise ValueError("character rank does not match signature")
     # regular integral: in Z for odd n and in Z + 1/2 for even n, so every
     # doubled value is an int of the parity of n - 1
     if any((v - n + 1) % 2 for v in twice):
         raise ValueError("infinitesimal character must be regular integral")
-    # adapted: each block's values step by 1. The doubled values now
-    # fall by an even amount of at least 2 at each step, so a block of
-    # k values spans 2(k - 1) exactly when every step is 2.
-    i = 0
-    for x, y in blocks:
-        k = x + y
-        if twice[i] - twice[i + k - 1] != 2 * (k - 1):
-            raise ValueError("character is not adapted to the bipartition")
-        i += k
+    if not adapted2(twice, [x + y for x, y in blocks]):
+        raise ValueError("character is not adapted to the bipartition")
 
 
 class HodgeProfile(namedtuple("HodgeProfile", "lowest plus minus maxshift")):
@@ -161,65 +151,19 @@ def lowest_degree(d: int, n: int, r: int) -> int:
 
 def reps_in_degree(p: int, q: int, lam: Character, degree: int) -> list[Bipartition]:
     """Reduced bipartitions adapted to lam with cohomology in the given degree."""
-    lam = as_character(lam)
-    if len(lam) != p + q:
+    twice = list(map(_doubled_from_json, lam))
+    check_decreasing(twice)
+    if len(twice) != p + q:
         raise ValueError("character rank does not match signature")
     return [
         blocks
         for blocks in partitions.reduced_bipartitions(p, q)
-        if infchar.is_adapted(lam, partitions.block_sums(blocks))
+        if adapted2(twice, partitions.block_sums(blocks))
         and hodge_profile(blocks).contains_degree(degree)
     ]
 
 
 # --- JSON converters -------------------------------------------------------
-
-
-def _fraction_from_json(value) -> Fraction:
-    """Fraction(value), with a text or Decimal of a huge exponent refused.
-
-    A Decimal goes to Fraction as its text, whose digits int's limit of
-    4300 bounds. A text is refused when its exponent in scientific notation
-    is 4300 or more in size: the adjusted exponent of the Decimal before its
-    last e or E, plus what follows that e read by int. Fraction would build
-    10**exponent in full, for minutes at an exponent of 10**8, and no output
-    could print a value of more than 4300 digits, such as 1 and 4298 zeros
-    times 10**4299. Every other value goes to Fraction.
-    """
-    if isinstance(value, (str, Decimal)):
-        value = str(value)
-        head, e, tail = value.lower().rpartition("e")
-        if not e:
-            head, tail = tail, "0"
-        try:
-            size = abs(Decimal(head).adjusted() + int(tail))
-        except (ArithmeticError, ValueError):  # no number: Fraction names it
-            size = 0
-        if size >= 4300:  # CPython's default limit on an int's text
-            raise ValueError(
-                "infchar entries take exponents below 4300 in scientific "
-                "notation"
-            )
-    return Fraction(value)
-
-
-def _doubled_from_json(value):
-    r"""2 * value: an int when value is an integer or half-integer, else a
-    Fraction. The ASCII texts -?\d+ and -?\d+/2, which cover every value
-    of a regular integral character, and JSON integers are read by int, as
-    Fraction reads them, and build no Fraction; any other value is read by
-    `_fraction_from_json`."""
-    if type(value) is str and value.isascii():
-        num, slash, den = value.partition("/")
-        negative = num[:1] == "-"
-        digits = num[negative:]
-        if digits.isdigit() and (not slash or den == "2"):
-            n = -int(digits) if negative else int(digits)
-            return n if slash else 2 * n
-    elif type(value) is int:
-        return 2 * value
-    x = _fraction_from_json(value)
-    return x.numerator * 2 // x.denominator if x.denominator <= 2 else 2 * x
 
 
 # the JSON kind of each type json.load gives; the CLI reads JSON floats

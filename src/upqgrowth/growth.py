@@ -34,16 +34,6 @@ class GrowthValue(namedtuple("GrowthValue", "main eps")):
     def __new__(cls, main, eps=0):
         return tuple.__new__(cls, (Fraction(main), eps))
 
-    # other is a GrowthValue, an int or a Fraction, so each sum is already
-    # one Fraction and needs no second conversion
-    def __add__(self, other):
-        main, eps = other if isinstance(other, GrowthValue) else (other, 0)
-        return tuple.__new__(GrowthValue, (self.main + main, self.eps + eps))
-
-    def __sub__(self, other):
-        main, eps = other if isinstance(other, GrowthValue) else (other, 0)
-        return tuple.__new__(GrowthValue, (self.main - main, self.eps - eps))
-
     def to_json(self) -> dict:
         return {"main": format_rational(self.main), "eps": self.eps}
 

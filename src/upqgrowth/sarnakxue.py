@@ -67,26 +67,11 @@ def _pair_weights(n: int):
     return accumulate(_part_profile(n), initial=0)
 
 
-class _Table(dict):
-    """key -> make(key), each entry built on its first read."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
-def _profile_prefix(parts, profiles) -> list[int]:
+def _profile_prefix(parts) -> list[int]:
     """[sigma_0, ..., sigma_N] for a partition of N: sigma_i is the sum of the
     i largest entries of its balanced exponent profile, zero-padded like
-    `profile_sum`. `profiles` maps each part m to `_part_profile(m)`."""
-    profile = sorted(
-        chain.from_iterable(map(profiles.__getitem__, parts)), reverse=True
-    )
+    `profile_sum`."""
+    profile = sorted(chain.from_iterable(map(_part_profile, parts)), reverse=True)
     sigma = [0, *accumulate(profile)]
     sigma += [sigma[-1]] * (sum(parts) + 1 - len(sigma))
     return sigma
@@ -107,8 +92,7 @@ def max_ratio(parts) -> Fraction:
     """max over 1 <= i <= N/2 of sigma_i / (i*(N-i)) at the balanced profile."""
     parts = tuple(sorted(map(index, parts), reverse=True))
     validate_partition(parts)
-    profiles = {m: _part_profile(m) for m in set(parts)}
-    sigma = _profile_prefix(parts, profiles)
+    sigma = _profile_prefix(parts)
     return Fraction(*_top_ratio(sigma, _pair_weights(sum(parts))))
 
 
@@ -201,7 +185,7 @@ def sx_row(parts) -> DensityRow:
     n = sum(q)
     k = n + 1
     base = Counter(q)
-    sigma = _profile_prefix(q, {m: _part_profile(m) for m in base})
+    sigma = _profile_prefix(q)
     num, den = _top_ratio(sigma, _pair_weights(n))
     goal = Fraction((n * n - 1) * (den - num), den)
     ones = base.pop(1, 0)
@@ -352,15 +336,13 @@ def _qd_family_holds(d: int, r: int, k_hi: int) -> bool:
     )
 
 
-def _profile_dominates(high, low, profiles) -> bool:
+def _profile_dominates(high, low) -> bool:
     """Whether every top-i sum of the profile of `high` is at least that of
     `low`, two partitions of the same total."""
-    return not any(
-        map(gt, _profile_prefix(low, profiles), _profile_prefix(high, profiles))
-    )
+    return not any(map(gt, _profile_prefix(low), _profile_prefix(high)))
 
 
-def _qd_violations(n, d, q, q2, profiles, weights) -> list[str]:
+def _qd_violations(n, d, q, q2) -> list[str]:
     """The messages of the case (N, d) of `verify_qd_bound`, given what
     qd(N, d) returned and, for N >= 2d, what qd_prime(N, d) returned (else
     None): each profile summed once into a prefix array, its top ratio
@@ -368,16 +350,16 @@ def _qd_violations(n, d, q, q2, profiles, weights) -> list[str]:
     under qd when its prefix sums are, index by index up to N."""
     violations = []
     k = n // d
-    sigma = _profile_prefix(q, profiles)
-    got = _top_ratio(sigma, weights[sum(q)])
+    sigma = _profile_prefix(q)
+    got = _top_ratio(sigma, _pair_weights(sum(q)))
     if got[0] * (n - k) != (d - 1) * got[1]:
         violations.append(
             f"ratio(qd({n},{d})) = {Fraction(*got)} != "
             f"{Fraction(d - 1, n - k)}"
         )
     if q2 is not None:
-        sigma2 = _profile_prefix(q2, profiles)
-        got2 = _top_ratio(sigma2, weights[sum(q2)])
+        sigma2 = _profile_prefix(q2)
+        got2 = _top_ratio(sigma2, _pair_weights(sum(q2)))
         if got2[0] * (n - k + 1) != (d - 1) * got2[1]:
             violations.append(
                 f"ratio(qd_prime({n},{d})) = {Fraction(*got2)} != "
@@ -403,10 +385,10 @@ def verify_qd_bound(n_max: int) -> Certificate:
     k_hi >= 2). A case whose partitions are not its family's tuples and a
     case of a family that the lemmas reject are walked by `_qd_violations`,
     in the order of the cases, so the messages are the walk's.
-    The walk's two tables are built once per sweep and filled on first
-    read, so they serve any part or total a patched qd returns: the
-    balanced profile m - 1, m - 3, ... of each part m, and the weights
-    i*(N-i), 0 <= i <= N/2, of each total N.
+    The walk builds each part's balanced profile m - 1, m - 3, ... and
+    each total's weights i*(N-i) per case: the lemmas decide every family
+    of the real qd and qd_prime, so no case is walked unless a family is
+    rejected or qd is patched.
 
     The ratio lemma. Let q = d^kappa + T with T's parts at most d and
     R = sum(T), so N = kappa*d + R, and let F(i) = (d-1)*i*(N-i)
@@ -468,8 +450,6 @@ def verify_qd_bound(n_max: int) -> Certificate:
     cost O(N) per case.
     """
     violations = []
-    profiles = _Table(_part_profile)
-    weights = _Table(lambda n: list(_pair_weights(n)))
     for d in range(2, n_max + 1):
         # r -> (T, T') of a family (d, r) that the lemmas decide, None for
         # one they reject
@@ -479,7 +459,7 @@ def verify_qd_bound(n_max: int) -> Certificate:
             tail2 = (d - 1, d - 1, 1) if r == d - 1 else (d - 1, r + 1)
             k_hi = (n_max - r) // d
             holds = _qd_family_holds(d, r, k_hi) and (
-                k_hi < 2 or _profile_dominates((d, *tail), tail2, profiles)
+                k_hi < 2 or _profile_dominates((d, *tail), tail2)
             )
             families.append((tail, tail2) if holds else None)
         for n in range(d, n_max + 1):
@@ -493,7 +473,7 @@ def verify_qd_bound(n_max: int) -> Certificate:
                 and (q2 is None or q2 == (d,) * (k - 1) + family[1])
             ):
                 continue
-            violations += _qd_violations(n, d, q, q2, profiles, weights)
+            violations += _qd_violations(n, d, q, q2)
     return Certificate(
         target="qd",
         sweep=f"2 <= d <= N <= {n_max}",

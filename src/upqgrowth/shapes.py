@@ -18,11 +18,11 @@ from collections import Counter, namedtuple
 from itertools import chain, permutations, product
 from operator import index, itemgetter, le
 
-from .cohomology import GlobalRep, LocalRep, _doubled_from_json
+from .cohomology import GlobalRep, LocalRep
 from .growth import GrowthValue, RunData, common_candidates, dominant, td_pairs
 # the benchmark traces these two by their names in this module
 from .growth import local_run_data, sl2_candidates
-from .infchar import IrregularCharacterError, format_rational
+from .infchar import IrregularCharacterError, _doubled_from_json, format_rational
 from .packets import chi4
 from .partitions import partitions_of
 
@@ -35,7 +35,7 @@ class ShapeBlock(namedtuple("ShapeBlock", "T d centers2 eta")):
     eta: int
 
     def __new__(cls, T, d, centers, eta):
-        T, d = index(T), index(d)
+        T, d, eta = index(T), index(d), index(eta)
         if T < 1 or d < 1:
             raise ValueError("block multiplicities and lengths must be positive")
         if eta not in (1, -1):

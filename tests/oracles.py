@@ -417,15 +417,13 @@ def qd_walk(n_max: int) -> sarnakxue.Certificate:
     `sarnakxue`, summed into a prefix array and its top ratio scanned."""
     violations = []
     checked = 0
-    profiles = sarnakxue._Table(sarnakxue._part_profile)
-    weights = sarnakxue._Table(lambda n: list(sarnakxue._pair_weights(n)))
     for d in range(2, n_max + 1):
         for n in range(d, n_max + 1):
             k = n // d
             checked += 1
             q = sarnakxue.qd(n, d)
-            sigma = sarnakxue._profile_prefix(q, profiles)
-            got = sarnakxue._top_ratio(sigma, weights[sum(q)])
+            sigma = sarnakxue._profile_prefix(q)
+            got = sarnakxue._top_ratio(sigma, sarnakxue._pair_weights(sum(q)))
             if got[0] * (n - k) != (d - 1) * got[1]:
                 violations.append(
                     f"ratio(qd({n},{d})) = {Fraction(*got)} != "
@@ -433,8 +431,8 @@ def qd_walk(n_max: int) -> sarnakxue.Certificate:
                 )
             if n >= 2 * d:
                 q2 = sarnakxue.qd_prime(n, d)
-                sigma2 = sarnakxue._profile_prefix(q2, profiles)
-                got2 = sarnakxue._top_ratio(sigma2, weights[sum(q2)])
+                sigma2 = sarnakxue._profile_prefix(q2)
+                got2 = sarnakxue._top_ratio(sigma2, sarnakxue._pair_weights(sum(q2)))
                 if got2[0] * (n - k + 1) != (d - 1) * got2[1]:
                     violations.append(
                         f"ratio(qd_prime({n},{d})) = {Fraction(*got2)} != "

@@ -350,6 +350,19 @@ def test_only_cohomology_reads_the_fraction_character():
     assert readers <= {"cohomology"}
 
 
+def test_only_infchar_reads_and_checks_characters():
+    # one reader of a character value and one adaptedness predicate, both
+    # defined in infchar and nowhere else in the package
+    defined = [
+        (module, node.name)
+        for module, tree in _package().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+    ]
+    for name in ("_doubled_from_json", "_fraction_from_json", "adapted2"):
+        assert [m for m, n in defined if n == name] == ["infchar"], name
+
+
 def test_shapes_reads_no_fraction():
     # a shape's centres are stored doubled, as ints, and written from them:
     # shapes neither imports fractions nor reads the name Fraction
@@ -400,6 +413,7 @@ def test_cli_leaves_the_delta_max_text_to_shapes():
         lambda v: asymptotics.index_congruence(v, ((2, 1),)),
         lambda v: shapes.ShapeBlock(T=v, d=1, centers=((1, 0),), eta=1),
         lambda v: shapes.ShapeBlock(T=1, d=v, centers=((0,),), eta=1),
+        lambda v: shapes.ShapeBlock(T=1, d=1, centers=((0,),), eta=v),
     ],
     ids=[
         "td_pairs-T",
@@ -417,6 +431,7 @@ def test_cli_leaves_the_delta_max_text_to_shapes():
         "index_congruence-n",
         "ShapeBlock-T",
         "ShapeBlock-d",
+        "ShapeBlock-eta",
     ],
 )
 def test_non_integer_refused(call, bad):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import oracles
 from strategies import global_reps, rep_text
-from upqgrowth import cli, cohomology as ch
+from upqgrowth import cli, cohomology as ch, infchar
 from upqgrowth.infchar import format_rational, rho
 
 
@@ -302,7 +302,7 @@ def test_fraction_from_json_matches_fraction(value):
         )
     else:
         want = _outcome(Fraction, value)
-    assert _outcome(ch._fraction_from_json, value) == want
+    assert _outcome(infchar._fraction_from_json, value) == want
 
 
 # values of a character entry that the doubled-int reader must read as the
@@ -431,6 +431,7 @@ def test_reader_builds_no_fraction(monkeypatch):
     def refused(*args):
         raise AssertionError(f"Fraction{args} built")
 
-    monkeypatch.setattr(ch, "Fraction", refused)
+    for module in (ch, infchar):  # infchar reads each value
+        monkeypatch.setattr(module, "Fraction", refused)
     assert [cli.load_rep(str(path)) for path in paths] == want
     assert len(want) == 5

@@ -55,14 +55,6 @@ def test_growth_value_order_is_lexicographic(a, i, b, j):
     assert (GrowthValue(a, i) < GrowthValue(b, j)) == ((a, i) < (b, j))
 
 
-def test_growth_value_arithmetic():
-    v = GrowthValue(Fraction(5, 2), 1)
-    assert v + GrowthValue(Fraction(1, 2), 2) == GrowthValue(3, 3)
-    assert v - GrowthValue(1, 1) == GrowthValue(Fraction(3, 2))
-    assert v + 3 == GrowthValue(Fraction(11, 2), 1)
-    assert v - Fraction(1, 2) == GrowthValue(2, 1)
-
-
 def test_growth_value_str():
     assert str(GrowthValue(21)) == "21"
     assert str(GrowthValue(22, 2)) == "22+2*eps"

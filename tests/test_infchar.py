@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import oracles
 from upqgrowth import infchar as ic
-from upqgrowth.cohomology import LocalRep
+from upqgrowth.cohomology import LocalRep, reps_in_degree
+from upqgrowth.partitions import block_sums
 
 
 def test_rho():
@@ -17,11 +18,23 @@ def test_rho():
     assert ic.rho(1) == (0,)
 
 
-def test_as_character_rejects_nondecreasing():
-    with pytest.raises(ValueError):
-        ic.as_character((1, 1))
-    with pytest.raises(ValueError):
-        ic.as_character((0, 1))
+def test_nondecreasing_character_refused():
+    # each reader of a character refuses it with LocalRep's text
+    for lam in [(1, 1), (0, 1), ("1/2", "1/2"), (Fraction(1, 3), Fraction(1, 2))]:
+        text = f"character must be strictly decreasing: {tuple(map(Fraction, lam))}"
+        for read in (ic.weyl_dim, lambda lam: reps_in_degree(2, 0, lam, 0)):
+            with pytest.raises(ValueError) as refused:
+                read(lam)
+            assert str(refused.value) == text
+
+
+def test_huge_exponent_refused():
+    # as LocalRep refuses it, before Fraction builds 10**4300 in full
+    for read in (ic.weyl_dim, lambda lam: reps_in_degree(1, 1, lam, 1)):
+        with pytest.raises(
+            ValueError, match="infchar entries take exponents below 4300"
+        ):
+            read(("1e4300", 0))
 
 
 def _singletons(lam):
@@ -42,17 +55,62 @@ def test_regular_integral():
 
 
 def test_adapted():
-    lam = ic.rho(7)
-    assert ic.is_adapted(lam, (7,))
-    assert ic.is_adapted(lam, (2, 5))
-    assert ic.is_adapted(lam, (1,) * 7)
-    assert ic.is_adapted(lam, (3, 3, 1))
+    # on doubled values: rho(7) doubled is 6, 4, ..., -6
+    twice = list(range(6, -7, -2))
+    assert ic.adapted2(twice, (7,))
+    assert ic.adapted2(twice, (2, 5))
+    assert ic.adapted2(twice, (1,) * 7)
+    assert ic.adapted2(twice, (3, 3, 1))
     # rank mismatch is just "not adapted"
-    assert not ic.is_adapted(lam, (3, 3))
-    gap = (Fraction(3), Fraction(2), Fraction(0))
-    assert not ic.is_adapted(gap, (3,))
-    assert not ic.is_adapted((3, 1, 0), (3,))
-    assert ic.is_adapted(gap, (2, 1))
+    assert not ic.adapted2(twice, (3, 3))
+    assert not ic.adapted2(twice, (7, 1))
+    gap = [6, 4, 0]
+    assert not ic.adapted2(gap, (3,))
+    assert not ic.adapted2([6, 2, 0], (3,))
+    assert ic.adapted2(gap, (2, 1))
+    # every step counts, not the span: 6 - 2 = 2 * (3 - 1)
+    assert not ic.adapted2([6, 5, 2], (3,))
+    assert ic.adapted2([Fraction(8, 3), Fraction(2, 3)], (2,))
+
+
+@st.composite
+def _characters(draw):
+    """(p, q, lam, degree): lam strictly decreasing of rank p + q, its
+    values and steps of denominators 1 to 4, a step of 1 drawn often so
+    that adapted bipartitions are common; given as Fractions or as texts."""
+    n = draw(st.integers(1, 6))
+    p = draw(st.integers(0, n))
+    fractions = st.builds(Fraction, st.integers(1, 8), st.integers(1, 4))
+    value = draw(st.builds(Fraction, st.integers(-8, 8), st.integers(1, 4)))
+    lam = [value]
+    for _ in range(n - 1):
+        lam.append(lam[-1] - draw(st.one_of(st.just(Fraction(1)), fractions)))
+    if draw(st.booleans()):
+        lam = [ic.format_rational(v) for v in lam]
+    return p, n - p, tuple(lam), draw(st.integers(0, 2 * p * (n - p)))
+
+
+@given(_characters())
+@example((2, 1, ("1", "0", "-1"), 2))
+@example((1, 2, (Fraction(5, 2), Fraction(3, 2), Fraction(1, 2)), 2))
+@example((2, 1, (3, 2, 0), 1))
+def test_readers_match_scan(case):
+    # reps_in_degree against a scan through the oracles' adaptedness in
+    # Fractions, and weyl_dim against the product in Fractions
+    p, q, lam, degree = case
+    values = tuple(map(Fraction, lam))
+    want = []
+    for blocks in oracles.reduced_bipartitions(p, q):
+        low, _, _, cap = oracles.hodge_data(blocks)
+        if oracles.adapted(values, block_sums(blocks)) and degree in range(
+            low, low + 2 * cap + 1, 2
+        ):
+            want.append(blocks)
+    got = reps_in_degree(p, q, lam, degree)
+    assert sorted(got) == sorted(want)
+    dim = ic.weyl_dim(lam)
+    assert dim == oracles.weyl_dimension(values)
+    assert type(dim) is Fraction
 
 
 def test_block_expansion():

@@ -166,20 +166,6 @@ def test_growth_value_order():
     assert GrowthValue(3).eps == 0
 
 
-def test_growth_value_arithmetic():
-    a = GrowthValue(Fraction(1, 2), 1)
-    b = GrowthValue(1, 2)
-    assert a + b == GrowthValue(Fraction(3, 2), 3)
-    assert a - b == GrowthValue(Fraction(-1, 2), -1)
-    assert a + 1 == GrowthValue(Fraction(3, 2), 1)
-    assert a - Fraction(1, 2) == GrowthValue(0, 1)
-    for value in (a + b, a - b, a + 1, a - 1):
-        assert type(value) is GrowthValue
-        assert type(value.main) is Fraction
-    assert str(a - b) == "-1/2-eps"
-    assert str(a + b) == "3/2+3*eps"
-
-
 def test_certificate_default_notes():
     cert = sarnakxue.Certificate("qd", "none", 0, ())
     assert cert.notes == ()

@@ -425,8 +425,7 @@ def test_qd_threshold_lemma(case):
         q = (d,) * kappa + tail
         n = sum(q)
         profile = oracles.balanced_profile(q)
-        profiles = {m: sarnakxue._part_profile(m) for m in q}
-        sigma = sarnakxue._profile_prefix(q, profiles)
+        sigma = sarnakxue._profile_prefix(q)
         for v, (a, b) in enumerate(terms, 1):
             x = sum(1 for e in profile if e >= v)
             assert kappa * a + b == (d - 1) * x * (n - x) - (n - kappa) * sigma[x]
