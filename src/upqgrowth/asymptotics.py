@@ -249,7 +249,8 @@ def leading_term(rep: GlobalRep, convention: str = "binom") -> LeadingTerm:
                 bits = 0
                 for j, (d, (c2,)) in enumerate(zip(ds, placement[:-1])):
                     bits |= _place_parity(local, stretches, d, c2) << j
-                weight = weyl_dim(tuple(Fraction(c2, 2) for c2 in placement[-1])) / size
+                # texts c2/2, which weyl_dim reads as the ints c2: no Fraction
+                weight = weyl_dim(tuple(f"{c2}/2" for c2 in placement[-1])) / size
                 for key, x in table.items():
                     folded[key ^ bits] += x * weight
             table = folded

@@ -83,16 +83,16 @@ def check_decreasing(twice) -> None:
 
 def adapted2(twice, parts) -> bool:
     """Whether the doubled values twice, cut into consecutive segments of
-    the lengths in parts, fall by exactly 2 at each step within every
-    segment and fill them: the character they double is adapted to parts.
-    Each step is taken once, and a segment of k values holds k - 1 steps."""
+    the positive lengths in parts, fall by exactly 2 at each step within
+    every segment and fill them: the character they double is adapted to
+    parts. The step after each segment is free, so it is set to 2."""
     steps = list(map(sub, twice, twice[1:]))
-    i = 0
+    i = -1
     for k in parts:
-        if steps[i : i + k - 1].count(2) != k - 1:
-            return False
         i += k
-    return i == len(twice)
+        if i < len(steps):
+            steps[i] = 2
+    return i == len(steps) and steps.count(2) == i
 
 
 def rho(n: int) -> Character:
