@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification failed or checked nothing, 2 bad input,
-3 a broken internal invariant (an AssertionError, reported as "internal error").
+3 a broken internal invariant (an AssertionError, reported as "internal error"),
+141 (128 + SIGPIPE) stdout closed by its reader, which `main` alone reports.
 All structured output is JSON with sorted keys; tables default to CSV.
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import sys
 from collections import namedtuple
 from decimal import Decimal
@@ -18,19 +20,26 @@ from types import SimpleNamespace
 from . import asymptotics, cohomology, sarnakxue, shapes
 from .infchar import format_rational
 
-# the smallest --nmax per target: the first N at which its sweep has a case
-# (table ignores --nmax; maxsl2, whose first case is N = 1, keeps the qd floor)
-NMAX_MIN = {"table": 2, "qd": 2, "density": 3, "maxsl2": 2}
-# the largest --nmax per sweep: qd at 200 is about 0.1 s of work (0.08 s in
-# process, 0.11 s as the first call of a fresh one, 2-vCPU Xeon, Python
-# 3.11.7), since it decides each (d, r) family by closed forms at the ends
-# of its threshold runs, but keeps the limit it had when it took 0.5 s;
-# density at 1600 is about 0.01 s (9.5 ms in process, 2-vCPU Xeon, Python
-# 3.11.7), since it decides its cases by blocks, but keeps the limit it had
-# when it took 0.5 s; maxsl2, decided by one knapsack, takes 0.25-0.29 s at
-# 1000 in process (2-vCPU Xeon, Python 3.11.7), where it counts about
-# 5.5 * 10^24 cases
-NMAX_MAX = {"qd": 200, "density": 1600, "maxsl2": 1000}
+# verify's targets: target -> (sweep at --nmax, count of its cases up to an
+# N, least --nmax, most --nmax); a sweep is looked up when it runs, so a
+# patched or traced one runs. The least is the first N with a case (table
+# ignores --nmax; maxsl2, whose first case is N = 1, keeps the qd floor).
+# The most: qd at 200 is about 0.1 s of work (0.08 s in process, 0.11 s as
+# the first call of a fresh one, 2-vCPU Xeon, Python 3.11.7), since it
+# decides each (d, r) family by closed forms at the ends of its threshold
+# runs, but keeps the limit it had when it took 0.5 s; density at 1600 is
+# about 0.01 s (9.5 ms in process, same machine), since it decides its cases
+# by blocks, but keeps the limit it had when it took 0.5 s; maxsl2, decided
+# by one knapsack, takes 0.25-0.29 s at 1000 in process (same machine),
+# where it counts about 5.5 * 10^24 cases
+SWEEPS = {
+    "table": (lambda n: sarnakxue.verify_table1(), None, 2, None),
+    "qd": (lambda n: sarnakxue.verify_qd_bound(n), sarnakxue.qd_count, 2, 200),
+    "density": (
+        lambda n: sarnakxue.verify_density(n), sarnakxue.density_count, 3, 1600
+    ),
+    "maxsl2": (lambda n: sarnakxue.verify_maxsl2(n), sarnakxue.maxsl2_count, 2, 1000),
+}
 # a refusal quotes the count at --nmax up to this N, and above it as more than
 # the count here: maxsl2's is an O(N^2) DP, and no int of 4300 digits prints
 COUNT_N_MAX = 2000
@@ -39,20 +48,15 @@ COUNT_N_MAX = 2000
 # core of distinct small parts padded with ones; they grow like N^2 log N and
 # take about 0.15 s at the limit, (15, 14, ..., 2) padded to N = 1200
 SX_N_MAX = 1200
-# the most digits an euler value may have, by asymptotics.euler_digits: Python
-# prints no int of more than 4300 digits, and any value under the cap takes
-# at most about 0.1 s (thousands of indices of 1) and mostly a few ms
-EULER_DIGITS_MAX = 4000
+# the most digits a printed value may have, an euler value by
+# asymptotics.euler_digits and a coh-bounds degree: Python prints no int of
+# more than 4300 digits, and any euler value under the cap takes at most
+# about 0.1 s (thousands of indices of 1) and mostly a few ms
+DIGITS_MAX = 4000
 # the largest --rank of a coh-bounds table (rank/2 + 1 rows, about 0.05 s as
 # CSV and 0.19-0.24 s as JSON in process, 2-vCPU Xeon, Python 3.11.7); one
-# --half-signature row has no limit
+# --half-signature row is limited only by the digits of its degree
 COH_RANK_MAX = 100_000
-
-
-def sweep_cases(target: str, nmax: int) -> int:
-    """The number of cases the qd, density or maxsl2 sweep checks up to
-    nmax: `sarnakxue.qd_count`, `density_count` or `maxsl2_count`."""
-    return getattr(sarnakxue, f"{target}_count")(nmax)
 
 
 class ParseError(ValueError):
@@ -147,15 +151,16 @@ def format_decimal2(x: Fraction) -> str:
     return f"{sign}{q // 100}.{q % 100:02d}"
 
 
-def _emit_json(obj) -> None:
-    """Print obj as JSON: sorted keys, a 2-space indent, ASCII escapes."""
-    print(json.dumps(obj, sort_keys=True, indent=2))
+def _json(obj) -> str:
+    """obj as JSON: sorted keys, a 2-space indent, ASCII escapes."""
+    return json.dumps(obj, sort_keys=True, indent=2)
 
 
 # --- subcommands -------------------------------------------------------------
+# each returns (exit code, output text), which run prints
 
 
-def cmd_sx_table(args) -> int:
+def cmd_sx_table(args) -> tuple[int, str]:
     if args.parts is not None:
         part_list = parse_partition_list(args.parts)
         n = max(map(sum, part_list))
@@ -168,37 +173,26 @@ def cmd_sx_table(args) -> int:
         part_list = [row.q for row in sarnakxue.REFERENCE_TABLE]
     rows = [sarnakxue.sx_row(p) for p in part_list]
     if args.json:
-        _emit_json({"rows": [r.to_json() for r in rows]})
-        return 0
-    print(
+        return 0, _json({"rows": [r.to_json() for r in rows]})
+    lines = [
         "Q,provable,conjectural,sx_goal,trivial,"
         "provable_eps,provable_italic,conjectural_italic,exceeds_goal"
-    )
+    ]
     for r in rows:
-        print(
-            ",".join(
-                [
-                    " ".join(str(v) for v in r.q),
-                    format_rational(r.provable.main),
-                    format_rational(r.conjectural.main),
-                    format_decimal2(r.sx_goal),
-                    str(r.trivial),
-                    str(r.provable.eps),
-                    str(int(r.provable_at_coarsening)),
-                    str(int(r.conjectural_at_coarsening)),
-                    str(int(r.exceeds_goal)),
-                ]
-            )
+        lines.append(
+            f"{' '.join(map(str, r.q))},{format_rational(r.provable.main)},"
+            f"{format_rational(r.conjectural.main)},{format_decimal2(r.sx_goal)},"
+            f"{r.trivial},{r.provable.eps},{r.provable_at_coarsening:d},"
+            f"{r.conjectural_at_coarsening:d},{r.exceeds_goal:d}"
         )
-    return 0
+    return 0, "\n".join(lines)
 
 
-def cmd_delta_max(args) -> int:
-    print(shapes.delta_max(load_rep(args.rep)).to_text())
-    return 0
+def cmd_delta_max(args) -> tuple[int, str]:
+    return 0, shapes.delta_max(load_rep(args.rep)).to_text()
 
 
-def cmd_coh_bounds(args) -> int:
+def cmd_coh_bounds(args) -> tuple[int, str]:
     n, d = args.rank, args.length
     if args.half_signature is not None:
         rs = [args.half_signature]
@@ -214,60 +208,55 @@ def cmd_coh_bounds(args) -> int:
         rows = [(r, cohomology.lowest_degree(d, n, r)) for r in rs]
     except ValueError as e:
         raise ParseError(str(e)) from None
+    # a table's degrees are below rank^2/4, so only one row can be too long
+    if args.half_signature is not None and rows[0][1] >= 10**DIGITS_MAX:
+        raise ParseError(
+            f"--rank and --half-signature must give a degree of at most "
+            f"{DIGITS_MAX} digits, got a longer one"
+        )
     if args.json:
-        _emit_json({"rows": [{"r": r, "degree": deg} for r, deg in rows]})
-        return 0
-    print("r,lowest_degree")
-    for r, deg in rows:
-        print(f"{r},{deg}")
-    return 0
+        return 0, _json({"rows": [{"r": r, "degree": deg} for r, deg in rows]})
+    return 0, "\n".join(["r,lowest_degree", *(f"{r},{deg}" for r, deg in rows)])
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, str]:
     nmax = args.nmax
-    targets = list(NMAX_MIN) if args.target == "all" else [args.target]
-    least = max(NMAX_MIN[t] for t in targets)
+    targets = list(SWEEPS) if args.target == "all" else [args.target]
+    least = max(SWEEPS[t][2] for t in targets)
     if nmax < least:
         raise ParseError(f"--nmax must be at least {least}, got {nmax}")
     for t in targets:
-        if t in NMAX_MAX and nmax > NMAX_MAX[t]:
+        _, count, _, most = SWEEPS[t]
+        if most is not None and nmax > most:
             more = "more than " if nmax > COUNT_N_MAX else ""
             raise ParseError(
-                f"--nmax must be at most {NMAX_MAX[t]} for {t}, got {nmax}: "
+                f"--nmax must be at most {most} for {t}, got {nmax}: "
                 f"the {t} sweep would check {more}"
-                f"{sweep_cases(t, min(nmax, COUNT_N_MAX))} cases"
+                f"{count(min(nmax, COUNT_N_MAX))} cases"
             )
-    runners = {
-        "table": sarnakxue.verify_table1,
-        "qd": lambda: sarnakxue.verify_qd_bound(nmax),
-        "density": lambda: sarnakxue.verify_density(nmax),
-        "maxsl2": lambda: sarnakxue.verify_maxsl2(nmax),
-    }
-    certs = [runners[t]() for t in targets]
+    certs = [SWEEPS[t][0](nmax) for t in targets]
+    code = 0 if all(c.ok for c in certs) else 1
     if args.json:
-        _emit_json({"certificates": [c.to_json() for c in certs]})
-    else:
-        for c in certs:
-            if c.ok:
-                print(f"ok {c.target}: {c.checked_count} cases ({c.sweep})")
-            else:
-                print(
-                    f"FAIL {c.target}: {len(c.violations)} violations "
-                    f"in {c.checked_count} cases"
-                )
-            for v in c.violations:
-                print(f"  {v}")
-    return 0 if all(c.ok for c in certs) else 1
+        return code, _json({"certificates": [c.to_json() for c in certs]})
+    lines = []
+    for c in certs:
+        if c.ok:
+            lines.append(f"ok {c.target}: {c.checked_count} cases ({c.sweep})")
+        else:
+            lines.append(
+                f"FAIL {c.target}: {len(c.violations)} violations "
+                f"in {c.checked_count} cases"
+            )
+        lines += [f"  {v}" for v in c.violations]
+    return code, "\n".join(lines)
 
 
-def cmd_leading_term(args) -> int:
+def cmd_leading_term(args) -> tuple[int, str]:
     rep = load_rep(args.rep)
-    term = asymptotics.leading_term(rep, convention=args.convention)
-    _emit_json(term.to_json())
-    return 0
+    return 0, _json(asymptotics.leading_term(rep, convention=args.convention).to_json())
 
 
-def cmd_euler(args) -> int:
+def cmd_euler(args) -> tuple[int, str]:
     ideal = parse_ideal(args.ideal)
     if (args.indices is None) == (args.congruence is None):
         raise ParseError("need exactly one of --indices / --congruence")
@@ -279,9 +268,9 @@ def cmd_euler(args) -> int:
         # a rank below 1 is left to index_congruence, which names the error
         ns, n = ((given,), given) if given >= 1 else ((), 0)
     digits = asymptotics.euler_digits(ns, ideal, n)
-    if digits > EULER_DIGITS_MAX:
+    if digits > DIGITS_MAX:
         raise ParseError(
-            f"{option} must give at most {EULER_DIGITS_MAX} digits for "
+            f"{option} must give at most {DIGITS_MAX} digits for "
             f"--ideal {args.ideal}, got {given}: the value would have up to "
             f"{digits} digits"
         )
@@ -289,8 +278,7 @@ def cmd_euler(args) -> int:
         value = asymptotics.gamma_factor(ns, ideal)
     else:
         value = asymptotics.index_congruence(given, ideal)
-    print(format_rational(value))
-    return 0
+    return 0, format_rational(value)
 
 
 # --- wiring ------------------------------------------------------------------
@@ -336,9 +324,7 @@ COMMANDS = {
         "run the certified sweeps",
         cmd_verify,
         (
-            _option(
-                "--target", ("all", "table", "qd", "density", "maxsl2"), "all"
-            ),
+            _option("--target", ("all", *SWEEPS), "all"),
             _option("--nmax", int, 60),
             _option("--json", bool, False),
         ),
@@ -448,17 +434,26 @@ def run(argv=None) -> int:
             code = e.code
             return code if isinstance(code, int) else 2
     try:
-        return args.func(args)
+        code, text = args.func(args)
     except ValueError as e:  # ParseError included
         print(f"error: {e}", file=sys.stderr)
         return 2
     except AssertionError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 3
+    print(text)
+    return code
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: exit as SIGPIPE would, flushing to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

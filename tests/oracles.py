@@ -415,17 +415,32 @@ def qd_walk(n_max: int) -> sarnakxue.Certificate:
     """`sarnakxue.verify_qd_bound` walked case by case, as it ran before its
     family lemmas: each profile of qd and qd_prime, read through
     `sarnakxue`, summed into a prefix array and its top ratio scanned."""
-    violations = []
-    checked = 0
+    return qd_certificate(n_max, qd_cases(n_max))
+
+
+def qd_certificate(n_max: int, cases) -> sarnakxue.Certificate:
+    """The qd certificate of the walk's cases (N, d, messages) up to n_max."""
+    cases = list(cases)
+    return sarnakxue.Certificate(
+        target="qd",
+        sweep=f"2 <= d <= N <= {n_max}",
+        checked_count=len(cases),
+        violations=tuple(m for _, _, messages in cases for m in messages),
+    )
+
+
+def qd_cases(n_max: int):
+    """The qd walk's cases (N, d), d outermost, each with its violation
+    messages, which do not depend on n_max."""
     for d in range(2, n_max + 1):
         for n in range(d, n_max + 1):
             k = n // d
-            checked += 1
+            messages = []
             q = sarnakxue.qd(n, d)
             sigma = sarnakxue._profile_prefix(q)
             got = sarnakxue._top_ratio(sigma, sarnakxue._pair_weights(sum(q)))
             if got[0] * (n - k) != (d - 1) * got[1]:
-                violations.append(
+                messages.append(
                     f"ratio(qd({n},{d})) = {Fraction(*got)} != "
                     f"{Fraction(d - 1, n - k)}"
                 )
@@ -434,20 +449,15 @@ def qd_walk(n_max: int) -> sarnakxue.Certificate:
                 sigma2 = sarnakxue._profile_prefix(q2)
                 got2 = sarnakxue._top_ratio(sigma2, sarnakxue._pair_weights(sum(q2)))
                 if got2[0] * (n - k + 1) != (d - 1) * got2[1]:
-                    violations.append(
+                    messages.append(
                         f"ratio(qd_prime({n},{d})) = {Fraction(*got2)} != "
                         f"{Fraction(d - 1, n - k + 1)}"
                     )
                 if any(s2 > s1 for s1, s2 in zip(sigma, sigma2)):
-                    violations.append(
+                    messages.append(
                         f"qd_prime({n},{d}) escapes the qd({n},{d}) profile"
                     )
-    return sarnakxue.Certificate(
-        target="qd",
-        sweep=f"2 <= d <= N <= {n_max}",
-        checked_count=checked,
-        violations=tuple(violations),
-    )
+            yield n, d, messages
 
 
 def threshold_terms(d: int, tail):

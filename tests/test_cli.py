@@ -368,7 +368,8 @@ def test_coh_bounds_negative_rank(argv, message, capsys):
 
 
 def test_coh_bounds_rank_limit(capsys):
-    # the full table stops at COH_RANK_MAX; one --half-signature row has no limit
+    # the full table stops at COH_RANK_MAX; one --half-signature row has no
+    # rank limit
     limit = cli.COH_RANK_MAX
     assert cli.run(["coh-bounds", "--length", "3", "--rank", str(limit)]) == 0
     assert len(capsys.readouterr().out.splitlines()) == limit // 2 + 2
@@ -386,6 +387,24 @@ def test_coh_bounds_rank_limit(capsys):
     argv = ["coh-bounds", "--length", "3", "--rank", str(10**9)]
     assert cli.run(argv + ["--half-signature", "2"]) == 0
     assert capsys.readouterr().out == "r,lowest_degree\n2,1999999994\n"
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["csv", "json"])
+def test_coh_bounds_refuses_degrees_too_long_to_print(fmt, capsys):
+    # at length 3 and r = 1 the degree is rank - 3: a degree of DIGITS_MAX
+    # digits prints, one digit more is refused before any output
+    assert cli.DIGITS_MAX == 4000
+    argv = ["coh-bounds", "--length", "3", "--half-signature", "1", *fmt]
+    assert cli.run(argv + ["--rank", str(10**4000 + 2)]) == 0
+    assert str(10**4000 - 1) in capsys.readouterr().out
+    refusal = (
+        "error: --rank and --half-signature must give a degree of at most "
+        "4000 digits, got a longer one\n"
+    )
+    for rank, r in ((10**4000 + 3, "1"), ("9" * 4000, "4" * 4000)):
+        argv = ["coh-bounds", "--length", "3", "--rank", str(rank)]
+        assert cli.run(argv + ["--half-signature", r, *fmt]) == 2
+        assert capsys.readouterr() == ("", refusal)
 
 
 # --- verify ----------------------------------------------------------------------
@@ -450,7 +469,7 @@ def test_verify_small_nmax_names_the_minimum(target, least, capsys):
     ],
 )
 def test_verify_smallest_nmax_checks_one_case(target, line, capsys):
-    nmax = cli.NMAX_MIN[target]
+    nmax = cli.SWEEPS[target][2]
     assert cli.run(["verify", "--target", target, "--nmax", str(nmax)]) == 0
     assert capsys.readouterr().out.splitlines() == [line]
 
@@ -484,17 +503,13 @@ def test_verify_refuses_large_nmax(target, nmax, line, capsys):
     assert capsys.readouterr() == ("", f"error: {line}\n")
 
 
-@pytest.mark.parametrize("target", ["qd", "density", "maxsl2"])
+@pytest.mark.parametrize("target", [t for t, sweep in cli.SWEEPS.items() if sweep[1]])
 def test_sweep_cases_count_the_certificate(target):
-    sweep = {
-        "qd": sarnakxue.verify_qd_bound,
-        "density": sarnakxue.verify_density,
-        "maxsl2": sarnakxue.verify_maxsl2,
-    }
-    assert cli.NMAX_MAX[target] >= {"qd": 60, "density": 110, "maxsl2": 100}[target]
-    for nmax in [*range(2, 61), cli.NMAX_MAX[target]]:
-        cases = sweep[target](nmax).checked_count
-        assert cli.sweep_cases(target, nmax) == cases, nmax
+    sweep, count, _, most = cli.SWEEPS[target]
+    assert most >= {"qd": 60, "density": 110, "maxsl2": 100}[target]
+    for nmax in [*range(2, 61), most]:
+        cases = sweep(nmax).checked_count
+        assert count(nmax) == cases, nmax
     # the counts quoted at the refusal boundary
     assert cases == {
         "qd": 19_900,
@@ -517,7 +532,7 @@ def test_density_note_needs_the_case_it_names(nmax, notes, capsys):
 def test_verify_maxsl2_refuses_above_its_limit(capsys):
     # past its limit maxsl2 is refused with the count it would check; below
     # it, the sweep runs to --nmax with no note
-    limit = cli.NMAX_MAX["maxsl2"]
+    limit = cli.SWEEPS["maxsl2"][3]
     argv = ["verify", "--target", "maxsl2", "--nmax", str(limit + 1)]
     for extra in ([], ["--json"]):
         assert cli.run(argv + extra) == 2
@@ -538,7 +553,7 @@ def test_verify_maxsl2_refuses_above_its_limit(capsys):
 def test_verify_refusal_is_bounded_and_names_the_limit(target, nmax, capsys):
     # no count is computed or printed past cli.COUNT_N_MAX, so a huge --nmax
     # is refused at once, and with the limit, not an overflow or a traceback
-    limits = cli.NMAX_MAX
+    limits = {t: most for t, (*_, most) in cli.SWEEPS.items() if most}
     limit = min(limits.values()) if target == "all" else limits[target]
     value = {"limit + 1": limit + 1, "10^22": 10**22, "3000 digits": 10**2999}
     argv = ["verify", "--target", target, "--nmax", str(value[nmax])]
@@ -557,7 +572,7 @@ def test_verify_maxsl2_decides_at_its_limit(monkeypatch, capsys):
         raise AssertionError("maxsl2 walked its cores")
 
     monkeypatch.setattr(sarnakxue, "_maxsl2_walk", refuse)
-    limit = cli.NMAX_MAX["maxsl2"]
+    limit = cli.SWEEPS["maxsl2"][3]
     assert limit >= 100
     assert cli.run(["verify", "--target", "maxsl2", "--nmax", str(limit)]) == 0
     assert capsys.readouterr().out == (
@@ -591,6 +606,25 @@ def test_verify_qd_prints_what_the_walk_printed(nmax, json_flag, monkeypatch):
     assert got[0] == 0
 
 
+def test_verify_targets_are_the_sweeps(capsys):
+    # --target's choices are read from SWEEPS, by the plain reader and by
+    # argparse alike
+    targets = ("all", *cli.SWEEPS)
+    (option,) = (o for o in cli.COMMANDS["verify"][2] if o.name == "--target")
+    assert option.kind == targets
+    (sub,) = (a for a in cli.build_parser()._actions if a.dest == "command")
+    (action,) = (a for a in sub.choices["verify"]._actions if a.dest == "target")
+    assert tuple(action.choices) == targets
+    for target in targets:
+        argv = ["verify", "--target", target]
+        assert cli.read_plain(argv).target == target
+        assert cli.build_parser().parse_args(argv).target == target
+    assert cli.read_plain(["verify", "--target", "sweep"]) is None
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["verify", "--target", "sweep"])
+    assert "invalid choice: 'sweep'" in capsys.readouterr().err
+
+
 def test_verify_reports_violations(monkeypatch, capsys):
     fake = Certificate(
         target="table",
@@ -603,6 +637,24 @@ def test_verify_reports_violations(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL table: 1 violations in 1 cases" in out
     assert "row (9,): made up" in out
+
+
+def test_late_failure_writes_nothing(monkeypatch, capsys):
+    # run prints a command's text once the command has returned, so a row
+    # that fails after the header and a first row leaves neither on stdout
+    calls = []
+    real = cli.format_decimal2
+
+    def fail_second(x):
+        calls.append(x)
+        if len(calls) == 2:
+            raise ValueError("made up")
+        return real(x)
+
+    monkeypatch.setattr(cli, "format_decimal2", fail_second)
+    assert cli.run(["sx-table", "--parts", "(2,2);(2,2,1)"]) == 2
+    assert capsys.readouterr() == ("", "error: made up\n")
+    assert len(calls) == 2
 
 
 # --- euler -----------------------------------------------------------------------
@@ -695,7 +747,7 @@ def test_euler_refuses_long_values(argv, line, capsys):
 )
 def test_euler_prints_up_to_the_cap(argv, ns, n, capsys):
     digits = asymptotics.euler_digits(ns, cli.parse_ideal(argv[-1]), n)
-    assert 3600 < digits <= cli.EULER_DIGITS_MAX
+    assert 3600 < digits <= cli.DIGITS_MAX
     assert cli.run(["euler", *argv]) == 0
     value = capsys.readouterr().out.strip()
     assert max(len(part.lstrip("-")) for part in value.split("/")) <= digits
@@ -722,13 +774,12 @@ def test_euler_small_congruence_keeps_its_error(capsys):
 DATA = ROOT / "tests" / "data"
 
 
-def test_emit_json_prints_what_json_dumps_prints(capsys):
+def test_json_gives_what_json_dumps_gives():
     # sorted keys, a 2-space indent and ASCII escapes for quotes,
     # backslashes, control and non-ASCII characters, which no frozen output
-    # holds; a tuple prints as an array
+    # holds; a tuple gives an array
     obj = {"a": [[], {}, ()], "": {"b": [{}, [[]]]}, "\u00e9\"\\\n": ["\x00\u2028"]}
-    cli._emit_json(obj)
-    assert capsys.readouterr().out == "\n".join(
+    assert cli._json(obj) == "\n".join(
         [
             "{",
             '  "": {',
@@ -747,7 +798,7 @@ def test_emit_json_prints_what_json_dumps_prints(capsys):
             '  "\\u00e9\\"\\\\\\n": [',
             '    "\\u0000\\u2028"',
             "  ]",
-            "}\n",
+            "}",
         ]
     )
 
@@ -874,6 +925,26 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "48"
+
+
+def test_closed_pipe_exits_141_quietly():
+    # the reader closes stdout after one line of a table larger than a
+    # pipe's 64 KB buffer, so a write fails: main exits 128 + SIGPIPE, not 1
+    # (a failed verification), and writes no traceback
+    argv = ["coh-bounds", "--length", "3", "--rank", "100000"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "upqgrowth.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=SRC_ENV,
+    )
+    try:
+        assert proc.stdout.readline() == b"r,lowest_degree\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert (proc.returncode, err) == (141, b"")
 
 
 # --- the option table, the plain reader and the parser --------------------------
