@@ -87,28 +87,49 @@ def pack(term, t: int, d: int, k: int) -> int:
     Packed terms order and add like (2*main, eps) pairs as long as every eps
     involved, partial sums included, lies in [0, k): then a larger main term
     always outweighs any eps, and `GrowthValue.unpack` reads a sum back.
+    `_score` and the knapsack layer sum these.
     """
     a, e = term(t, d)
     return a * k + e
 
 
+def _score(term, pairs, k: int) -> int:
+    """N^2/2 plus term(T, d) over the (T, d) pairs, packed with k (`pack`).
+
+    The one packed sum of a bound, for `_bound` and `dominant`. Only refined
+    blocks with T = 3, d > 1 carry eps, d of it each, so with every block
+    positive (`td_pairs`) eps <= N/3 and any k > N/3 reads back: k = N + 1
+    does, and k = N would too (an equivalent mutant).
+    """
+    n = packed = 0
+    for t, d in pairs:
+        n += t * d
+        packed += pack(term, t, d, k)
+    return n * n * k + packed
+
+
 def td_pairs(x) -> tuple[tuple[int, int], ...]:
-    """(T, d) per block, of a shape (by its `.blocks`) or of (T, d) pairs."""
+    """(T, d) per block, of a shape (by its `.blocks`) or of (T, d) pairs.
+
+    Refuses an empty list and a block with T < 1 or d < 1, as `Shape` and
+    `ShapeBlock` do.
+    """
     if hasattr(x, "blocks"):
         return tuple((b.T, b.d) for b in x.blocks)
-    return tuple((index(t), index(d)) for t, d in x)
+    pairs = tuple((index(t), index(d)) for t, d in x)
+    if not pairs:
+        raise ValueError("shape needs at least one block")
+    if any(t < 1 or d < 1 for t, d in pairs):
+        raise ValueError("block multiplicities and lengths must be positive")
+    return pairs
 
 
 def _bound(term, x) -> GrowthValue:
-    """N^2/2 plus term(T, d) summed over the blocks of x."""
+    """N^2/2 plus term(T, d) summed over the blocks of x, by `_score` with
+    k = N + 1 and read back by `GrowthValue.unpack`."""
     pairs = td_pairs(x)
-    n = sum(t * d for t, d in pairs)
-    two_main, eps = n * n, 0
-    for t, d in pairs:
-        a, e = term(t, d)
-        two_main += a
-        eps += e
-    return tuple.__new__(GrowthValue, (Fraction(two_main, 2), eps))
+    k = sum(t * d for t, d in pairs) + 1
+    return GrowthValue.unpack(_score(term, pairs, k), k)
 
 
 def refined_bound(x) -> GrowthValue:
@@ -333,16 +354,19 @@ def sl2_candidates(rep: GlobalRep) -> list[tuple[int, ...]]:
 def dominant(cands) -> tuple[GrowthValue, tuple[int, ...], list]:
     """Top score over candidate partitions, its witness, and every maximizer.
 
-    Scores each candidate once with `partition_bound`. The witness is the
-    lexicographically smallest maximizer, which is the ones-padded canonical
-    partition whenever that is among them; the maximizers keep cands' order.
+    Scores each candidate once, its (multiplicity, size) counts through
+    `_score` with k = 1 + the largest rank, compares the packed ints and
+    unpacks only the top. The witness is the lexicographically smallest
+    maximizer, which is the ones-padded canonical partition whenever that
+    is among them; the maximizers keep cands' order.
     """
     if not cands:
         raise ValueError("no common SL(2)-type across the places")
-    scores = [partition_bound(q) for q in cands]
+    k = 1 + max(map(sum, cands))
+    scores = [_score(_refined_term, zip(c.values(), c), k) for c in map(Counter, cands)]
     best = max(scores)
     tops = [q for q, score in zip(cands, scores) if score == best]
-    return best, min(tops), tops
+    return GrowthValue.unpack(best, k), min(tops), tops
 
 
 def rep_bound(rep: GlobalRep) -> tuple[GrowthValue, tuple[int, ...]]:

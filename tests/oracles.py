@@ -380,6 +380,15 @@ def grouped(q_parts):
     return tuple((counts[d], d) for d in sorted(counts, reverse=True))
 
 
+def dominant(cands):
+    """The top refined value over the candidates, fully grouped, as a
+    (Fraction, eps) pair; the smallest maximizer; every maximizer in order."""
+    values = [refined_value(grouped(q)) for q in cands]
+    best = max(values)
+    tops = [q for q, value in zip(cands, values) if value == best]
+    return best, min(tops), tops
+
+
 def qd_sweep(n_max: int) -> tuple[int, list[str]]:
     """(cases, violations) of the qd certificate, every sum recomputed."""
     violations = []

@@ -230,10 +230,12 @@ def test_delta_max_computes_once(tmp_path, monkeypatch, capsys):
     counted(shapes, "local_run_data")
     counted(shapes, "sl2_candidates")
     counted(growth, "partition_bound")
+    counted(growth, "_score")
     counted(growth, "rep_bound")
     assert cli.run(["delta-max", "--rep", str(path)]) == 0
     assert len(json.loads(capsys.readouterr().out)["candidates"]) == 2
-    assert calls == {"local_run_data": 2, "partition_bound": 2}
+    # one packed score per candidate; partition_bound is counted and not called
+    assert calls == {"local_run_data": 2, "_score": 2}
 
 
 def test_delta_max_stdin(monkeypatch, capsys):

@@ -16,6 +16,7 @@ from upqgrowth.growth import (
     GrowthValue,
     all_groupings,
     conjectural_bound,
+    dominant,
     extra_tops,
     floor_below,
     grouped_blocks,
@@ -33,6 +34,7 @@ from upqgrowth.growth import (
 )
 from upqgrowth.infchar import rho
 from upqgrowth.partitions import partitions_of
+from upqgrowth.shapes import is_gsk, is_odd_gsk
 
 
 # --- the value type ----------------------------------------------------------
@@ -88,6 +90,20 @@ def test_bounds_match_oracle_on_all_groupings():
                 assert refined_bound(g) == GrowthValue(rm, re)
                 cm, ce = oracles.conjectural_value(g)
                 assert conjectural_bound(g) == GrowthValue(cm, ce)
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [((1, 0),), ((0, 1),), ((3, 2), (1, -6)), ()],
+    ids=["d-zero", "T-zero", "d-negative", "empty"],
+)
+@pytest.mark.parametrize("call", [refined_bound, conjectural_bound, is_gsk, is_odd_gsk])
+def test_invalid_blocks_refused(call, blocks):
+    # a negative length would put eps past the packed k = N + 1, and an
+    # empty list has no first block for is_gsk to read
+    text = "must be positive" if blocks else "at least one block"
+    with pytest.raises(ValueError, match=text):
+        call(blocks)
 
 
 def test_bounds_accept_shapes():
@@ -481,3 +497,36 @@ def test_rep_bound_dominates_every_candidate():
     best, _ = rep_bound(g)
     for q in sl2_candidates(g):
         assert partition_bound(q) <= best
+
+
+_candidates = st.lists(
+    st.sampled_from([q for n in range(1, 15) for q in partitions_of(n)]),
+    min_size=1,
+    max_size=12,
+)
+
+
+@given(_candidates)
+@example([(3, 2, 2), (3, 2, 1, 1), (3, 2, 2)])  # a tie, and a repeat
+@example([(1, 1), (3,), (2,)])  # mixed ranks
+@example([(3, 3, 3), (3, 3, 2, 1)])  # eps at the top
+def test_dominant_matches_oracle(cands):
+    # the packed ints pick the Fraction oracle's bound, witness and maximizers
+    best, witness, tops = dominant(cands)
+    assert (best, witness, tops) == oracles.dominant(cands)
+    assert type(best) is GrowthValue
+
+
+def test_dominant_builds_one_fraction(monkeypatch):
+    # candidates are compared as packed ints: only the top is read back
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(growth, "Fraction", counted)
+    cands = [q for n in (7, 9) for q in partitions_of(n)]
+    for calls in (1, 2):
+        dominant(cands)
+        assert len(built) == calls
