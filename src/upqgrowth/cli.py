@@ -24,10 +24,9 @@ from .infchar import format_rational
 # N, least --nmax, most --nmax); a sweep is looked up when it runs, so a
 # patched or traced one runs. The least is the first N with a case (table
 # ignores --nmax; maxsl2, whose first case is N = 1, keeps the qd floor).
-# The most: qd at 200 is about 0.1 s of work (0.08 s in process, 0.11 s as
-# the first call of a fresh one, 2-vCPU Xeon, Python 3.11.7), since it
-# decides each (d, r) family by closed forms at the ends of its threshold
-# runs, but keeps the limit it had when it took 0.5 s; density at 1600 is
+# The most: qd reads and compares O(N^2 log N) tuple parts and evaluates no
+# lemma, since a theorem proves its (d, r) families for every N, but keeps
+# the limit it had when it took 0.5 s at 200; density at 1600 is
 # about 0.01 s (9.5 ms in process, same machine), since it decides its cases
 # by blocks, but keeps the limit it had when it took 0.5 s; maxsl2, decided
 # by one knapsack, takes 0.25-0.29 s at 1000 in process (same machine),

@@ -287,61 +287,6 @@ def verify_table1() -> Certificate:
     )
 
 
-def _qd_terms(d: int, r: int, v: int) -> tuple[int, int]:
-    """(A, B) of the tail T = (r) of `verify_qd_bound` at the threshold
-    1 <= v < r, in closed form: with j, delta = divmod(d+1-v, 2) and
-    c, gamma = divmod(r+1-v, 2), A = r*j*(j-1) - (d-1)*c*(c+gamma-delta)
-    and B = c*(r-c)*(d-1-r)."""
-    e = d - 1
-    j, delta = divmod(d + 1 - v, 2)
-    c, gamma = divmod(r + 1 - v, 2)
-    return r * j * (j - 1) - e * c * (c + gamma - delta), c * (r - c) * (e - r)
-
-
-def _qd_prime_terms(d: int, r: int, v: int) -> tuple[int, int]:
-    """(A, B) of the tail T' = (d-1, r+1), r <= d-2, of `verify_qd_bound`
-    at a threshold 1 <= v <= r + 1, in closed form: with j, delta and the
-    counts c1 = (d-v)//2 of the part d-1 and c2, gamma = divmod(r+2-v, 2)
-    of the part r+1, A = (r+1)*j*(j-1) - (d-1)*c2*(c2+gamma-delta) and
-    B = (r+1)*(c1-c2)^2 + (d-r-2)*c2*(d+r-2*c1)."""
-    j, delta = divmod(d + 1 - v, 2)
-    c1 = (d - v) // 2
-    c2, gamma = divmod(r + 2 - v, 2)
-    return (
-        (r + 1) * j * (j - 1) - (d - 1) * c2 * (c2 + gamma - delta),
-        (r + 1) * (c1 - c2) ** 2 + (d - r - 2) * c2 * (d + r - 2 * c1),
-    )
-
-
-def _run_ends_hold(terms, d: int, r: int, last: int, k_hi: int) -> bool:
-    """Whether k*A + B >= 0 for k = 1 and k = k_hi, (A, B) = terms(d, r, v),
-    at the least and the largest threshold v of each parity in [1, last]."""
-    for v in {1, 2, last - 1, last}:
-        if 1 <= v <= last:
-            a, b = terms(d, r, v)
-            if a + b < 0 or k_hi * a + b < 0:
-                return False
-    return True
-
-
-def _qd_family_holds(d: int, r: int, k_hi: int) -> bool:
-    """Whether kappa*A + B >= 0 at every threshold of the family (d, r) of
-    `verify_qd_bound`: of T (`_qd_terms`) at kappa = 1 and k_hi and, for
-    k_hi >= 2, of T' (`_qd_prime_terms`) at kappa = 1 and k_hi - 1; decided
-    by the second-difference lemma at the ends of the threshold runs."""
-    return _run_ends_hold(_qd_terms, d, r, r - 1, k_hi) and (
-        k_hi < 2
-        or r == d - 1
-        or _run_ends_hold(_qd_prime_terms, d, r, min(r + 1, d - 2), k_hi - 1)
-    )
-
-
-def _profile_dominates(high, low) -> bool:
-    """Whether every top-i sum of the profile of `high` is at least that of
-    `low`, two partitions of the same total."""
-    return not any(map(gt, _profile_prefix(low), _profile_prefix(high)))
-
-
 def _qd_violations(n, d, q, q2) -> list[str]:
     """The messages of the case (N, d) of `verify_qd_bound`, given what
     qd(N, d) returned and, for N >= 2d, what qd_prime(N, d) returned (else
@@ -376,19 +321,23 @@ def verify_qd_bound(n_max: int) -> Certificate:
     """Closed forms for the extremal-partition ratios, plus domination.
 
     Every case (N, d), 2 <= d <= N <= n_max, reads qd(N, d) and, for
-    N >= 2d, qd_prime(N, d) once. The cases are decided by families: with
-    k, r = divmod(N, d), qd(N, d) is d^k + T and qd_prime(N, d) is
-    d^(k-1) + T', with T = (r) (empty when r = 0) and T' = (d-1, r+1), or
-    (d-1, d-1, 1) when r = d - 1. A family (d, r) holds the
-    cases N = k*d + r <= n_max, 1 <= k <= k_hi, and is decided at once by
-    the lemmas below (`_qd_family_holds`, and `_profile_dominates` when
-    k_hi >= 2). A case whose partitions are not its family's tuples and a
-    case of a family that the lemmas reject are walked by `_qd_violations`,
-    in the order of the cases, so the messages are the walk's.
-    The walk builds each part's balanced profile m - 1, m - 3, ... and
-    each total's weights i*(N-i) per case: the lemmas decide every family
-    of the real qd and qd_prime, so no case is walked unless a family is
-    rejected or qd is patched.
+    N >= 2d, qd_prime(N, d) once, and compares them with its family's
+    tuples: with k, r = divmod(N, d), qd(N, d) should be d^k + T and
+    qd_prime(N, d) should be d^(k-1) + T', with T = (r) (empty when r = 0)
+    and T' = (d-1, r+1), or (d-1, d-1, 1) when r = d - 1. The theorem below
+    proves every case whose partitions are these tuples, for every N, so a
+    case is walked by `_qd_violations` only when qd or qd_prime returns
+    something else, in the order of the cases, and the messages are the
+    walk's. The walk builds each part's balanced profile m - 1, m - 3, ...
+    and each total's weights i*(N-i) per case. A sweep reads and compares
+    tuples of about N/d parts per case, O(N^2 log N) in all.
+
+    The theorem. For every d >= 2, 0 <= r < d and kappa >= 1, the top
+    ratio of d^kappa + T is (d-1)/(N-kappa) and that of d^kappa + T' is
+    (d-1)/(N-kappa), N the total of each, and every top-i sum of the
+    profile of d^(kappa-1) + T' is at most that of d^kappa + T. At
+    kappa = k, and kappa = k - 1 for the ratio of qd_prime, these are the
+    three checks of a case. It follows from the lemmas below.
 
     The ratio lemma. Let q = d^kappa + T with T's parts at most d and
     R = sum(T), so N = kappa*d + R, and let F(i) = (d-1)*i*(N-i)
@@ -409,10 +358,7 @@ def verify_qd_bound(n_max: int) -> Certificate:
       is constant and F increases up to N/2.
     - For v >= max(T), j' = s = 0 and F = kappa*R*j*(j-1) >= 0.
     Each x lies in [kappa, N/2], so F >= 0 everywhere exactly when
-    kappa*A + B >= 0 at each threshold v < max(T), and, being linear in
-    kappa, that holds for every kappa in [1, kappa_hi] exactly when it
-    holds at both ends, kappa = 1 and kappa = kappa_hi: qd's family takes
-    kappa = k, qd_prime's kappa = k - 1.
+    kappa*A + B >= 0 at each threshold v < max(T).
 
     The second-difference lemma. From v to v - 2, j and every
     (m+1-v)//2 grow by 1. Take a run of thresholds of one parity on which
@@ -425,53 +371,59 @@ def verify_qd_bound(n_max: int) -> Certificate:
     j, delta = divmod(d+1-v, 2):
     - T = (r): a = 1 and R = r <= d - 1 on all of 1 <= v <= r - 1, where
       c, gamma = divmod(r+1-v, 2), A = r*j*(j-1) - (d-1)*c*(c+gamma-delta)
-      and B = c*(r-c)*(d-1-r) (`_qd_terms`). So the least and the largest
-      v of each parity, at most four thresholds, decide T at kappa = 1 and
-      kappa = k_hi.
+      and B = c*(r-c)*(d-1-r). The run ends are v = 1, 2, r - 2, r - 1.
     - T' = (d-1, r+1), r <= d - 2, with c1 = (d-v)//2: for v >= r + 2,
       A = (r+1)*j*(j-1) and B = (r+1)*c1^2, which are never negative. For
       v <= r + 1, c2, gamma = divmod(r+2-v, 2),
       A = (r+1)*j*(j-1) - (d-1)*c2*(c2+gamma-delta) and
-      B = (r+1)*(c1-c2)^2 + (d-r-2)*c2*(d+r-2*c1) (`_qd_prime_terms`);
-      a = 2 and R = d + r <= 2*(d-1), so the ends of each parity in
-      [1, min(r+1, d-2)] decide T' at kappa = 1 and kappa = k_hi - 1.
-    - T' = (d-1, d-1, 1): A = j*(j-1) and B = 2*c1^2 at every threshold,
-      so the ratio of qd_prime holds with no check.
-    A family of one case (k_hi = 1, 2d + r > n_max) has no qd_prime and is
-    decided by T at kappa = 1 alone.
+      B = (r+1)*(c1-c2)^2 + (d-r-2)*c2*(d+r-2*c1); a = 2 and
+      R = d + r <= 2*(d-1), so the run ends are v = 1, 2, last - 1 and
+      last, last = min(r+1, d-2).
+    - T' = (d-1, d-1, 1): A = j*(j-1) and B = 2*c1^2 at every threshold.
+
+    The ratio, for every kappa >= 1. B >= 0 at every threshold by its
+    form: for T, c <= r <= d - 1; for T', both terms, since r <= d - 2 and
+    d + r - 2*c1 >= r + v. A >= 0 at every run end of T and T': substitute
+    r = 3 + 2*x + rho and d = r + 1 + 2*y + h (for T', d = r + 3 + 2*y + h,
+    where last = r + 1, and d = r + 2, where last = r) with x, y >= 0 and
+    rho, h in {0, 1}. In each class every floor above is affine in (x, y),
+    and each end's A is a polynomial in (x, y) with integer coefficients,
+    all >= 0; r <= 2 gives polynomials in y alone, with none negative, at
+    every threshold. So kappa*A + B >= 0 at every run end for every
+    kappa >= 1, at every threshold by the second-difference lemma, and the
+    ratio lemma gives both ratios. The tests expand these polynomials,
+    check them against the threshold terms, and keep the closed forms and
+    the per-family decision that the sweep used before, as oracles.
 
     The domination lemma. The top-i sum of the profile of a union U + X is
     the max over a + b = i of sigma_U(a) + sigma_X(b), so
     sigma_X >= sigma_Y pointwise gives sigma_(U+X) >= sigma_(U+Y)
-    pointwise. With U = d^(k-1), X = (d) + T and Y = T', one comparison
-    per family (`_profile_dominates`) keeps qd_prime under qd for every k.
-    A family decided this way costs at most eight closed-form evaluations
-    and, with two cases or more, one profile comparison, where its walk
-    cost O(N) per case.
+    pointwise. Take U = d^(kappa-1), X = (d) + T and Y = T'. With P(m) the
+    profile m - 1, m - 3, ... of a part m: when r <= d - 2, P(d-1) is
+    entrywise at least P(r+1) and no shorter, so the top i entries of
+    P(d-1) + P(r+1), ties taken from P(d-1), are a of P(d-1) and b <= a
+    of P(r+1). The first a
+    entries of P(d) are those of P(d-1) plus 1 each, and the first b of
+    P(r), padded with zeros, those of P(r+1) less 1 each, so i entries of
+    X's zero-padded profile sum to sigma_Y(i) + a - b >= sigma_Y(i).
+    When r = d - 1,
+    Y's profile is P(d-1) twice (P(1) is empty) and X's is P(d) and
+    P(d-1), entrywise above it.
     """
     violations = []
     for d in range(2, n_max + 1):
-        # r -> (T, T') of a family (d, r) that the lemmas decide, None for
-        # one they reject
-        families = []
-        for r in range(min(d, n_max - d + 1)):
-            tail = (r,) if r else ()
-            tail2 = (d - 1, d - 1, 1) if r == d - 1 else (d - 1, r + 1)
-            k_hi = (n_max - r) // d
-            holds = _qd_family_holds(d, r, k_hi) and (
-                k_hi < 2 or _profile_dominates((d, *tail), tail2)
-            )
-            families.append((tail, tail2) if holds else None)
+        # r -> ((d) + T, T') of the family (d, r)
+        tails = [
+            ((d, r) if r else (d,), (d - 1, d - 1, 1) if r == d - 1 else (d - 1, r + 1))
+            for r in range(min(d, n_max - d + 1))
+        ]
         for n in range(d, n_max + 1):
             k, r = divmod(n, d)
+            tail, tail2 = tails[r]
+            head = (d,) * (k - 1)
             q = qd(n, d)
             q2 = qd_prime(n, d) if n >= 2 * d else None
-            family = families[r]
-            if (
-                family
-                and q == (d,) * k + family[0]
-                and (q2 is None or q2 == (d,) * (k - 1) + family[1])
-            ):
+            if q == head + tail and (q2 is None or q2 == head + tail2):
                 continue
             violations += _qd_violations(n, d, q, q2)
     return Certificate(

@@ -4,13 +4,17 @@ Everything here is deliberately brute-force and independent of the package
 internals. Each function recomputes its target from first principles so the
 fast library versions can be checked against it; the three exceptions,
 `qd_walk`, `density_walk` and `maxsl2_walk`, are the case-by-case walks
-that the qd certificate's family lemmas, the density certificate's block
+that the qd certificate's theorem, the density certificate's block
 test and the maxsl2 certificate's dominating knapsack replaced, and read
 their partitions, terms and tables through `sarnakxue` so that a patched
 one reaches both; `maxsl2_two_knapsacks` is the maxsl2 bound that its one
 knapsack replaced, read the same way; `threshold_terms` and
 `family_holds` are the qd certificate's general threshold scan, which its
-closed forms at the ends of the threshold runs replaced. The
+closed forms at the ends of the threshold runs replaced; `_qd_terms`,
+`_qd_prime_terms`, `_run_ends_hold`, `_qd_family_holds` and
+`_profile_dominates` are those closed forms and the per-family decision
+that the qd certificate's theorem replaced, kept as what the theorem is
+proved on, and `Poly` is the int polynomial that the proof expands. The
 representation reader `global_rep_from_json` is the one the doubled-int
 reader replaced: it reads each value to a Fraction and leaves every check
 to the record constructors.
@@ -24,7 +28,7 @@ from decimal import Decimal
 from fractions import Fraction
 from itertools import permutations, product
 from math import comb, prod
-from operator import add
+from operator import add, gt
 
 from upqgrowth import cohomology, sarnakxue
 
@@ -497,12 +501,136 @@ def family_holds(d: int, tail, k_hi: int) -> bool:
     """Whether the top profile ratio of d^k + tail is (d - 1)/(N - k) for
     every 1 <= k <= k_hi, by the ratio lemma of `sarnakxue.verify_qd_bound`:
     k*A + B >= 0 at both ends, k = 1 and k = k_hi, at every threshold of
-    `threshold_terms`. The exact scan that `sarnakxue._qd_family_holds`
+    `threshold_terms`. The exact scan that `_qd_family_holds`
     decides at the ends of the threshold runs."""
     for a, b in threshold_terms(d, tail):
         if a + b < 0 or k_hi * a + b < 0:
             return False
     return True
+
+
+def _qd_terms(d: int, r: int, v: int) -> tuple[int, int]:
+    """(A, B) of the tail T = (r) of `sarnakxue.verify_qd_bound` at the threshold
+    1 <= v < r, in closed form: with j, delta = divmod(d+1-v, 2) and
+    c, gamma = divmod(r+1-v, 2), A = r*j*(j-1) - (d-1)*c*(c+gamma-delta)
+    and B = c*(r-c)*(d-1-r)."""
+    e = d - 1
+    j, delta = divmod(d + 1 - v, 2)
+    c, gamma = divmod(r + 1 - v, 2)
+    return r * j * (j - 1) - e * c * (c + gamma - delta), c * (r - c) * (e - r)
+
+
+def _qd_prime_terms(d: int, r: int, v: int) -> tuple[int, int]:
+    """(A, B) of the tail T' = (d-1, r+1), r <= d-2, of `sarnakxue.verify_qd_bound`
+    at a threshold 1 <= v <= r + 1, in closed form: with j, delta and the
+    counts c1 = (d-v)//2 of the part d-1 and c2, gamma = divmod(r+2-v, 2)
+    of the part r+1, A = (r+1)*j*(j-1) - (d-1)*c2*(c2+gamma-delta) and
+    B = (r+1)*(c1-c2)^2 + (d-r-2)*c2*(d+r-2*c1)."""
+    j, delta = divmod(d + 1 - v, 2)
+    c1 = (d - v) // 2
+    c2, gamma = divmod(r + 2 - v, 2)
+    return (
+        (r + 1) * j * (j - 1) - (d - 1) * c2 * (c2 + gamma - delta),
+        (r + 1) * (c1 - c2) ** 2 + (d - r - 2) * c2 * (d + r - 2 * c1),
+    )
+
+
+def _run_ends_hold(terms, d: int, r: int, last: int, k_hi: int) -> bool:
+    """Whether k*A + B >= 0 for k = 1 and k = k_hi, (A, B) = terms(d, r, v),
+    at the least and the largest threshold v of each parity in [1, last]."""
+    for v in {1, 2, last - 1, last}:
+        if 1 <= v <= last:
+            a, b = terms(d, r, v)
+            if a + b < 0 or k_hi * a + b < 0:
+                return False
+    return True
+
+
+def _qd_family_holds(d: int, r: int, k_hi: int) -> bool:
+    """Whether kappa*A + B >= 0 at every threshold of the family (d, r) of
+    `sarnakxue.verify_qd_bound`: of T (`_qd_terms`) at kappa = 1 and k_hi and, for
+    k_hi >= 2, of T' (`_qd_prime_terms`) at kappa = 1 and k_hi - 1; decided
+    by the second-difference lemma at the ends of the threshold runs."""
+    return _run_ends_hold(_qd_terms, d, r, r - 1, k_hi) and (
+        k_hi < 2
+        or r == d - 1
+        or _run_ends_hold(_qd_prime_terms, d, r, min(r + 1, d - 2), k_hi - 1)
+    )
+
+
+def _profile_dominates(high, low) -> bool:
+    """Whether every top-i sum of the profile of `high` is at least that of
+    `low`, two partitions of the same total."""
+    prefix = sarnakxue._profile_prefix
+    return not any(map(gt, prefix(low), prefix(high)))
+
+
+
+
+class Poly:
+    """An int polynomial in n variables: a dict from exponent tuples to
+    nonzero int coefficients. It adds, subtracts, multiplies and takes int
+    powers, and divides by an int m with remainder when every coefficient
+    but the constant one is a multiple of m, so a closed form written with
+    divmod and // runs on it unchanged, over one class of residues."""
+
+    def __init__(self, terms: dict, n: int):
+        self.n = n
+        self.terms = {e: c for e, c in terms.items() if c}
+
+    @classmethod
+    def var(cls, i: int, n: int) -> "Poly":
+        return cls({tuple(int(k == i) for k in range(n)): 1}, n)
+
+    def _lift(self, other) -> "Poly":
+        if isinstance(other, Poly):
+            return other
+        return Poly({(0,) * self.n: other}, self.n)
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for e, c in self._lift(other).terms.items():
+            terms[e] = terms.get(e, 0) + c
+        return Poly(terms, self.n)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Poly({e: -c for e, c in self.terms.items()}, self.n)
+
+    def __sub__(self, other):
+        return self + -self._lift(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        terms = {}
+        pairs = product(self.terms.items(), self._lift(other).terms.items())
+        for (e1, c1), (e2, c2) in pairs:
+            e = tuple(map(add, e1, e2))
+            terms[e] = terms.get(e, 0) + c1 * c2
+        return Poly(terms, self.n)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        return prod([self] * k, start=self._lift(1))
+
+    def __divmod__(self, m: int):
+        rem = self.terms.get((0,) * self.n, 0) % m
+        quotient = {}
+        for e, c in (self - rem).terms.items():
+            quotient[e], left = divmod(c, m)
+            if left:
+                raise ValueError(f"{self.terms} is not constant modulo {m}")
+        return Poly(quotient, self.n), rem
+
+    def __floordiv__(self, m: int):
+        return divmod(self, m)[0]
+
+    def __call__(self, *point) -> int:
+        return sum(c * prod(map(pow, point, e)) for e, c in self.terms.items())
 
 
 def density_sweep(n_max: int) -> tuple[int, list[str]]:

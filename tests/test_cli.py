@@ -600,7 +600,7 @@ def test_verify_maxsl2_uncapped_prints_one_line(capsys):
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])
 @pytest.mark.parametrize("nmax", ["2", "60", "200"])
 def test_verify_qd_prints_what_the_walk_printed(nmax, json_flag, monkeypatch):
-    # the family lemmas change no byte of the output, the exit code or stderr
+    # the qd theorem changes no byte of the output, the exit code or stderr
     argv = ["verify", "--target", "qd", "--nmax", nmax, *json_flag]
     got = _run(argv)
     monkeypatch.setattr(sarnakxue, "verify_qd_bound", oracles.qd_walk)

@@ -8,6 +8,7 @@ import inspect
 import re
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from operator import ge
 
 import pytest
@@ -386,21 +387,39 @@ def test_qd_sweep_walks_only_families_of_one_case(n_max):
     assert walked == []
 
 
-@pytest.mark.parametrize("rejects", ["_qd_family_holds", "_profile_dominates"])
-def test_qd_sweep_walks_every_rejected_family(monkeypatch, rejects):
-    # the first decides every family, so every case is walked; the second
-    # only those of two cases or more (2d + r <= N)
-    monkeypatch.setattr(sarnakxue, rejects, lambda *args: False)
-    every = rejects == "_qd_family_holds"
-    for n_max in [*range(41), 60, 97]:
+@st.composite
+def _qd_patches(draw):
+    """(n_max, qds, qd_primes): for a few cases (N, d) of the qd sweep, what
+    qd or qd_prime returns there instead, a composition of N in any order
+    that is not the real partition, or else all ones."""
+    n_max = draw(st.integers(2, 40))
+    cases = [(n, d) for d in range(2, n_max + 1) for n in range(d, n_max + 1)]
+    qds, qd_primes = {}, {}
+    for n, d in draw(st.lists(st.sampled_from(cases), unique=True, max_size=6)):
+        prime = n >= 2 * d and draw(st.booleans())
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1))))
+        parts = tuple(b - a for a, b in zip([0, *cuts], [*cuts, n]))
+        if parts == (qd_prime if prime else qd)(n, d):
+            parts = (1,) * n
+        (qd_primes if prime else qds)[n, d] = parts
+    return n_max, qds, qd_primes
+
+
+# (7,3): qd's parts in another order, walked with no message; (8,2): a
+# qd_prime equal to qd
+@example((8, {(7, 3): (1, 3, 3)}, {(8, 2): (2, 2, 2, 2)}))
+@given(_qd_patches())
+def test_qd_sweep_walks_exactly_the_cases_off_their_family(case):
+    # the theorem of `verify_qd_bound` proves every case whose partitions
+    # are its family's tuples, so the sweep walks the others and only them,
+    # in the order of the cases, and its certificate is the walk's
+    n_max, qds, qd_primes = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sarnakxue, "qd", _wrong_at(qds, qd))
+        patch.setattr(sarnakxue, "qd_prime", _wrong_at(qd_primes, qd_prime))
         cert, walked = _walked(n_max)
-        assert cert == oracles.qd_walk(n_max), n_max
-        assert walked == [
-            (n, d)
-            for d in range(2, n_max + 1)
-            for n in range(d, n_max + 1)
-            if every or 2 * d + n % d <= n_max
-        ]
+        assert cert == oracles.qd_walk(n_max)
+    assert walked == sorted({*qds, *qd_primes}, key=lambda nd: nd[::-1])
 
 
 @st.composite
@@ -448,7 +467,7 @@ def test_qd_closed_forms_match_threshold_terms():
         for r in range(d):
             tail, tail2 = _qd_tails(d, r)
             terms = list(oracles.threshold_terms(d, tail))
-            assert terms == [sarnakxue._qd_terms(d, r, v) for v in range(1, r)]
+            assert terms == [oracles._qd_terms(d, r, v) for v in range(1, r)]
             for v, (a, b) in enumerate(oracles.threshold_terms(d, tail2), 1):
                 j, c1 = (d + 1 - v) // 2, (d - v) // 2
                 if r == d - 1:
@@ -456,7 +475,7 @@ def test_qd_closed_forms_match_threshold_terms():
                 elif v >= r + 2:
                     assert (a, b) == ((r + 1) * j * (j - 1), (r + 1) * c1 * c1)
                 else:
-                    assert (a, b) == sarnakxue._qd_prime_terms(d, r, v), (d, r, v)
+                    assert (a, b) == oracles._qd_prime_terms(d, r, v), (d, r, v)
 
 
 @st.composite
@@ -511,7 +530,7 @@ def test_qd_family_decision_matches_the_scan():
                 want = oracles.family_holds(d, tail, k_hi) and (
                     k_hi < 2 or oracles.family_holds(d, tail2, k_hi - 1)
                 )
-                assert sarnakxue._qd_family_holds(d, r, k_hi) == want, (d, r)
+                assert oracles._qd_family_holds(d, r, k_hi) == want, (d, r)
 
 
 # (A, B) = (1, -2) fails only at kappa = 1, (-1, 1) only at kappa = 5
@@ -525,13 +544,13 @@ def test_qd_family_decision_reads_each_end_at_both_kappas(
 ):
     # d = 12: a failure at either end of either parity of either run rejects
     # the family
-    real = getattr(sarnakxue, terms)
-    assert sarnakxue._qd_family_holds(12, r, k_hi)
+    real = getattr(oracles, terms)
+    assert oracles._qd_family_holds(12, r, k_hi)
     for bad in ends:
         monkeypatch.setattr(
-            sarnakxue, terms, lambda d, r, v: worse if v == bad else real(d, r, v)
+            oracles, terms, lambda d, r, v: worse if v == bad else real(d, r, v)
         )
-        assert not sarnakxue._qd_family_holds(12, r, k_hi), bad
+        assert not oracles._qd_family_holds(12, r, k_hi), bad
 
 
 # (A, B) = (1, -2) fails only at kappa = 1, (-1, 1) only at kappa = 5
@@ -553,23 +572,168 @@ def test_threshold_scan_reads_both_kappas(monkeypatch, worse):
         assert not oracles.family_holds(d, tail, k_hi), bad
 
 
-def test_qd_sweep_decides_each_family_by_its_run_ends(monkeypatch):
-    # at most 8 closed-form evaluations a family, 4 for a family of one case
-    # (2d + r > N): counts, not timings
-    evaluations = Counter()
-    for name in ("_qd_terms", "_qd_prime_terms"):
-        real = getattr(sarnakxue, name)
+X, Y = oracles.Poly.var(0, 2), oracles.Poly.var(1, 2)
 
-        def counted(d, r, v, real=real):
-            evaluations[d, r] += 1
-            return real(d, r, v)
 
-        monkeypatch.setattr(sarnakxue, name, counted)
-    n_max = 200
-    assert verify_qd_bound(n_max).ok
-    for (d, r), count in evaluations.items():
-        assert count <= (8 if 2 * d + r <= n_max else 4), (d, r)
-    assert max(evaluations.values()) == 8
+def _run_end_classes():
+    """(closed form, d, r, thresholds) for each class of the families (d, r)
+    of `verify_qd_bound`'s theorem, d and r polynomials in x, y >= 0: r >= 3
+    of each parity at the run ends of T and T', every threshold of r <= 2."""
+    for rho in (0, 1):
+        r = 3 + 2 * X + rho
+        for h in (0, 1):
+            yield "_qd_terms", r + 1 + 2 * Y + h, r, (1, 2, r - 2, r - 1)
+            yield "_qd_prime_terms", r + 3 + 2 * Y + h, r, (1, 2, r, r + 1)
+        yield "_qd_prime_terms", r + 2, r, (1, 2, r - 1, r)
+    for small in range(3):
+        r = 0 * X + small
+        for h in (0, 1):
+            yield "_qd_terms", r + 1 + 2 * Y + h, r, range(1, small)
+            yield "_qd_prime_terms", r + 3 + 2 * Y + h, r, range(1, small + 2)
+        yield "_qd_prime_terms", r + 2, r, range(1, small + 1)
+
+
+def _run_end_terms(**forms):
+    """(closed form, d, r, v, A, B) at each threshold of `_run_end_classes`,
+    A and B expanded into polynomials in (x, y) by the oracles' closed form
+    of that name, or by the one given for it."""
+    for name, d, r, ends in _run_end_classes():
+        form = forms.get(name, getattr(oracles, name))
+        for v in ends:
+            v = 0 * X + v
+            yield (name, d, r, v, *form(d, r, v))
+
+
+def _nonnegative(poly):
+    return all(c >= 0 for c in poly.terms.values())
+
+
+def test_qd_run_ends_are_nonnegative_polynomials():
+    # the ratio half of `verify_qd_bound`'s theorem: A and B have no negative
+    # coefficient at any run end of either tail, so kappa*A + B >= 0 for
+    # every kappa >= 1 and every family
+    checked = 0
+    for name, d, r, v, a, b in _run_end_terms():
+        assert _nonnegative(a) and _nonnegative(b), (name, d.terms, r.terms, v.terms)
+        checked += 1
+    # 40 run ends of the classes r >= 3 and 17 thresholds of r <= 2
+    assert checked == 57
+
+
+def _general_terms(d, tail, v):
+    """(A, B) of `oracles.threshold_terms` at the threshold v, on
+    polynomials, where every part m of tail counts (m+1-v)//2 >= 0 times."""
+    e, total = d - 1, sum(tail)
+    j = (d + 1 - v) // 2
+    counts = [(m + 1 - v) // 2 for m in tail]
+    assert all(map(_nonnegative, counts))
+    jt = sum(counts)
+    s = sum(c * (m - c) for c, m in zip(counts, tail))
+    return (
+        e * (j * (total - jt) + jt * (d - j) - s) - total * j * (d - j),
+        e * jt * (total - jt) - total * s,
+    )
+
+
+def test_qd_run_end_polynomials_are_the_threshold_terms():
+    # on each class the closed forms are the general threshold terms as
+    # polynomials, and the classes' points give every run end of every
+    # family with d <= 40, where they evaluate to `oracles.threshold_terms`
+    bound = 40
+    covered = set()
+    for name, d, r, v, a, b in _run_end_terms():
+        tail = (r,) if name == "_qd_terms" else (d - 1, r + 1)
+        ga, gb = _general_terms(d, tail, v)
+        assert (a - ga).terms == (b - gb).terms == {}, (name, d.terms, v.terms)
+        for x, y in product(range(bound // 2), repeat=2):
+            d0, r0, v0 = d(x, y), r(x, y), v(x, y)
+            if d0 <= bound:
+                tail = (r0,) if name == "_qd_terms" else (d0 - 1, r0 + 1)
+                terms = list(oracles.threshold_terms(d0, tail))
+                assert terms[v0 - 1] == (a(x, y), b(x, y)), (name, d0, r0, v0)
+                covered.add((name, d0, r0, v0))
+    ends = set()
+    for d0 in range(2, bound + 1):
+        for r0 in range(d0):
+            lasts = [("_qd_terms", r0 - 1)]
+            if r0 < d0 - 1:
+                lasts.append(("_qd_prime_terms", min(r0 + 1, d0 - 2)))
+            for name, last in lasts:
+                for v0 in {1, 2, last - 1, last}:
+                    if 1 <= v0 <= last:
+                        ends.add((name, d0, r0, v0))
+    assert ends <= covered
+
+
+def _constant_mutants(func):
+    """func recompiled from its source with one int constant moved by 1,
+    each constant both ways."""
+    source = inspect.getsource(func)
+    count = sum(
+        isinstance(node, ast.Constant) and type(node.value) is int
+        for node in ast.walk(ast.parse(source))
+    )
+    for i, step in product(range(count), (1, -1)):
+        tree = ast.parse(source)
+        ints = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and type(node.value) is int
+        ]
+        ints[i].value += step
+        namespace = dict(func.__globals__)
+        exec(compile(tree, inspect.getsourcefile(func), "exec"), namespace)
+        yield namespace[func.__name__]
+
+
+def _disagrees(name, mutant, bound=24):
+    """Whether a mutant of the closed form `name` differs from
+    `oracles.threshold_terms` at a threshold it stands for, d <= bound."""
+    for d in range(2, bound + 1):
+        for r in range(d - (name == "_qd_prime_terms")):
+            if name == "_qd_terms":
+                tail, last = (r,), r - 1
+            else:
+                tail, last = (d - 1, r + 1), min(r + 1, d - 2)
+            for v, terms in enumerate(oracles.threshold_terms(d, tail), 1):
+                if v <= last and mutant(d, r, v) != terms:
+                    return True
+    return False
+
+
+def _proved(**forms) -> bool:
+    """Whether the closed forms given expand on every class of
+    `_run_end_classes` into polynomials with no negative coefficient."""
+    try:
+        return all(
+            _nonnegative(a) and _nonnegative(b) for *_, a, b in _run_end_terms(**forms)
+        )
+    except ValueError:  # a floor that is not affine on some class
+        return False
+
+
+@pytest.mark.parametrize(
+    "name, constants, unproved", [("_qd_terms", 6, 8), ("_qd_prime_terms", 12, 10)]
+)
+def test_qd_closed_form_mutants_fail_the_proof(name, constants, unproved):
+    # the proof is not vacuous: each int constant of a closed form moved by
+    # 1 either way gives terms that differ from the threshold scan or that
+    # the proof rejects, and the proof alone rejects some of them
+    mutants = list(_constant_mutants(getattr(oracles, name)))
+    assert len(mutants) == 2 * constants
+    rejected = [not _proved(**{name: mutant}) for mutant in mutants]
+    assert all(r or _disagrees(name, m) for r, m in zip(rejected, mutants))
+    assert sum(rejected) == unproved
+    assert _proved()
+
+
+def test_qd_domination_lemma_every_family():
+    # the domination half of `verify_qd_bound`'s theorem, by its profiles:
+    # (d) + T over T' for every d <= 300
+    for d in range(2, 301):
+        for r in range(d):
+            tail, tail2 = _qd_tails(d, r)
+            assert oracles._profile_dominates((d, *tail), tail2), (d, r)
 
 
 def _top_sums(values, length):
