@@ -387,6 +387,28 @@ def test_qd_sweep_walks_only_families_of_one_case(n_max):
     assert walked == []
 
 
+@pytest.mark.parametrize("rejects", ["_qd_family_holds", "_profile_dominates"])
+def test_qd_sweep_walks_every_rejected_family(rejects):
+    # each oracle check named rejects every case it reads: qd's ratio, by
+    # a qd of all ones, so every case is walked; qd_prime's domination, by
+    # a qd_prime equal to qd, so every case with a qd_prime (N >= 2d) is
+    every = rejects == "_qd_family_holds"
+    for n_max in [*range(41), 60, 97]:
+        with pytest.MonkeyPatch.context() as patch:
+            if every:
+                patch.setattr(sarnakxue, "qd", lambda n, d: (1,) * n)
+            else:
+                patch.setattr(sarnakxue, "qd_prime", qd)
+            cert, walked = _walked(n_max)
+            assert cert == oracles.qd_walk(n_max), n_max
+        assert walked == [
+            (n, d)
+            for d in range(2, n_max + 1)
+            for n in range(d, n_max + 1)
+            if every or n >= 2 * d
+        ]
+
+
 @st.composite
 def _qd_patches(draw):
     """(n_max, qds, qd_primes): for a few cases (N, d) of the qd sweep, what
