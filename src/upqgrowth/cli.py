@@ -26,11 +26,12 @@ from .infchar import format_rational
 # ignores --nmax; maxsl2, whose first case is N = 1, keeps the qd floor).
 # The most: qd reads and compares O(N^2 log N) tuple parts and evaluates no
 # lemma, since a theorem proves its (d, r) families for every N, but keeps
-# the limit it had when it took 0.5 s at 200; density at 1600 is
-# about 0.01 s (9.5 ms in process, same machine), since it decides its cases
-# by blocks, but keeps the limit it had when it took 0.5 s; maxsl2, decided
-# by one knapsack, takes 0.25-0.29 s at 1000 in process (same machine),
-# where it counts about 5.5 * 10^24 cases
+# the limit it had when it took 0.5 s at 200; density reads and compares
+# O(N log N) `growth` terms and evaluates no lemma, since a theorem proves
+# its (k, d) blocks for every N, but keeps the limit it had when it took
+# 0.5 s at 1600; maxsl2, decided by one knapsack, takes 0.25-0.29 s at
+# 1000 in process (2-vCPU Xeon, Python 3.11.7), where it counts about
+# 5.5 * 10^24 cases
 SWEEPS = {
     "table": (lambda n: sarnakxue.verify_table1(), None, 2, None),
     "qd": (lambda n: sarnakxue.verify_qd_bound(n), sarnakxue.qd_count, 2, 200),

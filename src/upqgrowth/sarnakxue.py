@@ -121,10 +121,8 @@ def qd_prime(n: int, d: int) -> tuple[int, ...]:
         raise ValueError("need n >= 2d")
     k, r = divmod(n, d)
     if r == d - 1:
-        parts = (d,) * (k - 1) + (d - 1, d - 1, 1)
-    else:
-        parts = (d,) * (k - 1) + (d - 1, r + 1)
-    return tuple(sorted(parts, reverse=True))
+        return (d,) * (k - 1) + (d - 1, d - 1, 1)
+    return (d,) * (k - 1) + (d - 1, r + 1)
 
 
 def one_merge_coarsenings(parts) -> list[tuple[int, ...]]:
@@ -434,60 +432,6 @@ def verify_qd_bound(n_max: int) -> Certificate:
     )
 
 
-def _block_taylor(k: int, d: int, r0: int, naive: int, slope: int):
-    """(c0, c1, c2, c3): the Taylor coefficients, lowest first, at
-    y = r - r0 of lhs - rhs of the strict naive comparison of
-    `verify_density` over the block N = k*d + r, given the (k, d) term less 2
-    and the remainder term slope * r; the formulas are in `verify_density`.
-    Each factor is expanded at r0: m = m0 + y and
-    N^2 - 1 = t0 + 2*n0*y + y^2.
-    """
-    n0 = k * d + r0
-    m0 = n0 - k
-    t0 = n0 * n0 - 1
-    a = m0 - d + 1
-    p0 = t0 + 1 + naive + slope * r0
-    return (
-        2 * a * t0 - m0 * p0,
-        2 * t0 + 4 * a * n0 - p0 - m0 * (2 * n0 + slope),
-        2 * n0 + 2 * a - m0 - slope,
-        1,
-    )
-
-
-def _regular_walks(n_max: int, slope: int, affine: bool) -> dict:
-    """The regular blocks of `verify_density` that fail its lemma, by d:
-    d -> [(k, naive, first, end)], k ascending, each block's cases
-    first <= N < end to walk and its naive term less 2. A block (k, d) is
-    regular when it starts past the exceptional pairs, at k >= 3 (k >= 4
-    for d = 2), so its r0 is 0. Every regular block is listed when the
-    remainder terms are not affine.
-
-    One tight loop per d reads each block's naive term once and computes
-    the coefficients of `_block_taylor(k, d, 0, naive, slope)` in place:
-    with term = naive + 2, n0 = k*d, e = d - 1 and j = k - 2, they are
-    c0 = e*(j*n0^2 + 2 - k*term), c1 = n0*(n0 + 2*e*j) - term - k*e*slope
-    and c2 = 2*n0 + j*e - slope. As e > 0, c0 > 0 when its cofactor is.
-    """
-    walks = {}
-    for d in range(2, n_max // 3 + 1):  # no d past n_max/3 has k >= 3
-        e = d - 1
-        for k in range(3 + (d == 2), n_max // d + 1):
-            term = _naive_term(k, d)[0]
-            n0 = k * d
-            j = k - 2
-            if not (
-                affine
-                and j * n0 * n0 + 2 > k * term
-                and n0 * (n0 + 2 * e * j) >= term + k * e * slope
-                and 2 * n0 + j * e >= slope
-            ):
-                walks.setdefault(d, []).append(
-                    (k, term - 2, n0, min(n0 + d, n_max + 1))
-                )
-    return walks
-
-
 def verify_density(n_max: int) -> Certificate:
     """Sweep the two density comparisons and recheck the exceptional pairs.
 
@@ -504,70 +448,95 @@ def verify_density(n_max: int) -> Certificate:
     qd(N, d), r = N mod d, as N^2 plus one `growth` block term per block
     (doubled main parts).
 
-    The wide range N >= 2d is taken by blocks N = k*d + r, r = 0..d-1, the
-    last block cut at n_max. Each d's blocks are decided in two loops. The
-    exceptional blocks, k = 2 and (3, 2), hold the exceptional pairs; each
-    is walked case by case up to its last exceptional pair, and its rest,
-    from r = r0 on, is decided by the lemma below at that r0. Every later
-    block is regular: it starts past the exceptional pairs, so r0 = 0, and
-    `_regular_walks` decides it in one tight loop with the coefficients at
-    r0 = 0 computed in place. A block that fails the lemma is walked like
-    the exceptional pairs, after the exceptional blocks and in order of k,
-    so the violations come in the order of the cases.
+    The range N >= 2d is taken by blocks N = k*d + r, r = 0..d-1, the last
+    block cut at n_max. The sweep reads each term once: the naive term of
+    every block (k, d) and of every remainder block (1, r), and the refined
+    term of the exceptional blocks, k = 2 and (3, 2), which hold the
+    exceptional pairs, and of (1, 1). It compares them with their closed
+    forms: k^2 d and r naive, and 6 - 2d for (2, d), 8 with 2 eps for
+    (3, 2) and 1 for (1, 1) refined. The theorem below proves every case
+    whose terms are these, for every N, so per d the list of naive terms
+    and the refined ones are compared with the closed forms, and only a
+    block whose terms differ is walked case by case, from its first case
+    to its last, with cross-multiplied ints; every block is walked when a
+    remainder term differs. Walked blocks come in order of d, then k, so
+    the violations come in the order of the cases and are the walk's. A
+    sweep reads O(N log N) terms and evaluates no lemma.
 
-    Each term is read where the sweep needs it: the naive term of (k, d)
-    once per block (in `_regular_walks` for a regular block), those of the
-    remainder blocks (1, r) once per sweep, and the refined term of (k, d)
-    once per exceptional pair, whose remainder is 0 or 1, and that of the
-    remainder block (1, 1) once per sweep.
+    The short range d < N < 2d has the difference
+    (N-d)(N^2-1) - N(N-d)(N-1) = (N-d)(N-1) = x^2 + (d+1)x + d at
+    x = N-d-1, > 0 for every d, so it is decided with no evaluation, yet
+    counted in `checked_count`: 639,200 of the 1,277,601 cases at
+    N = 1600 (whether to count them is the benchmark's question, as its
+    checks pin the count).
+
+    The theorem. With the naive terms k^2 d of (k, d) and r of (1, r), and
+    the refined terms 6 - 2d of (2, d), 8 with 2 eps of (3, 2) and 1 of
+    (1, 1), every case N >= 2d passes the strict naive comparison except
+    N = 2d, 2d + 1 and (6, 2), and the refined recheck passes on exactly
+    those pairs other than (4, 2), for every N.
 
     The lemma: an integer polynomial whose constant term is > 0 and whose
-    other coefficients are >= 0 is > 0 at every integer y >= 0. From
-    r = r0 on, the strict naive difference
-    2(m-d+1)(N^2-1) - (N^2 + naive + rem)*m, naive the (k, d) term less 2
-    and rem = slope * r the remainder term, is y^3 + c2*y^2 + c1*y + c0 in
-    y = r - r0. With n0 = k*d + r0, m0 = n0 - k, t0 = n0^2 - 1,
-    a = m0 - d + 1 and p0 = n0^2 + naive + slope*r0: c0 = 2*a*t0 - m0*p0,
+    other coefficients are >= 0 is > 0 at every integer point >= 0, and
+    one with no negative coefficient is >= 0 there. From r = r0 on, the
+    strict naive difference 2(m-d+1)(N^2-1) - (N^2 + naive + rem)*m,
+    naive the (k, d) term less 2 and rem = slope * r the remainder term,
+    is y^3 + c2*y^2 + c1*y + c0 in y = r - r0. With n0 = k*d + r0,
+    m0 = n0 - k, t0 = n0^2 - 1, a = m0 - d + 1 and
+    p0 = n0^2 + naive + slope*r0: c0 = 2*a*t0 - m0*p0,
     c1 = 2*t0 + 4*a*n0 - p0 - m0*(2*n0 + slope) and
-    c2 = 2*n0 + 2*a - m0 - slope (`_block_taylor`). The remainder terms are
-    checked to be affine once per sweep; if they are not, every block is
-    walked. The short range d < N < 2d has the difference
-    (N-d)(N^2-1) - N(N-d)(N-1) = (N-d)(N-1) = x^2 + (d+1)x + d at
-    x = N-d-1, which the lemma passes for every d, so it is decided with
-    no evaluation, yet counted in `checked_count`: 639,200 of the 1,277,601
-    cases at N = 1600 (whether to count them is the benchmark's question,
-    as its checks pin the count). With the `growth` terms every block
-    passes, so a sweep decides O(N log N) blocks and walks O(N)
-    exceptional pairs instead of O(N^2) cases.
+    c2 = 2*n0 + 2*a - m0 - slope.
+
+    The proof, at naive = k^2 d - 2 and slope = 1.
+    - A regular block, k >= 3 with d >= 3, or k >= 4 with d = 2, starts
+      past the exceptional pairs, and r0 = 0:
+      c0 = (d-1)*((k-2)*k^2*d^2 + 2 - k^3*d),
+      c1 = k*(d-1)*(k*d-1) + 2*k*d*(d-1)*(k-2) and
+      c2 = 2*k*d + (k-2)*(d-1) - 1. At k = 3 + x and d = 3 + y, and at
+      k = 4 + x for d = 2, each is a polynomial in x, y >= 0 with no
+      negative coefficient, c0's constant term 4 (2 for d = 2).
+    - The block k = 2 past its exceptional pairs, d >= 3 and r0 = 2:
+      c0 = 14d + 6, c1 = 4d^2 + 10d + 10 and c2 = 4d + 5. Past (6, 2),
+      (3, 2) holds one case, N = 7, whose difference is 24.
+    - At the exceptional pairs the difference is -2(d-1)(4d-1) at N = 2d,
+      -4d(d-2) at N = 2d + 1 and -16 at (6, 2), never > 0. The refined
+      recheck's margin 2(N^2-1)(m-d+1) - (N^2 + refined - 2)*m is
+      2(d-1)(2d-5) at N = 2d, 8d^2 - 10d + 6 at N = 2d + 1 and 14 at
+      (6, 2): > 0 except at d = 2 of the first, (4, 2), where it is -2.
+      It is never 0, so no eps decides the recheck.
+    By the lemma every case past the exceptional pairs passes, and the
+    exceptional pairs fail and pass as the theorem says. The tests
+    expand these polynomials from the Taylor coefficients on each class,
+    and keep the per-block Taylor test and the tight loop over the regular
+    blocks that the sweep used before, as oracles.
     """
     violations = []
-    # the terms of the remainder block (1, r), r < d <= n_max/2; no block
-    # when r = 0
+    # the terms of the remainder blocks (1, r), r < d <= n_max/2, no block
+    # when r = 0; every block is walked when one is off its closed form
     rem_naive = [0] + [_naive_term(1, r)[0] for r in range(1, n_max // 2)]
     rem_refined = ((0, 0), _refined_term(1, 1))
-    slope = rem_naive[1] if len(rem_naive) >= 2 else 0
-    affine = rem_naive == [slope * r for r in range(len(rem_naive))]
-    failing = _regular_walks(n_max, slope, affine)
+    every = rem_naive != [*range(len(rem_naive))] or rem_refined[1] != (1, 0)
     for d in range(2, n_max // 2 + 1):  # a d past n_max/2 has no block
+        ks = range(2, n_max // d + 1)
+        naives = [_naive_term(k, d)[0] for k in ks]
+        closed = [k * k * d for k in ks]
+        # the exceptional blocks: k = 2, and (3, 2) when n_max reaches it
+        refined = [_refined_term(k, d) for k in ks[: 1 + (d == 2)]]
+        refined_closed = [(6 - 2 * d, 0), (8, 2)][: len(refined)]
+        if naives == closed and refined == refined_closed and not every:
+            continue
         last_exceptional = 2 * d + 1 + (d == 2)
-        # (k, naive, first, end): the cases first <= N < end of a block to
-        # walk, blocks in order of k; first the exceptional blocks, k = 2
-        # and (3, 2), each walked from first to past its exceptional pairs
-        walks = []
-        for k in range(2, min(3 + (d == 2), n_max // d + 1)):
-            naive = _naive_term(k, d)[0] - 2
+        for k, term, want in zip(ks, naives, closed):
+            i = k - 2  # where (k, d)'s refined term is, if it has one
+            if (
+                term == want
+                and refined[i : i + 1] == refined_closed[i : i + 1]
+                and not every
+            ):
+                continue
+            naive = term - 2
             first = k * d
-            stop = min(first + d, n_max + 1)
-            # walk the rest of the block too when its cubic fails the lemma
-            end = min(last_exceptional + 1, stop)
-            if end < stop:
-                c0, c1, c2, _ = _block_taylor(k, d, end - first, naive, slope)
-                if not (affine and c0 > 0 and c1 >= 0 and c2 >= 0):
-                    end = stop
-            walks.append((k, naive, first, end))
-        walks += failing.get(d, ())
-        for k, naive, first, end in walks:
-            for n in range(first, end):
+            for n in range(first, min(first + d, n_max + 1)):
                 r = n - first
                 m = n - k
                 nn = n * n
@@ -583,7 +552,7 @@ def verify_density(n_max: int) -> Certificate:
                             "expected exceptional=True"
                         )
                     # the refined bound less 1 against trivial * (m-d+1)/m
-                    a, e = _refined_term(k, d)
+                    a, e = refined[i]
                     b, f = rem_refined[r]
                     lhs = (nn + a + b - 2) * m
                     rhs = 2 * trivial * (m - d + 1)

@@ -14,7 +14,10 @@ closed forms at the ends of the threshold runs replaced; `_qd_terms`,
 `_qd_prime_terms`, `_run_ends_hold`, `_qd_family_holds` and
 `_profile_dominates` are those closed forms and the per-family decision
 that the qd certificate's theorem replaced, kept as what the theorem is
-proved on, and `Poly` is the int polynomial that the proof expands. The
+proved on, and `Poly` is the int polynomial that the proof expands;
+`_block_taylor` and `_regular_walks` are the density certificate's Taylor
+coefficients over a block and its in-place test of the regular blocks,
+which the density certificate's theorem replaced and is proved on. The
 representation reader `global_rep_from_json` is the one the doubled-int
 reader replaced: it reads each value to a Fraction and leaves every check
 to the record constructors.
@@ -631,6 +634,60 @@ class Poly:
 
     def __call__(self, *point) -> int:
         return sum(c * prod(map(pow, point, e)) for e, c in self.terms.items())
+
+
+def _block_taylor(k: int, d: int, r0: int, naive: int, slope: int):
+    """(c0, c1, c2, c3): the Taylor coefficients, lowest first, at
+    y = r - r0 of lhs - rhs of the strict naive comparison of
+    `sarnakxue.verify_density` over the block N = k*d + r, given the (k, d)
+    term less 2 and the remainder term slope * r; the formulas are in its
+    docstring. Each factor is expanded at r0: m = m0 + y and
+    N^2 - 1 = t0 + 2*n0*y + y^2.
+    """
+    n0 = k * d + r0
+    m0 = n0 - k
+    t0 = n0 * n0 - 1
+    a = m0 - d + 1
+    p0 = t0 + 1 + naive + slope * r0
+    return (
+        2 * a * t0 - m0 * p0,
+        2 * t0 + 4 * a * n0 - p0 - m0 * (2 * n0 + slope),
+        2 * n0 + 2 * a - m0 - slope,
+        1,
+    )
+
+
+def _regular_walks(n_max: int, slope: int, affine: bool) -> dict:
+    """The regular blocks of `sarnakxue.verify_density` that fail its lemma,
+    by d: d -> [(k, naive, first, end)], k ascending, each block's cases
+    first <= N < end to walk and its naive term less 2. A block (k, d) is
+    regular when it starts past the exceptional pairs, at k >= 3 (k >= 4
+    for d = 2), so its r0 is 0. Every regular block is listed when the
+    remainder terms are not affine.
+
+    One tight loop per d reads each block's naive term once and computes
+    the coefficients of `_block_taylor(k, d, 0, naive, slope)` in place:
+    with term = naive + 2, n0 = k*d, e = d - 1 and j = k - 2, they are
+    c0 = e*(j*n0^2 + 2 - k*term), c1 = n0*(n0 + 2*e*j) - term - k*e*slope
+    and c2 = 2*n0 + j*e - slope. As e > 0, c0 > 0 when its cofactor is.
+    """
+    walks = {}
+    for d in range(2, n_max // 3 + 1):  # no d past n_max/3 has k >= 3
+        e = d - 1
+        for k in range(3 + (d == 2), n_max // d + 1):
+            term = sarnakxue._naive_term(k, d)[0]
+            n0 = k * d
+            j = k - 2
+            if not (
+                affine
+                and j * n0 * n0 + 2 > k * term
+                and n0 * (n0 + 2 * e * j) >= term + k * e * slope
+                and 2 * n0 + j * e >= slope
+            ):
+                walks.setdefault(d, []).append(
+                    (k, term - 2, n0, min(n0 + d, n_max + 1))
+                )
+    return walks
 
 
 def density_sweep(n_max: int) -> tuple[int, list[str]]:

@@ -608,6 +608,18 @@ def test_verify_qd_prints_what_the_walk_printed(nmax, json_flag, monkeypatch):
     assert got[0] == 0
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+@pytest.mark.parametrize("nmax", ["3", "60", "300"])
+def test_verify_density_prints_what_the_walk_printed(nmax, json_flag, monkeypatch):
+    # the density theorem changes no byte of the output, the exit code or
+    # stderr
+    argv = ["verify", "--target", "density", "--nmax", nmax, *json_flag]
+    got = _run(argv)
+    monkeypatch.setattr(sarnakxue, "verify_density", oracles.density_walk)
+    assert _run(argv) == got
+    assert got[0] == 0
+
+
 def test_verify_targets_are_the_sweeps(capsys):
     # --target's choices are read from SWEEPS, by the plain reader and by
     # argparse alike

@@ -9,7 +9,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from operator import ge
+from operator import add, ge
 
 import pytest
 from hypothesis import assume, example, given
@@ -139,6 +139,12 @@ def test_qd_prime():
         qd_prime(5, 3)  # below 2d
     with pytest.raises(ValueError):
         qd_prime(4, 1)
+    # built in descending order, with no sort
+    for d in range(2, 101):
+        for n in range(2 * d, 201):
+            parts = qd_prime(n, d)
+            assert sum(parts) == n
+            assert list(parts) == sorted(parts, reverse=True), (n, d)
 
 
 def test_max_ratio_closed_form_exhaustive():
@@ -687,6 +693,15 @@ def test_qd_run_end_polynomials_are_the_threshold_terms():
     assert ends <= covered
 
 
+def _recompiled(func, tree, **names):
+    """func compiled again from `tree`, a changed syntax tree of its source,
+    in a copy of its module's globals with `names` added."""
+    tree = ast.fix_missing_locations(tree)
+    namespace = dict(func.__globals__, **names)
+    exec(compile(tree, inspect.getsourcefile(func), "exec"), namespace)
+    return namespace[func.__name__]
+
+
 def _constant_mutants(func):
     """func recompiled from its source with one int constant moved by 1,
     each constant both ways."""
@@ -703,9 +718,7 @@ def _constant_mutants(func):
             if isinstance(node, ast.Constant) and type(node.value) is int
         ]
         ints[i].value += step
-        namespace = dict(func.__globals__)
-        exec(compile(tree, inspect.getsourcefile(func), "exec"), namespace)
-        yield namespace[func.__name__]
+        yield _recompiled(func, tree)
 
 
 def _disagrees(name, mutant, bound=24):
@@ -792,12 +805,7 @@ def _gt_reads_false(func):
                 return ast.copy_location(ast.Constant(False), node)
             return node
 
-    tree = Falsify().visit(ast.parse(inspect.getsource(func)))
-    tree = ast.fix_missing_locations(tree)
-    code = compile(tree, inspect.getsourcefile(func), "exec")
-    namespace = dict(func.__globals__)
-    exec(code, namespace)
-    return namespace[func.__name__]
+    return _recompiled(func, Falsify().visit(ast.parse(inspect.getsource(func))))
 
 
 def _term_at(td, value, right):
@@ -824,9 +832,12 @@ def test_density_violation_text_frozen(monkeypatch):
         for nd in ("(4,2)", "(5,2)", "(6,2)", "(6,3)", "(7,3)")
     )
     monkeypatch.undo()
-    # with no comparison holding, the naive case fails wherever it is not
-    # exceptional; the short range makes no comparison, as its lemma holds
-    # for every d
+    # with no comparison holding, the naive case fails wherever it is walked
+    # and not exceptional: a (3, 2) term off its closed form walks the block
+    # N = 6, 7; the short range makes no comparison, as its lemma holds for
+    # every d
+    term = _term_at((3, 2), (19, 0), sarnakxue._naive_term)
+    monkeypatch.setattr(sarnakxue, "_naive_term", term)
     assert _gt_reads_false(verify_density)(7).violations == (
         "naive case at (7,2): strict=False, expected exceptional=False",
     )
@@ -868,17 +879,97 @@ def test_density_reads_each_term_once_where_needed(monkeypatch):
     remainders = [(1, r) for r in range(1, 30)]
     assert reads["_naive_term"] == Counter(blocks + remainders)
     assert reads["_naive_term"].total() == 171
-    # refined: once per exceptional pair, N = 2d and N = 2d + 1 (both in the
-    # block k = 2) and (6, 2), and once for the remainder block (1, 1)
-    at_2d = [(2, d) for d in range(2, 31)]
-    at_2d_plus_1 = [(2, d) for d in range(2, 30)]
-    assert reads["_refined_term"] == Counter(at_2d + at_2d_plus_1 + [(3, 2), (1, 1)])
-    assert reads["_refined_term"].total() == 59
+    # refined: once per exceptional block, (2, d) and (3, 2), and once for
+    # the remainder block (1, 1)
+    exceptional = [(2, d) for d in range(2, 31)] + [(3, 2)]
+    assert reads["_refined_term"] == Counter(exceptional + [(1, 1)])
+    assert reads["_refined_term"].total() == 31
 
 
 def test_density_sweep_matches_walk():
     for n_max in range(3, 301):
         assert verify_density(n_max) == oracles.density_walk(n_max), n_max
+
+
+def _walked_cases(n_max):
+    """(certificate, the cases (N, d) that `verify_density` walks), by the
+    sweep recompiled to record each pass of its loop over N, from the
+    module's globals at the call, so a term patched before the call reaches
+    it."""
+
+    class Record(ast.NodeTransformer):
+        def visit_For(self, node):
+            self.generic_visit(node)
+            if isinstance(node.target, ast.Name) and node.target.id == "n":
+                node.body.insert(0, ast.parse("walked.append((n, d))").body[0])
+            return node
+
+    walked = []
+    tree = Record().visit(ast.parse(inspect.getsource(verify_density)))
+    return _recompiled(verify_density, tree, walked=walked)(n_max), walked
+
+
+def test_density_sweep_walks_no_case():
+    # under the growth terms every block's terms are their closed forms, so
+    # the theorem decides every case: none is walked, and with every `>`
+    # reading False the sweep still reports nothing, which a closed form
+    # moved by 1, walking the blocks it reads, would not
+    cert, walked = _walked_cases(300)
+    assert cert == verify_density(300)
+    assert walked == []
+    assert _gt_reads_false(verify_density)(300) == verify_density(300)
+
+
+@st.composite
+def _density_patches(draw):
+    """(n_max, naives, refineds): for a few blocks (t, d) whose terms the
+    density sweep reads, what `_naive_term` or `_refined_term` returns
+    there instead, off the closed form by a nonzero amount. A block (1, r)
+    is a remainder block."""
+    n_max = draw(st.integers(4, 60))
+    blocks = [(k, d) for d in range(2, n_max // 2 + 1) for k in range(2, n_max // d + 1)]
+    remainders = [(1, r) for r in range(1, n_max // 2)]
+    exceptional = [(k, d) for k, d in blocks if k == 2 or (k, d) == (3, 2)]
+    off = st.integers(-300, 300).filter(bool)
+    naive = sarnakxue._naive_term
+    keys = st.lists(st.sampled_from(blocks + remainders), unique=True, max_size=4)
+    naives = {td: (naive(*td)[0] + draw(off), 0) for td in draw(keys)}
+    keys = st.lists(st.sampled_from(exceptional + [(1, 1)]), unique=True, max_size=2)
+    refined = sarnakxue._refined_term
+    shifts = st.tuples(st.integers(-300, 300), st.integers(-3, 3)).filter(any)
+    refineds = {
+        td: tuple(map(add, refined(*td), draw(shifts))) for td in draw(keys)
+    }
+    return n_max, naives, refineds
+
+
+# (3, 2) off: the block N = 6, 7; a remainder term off: every block
+@example((7, {(3, 2): (19, 0)}, {}))
+@example((9, {(1, 3): (4, 0)}, {}))
+@example((9, {}, {(2, 4): (-2, 1)}))
+@given(_density_patches())
+def test_density_sweep_walks_exactly_the_blocks_off_their_closed_forms(case):
+    # the theorem of `verify_density` proves every case whose terms are its
+    # closed forms, so the sweep walks the blocks whose terms are not, and
+    # only them, in the order of the cases, or every block when a remainder
+    # term is not; its certificate is the walk's
+    n_max, naives, refineds = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sarnakxue, "_naive_term", _wrong_at(naives, sarnakxue._naive_term))
+        patch.setattr(
+            sarnakxue, "_refined_term", _wrong_at(refineds, sarnakxue._refined_term)
+        )
+        cert, walked = _walked_cases(n_max)
+        assert cert == oracles.density_walk(n_max)
+    off = {*naives, *refineds}
+    every = any(t == 1 for t, _ in off)
+    assert walked == [
+        (n, d)
+        for d in range(2, n_max // 2 + 1)
+        for k in range(2, n_max // d + 1)
+        if every or (k, d) in off
+        for n in range(k * d, min(k * d + d, n_max + 1))
+    ]
 
 
 def _perturbed(offsets, slope, bumps):
@@ -937,8 +1028,8 @@ def _tail_fault(d, slope):
 
 
 def test_density_block_faulted_only_at_its_tail():
-    # the steep remainder term keeps the block's earlier cases true, so the
-    # block's constant terms pass and a higher coefficient sends it to the walk
+    # the steep remainder term, off its closed form, sends every block to the
+    # walk, and keeps the raised block's earlier cases true
     term, n = _tail_fault(20, 100)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sarnakxue, "_naive_term", term)
@@ -995,7 +1086,7 @@ def test_density_block_test_skips_no_failing_case():
             cases = range(first + r0, min(first + d, n_max + 1))
             if not cases:
                 continue
-            poly = sarnakxue._block_taylor(k, d, r0, naive, slope)
+            poly = oracles._block_taylor(k, d, r0, naive, slope)
             lemma = poly[0] > 0 and min(poly[1:]) >= 0
             for n in cases:
                 y = n - first - r0
@@ -1012,8 +1103,8 @@ def test_density_block_test_skips_no_failing_case():
 
 
 def _taylor_walks(term, n_max: int, slope: int) -> dict:
-    """The regular blocks (k, d), N <= n_max, whose `_block_taylor`
-    coefficients at r0 = 0 fail the lemma, listed as `_regular_walks`
+    """The regular blocks (k, d), N <= n_max, whose `oracles._block_taylor`
+    coefficients at r0 = 0 fail the lemma, listed as `oracles._regular_walks`
     lists them."""
     want = {}
     for d in range(2, n_max + 1):
@@ -1021,7 +1112,7 @@ def _taylor_walks(term, n_max: int, slope: int) -> dict:
             first = k * d
             assert first > 2 * d + 1 + (d == 2)  # past the exceptional pairs
             naive = term(k, d)[0] - 2
-            poly = sarnakxue._block_taylor(k, d, 0, naive, slope)
+            poly = oracles._block_taylor(k, d, 0, naive, slope)
             if not (poly[0] > 0 and min(poly[1:]) >= 0):
                 want.setdefault(d, []).append(
                     (k, naive, first, min(first + d, n_max + 1))
@@ -1033,9 +1124,9 @@ def test_regular_blocks_decided_in_place_with_growth_terms():
     # every regular block passes the lemma; with remainder terms that are
     # not affine, every one is walked
     slope = sarnakxue._naive_term(1, 1)[0]
-    assert sarnakxue._regular_walks(300, slope, True) == {}
+    assert oracles._regular_walks(300, slope, True) == {}
     assert _taylor_walks(sarnakxue._naive_term, 300, slope) == {}
-    walked = sarnakxue._regular_walks(300, slope, False)
+    walked = oracles._regular_walks(300, slope, False)
     every = _taylor_walks(lambda t, d: (10**9, 0), 300, slope)
     assert [(d, k) for d, ws in walked.items() for k, *_ in ws] == [
         (d, k) for d, ws in every.items() for k, *_ in ws
@@ -1054,8 +1145,121 @@ def test_regular_blocks_decided_in_place_as_by_taylor(term):
     slope = term(1, 1)[0]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sarnakxue, "_naive_term", term)
-        walks = sarnakxue._regular_walks(300, slope, True)
+        walks = oracles._regular_walks(300, slope, True)
     assert walks == _taylor_walks(term, 300, slope)
+
+
+def _density_classes():
+    """(k, d, r0) for each class of the blocks that the theorem of
+    `verify_density` decides by its lemma, k and d polynomials in x, y >= 0:
+    the regular blocks at r0 = 0, k = 3 + x with d = 3 + y and k = 4 + x
+    with d = 2, and the block k = 2 past its exceptional pairs, r0 = 2 with
+    d = 3 + y."""
+    yield 3 + X, 3 + Y, 0
+    yield 4 + X, 0 * X + 2, 0
+    yield 0 * X + 2, 3 + Y, 2
+
+
+def _density_taylor(k, d, r0):
+    """(c0, c1, c2) of `oracles._block_taylor` under the theorem's terms:
+    the naive term k^2 d and the remainder term r."""
+    return oracles._block_taylor(k, d, r0, k * k * d - 2, 1)[:3]
+
+
+def _density_coefficients(k, d, r0):
+    """(c0, c1, c2) of the theorem of `verify_density` in closed form, as
+    its docstring states them: at r0 = 0 on a regular block, at r0 = 2 on
+    the block k = 2."""
+    if r0:
+        return 14 * d + 6, 4 * d * d + 10 * d + 10, 4 * d + 5
+    return (
+        (d - 1) * ((k - 2) * k * k * d * d + 2 - k**3 * d),
+        k * (d - 1) * (k * d - 1) + 2 * k * d * (d - 1) * (k - 2),
+        2 * k * d + (k - 2) * (d - 1) - 1,
+    )
+
+
+def _positive(c0, c1, c2) -> bool:
+    """The lemma of `verify_density` on polynomials in x, y >= 0: c0 with
+    a constant term > 0, and no coefficient < 0."""
+    return c0.terms.get((0, 0), 0) > 0 and all(map(_nonnegative, (c0, c1, c2)))
+
+
+def test_density_blocks_are_positive_polynomials():
+    # `verify_density`'s theorem past the exceptional pairs: on each class
+    # the Taylor coefficients are the closed forms of its docstring and pass
+    # the lemma, so every case of every such block holds the strict naive
+    # comparison, for every N
+    for k, d, r0 in _density_classes():
+        taylor = _density_taylor(k, d, r0)
+        closed = _density_coefficients(k, d, r0)
+        assert [(a - b).terms for a, b in zip(taylor, closed)] == [{}] * 3
+        assert _positive(*taylor), (k.terms, d.terms, r0)
+    # the regular constant terms 4 and 2; (3, 2) past (6, 2) holds one
+    # case, N = 7, where y = 0
+    assert [_density_taylor(k, d, 0)[0] for k, d in ((3, 3), (4, 2))] == [4, 2]
+    assert _density_taylor(3, 2, 1)[0] == 24
+
+
+def _exceptional(n, d, k, r):
+    """(difference, margin) at the exceptional pair (N, d) of the block k
+    under the theorem's terms: the strict naive comparison's
+    2(m-d+1)(N^2-1) - (N^2 + k^2 d - 2 + r)*m, and the refined recheck's
+    2(N^2-1)(m-d+1) - (N^2 + refined - 2)*m, refined the term of (k, d),
+    6 - 2d or 8, plus r, the term of (1, 1) when r = 1."""
+    m, nn = n - k, n * n
+    refined = 6 - 2 * d if k == 2 else 8
+    diff = 2 * (m - d + 1) * (nn - 1) - (nn + k * k * d - 2 + r) * m
+    return diff, 2 * (nn - 1) * (m - d + 1) - (nn + refined + r - 2) * m
+
+
+def test_density_exceptional_pairs_are_polynomials_in_d():
+    # the theorem at N = 2d and 2d + 1: the naive difference has no positive
+    # coefficient at d = 2 + y, so the strict comparison fails; the refined
+    # margin is > 0 at d = 2 + y for 2d + 1 and at d = 3 + y for 2d, and
+    # -2 at (4, 2)
+    for r in (0, 1):
+        d = 2 + Y
+        assert _nonnegative(-_exceptional(2 * d + r, d, 2, r)[0]), r
+        d = 2 + (r == 0) + Y
+        margin = _exceptional(2 * d + r, d, 2, r)[1]
+        assert _nonnegative(margin) and margin.terms[0, 0] > 0, r
+    assert _exceptional(4, 2, 2, 0) == (-14, -2)
+    assert _exceptional(6, 2, 3, 0) == (-16, 14)
+    # the stated polynomials
+    d = Y
+    assert (_exceptional(2 * d, d, 2, 0)[0] + 2 * (d - 1) * (4 * d - 1)).terms == {}
+    assert (_exceptional(2 * d + 1, d, 2, 1)[0] + 4 * d * (d - 2)).terms == {}
+    assert (_exceptional(2 * d, d, 2, 0)[1] - 2 * (d - 1) * (2 * d - 5)).terms == {}
+    margin = _exceptional(2 * d + 1, d, 2, 1)[1]
+    assert (margin - (8 * d * d - 10 * d + 6)).terms == {}
+
+
+def _density_proved(coefficients) -> bool:
+    """Whether closed forms of (c0, c1, c2) pass the lemma on every class of
+    `_density_classes`."""
+    return all(_positive(*coefficients(*kdr)) for kdr in _density_classes())
+
+
+def _density_disagrees(coefficients) -> bool:
+    """Whether closed forms of (c0, c1, c2) differ from
+    `oracles._block_taylor`'s on some class, as polynomials."""
+    return any(
+        (a - b).terms
+        for kdr in _density_classes()
+        for a, b in zip(coefficients(*kdr), _density_taylor(*kdr))
+    )
+
+
+def test_density_closed_form_mutants_fail_the_proof():
+    # the proof is not vacuous: each int constant of the closed forms moved
+    # by 1 either way gives coefficients that differ from the Taylor
+    # expansion or that the lemma refuses, and the lemma alone refuses some
+    mutants = list(_constant_mutants(_density_coefficients))
+    assert len(mutants) == 2 * 20
+    rejected = [not _density_proved(mutant) for mutant in mutants]
+    assert all(r or _density_disagrees(m) for r, m in zip(rejected, mutants))
+    assert sum(rejected) == 3
 
 
 @pytest.mark.parametrize(
