@@ -2,9 +2,11 @@
 
 For a partition Q of N the library computes three exact quantities: the
 provable growth exponent, the conjectural one, and the density goal
-2 * N(N-1)/2 / (1 - max_ratio).  The shipped reference table freezes the
-sixteen rows used as a regression target; this demo recomputes a few rows
-from scratch and prints the whole table.
+(N^2 - 1)(1 - max_ratio).  Both exponents come in the R - 1 normalization,
+one less than the best score R over Q and its one-merge coarsenings.  The
+shipped reference table freezes the sixteen rows used as a regression
+target; this demo recomputes a few rows from scratch and prints the whole
+table.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ print(f"  raw partition score      {partition_bound(example)}")
 print(f"  max sigma_i/(i(N-i))     {max_ratio(example)}")
 print(f"  2/p integrability bound  {integrability_bound(example)}")
 row = sx_row(example)
-print(f"  provable exponent        {row.provable} (printed as R-1 = {row.provable.main - 1})")
-print(f"  conjectural exponent     {row.conjectural} (printed as {row.conjectural.main - 1})")
+print(f"  provable exponent        {row.provable} (R-1, R the top score of Q and its merges)")
+print(f"  conjectural exponent     {row.conjectural}")
 print(f"  density goal             {row.sx_goal}")
 print(f"  trivial bound N^2-1      {row.trivial}")
 
@@ -41,9 +43,9 @@ print("full reference table (exponents printed in the R-1 normalization):")
 header = f"{'Q':18} {'provable':>12} {'conjectural':>12} {'goal':>10} {'trivial':>8}"
 print(header)
 for r in REFERENCE_TABLE:
-    prov = f"{r.provable.main - 1}" + ("*" if r.provable.eps else "")
+    prov = f"{r.provable.main}" + ("*" if r.provable.eps else "")
     prov += " (c)" if r.provable_at_coarsening else ""
-    conj = f"{r.conjectural.main - 1}" + (" (c)" if r.conjectural_at_coarsening else "")
+    conj = f"{r.conjectural.main}" + (" (c)" if r.conjectural_at_coarsening else "")
     goal = f"{float(r.sx_goal):.2f}"
     print(f"{str(r.q):18} {prov:>12} {conj:>12} {goal:>10} {r.trivial:>8}")
 print("(* marks an epsilon in the exponent; (c) marks a value attained at a"

@@ -24,14 +24,13 @@ from .infchar import format_rational
 # N, least --nmax, most --nmax); a sweep is looked up when it runs, so a
 # patched or traced one runs. The least is the first N with a case (table
 # ignores --nmax; maxsl2, whose first case is N = 1, keeps the qd floor).
-# The most: qd reads and compares O(N^2 log N) tuple parts and evaluates no
-# lemma, since a theorem proves its (d, r) families for every N, but keeps
-# the limit it had when it took 0.5 s at 200; density reads and compares
-# O(N log N) `growth` terms and evaluates no lemma, since a theorem proves
-# its (k, d) blocks for every N, but keeps the limit it had when it took
-# 0.5 s at 1600; maxsl2, decided by one knapsack, takes 0.25-0.29 s at
-# 1000 in process (2-vCPU Xeon, Python 3.11.7), where it counts about
-# 5.5 * 10^24 cases
+# The most bounds a sweep's cost; no sweep evaluates a lemma, since a
+# theorem proves its cases for every N. qd reads and compares O(N^2 log N)
+# tuple parts and density O(N log N) `growth` terms; maxsl2 compares
+# O(N log N) table entries with their closed rows, after `split_tables`
+# and its count, O(N^2) each, and counts about 5.5 * 10^24 cases at 1000.
+# Each keeps the limit it had before its theorem, until a budget probe
+# re-sets the three (ROADMAP item 9)
 SWEEPS = {
     "table": (lambda n: sarnakxue.verify_table1(), None, 2, None),
     "qd": (lambda n: sarnakxue.verify_qd_bound(n), sarnakxue.qd_count, 2, 200),
@@ -44,18 +43,18 @@ SWEEPS = {
 # the count here: maxsl2's is an O(N^2) DP, and no int of 4300 digits prints
 COUNT_N_MAX = 2000
 # the largest N of an sx-table row: the merge knapsack runs each part size
-# the row holds up to its number of ones, so the slowest rows of an N are a
-# core of distinct small parts padded with ones; they grow like N^2 log N and
-# take about 0.15 s at the limit, (15, 14, ..., 2) padded to N = 1200
+# the row holds up to its number of ones, so the slowest rows of an N, a
+# core of distinct small parts padded with ones such as (15, 14, ..., 2)
+# padded to N = 1200, cost O(N^2 log N); the limit bounds that worst row
 SX_N_MAX = 1200
 # the most digits a printed value may have, an euler value by
 # asymptotics.euler_digits and a coh-bounds degree: Python prints no int of
-# more than 4300 digits, and any euler value under the cap takes at most
-# about 0.1 s (thousands of indices of 1) and mostly a few ms
+# more than 4300 digits, and an euler value is one Fraction product of
+# sum |m| factors per prime, each step on at most this many digits
 DIGITS_MAX = 4000
-# the largest --rank of a coh-bounds table (rank/2 + 1 rows, about 0.05 s as
-# CSV and 0.19-0.24 s as JSON in process, 2-vCPU Xeon, Python 3.11.7); one
-# --half-signature row is limited only by the digits of its degree
+# the largest --rank of a coh-bounds table: rank/2 + 1 rows of one degree
+# each, O(rank) int operations and lines, so the limit bounds the output;
+# one --half-signature row is limited only by the digits of its degree
 COH_RANK_MAX = 100_000
 
 

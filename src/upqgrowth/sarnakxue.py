@@ -696,32 +696,18 @@ def _maxsl2_walk(tables, n_max: int) -> list[str]:
     return violations
 
 
-def _maxsl2_bound_holds(tables, n_max: int) -> bool:
-    """Whether the lemma of `verify_maxsl2` decides that every case passes:
-    its row checks, the extra (2,), one comparison per size on U."""
+def _maxsl2_rows(n_max: int) -> dict[int, list[int]]:
+    """`split_tables(n_max)` in closed form, k = n_max + 1: row 1 is k*s^2,
+    and row d >= 2 is 0, (2 - d^2)k, (6 - 2d)k, (10 - d)k + d, then
+    e^2 d k for e >= 4, up to e = n_max // d. No block term is read, so a
+    patched term meets the walk."""
     k = n_max + 1
-    ones = tables.get(1, [0])
-    if (
-        ones != [k * s * s for s in range(k)]
-        or ones != [pack(_refined_term, s, 1, k) for s in range(k)]
-        or any(
-            tables[d][:2] != [0, pack(_refined_term, 1, d, k)]
-            for d in range(2, k)
-        )
-        # the extra (2,): below padding, and tied with it on a core with a 2
-        or (n_max >= 2 and tables[2][1] >= ones[2])
-        or (n_max >= 4 and tables[2][2] - tables[2][1] != ones[2])
-    ):
-        return False
-    # the better of joining a core that lacks d and one that holds it (given
-    # the row checks, the "holds d" gain alone gives the same verdict)
-    rows = {
-        d: [max(x, y - row[1]) for x, y in zip(row, row[1:])] + row[-1:]
-        for d, row in tables.items()
-        if d > 1
-    }
-    u = extra_tops([0] + [floor_below(tables)] * n_max, range(2, k), rows.get)
-    return all(map(gt, ones[3:], u[3:]))
+    rows = {1: [k * s * s for s in range(k)]} if n_max else {}
+    for d in range(2, k):
+        m = n_max // d
+        head = [0, (2 - d * d) * k, (6 - 2 * d) * k, (10 - d) * k + d]
+        rows[d] = head[: m + 1] + [e * e * d * k for e in range(4, m + 1)]
+    return rows
 
 
 def verify_maxsl2(n_max: int) -> Certificate:
@@ -734,36 +720,41 @@ def verify_maxsl2(n_max: int) -> Certificate:
     partition's best grouping comes from `split_tables`, so the groupings are
     maximized over, not enumerated. Scores are the tables' packed ints.
 
-    The sweep is decided for every core at once by this lemma, which holds
-    for any table contents. With ones = tables[1], each core's knapsack
-    (see `_maxsl2_walk`) gives best[s], the top over the extras of parts
-    >= 2 summing to s, and a case (core, N) with slack = N - sum(core)
-    passes when max over 2 <= s <= slack of best[s] + ones[slack - s] is
-    below best[0] + ones[slack] (equal when slack is 2 and the core holds
-    a 2) and best[0] + ones[slack] is the packed refined term of the core's
-    1-blocks and of (slack, 1).
+    The theorem: with the tables of `_maxsl2_rows`, every case passes,
+    for every N, the tie allowed only at slack 2 on a core that holds a 2.
+    So the sweep compares each row of the tables with its closed form,
+    O(N log N) entries, and evaluates no lemma; `split_tables` and
+    `maxsl2_count` are O(N^2) each. If a row differs, the cores are walked
+    one by one by `_maxsl2_walk`, so the messages are those of the walk.
 
-    - Row checks: tables[d][0] = 0 and tables[d][1] is the term of (1, d)
-      for 2 <= d <= n_max, and ones[s] = k*s^2, k = n_max + 1, the term of
-      (s, 1), for s <= n_max. Then best[0] is the core's term, and each case
-      passes once padding wins. The cases of the empty core and of the
-      one-part cores compare these same entries.
-    - The extra (2,), the only one summing to 2, is checked exactly: it
-      gains tables[2][1] < ones[2] on a core without a 2, and ones[2] =
-      tables[2][2] - tables[2][1] on a core with one (the tie at slack 2);
-      at slack > 2, 4k + k*(slack - 2)^2 < k*slack^2 keeps it below.
-    - The dominating knapsack. An extra with e parts d gains tables[d][e]
-      when d is not in the core, and tables[d][1+e] - tables[d][1] when it
-      is. U = extra_tops([0] + [floor] * n_max, sizes 2..n_max) takes for
-      each size the larger of the two (the second where 1 + e <= n_max // d),
-      so U[s] >= best[s] - best[0] for every core. Floor entries only raise U.
-    - The test: U[s] < ones[s] for 3 <= s <= n_max: ones[slack] -
-      ones[slack - s] = k*s*(2*slack - s) grows with slack from ones[s], so
-      best[s] + ones[slack - s] < best[0] + ones[slack] at every slack >= s.
-
-    If all of it holds, every case passes. If not, the cores are walked one
-    by one by `_maxsl2_walk`, so the messages are those of the walk. The
-    count of cases comes from `maxsl2_count`.
+    The proof. A case (core, N) with slack = N - sum(core) compares the
+    core padded with slack ones, fully grouped, with the core plus an
+    extra of parts >= 2 summing to 2 <= s <= slack and slack - s ones; the
+    core's own entries are on both sides, so only the gains differ. Entry
+    1 of row d and entry s of row 1 are the terms of (1, d) and (s, 1), so
+    the padded value is the core's 1-blocks and (slack, 1).
+    - Gains. In doubled main parts, e extra parts d gain tables[d][e] on a
+      core that lacks d: 2 - d^2, 6 - 2d, 10 - d (+d eps), then e^2 d; and
+      tables[d][1+e] - tables[d][1] on a core that holds d: d^2 - 2d + 4,
+      d^2 - d + 8 (+d eps), then (1+e)^2 d + d^2 - 2 for e >= 3.
+    - Per size. (ed)^2 less each gain is an int polynomial with no
+      negative coefficient at d = 2 + y (and e = 3 + x or 4 + x for the
+      last gains). Its constant term is > 0, except for "holds, e = 1",
+      whose difference is 2y, 0 only at d = 2.
+    - Summed. An extra of total s gains at most the sum of (e_d d)^2 over
+      its sizes, which is at most s^2. Equality holds only for the extra
+      (2,) on a core that holds a 2.
+    - Padding. The padding loses ones[slack] - ones[slack - s] =
+      k*s*(2*slack - s) >= k*s^2 to the extra, with equality only at
+      slack = s.
+    - Eps. A strict gap of the main parts is at least k once packed, more
+      than the eps of any extra, which is at most s <= N < k.
+    So padding wins every case, and the extra (2,) ties with it exactly at
+    slack 2 on a core with a 2, where it gains 4k, the entry of two ones,
+    as the sweep requires. The tests expand the polynomials with
+    `oracles.Poly` and check the closed rows against `split_tables` and
+    the gains against the block terms. The count of cases comes from
+    `maxsl2_count`.
     """
     tables = split_tables(n_max)
     return Certificate(
@@ -771,6 +762,6 @@ def verify_maxsl2(n_max: int) -> Certificate:
         sweep=f"distinct cores, N <= {n_max}",
         checked_count=maxsl2_count(n_max),
         violations=()
-        if _maxsl2_bound_holds(tables, n_max)
+        if tables == _maxsl2_rows(n_max)
         else tuple(_maxsl2_walk(tables, n_max)),
     )

@@ -5,10 +5,9 @@ internals. Each function recomputes its target from first principles so the
 fast library versions can be checked against it; the three exceptions,
 `qd_walk`, `density_walk` and `maxsl2_walk`, are the case-by-case walks
 that the qd certificate's theorem, the density certificate's block
-test and the maxsl2 certificate's dominating knapsack replaced, and read
+test and the maxsl2 certificate's closed rows replaced, and read
 their partitions, terms and tables through `sarnakxue` so that a patched
-one reaches both; `maxsl2_two_knapsacks` is the maxsl2 bound that its one
-knapsack replaced, read the same way; `threshold_terms` and
+one reaches both; `threshold_terms` and
 `family_holds` are the qd certificate's general threshold scan, which its
 closed forms at the ends of the threshold runs replaced; `_qd_terms`,
 `_qd_prime_terms`, `_run_ends_hold`, `_qd_family_holds` and
@@ -790,7 +789,7 @@ def density_walk(n_max: int) -> sarnakxue.Certificate:
 
 def maxsl2_walk(n_max: int) -> sarnakxue.Certificate:
     """`sarnakxue.verify_maxsl2` walked core by core, one `extra_tops`
-    knapsack per core, as it ran before its dominating knapsack; every
+    knapsack per core, as it ran before its closed rows; every
     helper is read through `sarnakxue`, so a patched table reaches both."""
     violations = []
     checked = 0
@@ -831,43 +830,6 @@ def maxsl2_walk(n_max: int) -> sarnakxue.Certificate:
         checked_count=checked,
         violations=tuple(violations),
     )
-
-
-def maxsl2_two_knapsacks(tables, n_max: int) -> bool:
-    """The maxsl2 bound as it ran before its one knapsack: two dominating
-    knapsacks, one for the cores without a 2 and one for those with a 2,
-    each scanned at every (s, slack) pair."""
-    k = n_max + 1
-    ones = tables.get(1, [0])
-    pack, term = sarnakxue.pack, sarnakxue._refined_term
-    if ones != [pack(term, s, 1, k) for s in range(k)] or any(
-        tables[d][:2] != [0, pack(term, 1, d, k)] for d in range(2, k)
-    ):
-        return False
-    floor = sarnakxue.floor_below(tables)
-    # d >= 3: the better of a size the core lacks and one it holds
-    rows = {
-        d: [max(x, y - row[1]) for x, y in zip(row, row[1:])] + row[-1:]
-        for d, row in tables.items()
-        if d > 2
-    }
-    for two_in_core in (False, True):
-        room = n_max - 2 * two_in_core
-        if room >= 2:
-            row = tables[2]
-            rows[2] = [y - row[1] for y in row[1:]] if two_in_core else row
-        u = sarnakxue.extra_tops(
-            [0] + [floor] * room, range(2, room + 1), rows.get
-        )
-        for slack in range(2, room + 1):
-            merged = max(map(add, u[slack:1:-1], ones))
-            if (
-                merged != ones[2]
-                if two_in_core and slack == 2
-                else merged >= ones[slack]
-            ):
-                return False
-    return True
 
 
 def merge_bounds(q_parts) -> tuple[tuple[Fraction, int], tuple[Fraction, int]]:

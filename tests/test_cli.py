@@ -568,8 +568,8 @@ def test_verify_refusal_is_bounded_and_names_the_limit(target, nmax, capsys):
 
 
 def test_verify_maxsl2_decides_at_its_limit(monkeypatch, capsys):
-    # the shipped tables pass the dominating knapsack at the limit, so no
-    # core is walked
+    # the shipped tables equal their closed rows at the limit, so no core
+    # is walked
     def refuse(tables, n_max):
         raise AssertionError("maxsl2 walked its cores")
 

@@ -54,6 +54,16 @@ def test_shapes_demo_prints_six_place_term():
     ) in out
 
 
+def test_density_demo_prints_the_exponents_once_normalized():
+    # sx_row already gives R - 1, so the demo prints its values as they are:
+    # 8 and 6 for (2, 2), as `upqgrowth sx-table` and REFERENCE_TABLE do
+    out = _run_demo(ROOT / "demos" / "02_density_table.py")
+    assert "  provable exponent        8 (R-1," in out
+    assert "  conjectural exponent     6\n" in out
+    row = re.search(r"^\(2, 2\) +(\S+) +(\S+) +7\.50 +15$", out, re.M)
+    assert row and row.groups() == ("8", "6")
+
+
 def test_readme_tour_runs():
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
     assert len(blocks) == 2

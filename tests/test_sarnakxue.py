@@ -1294,8 +1294,10 @@ def test_maxsl2_enumerates_no_partition(monkeypatch):
 
 
 def test_maxsl2_scans_every_size(monkeypatch):
-    # the sweep certifies that padding beats every merge, so it may not skip
-    # the sizes a core lacks, as the best merge of an sx-table row does
+    # the walk certifies that padding beats every merge, so no core's
+    # knapsack may skip the sizes the core lacks, as the best merge of an
+    # sx-table row does; a lowered merge entry sends the sweep to the walk,
+    # which still passes
     rooms = []
 
     def recording(start, sizes, gains):
@@ -1304,9 +1306,12 @@ def test_maxsl2_scans_every_size(monkeypatch):
         rooms.append(room)
         return growth.extra_tops(start, sizes, gains)
 
+    n_max, tables = _shifted(14, {(3, 2): -1})
+    monkeypatch.setattr(sarnakxue, "split_tables", lambda n: tables)
     monkeypatch.setattr(sarnakxue, "extra_tops", recording)
-    assert verify_maxsl2(14).ok
-    assert rooms == [14]
+    assert verify_maxsl2(n_max).ok
+    cores = sarnakxue._distinct_part_sets(n_max)
+    assert rooms == [n_max - sum(core) for core in cores]
 
 
 @pytest.fixture(scope="module")
@@ -1390,7 +1395,7 @@ def test_maxsl2_violation_text(monkeypatch, term, value, lines):
 
 @pytest.mark.parametrize("n_max", [*range(41), 48])
 def test_maxsl2_matches_walk(n_max):
-    # the one dominating knapsack decides what one knapsack per core did
+    # the closed rows decide what one knapsack per core did
     assert verify_maxsl2(n_max) == oracles.maxsl2_walk(n_max)
 
 
@@ -1415,8 +1420,8 @@ def _perturbed_tables(draw, max_n):
     )
 
 
-# a lowered merge entry, which the bound still decides; a raised one, and an
-# entry 0 moved, which it does not
+# a lowered merge entry, whose cases still pass; a raised one, and an entry 0
+# moved, whose cases fail; each is off the closed rows, so the walk decides
 @example(_shifted(10, {(2, 3): -30, (3, 2): -1}))
 @example(_shifted(9, {(3, 2): 20}))
 @example(_shifted(6, {(4, 0): -1}))
@@ -1426,22 +1431,6 @@ def test_maxsl2_matches_walk_under_perturbed_tables(case):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sarnakxue, "split_tables", lambda n: tables)
         assert verify_maxsl2(n_max) == oracles.maxsl2_walk(n_max)
-
-
-@example(_shifted(10, {(2, 3): -30, (3, 2): -1}))
-@example(_shifted(6, {(4, 0): -1}))
-@given(_perturbed_tables(16))
-def test_maxsl2_bound_has_no_false_pass(case):
-    # the lemma holds for any table contents: wherever the bound passes,
-    # walking every core flags no case, whatever its messages would be
-    n_max, tables = case
-    if sarnakxue._maxsl2_bound_holds(tables, n_max):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(sarnakxue, "split_tables", lambda n: tables)
-            patch.setattr(
-                sarnakxue, "_maxsl2_violations", lambda core, n, t: [(core, n)]
-            )
-            assert oracles.maxsl2_walk(n_max).violations == ()
 
 
 def _flagged(n_max, tables):
@@ -1465,7 +1454,7 @@ def test_maxsl2_walk_names_a_lowered_entry_0():
     # flags the cases of the cores () and (2,); the rescoring reads the same
     # entries, so each of them gets a message
     n_max, tables = _shifted(6, {(4, 0): -1})
-    assert not sarnakxue._maxsl2_bound_holds(tables, n_max)
+    assert tables != sarnakxue._maxsl2_rows(n_max)
     flagged = _flagged(n_max, tables)
     assert [(core, n) for core, n, _ in flagged] == [
         ((), n) for n in range(1, 7)
@@ -1481,26 +1470,6 @@ def test_maxsl2_walk_names_a_lowered_entry_0():
 @given(_perturbed_tables(10))
 def test_maxsl2_walk_names_every_flagged_case(case):
     assert all(messages for _, _, messages in _flagged(*case))
-
-
-@example(_shifted(10, {(2, 3): -30, (3, 2): -1}))
-@example(_shifted(9, {(3, 2): 20}))
-@example(_shifted(6, {(2, 2): -1}))  # the extra (2,) no longer ties on (2,)
-@given(_perturbed_tables(16))
-def test_maxsl2_bound_decides_as_two_knapsacks(case):
-    # one knapsack and one comparison per size give the verdict of the two
-    # knapsacks scanned at every (s, slack)
-    n_max, tables = case
-    assert sarnakxue._maxsl2_bound_holds(
-        tables, n_max
-    ) == oracles.maxsl2_two_knapsacks(tables, n_max)
-
-
-def test_maxsl2_bound_decides_real_tables_as_two_knapsacks():
-    for n_max in range(301):
-        tables = split_tables(n_max)
-        assert sarnakxue._maxsl2_bound_holds(tables, n_max), n_max
-        assert oracles.maxsl2_two_knapsacks(tables, n_max), n_max
 
 
 @given(st.integers(1, 50), st.integers(2, 60), st.integers(0, 60), st.integers())
@@ -1535,15 +1504,15 @@ def _lifted_two(t, d):
 @pytest.mark.parametrize("term", [_lifted_ones, _lifted_two])
 def test_maxsl2_patched_terms_go_to_the_walk(term, n_max, monkeypatch):
     # tables built from a term whose row of ones is not k*s^2, or whose
-    # extra (2,) ties on a core without a 2, are walked core by core, though
-    # every other check of the bound passes
+    # extra (2,) ties on a core without a 2, are off their closed rows and
+    # walked core by core, though their row of ones is the term's
     monkeypatch.setattr(sarnakxue, "_refined_term", term)
     tables = split_tables(n_max, term=term)
     monkeypatch.setattr(sarnakxue, "split_tables", lambda n: tables)
     k = n_max + 1
     assert tables[1] == [growth.pack(term, s, 1, k) for s in range(k)]
     assert tables[2][1] == growth.pack(term, 1, 2, k)
-    assert not sarnakxue._maxsl2_bound_holds(tables, n_max)
+    assert tables != sarnakxue._maxsl2_rows(n_max)
     walked = []
     walk = sarnakxue._maxsl2_walk
     monkeypatch.setattr(
@@ -1555,14 +1524,135 @@ def test_maxsl2_patched_terms_go_to_the_walk(term, n_max, monkeypatch):
     assert cert.ok == (term is _lifted_ones)
 
 
-def test_maxsl2_examples_take_both_branches():
-    n_max, tables = _shifted(10, {(2, 3): -30, (3, 2): -1})
-    assert sarnakxue._maxsl2_bound_holds(tables, n_max)
-    n_max, tables = _shifted(9, {(3, 2): 20})
-    assert not sarnakxue._maxsl2_bound_holds(tables, n_max)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sarnakxue, "split_tables", lambda n: tables)
-        assert verify_maxsl2(n_max).violations
+def test_maxsl2_closed_rows_are_the_tables():
+    # the rows that `verify_maxsl2`'s theorem is proved on are the shipped
+    # best-grouping tables
+    for n_max in range(301):
+        assert sarnakxue._maxsl2_rows(n_max) == split_tables(n_max), n_max
+
+
+def test_maxsl2_walks_no_core_under_the_shipped_tables(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("maxsl2 ran a knapsack")
+
+    monkeypatch.setattr(sarnakxue, "_maxsl2_walk", refuse)
+    monkeypatch.setattr(sarnakxue, "extra_tops", refuse)
+    for n_max in range(301):
+        assert verify_maxsl2(n_max).violations == (), n_max
+
+
+def _maxsl2_gains(d, e):
+    """The gains of `verify_maxsl2`'s theorem as its docstring states them,
+    (doubled main, eps), of e extra parts d: on a core that lacks d, for
+    e = 1, 2, 3 and then from 4 on, and on a core that holds d, for e = 1,
+    2 and then from 3 on. Only the last gain of each list reads e."""
+    lacks = [(2 - d * d, 0), (6 - 2 * d, 0), (10 - d, d), (e * e * d, 0)]
+    holds = [
+        (d * d - 2 * d + 4, 0),
+        (d * d - d + 8, d),
+        ((1 + e) ** 2 * d + d * d - 2, 0),
+    ]
+    return lacks, holds
+
+
+def _maxsl2_gain(d, e, holds, gains=_maxsl2_gains):
+    """The (main, eps) gain of e extra parts d, read from gains, on a core
+    that holds d or on one that lacks it."""
+    lacks, holding = gains(d, e)
+    return holding[min(e, 3) - 1] if holds else lacks[min(e, 4) - 1]
+
+
+def _maxsl2_gains_disagree(gains, bound=30) -> bool:
+    """Whether gains differ, for some d <= bound, from what e extra parts d
+    add to the packed refined terms: the block (e, d) on a core that lacks
+    d, and (1 + e, d) less (1, d) on one that holds it."""
+    k, term = 2 * bound + 1, growth._refined_term
+    for d, e in product(range(2, bound + 1), range(1, 13)):
+        lacks = growth.pack(term, e, d, k)
+        holds = growth.pack(term, 1 + e, d, k) - growth.pack(term, 1, d, k)
+        for want, holding in ((lacks, False), (holds, True)):
+            main, eps = _maxsl2_gain(d, e, holding, gains)
+            if main * k + eps != want:
+                return True
+    return False
+
+
+def test_maxsl2_gains_are_the_block_term_differences():
+    # the gains of the theorem are the packed refined terms' differences,
+    # and the closed rows' differences, entry e and 1 + e less 1 of row d
+    assert not _maxsl2_gains_disagree(_maxsl2_gains, 60)
+    for n_max in (60, 121):
+        k = n_max + 1
+        rows = sarnakxue._maxsl2_rows(n_max)
+        for d in range(2, k):
+            row = rows[d]
+            for e in range(1, len(row)):
+                main, eps = _maxsl2_gain(d, e, False)
+                assert row[e] == main * k + eps, (n_max, d, e)
+                if e + 1 < len(row):
+                    main, eps = _maxsl2_gain(d, e, True)
+                    assert row[1 + e] - row[1] == main * k + eps, (n_max, d, e)
+
+
+def _maxsl2_gaps(gains=_maxsl2_gains):
+    """{(holds, i): (ed)^2 less the doubled main part of gain i} over the
+    classes of `verify_maxsl2`'s theorem, polynomials in x, y >= 0 at
+    d = 2 + y: the first gains at their e, the last at e = 4 + x on a core
+    that lacks d and e = 3 + x on one that holds it."""
+    d = 2 + Y
+    gaps = {}
+    for holds, last in ((False, 4 + X), (True, 3 + X)):
+        es = [*range(1, 3 + (not holds)), last]
+        for i, e in enumerate(es):
+            main = gains(d, e)[holds][i][0]
+            gaps[holds, i] = (e * d) ** 2 - main
+    return gaps
+
+
+def _maxsl2_proved(gains) -> bool:
+    """The per-size step of `verify_maxsl2`'s theorem on gains: no gap with a
+    negative coefficient, and each constant term > 0 but the tie's, one
+    extra 2 on a core that holds a 2, which is 0."""
+    gaps = _maxsl2_gaps(gains)
+    return all(map(_nonnegative, gaps.values())) and all(
+        (gap.terms.get((0, 0), 0) > 0) != (key == (True, 0))
+        for key, gap in gaps.items()
+    )
+
+
+def test_maxsl2_gains_stay_under_the_padding():
+    # the per-size step of `verify_maxsl2`'s theorem: (ed)^2 less each gain
+    # has no negative coefficient, and is 2y, 0 only at d = 2, at the tie
+    gaps = _maxsl2_gaps()
+    assert _maxsl2_proved(_maxsl2_gains)
+    assert gaps[True, 0].terms == {(0, 1): 2}
+    # two gaps in full: 2d^2 - 2 ("lacks", e = 1) and
+    # (e^2 - 1)d^2 - (1+e)^2 d + 2 ("holds", e = 3 + x), at d = 2 + y
+    assert gaps[False, 0].terms == {(0, 0): 6, (0, 1): 8, (0, 2): 2}
+    assert gaps[True, 2].terms == {
+        (0, 0): 2, (0, 1): 16, (0, 2): 8, (1, 0): 8, (1, 1): 16, (1, 2): 6,
+        (2, 0): 2, (2, 1): 3, (2, 2): 1,
+    }
+
+
+def test_maxsl2_gain_mutants_fail_the_proof():
+    # the proof is not vacuous: each int constant of the gains moved by 1
+    # either way gives gains that differ from the block terms' differences
+    # or that the proof refuses, and the proof alone refuses some of them
+    mutants = list(_constant_mutants(_maxsl2_gains))
+    assert len(mutants) == 2 * 15
+    rejected = [not _maxsl2_proved(mutant) for mutant in mutants]
+    assert all(r or _maxsl2_gains_disagree(m) for r, m in zip(rejected, mutants))
+    assert sum(rejected) == 6
+
+
+def test_maxsl2_row_mutants_differ_from_the_tables():
+    # each int constant of the closed rows moved by 1 either way gives rows
+    # that differ from `split_tables` at some N <= 12
+    mutants = list(_constant_mutants(sarnakxue._maxsl2_rows))
+    assert len(mutants) == 2 * 11
+    for mutant in mutants:
+        assert any(mutant(n) != split_tables(n) for n in range(13))
 
 
 def test_maxsl2_count_matches_core_enumeration():
