@@ -19,9 +19,6 @@ from .infchar import format_rational, weyl_dim
 from .shapes import _place_parity, _unramified_parity, dominant_placements
 from .shapes import is_gsk, is_odd_gsk
 
-Ideal = tuple[tuple[int, int], ...]
-
-
 # the primes up to 41: below _MR_EXACT, a strong probable prime to every
 # one of these bases is prime (the least composite one is _MR_EXACT)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -88,7 +85,17 @@ def _is_prime_power(q: int) -> bool:
     return q < 43 * 43 or _strong_probable_prime(q)
 
 
-def _check_ideal(ideal) -> Ideal:
+class _CheckedIdeal(tuple):
+    """An ideal as `_check_ideal` returns it: (q, e) int pairs, each q a
+    prime power and e >= 1. `_check_ideal` returns one as it is, so a caller
+    that holds it, like the `euler` command, checks its ideal once."""
+
+    __slots__ = ()
+
+
+def _check_ideal(ideal) -> _CheckedIdeal:
+    if type(ideal) is _CheckedIdeal:
+        return ideal
     out = tuple((index(q), index(e)) for q, e in ideal)
     if not out:
         raise ValueError("ideal needs at least one prime")
@@ -100,7 +107,7 @@ def _check_ideal(ideal) -> Ideal:
                 f"residue size {q} is not a prime power: no field has {q} "
                 "elements"
             )
-    return out
+    return _CheckedIdeal(out)
 
 
 def ideal_norm(ideal) -> int:
@@ -108,21 +115,33 @@ def ideal_norm(ideal) -> int:
     return prod(q**e for q, e in ideal)
 
 
+def _gamma_ints(ns, ideal: _CheckedIdeal) -> tuple[int, int]:
+    """gamma_factor(ns, ideal) as an unreduced (numerator, denominator) of
+    ints, for int indices: per prime q of the ideal, each index m puts
+    q^i - 1, or q^i + 1 when m < 0, into the numerator and q^i into the
+    denominator, i = 1..|m|. Equal indices share one product, raised to
+    their count."""
+    counts = Counter(ns)
+    shift = sum(c * abs(m) * (abs(m) + 1) // 2 for m, c in counts.items())
+    num = den = 1
+    for q, _ in ideal:
+        for m, c in counts.items():
+            sign = 1 if m < 0 else -1
+            num *= prod(q**i + sign for i in range(1, abs(m) + 1)) ** c
+        den *= q**shift
+    return num, den
+
+
 def gamma_factor(ns, ideal) -> Fraction:
     """Product over primes and indices of (1 - q^-i), i = 1..n.
 
     A negative index n flips the sign: (1 + q^-i), i = 1..-n.  Index 0
-    contributes nothing.
+    contributes nothing.  The product is taken in ints, the factors
+    (q^i -+ 1)/q^i as one numerator and one denominator (`_gamma_ints`),
+    and a single `Fraction` reduces it at the end.
     """
     ideal = _check_ideal(ideal)
-    ns = tuple(map(index, ns))
-    value = Fraction(1)
-    for q, _ in ideal:
-        for n in ns:
-            sign = 1 if n < 0 else -1
-            for i in range(1, abs(n) + 1):
-                value *= 1 + sign * Fraction(1, q**i)
-    return value
+    return Fraction(*_gamma_ints(tuple(map(index, ns)), ideal))
 
 
 def euler_digits(ns, ideal, n: int = 0) -> int:
@@ -157,9 +176,10 @@ def index_congruence(n: int, ideal) -> Fraction:
     n = index(n)
     if n < 1:
         raise ValueError("need n >= 1")
-    # read once: ideal_norm and gamma_factor both iterate it
+    # read once: ideal_norm and the gamma factor both iterate it
     ideal = _check_ideal(ideal)
-    return ideal_norm(ideal) ** (n * n) * gamma_factor((n,), ideal)
+    num, den = _gamma_ints((n,), ideal)
+    return Fraction(ideal_norm(ideal) ** (n * n) * num, den)
 
 
 def index_list(shape) -> tuple[int, ...]:

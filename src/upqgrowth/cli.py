@@ -49,8 +49,8 @@ COUNT_N_MAX = 2000
 SX_N_MAX = 1200
 # the most digits a printed value may have, an euler value by
 # asymptotics.euler_digits and a coh-bounds degree: Python prints no int of
-# more than 4300 digits, and an euler value is one Fraction product of
-# sum |m| factors per prime, each step on at most this many digits
+# more than 4300 digits, and an euler value is one int numerator and one
+# int denominator, each step on at most this many digits, and one gcd
 DIGITS_MAX = 4000
 # the largest --rank of a coh-bounds table: rank/2 + 1 rows of one degree
 # each, O(rank) int operations and lines, so the limit bounds the output;
@@ -266,6 +266,8 @@ def cmd_euler(args) -> tuple[int, str]:
         option, given = "--congruence", args.congruence
         # a rank below 1 is left to index_congruence, which names the error
         ns, n = ((given,), given) if given >= 1 else ((), 0)
+    # checked once: every call below takes the checked ideal as it is
+    ideal = asymptotics._check_ideal(ideal)
     digits = asymptotics.euler_digits(ns, ideal, n)
     if digits > DIGITS_MAX:
         raise ParseError(

@@ -415,15 +415,17 @@ def verify_qd_bound(n_max: int) -> Certificate:
             ((d, r) if r else (d,), (d - 1, d - 1, 1) if r == d - 1 else (d - 1, r + 1))
             for r in range(min(d, n_max - d + 1))
         ]
-        for n in range(d, n_max + 1):
-            k, r = divmod(n, d)
-            tail, tail2 = tails[r]
+        # the cases N = k*d + r of one k share the head d^(k-1)
+        for k in range(1, n_max // d + 1):
             head = (d,) * (k - 1)
-            q = qd(n, d)
-            q2 = qd_prime(n, d) if n >= 2 * d else None
-            if q == head + tail and (q2 is None or q2 == head + tail2):
-                continue
-            violations += _qd_violations(n, d, q, q2)
+            first = k * d
+            cases = range(first, min(first + d, n_max + 1))
+            for n, (tail, tail2) in zip(cases, tails):
+                q = qd(n, d)
+                q2 = qd_prime(n, d) if k >= 2 else None
+                if q == head + tail and (q2 is None or q2 == head + tail2):
+                    continue
+                violations += _qd_violations(n, d, q, q2)
     return Certificate(
         target="qd",
         sweep=f"2 <= d <= N <= {n_max}",
@@ -449,19 +451,20 @@ def verify_density(n_max: int) -> Certificate:
     (doubled main parts).
 
     The range N >= 2d is taken by blocks N = k*d + r, r = 0..d-1, the last
-    block cut at n_max. The sweep reads each term once: the naive term of
-    every block (k, d) and of every remainder block (1, r), and the refined
-    term of the exceptional blocks, k = 2 and (3, 2), which hold the
-    exceptional pairs, and of (1, 1). It compares them with their closed
-    forms: k^2 d and r naive, and 6 - 2d for (2, d), 8 with 2 eps for
-    (3, 2) and 1 for (1, 1) refined. The theorem below proves every case
-    whose terms are these, for every N, so per d the list of naive terms
-    and the refined ones are compared with the closed forms, and only a
-    block whose terms differ is walked case by case, from its first case
-    to its last, with cross-multiplied ints; every block is walked when a
-    remainder term differs. Walked blocks come in order of d, then k, so
-    the violations come in the order of the cases and are the walk's. A
-    sweep reads O(N log N) terms and evaluates no lemma.
+    block cut at n_max. The sweep reads each term once, into flat lists,
+    the blocks in order of d, then k: the naive term of every block (k, d)
+    and of every remainder block (1, r), and the refined term of the
+    exceptional blocks, k = 2 and (3, 2), which hold the exceptional pairs,
+    and of (1, 1). Their closed forms are k^2 d and r naive, and 6 - 2d for
+    (2, d), 8 with 2 eps for (3, 2) and 1 for (1, 1) refined. The theorem
+    below proves every case whose terms are these, for every N, so
+    comparing the lists with their closed forms decides the sweep. Only
+    when they differ does it walk, from the lists it read, each block whose
+    terms differ, case by case from its first case to its last, with
+    cross-multiplied ints; every block is walked when a remainder term
+    differs. Walked blocks come in order of d, then k, so the violations
+    come in the order of the cases and are the walk's. A sweep reads
+    O(N log N) terms and evaluates no lemma.
 
     The short range d < N < 2d has the difference
     (N-d)(N^2-1) - N(N-d)(N-1) = (N-d)(N-1) = x^2 + (d+1)x + d at
@@ -510,31 +513,38 @@ def verify_density(n_max: int) -> Certificate:
     and keep the per-block Taylor test and the tight loop over the regular
     blocks that the sweep used before, as oracles.
     """
-    violations = []
-    # the terms of the remainder blocks (1, r), r < d <= n_max/2, no block
-    # when r = 0; every block is walked when one is off its closed form
-    rem_naive = [0] + [_naive_term(1, r)[0] for r in range(1, n_max // 2)]
+    half = n_max // 2  # a d past n_max/2 has no block
+    # every term the theorem reads, once, beside its closed form: the naive
+    # terms of the blocks (k, d), in order of d then k, and of the remainder
+    # blocks (1, r), r < d <= n_max/2 (none when r = 0), and the refined
+    # terms of the exceptional blocks, (2, d) and (3, 2) when n_max reaches
+    # it, and of (1, 1)
+    blocks = [(k, d) for d in range(2, half + 1) for k in range(2, n_max // d + 1)]
+    naives = [_naive_term(k, d)[0] for k, d in blocks]
+    closed = [k * k * d for k, d in blocks]
+    rem_naive = [0] + [_naive_term(1, r)[0] for r in range(1, half)]
     rem_refined = ((0, 0), _refined_term(1, 1))
+    exceptional = [(2, d) for d in range(2, half + 1)]
+    refined_closed = [(6 - 2 * d, 0) for d in range(2, half + 1)]
+    if n_max >= 6:
+        exceptional.append((3, 2))
+        refined_closed.append((8, 2))
+    refined = [_refined_term(k, d) for k, d in exceptional]
+    # every block is walked when a remainder term is off its closed form
     every = rem_naive != [*range(len(rem_naive))] or rem_refined[1] != (1, 0)
-    for d in range(2, n_max // 2 + 1):  # a d past n_max/2 has no block
-        ks = range(2, n_max // d + 1)
-        naives = [_naive_term(k, d)[0] for k in ks]
-        closed = [k * k * d for k in ks]
-        # the exceptional blocks: k = 2, and (3, 2) when n_max reaches it
-        refined = [_refined_term(k, d) for k in ks[: 1 + (d == 2)]]
-        refined_closed = [(6 - 2 * d, 0), (8, 2)][: len(refined)]
-        if naives == closed and refined == refined_closed and not every:
-            continue
-        last_exceptional = 2 * d + 1 + (d == 2)
-        for k, term, want in zip(ks, naives, closed):
-            i = k - 2  # where (k, d)'s refined term is, if it has one
-            if (
-                term == want
-                and refined[i : i + 1] == refined_closed[i : i + 1]
-                and not every
-            ):
+    violations = []
+    if every or naives != closed or refined != refined_closed:
+        refined_at = dict(zip(exceptional, refined))
+        # the exceptional blocks whose refined term is off its closed form
+        off = {
+            kd for kd, got, want in zip(exceptional, refined, refined_closed)
+            if got != want
+        }
+        for (k, d), term, want in zip(blocks, naives, closed):
+            if term == want and (k, d) not in off and not every:
                 continue
             naive = term - 2
+            last_exceptional = 2 * d + 1 + (d == 2)
             first = k * d
             for n in range(first, min(first + d, n_max + 1)):
                 r = n - first
@@ -552,7 +562,7 @@ def verify_density(n_max: int) -> Certificate:
                             "expected exceptional=True"
                         )
                     # the refined bound less 1 against trivial * (m-d+1)/m
-                    a, e = refined[i]
+                    a, e = refined_at[k, d]
                     b, f = rem_refined[r]
                     lhs = (nn + a + b - 2) * m
                     rhs = 2 * trivial * (m - d + 1)

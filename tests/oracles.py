@@ -19,7 +19,9 @@ coefficients over a block and its in-place test of the regular blocks,
 which the density certificate's theorem replaced and is proved on. The
 representation reader `global_rep_from_json` is the one the doubled-int
 reader replaced: it reads each value to a Fraction and leaves every check
-to the record constructors.
+to the record constructors. `gamma_factor` and `index_congruence` multiply
+one `Fraction` factor at a time, as the package did before its int
+product.
 Run as a script to print the values that the unit tests freeze.
 """
 
@@ -106,6 +108,24 @@ def is_prime_power(q: int) -> bool:
             return q == 1
         p += 1
     return q >= 2
+
+
+def gamma_factor(ns, ideal) -> Fraction:
+    """Product over the primes q and indices n of (1 - q^-i), i = 1..n, and
+    of (1 + q^-i), i = 1..-n, for a negative n: one `Fraction` factor at a
+    time, as `asymptotics.gamma_factor` took it before its int product."""
+    value = Fraction(1)
+    for q, _ in ideal:
+        for n in ns:
+            sign = 1 if n < 0 else -1
+            for i in range(1, abs(n) + 1):
+                value *= 1 + sign * Fraction(1, q**i)
+    return value
+
+
+def index_congruence(n: int, ideal) -> Fraction:
+    """|ideal|^(n^2) * gamma_factor((n,), ideal), the norm a product of q^e."""
+    return prod(q**e for q, e in ideal) ** (n * n) * gamma_factor((n,), ideal)
 
 
 # ---------------------------------------------------------------------------

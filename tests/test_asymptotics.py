@@ -95,6 +95,30 @@ def test_gamma_ignores_exponent_uses_residue_size():
     assert gamma_factor((2,), [(3, 5)]) == gamma_factor((2,), [(3, 1)])
 
 
+# prime powers with a prime factor up to 41, and ones whose least root is a
+# prime from 43 on, which the prime-power test sends to Miller-Rabin
+_WIDE_IDEALS = st.lists(
+    st.tuples(
+        st.builds(pow, st.sampled_from([2, 3, 5, 41, 43, 47, 1009]), st.integers(1, 3)),
+        st.integers(1, 3),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@given(st.lists(st.integers(-12, 12), max_size=6), _WIDE_IDEALS)
+@example([1, 1, -1, -1, 0, 12], [(43, 2), (43, 1)])
+def test_gamma_factor_matches_the_fraction_product(ns, ideal):
+    assert gamma_factor(ns, ideal) == oracles.gamma_factor(ns, ideal)
+
+
+@given(st.integers(1, 12), _WIDE_IDEALS)
+@example(12, [(1009**3, 3), (47, 1)])
+def test_index_congruence_matches_the_fraction_product(n, ideal):
+    assert index_congruence(n, ideal) == oracles.index_congruence(n, ideal)
+
+
 # --- congruence indices ---------------------------------------------------------
 
 

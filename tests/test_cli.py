@@ -777,6 +777,24 @@ def test_euler_refuses_huge_exponents(option, capsys):
     assert err.startswith(f"error: {option} must give at most 4000 digits")
 
 
+@pytest.mark.parametrize("option", ["--indices", "--congruence"])
+def test_euler_checks_each_prime_power_once(option, monkeypatch, capsys):
+    # the command checks its ideal once and hands the checked tuple on, so
+    # the digit bound, the norm and the gamma factor check it no more
+    seen = Counter()
+    test = asymptotics._is_prime_power
+
+    def counted(q):
+        seen[q] += 1
+        return test(q)
+
+    monkeypatch.setattr(asymptotics, "_is_prime_power", counted)
+    # 1009^2 as a residue size goes through the root and Miller-Rabin
+    assert cli.run(["euler", option, "3", "--ideal", "2,3^2,43,1018081"]) == 0
+    assert seen == Counter({2: 1, 3: 1, 43: 1, 1009**2: 1})
+    assert capsys.readouterr().err == ""
+
+
 def test_euler_small_congruence_keeps_its_error(capsys):
     for n in ("0", "-100"):
         assert cli.run(["euler", "--congruence", n, "--ideal", "3"]) == 2

@@ -920,6 +920,30 @@ def test_density_sweep_walks_no_case():
     assert _gt_reads_false(verify_density)(300) == verify_density(300)
 
 
+def test_density_walk_reads_each_term_once(monkeypatch):
+    # the walk takes its terms from the lists the sweep read: with a
+    # remainder term off its closed form every block is walked, and each
+    # term is still read once, as in test_density_reads_each_term_once_where_needed
+    reads = {"_naive_term": Counter(), "_refined_term": Counter()}
+    wrong = {
+        "_naive_term": {(1, 3): (4, 0), (3, 5): (46, 0)},
+        "_refined_term": {(2, 7): (-8, 1)},
+    }
+    for name, seen in reads.items():
+        term = _wrong_at(wrong[name], getattr(sarnakxue, name))
+        monkeypatch.setattr(sarnakxue, name, _counted(term, seen))
+    cert, walked = _walked_cases(60)
+    blocks = [(k, d) for d in range(2, 31) for k in range(2, 60 // d + 1)]
+    assert walked == [
+        (n, d) for k, d in blocks for n in range(k * d, min(k * d + d, 61))
+    ]
+    remainders = [(1, r) for r in range(1, 30)]
+    assert reads["_naive_term"] == Counter(blocks + remainders)
+    exceptional = [(2, d) for d in range(2, 31)] + [(3, 2)]
+    assert reads["_refined_term"] == Counter(exceptional + [(1, 1)])
+    assert cert == oracles.density_walk(60)
+
+
 @st.composite
 def _density_patches(draw):
     """(n_max, naives, refineds): for a few blocks (t, d) whose terms the
