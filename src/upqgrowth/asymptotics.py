@@ -19,6 +19,9 @@ from .infchar import format_rational, weyl_dim
 from .shapes import _place_parity, _unramified_parity, dominant_placements
 from .shapes import is_gsk, is_odd_gsk
 
+Ideal = tuple[tuple[int, int], ...]
+
+
 # the primes up to 41: below _MR_EXACT, a strong probable prime to every
 # one of these bases is prime (the least composite one is _MR_EXACT)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -85,17 +88,7 @@ def _is_prime_power(q: int) -> bool:
     return q < 43 * 43 or _strong_probable_prime(q)
 
 
-class _CheckedIdeal(tuple):
-    """An ideal as `_check_ideal` returns it: (q, e) int pairs, each q a
-    prime power and e >= 1. `_check_ideal` returns one as it is, so a caller
-    that holds it, like the `euler` command, checks its ideal once."""
-
-    __slots__ = ()
-
-
-def _check_ideal(ideal) -> _CheckedIdeal:
-    if type(ideal) is _CheckedIdeal:
-        return ideal
+def _check_ideal(ideal) -> Ideal:
     out = tuple((index(q), index(e)) for q, e in ideal)
     if not out:
         raise ValueError("ideal needs at least one prime")
@@ -107,7 +100,7 @@ def _check_ideal(ideal) -> _CheckedIdeal:
                 f"residue size {q} is not a prime power: no field has {q} "
                 "elements"
             )
-    return _CheckedIdeal(out)
+    return out
 
 
 def ideal_norm(ideal) -> int:
@@ -115,19 +108,17 @@ def ideal_norm(ideal) -> int:
     return prod(q**e for q, e in ideal)
 
 
-def _gamma_ints(ns, ideal: _CheckedIdeal) -> tuple[int, int]:
+def _gamma_ints(ns, ideal: Ideal) -> tuple[int, int]:
     """gamma_factor(ns, ideal) as an unreduced (numerator, denominator) of
-    ints, for int indices: per prime q of the ideal, each index m puts
-    q^i - 1, or q^i + 1 when m < 0, into the numerator and q^i into the
-    denominator, i = 1..|m|. Equal indices share one product, raised to
-    their count."""
-    counts = Counter(ns)
-    shift = sum(c * abs(m) * (abs(m) + 1) // 2 for m, c in counts.items())
+    ints, for int indices and a checked ideal: per prime q of the ideal,
+    each index m puts q^i - 1, or q^i + 1 when m < 0, into the numerator
+    and q^i into the denominator, i = 1..|m|."""
+    shift = sum(abs(m) * (abs(m) + 1) // 2 for m in ns)
     num = den = 1
     for q, _ in ideal:
-        for m, c in counts.items():
+        for m in ns:
             sign = 1 if m < 0 else -1
-            num *= prod(q**i + sign for i in range(1, abs(m) + 1)) ** c
+            num *= prod(q**i + sign for i in range(1, abs(m) + 1))
         den *= q**shift
     return num, den
 

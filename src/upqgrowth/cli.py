@@ -266,8 +266,6 @@ def cmd_euler(args) -> tuple[int, str]:
         option, given = "--congruence", args.congruence
         # a rank below 1 is left to index_congruence, which names the error
         ns, n = ((given,), given) if given >= 1 else ((), 0)
-    # checked once: every call below takes the checked ideal as it is
-    ideal = asymptotics._check_ideal(ideal)
     digits = asymptotics.euler_digits(ns, ideal, n)
     if digits > DIGITS_MAX:
         raise ParseError(
